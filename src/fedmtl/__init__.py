@@ -83,7 +83,6 @@ from .simulation import (
     simulate_run,
 )
 from .theory import (
-    ConvergenceInputs,
     SigmaStats,
     convergence_constant_s,
     lipschitz_iteration_bound,

@@ -14,36 +14,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FederatedDataset, TaskDataset, prediction_error, train_test_split
-from .losses import DualInfeasibleError, LossKind, _hinge_delta, _squared_delta, subgradient
+from .losses import LossKind, subgradient
 from .regularizers import (
     MeanRegularized,
     OmegaModel,
     RelationshipState,
     build_relationship,
     primal_from_dual,
-    regularizer_conjugate,
     regularizer_grad,
 )
 from .solver import (
-    SOLVER_STREAM,
     ConstantPolicy,
     ConvergenceError,
-    DualState,
+    FixedQualitySolver,
+    MiniBatchSolver,
     PrimalState,
     RoundStats,
     SolverConfig,
-    _kappa_vector,
-    _run_updates,
-    _view_value,
-    dual_objective,
     duality_gap,
     init_dual_state,
-    make_views,
-    measure_theta,
-    oracle_subproblem_opt,
     primal_objective,
     run_w_update,
 )
+# Unused here, but perfbench's tracer patches these names in this module.
+from .solver import dual_objective, make_views, oracle_subproblem_opt  # noqa: F401
 
 SGD_STREAM = 12
 
@@ -63,66 +57,16 @@ def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
               seed: int = 0, gap_tol: float | None = None,
               max_passes: int = 500, oracle_tol: float = 1e-9) -> BaselineRun:
     """Synchronous solver with one fixed solution quality across all nodes and
-    rounds: every node grinds until its measured quality reaches the target,
-    however long that takes, so per-round work follows the hardest subproblem.
-
-    Quality is measured against the exact subproblem optimum (affordable at
-    desk scale), removing estimator noise from method comparisons.
-    """
+    rounds: every node grinds until its measured quality reaches the target
+    (see ``FixedQualitySolver``), however long that takes."""
     if not 0.0 <= theta_target < 1.0:
         raise ValueError("theta must be in [0, 1)")
     state = init_dual_state(ds)
-    kappa = _kappa_vector(rel, "global")
-    trace: list[RoundStats] = []
-    for h in range(rounds):
-        W = primal_from_dual(state.v, rel.mbar)
-        views = make_views(ds, kind, state, W, kappa)
-        dual_before = dual_objective(state, ds, kind, rel)
-        rstar_before = regularizer_conjugate(state.v, rel.mbar)
-        deltas = []
-        counts = []
-        thetas = []
-        for t, view in enumerate(views):
-            n_t = view.labels.size
-            oracle = oracle_subproblem_opt(view, tol=oracle_tol)
-            g_zero = _view_value(view, np.zeros(n_t))
-            g_star = _view_value(view, oracle)
-            denom = g_zero - g_star
-            delta = np.zeros(n_t)
-            u = np.zeros(ds.d)
-            count = 0
-            theta = 0.0
-            if denom > 1e-14:
-                rng = np.random.default_rng([seed, SOLVER_STREAM, t, h])
-                theta = 1.0
-                for _ in range(max_passes):
-                    idx = rng.integers(0, n_t, size=n_t)
-                    _run_updates(view, idx, delta, u)
-                    count += n_t
-                    theta = (_view_value(view, delta, u) - g_star) / denom
-                    if theta <= theta_target:
-                        break
-            deltas.append(delta)
-            counts.append(count)
-            thetas.append(float(min(1.0, max(0.0, theta))))
-        subproblem_sum = sum(
-            _view_value(views[t], deltas[t]) for t in range(ds.m)
-        )
-        for t in range(ds.m):
-            state.alpha[t] += deltas[t]
-            state.v[:, t] += ds.tasks[t].features @ deltas[t]
-        dual = dual_objective(state, ds, kind, rel)
-        primal = primal_objective(
-            primal_from_dual(state.v, rel.mbar), ds, kind, rel.omega, model
-        )
-        trace.append(RoundStats(
-            h=h, dual=dual, primal=primal, gap=dual + primal,
-            dropped=[], update_counts=counts, theta=thetas,
-            dual_before=dual_before, subproblem_sum=subproblem_sum,
-            rstar_before=rstar_before,
-        ))
-        if gap_tol is not None and trace[-1].gap <= gap_tol:
-            break
+    trace = run_w_update(
+        ds, kind, rel, model, state, ConstantPolicy(0),
+        rounds=rounds, gap_tol=gap_tol, seed=seed,
+        local_solver=FixedQualitySolver(theta_target, max_passes, oracle_tol),
+    )
     return BaselineRun(trace, PrimalState(primal_from_dual(state.v, rel.mbar)))
 
 
@@ -130,62 +74,20 @@ def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                 model: OmegaModel, batch: int, beta: float, rounds: int, *,
                 seed: int = 0, policy=None,
                 gap_tol: float | None = None) -> BaselineRun:
-    """Mini-batch dual coordinate ascent: each node computes ``batch``
-    independent coordinate deltas against the frozen snapshot and applies
-    them scaled by beta / batch.
-
-    With beta = 1 the scaled sum is a convex combination, so hinge feasibility
-    is preserved; beta near batch can overshoot when sampled coordinates
-    collide, in which case dual values are reported as None for hinge.
-    """
+    """Mini-batch dual coordinate ascent: each node computes ``batch`` (or the
+    policy's budget of) independent coordinate deltas against the frozen
+    snapshot and applies them scaled by beta over their count (see
+    ``MiniBatchSolver``).  Hinge dual values that leave the box are reported
+    as None."""
     if batch < 1 or not 1.0 <= beta <= batch:
         raise ValueError("need batch >= 1 and 1 <= beta <= batch")
     state = init_dual_state(ds)
-    kappa = _kappa_vector(rel, "global")
-    trace: list[RoundStats] = []
-    for h in range(rounds):
-        W = primal_from_dual(state.v, rel.mbar)
-        views = make_views(ds, kind, state, W, kappa)
-        counts = []
-        for t, view in enumerate(views):
-            n_t = view.labels.size
-            b_t = int(policy.budget(t, h)) if policy is not None else batch
-            if policy is not None and policy.dropped(t, h):
-                b_t = 0
-            counts.append(b_t)
-            if b_t == 0:
-                continue
-            rng = np.random.default_rng([seed, SOLVER_STREAM, t, h])
-            idx = rng.integers(0, n_t, size=b_t)
-            scale = beta / b_t
-            delta = np.zeros(n_t)
-            hinge = kind is LossKind.HINGE
-            for i in idx:
-                x = view.X[:, i]
-                s = float(view.w @ x)
-                if hinge:
-                    step = _hinge_delta(view.alpha[i], view.labels[i], s,
-                                        view.col_norms2[i], view.kappa)
-                else:
-                    step = _squared_delta(view.alpha[i], view.labels[i], s,
-                                          view.col_norms2[i], view.kappa)
-                delta[i] += scale * step
-            state.alpha[t] += delta
-            state.v[:, t] += view.X @ delta
-        try:
-            dual = dual_objective(state, ds, kind, rel)
-        except DualInfeasibleError:
-            dual = None
-        primal = primal_objective(
-            primal_from_dual(state.v, rel.mbar), ds, kind, rel.omega, model
-        )
-        gap = None if dual is None else dual + primal
-        trace.append(RoundStats(
-            h=h, dual=dual, primal=primal, gap=gap,
-            dropped=[], update_counts=counts,
-        ))
-        if gap_tol is not None and gap is not None and gap <= gap_tol:
-            break
+    trace = run_w_update(
+        ds, kind, rel, model, state,
+        ConstantPolicy(batch) if policy is None else policy,
+        rounds=rounds, gap_tol=gap_tol, seed=seed,
+        local_solver=MiniBatchSolver(beta),
+    )
     return BaselineRun(trace, PrimalState(primal_from_dual(state.v, rel.mbar)))
 
 

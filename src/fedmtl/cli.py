@@ -43,6 +43,7 @@ from .simulation import (
     HeterogeneityPolicy,
     NetworkPreset,
     NodeProfile,
+    attach_times,
     simulate_run,
 )
 from .solver import SolverConfig, write_trace_csv, write_trace_jsonl
@@ -123,6 +124,19 @@ def parse_loss(name: str) -> LossKind:
         raise ConfigError(f"method.loss: unknown loss {name!r}") from None
 
 
+def _synthetic_spec(cfg, seed: int) -> SyntheticSpec:
+    return SyntheticSpec(
+        m=_get_int(cfg, "synthetic", "m", required=True),
+        d=_get_int(cfg, "synthetic", "d", required=True),
+        n_min=_get_int(cfg, "synthetic", "n_min", required=True),
+        n_max=_get_int(cfg, "synthetic", "n_max", required=True),
+        cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
+        deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
+        noise=_get_float(cfg, "synthetic", "noise", 0.0),
+        seed=_get_int(cfg, "synthetic", "seed", seed),
+    )
+
+
 def build_dataset(cfg, seed: int) -> FederatedDataset:
     source = _get_str(cfg, "dataset", "source", required=True)
     if source == "csv":
@@ -131,17 +145,7 @@ def build_dataset(cfg, seed: int) -> FederatedDataset:
             raise ConfigError(f"dataset.csv_dir: directory not found: {csv_dir}")
         ds = load_federated_csv(csv_dir)
     elif source == "synthetic":
-        spec = SyntheticSpec(
-            m=_get_int(cfg, "synthetic", "m", required=True),
-            d=_get_int(cfg, "synthetic", "d", required=True),
-            n_min=_get_int(cfg, "synthetic", "n_min", required=True),
-            n_max=_get_int(cfg, "synthetic", "n_max", required=True),
-            cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
-            deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
-            noise=_get_float(cfg, "synthetic", "noise", 0.0),
-            seed=_get_int(cfg, "synthetic", "seed", seed),
-        )
-        ds = generate_synthetic(spec)
+        ds = generate_synthetic(_synthetic_spec(cfg, seed))
     else:
         raise ConfigError(f"dataset.source: must be csv or synthetic, got {source!r}")
     if _get_bool(cfg, "dataset", "standardize", False):
@@ -242,17 +246,7 @@ def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
     outdir = args.out or _get_str(cfg, "output", "dir", required=True)
-    spec = SyntheticSpec(
-        m=_get_int(cfg, "synthetic", "m", required=True),
-        d=_get_int(cfg, "synthetic", "d", required=True),
-        n_min=_get_int(cfg, "synthetic", "n_min", required=True),
-        n_max=_get_int(cfg, "synthetic", "n_max", required=True),
-        cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
-        deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
-        noise=_get_float(cfg, "synthetic", "noise", 0.0),
-        seed=_get_int(cfg, "synthetic", "seed", seed),
-    )
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(_synthetic_spec(cfg, seed))
     save_federated_csv(ds, outdir)
     sizes = ds.task_sizes()
     print(f"wrote {ds.m} task files to {outdir}")
@@ -268,8 +262,8 @@ def cmd_train(args) -> int:
     method = _get_str(cfg, "method", "name", required=True)
     kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
     ds = build_dataset(cfg, seed)
-    _echo_config(args.config, outdir)
 
+    # Each branch reads all of its settings before the config is echoed.
     omega = None
     elapsed = None
     trace = []
@@ -277,17 +271,22 @@ def cmd_train(args) -> int:
         lam = _get_float(cfg, "method", "lambda", required=True)
         max_epochs = _get_int(cfg, "method", "max_epochs", 20000)
         trainer = baselines.train_local if method == "local" else baselines.train_global
+        _echo_config(args.config, outdir)
         primal = trainer(ds, lam, kind, max_epochs=max_epochs, seed=seed)
         final_gap = final_dual = final_primal = None
     elif method in ROUND_METHODS:
         model = build_model(cfg)
         solver_config = build_solver_config(cfg, seed)
+        preset = build_preset(cfg)
+        het = build_heterogeneity(cfg, min(ds.task_sizes()))
+        profiles = build_profiles(cfg, ds.m)
+        params = method_params(cfg)
+        _echo_config(args.config, outdir)
         sim = simulate_run(
-            method, ds, kind=kind, model=model, preset=build_preset(cfg),
-            heterogeneity=build_heterogeneity(cfg, min(ds.task_sizes())),
-            seed=seed, rounds=solver_config.inner_rounds,
-            gap_tol=solver_config.gap_tol, profiles=build_profiles(cfg, ds.m),
-            method_params=method_params(cfg), solver_config=solver_config,
+            method, ds, kind=kind, model=model, preset=preset,
+            heterogeneity=het, seed=seed, rounds=solver_config.inner_rounds,
+            gap_tol=solver_config.gap_tol, profiles=profiles,
+            method_params=params, solver_config=solver_config,
         )
         trace, primal, omega = sim.trace, sim.primal, sim.omega
         last = trace[-1] if trace else None
@@ -409,34 +408,43 @@ def cmd_bench(args) -> int:
     profiles = build_profiles(cfg, ds.m)
     n_min = min(ds.task_sizes())
     solver_config = build_solver_config(cfg, seed)
+    if not presets:
+        raise ConfigError("bench.presets: needs at least one preset")
+    for preset_name in presets:
+        if preset_name not in PRESETS:
+            raise ConfigError(f"bench.presets: unknown preset {preset_name!r}")
+    for method in methods:
+        if method not in ROUND_METHODS:
+            raise ConfigError(f"bench.methods: unknown method {method!r}")
+    fixed_k = _get_int(cfg, "systems", "fixed_k", None)
+    try:
+        hets = [HeterogeneityPolicy(mode, n_min, fixed_k) for mode in het_modes]
+    except ValueError as exc:
+        raise ConfigError(f"bench.heterogeneity: {exc}") from None
 
     _echo_config(args.config, outdir)
     floor = _reference_primal_floor(ds, kind, model, seed)
     summary = {"primal_floor": floor, "cells": {}}
-    for preset_name in presets:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"bench.presets: unknown preset {preset_name!r}")
-        for het_mode in het_modes:
-            het = HeterogeneityPolicy(
-                het_mode, n_min, _get_int(cfg, "systems", "fixed_k", None)
-            )
-            for method in methods:
-                if method not in ROUND_METHODS:
-                    raise ConfigError(f"bench.methods: unknown method {method!r}")
-                sim = simulate_run(
-                    method, ds, kind=kind, model=model,
-                    preset=PRESETS[preset_name], heterogeneity=het, seed=seed,
-                    rounds=rounds, profiles=profiles, method_params=params,
-                    solver_config=solver_config,
-                )
-                cell = f"{method}_{preset_name}_{het_mode}"
+    for het in hets:
+        for method in methods:
+            # The preset changes only the simulated time, so one solve
+            # serves every preset.
+            trace = simulate_run(
+                method, ds, kind=kind, model=model,
+                preset=PRESETS[presets[0]], heterogeneity=het, seed=seed,
+                rounds=rounds, profiles=profiles, method_params=params,
+                solver_config=solver_config,
+            ).trace
+            for preset_name in presets:
+                attach_times(trace, ds.d, profiles, PRESETS[preset_name])
+                cell = f"{method}_{preset_name}_{het.mode}"
                 path = os.path.join(outdir, f"bench_{cell}.csv")
-                first = sim.trace[0].primal
+                first = trace[0].primal
                 target = floor + target_rel * max(first - floor, 0.0)
                 reached = None
                 with open(path, "w", encoding="ascii") as fh:
                     fh.write("elapsed_ms,primal_suboptimality\n")
-                    for stats in sim.trace:
+                    for stats in trace:
                         sub = stats.primal - floor
                         fh.write(f"{stats.elapsed_ms_estimated!r},{sub!r}\n")
                         if reached is None and stats.primal <= target:

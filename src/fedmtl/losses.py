@@ -113,8 +113,10 @@ def conjugate_sum(kind: LossKind, alpha: np.ndarray, labels: np.ndarray) -> floa
 def _hinge_delta(alpha_i: float, y_i: float, score_i: float,
                  x_norm2: float, kappa: float) -> float:
     b = y_i * alpha_i
-    if x_norm2 <= 0.0:
-        # Degenerate column: the restriction is linear in b over [0, 1].
+    curvature = kappa * x_norm2
+    if curvature <= 0.0:
+        # Degenerate column (or a subnormal norm whose product underflows):
+        # the restriction is linear in b over [0, 1].
         coef = y_i * score_i - 1.0
         if coef < 0.0:
             b_new = 1.0
@@ -123,7 +125,7 @@ def _hinge_delta(alpha_i: float, y_i: float, score_i: float,
         else:
             b_new = b
     else:
-        b_new = b + (1.0 - y_i * score_i) / (kappa * x_norm2)
+        b_new = b + (1.0 - y_i * score_i) / curvature
         b_new = min(1.0, max(0.0, b_new))
     return y_i * b_new - alpha_i
 

@@ -75,7 +75,6 @@ class DualState:
 
     alpha: list[np.ndarray]
     v: np.ndarray
-    v_dirty: bool = False
 
 
 def init_dual_state(ds: FederatedDataset) -> DualState:
@@ -241,6 +240,12 @@ class LocalResult:
     delta_alpha: np.ndarray
     delta_v: np.ndarray
     update_count: int
+    theta: float | None = None      # measured solution quality, if the solver knows it
+
+
+def _step_function(kind: LossKind):
+    """Exact single-coordinate step for the loss, without argument checks."""
+    return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
 
 def _run_updates(view: SubproblemView, idx: np.ndarray,
@@ -253,15 +258,11 @@ def _run_updates(view: SubproblemView, idx: np.ndarray,
     alpha = view.alpha
     norms2 = view.col_norms2
     kappa = view.kappa
-    hinge = view.kind is LossKind.HINGE
+    step_fn = _step_function(view.kind)
     for i in idx:
         x = X[:, i]
         s = float(w @ x) + kappa * float(u @ x)
-        a = alpha[i] + delta[i]
-        if hinge:
-            step = _hinge_delta(a, y[i], s, norms2[i], kappa)
-        else:
-            step = _squared_delta(a, y[i], s, norms2[i], kappa)
+        step = step_fn(alpha[i] + delta[i], y[i], s, norms2[i], kappa)
         if step != 0.0:
             delta[i] += step
             u += step * x
@@ -326,6 +327,74 @@ def measure_theta(view: SubproblemView, delta_alpha: np.ndarray,
     return float(min(1.0, max(0.0, theta)))
 
 
+@dataclass(frozen=True)
+class FixedQualitySolver:
+    """CoCoA's local solver: randomized passes over the local data until the
+    measured quality reaches ``theta_target`` or ``max_passes`` run out.  It
+    ignores the budget, so per-round work follows the hardest subproblem.
+
+    Quality is measured against the exact subproblem optimum (affordable at
+    desk scale), removing estimator noise from method comparisons.
+    """
+
+    theta_target: float
+    max_passes: int = 500
+    oracle_tol: float = 1e-9
+
+    def __call__(self, view: SubproblemView, budget: int, rng) -> LocalResult:
+        n_t = view.labels.size
+        oracle = oracle_subproblem_opt(view, tol=self.oracle_tol)
+        g_zero = _view_value(view, np.zeros(n_t))
+        g_star = _view_value(view, oracle)
+        denom = g_zero - g_star
+        delta = np.zeros(n_t)
+        u = np.zeros(view.X.shape[0])
+        count = 0
+        theta = 0.0
+        if denom > 1e-14:
+            theta = 1.0
+            for _ in range(self.max_passes):
+                idx = rng.integers(0, n_t, size=n_t)
+                _run_updates(view, idx, delta, u)
+                count += n_t
+                theta = (_view_value(view, delta, u) - g_star) / denom
+                if theta <= self.theta_target:
+                    break
+        return LocalResult(delta, view.X @ delta, count,
+                           float(min(1.0, max(0.0, theta))))
+
+
+@dataclass(frozen=True)
+class MiniBatchSolver:
+    """Mini-batch SDCA's local solver: ``budget`` coordinate steps, each taken
+    independently against the frozen snapshot, summed and scaled by
+    beta / budget.
+
+    With beta = 1 the scaled sum is a convex combination, so hinge
+    feasibility is preserved; beta near the budget can overshoot when sampled
+    coordinates collide.
+    """
+
+    beta: float = 1.0
+    # Tells the round engine to report an out-of-box hinge dual as None.
+    may_leave_box = True
+
+    def __call__(self, view: SubproblemView, budget: int, rng) -> LocalResult:
+        n_t = view.labels.size
+        delta = np.zeros(n_t)
+        if budget <= 0:
+            return LocalResult(delta, np.zeros(view.X.shape[0]), 0)
+        idx = rng.integers(0, n_t, size=int(budget))
+        scale = self.beta / budget
+        step_fn = _step_function(view.kind)
+        for i in idx:
+            x = view.X[:, i]
+            step = step_fn(view.alpha[i], view.labels[i], float(view.w @ x),
+                           view.col_norms2[i], view.kappa)
+            delta[i] += scale * step
+        return LocalResult(delta, view.X @ delta, int(budget))
+
+
 # ---------------------------------------------------------------------------
 # Federated rounds
 
@@ -353,25 +422,47 @@ def make_views(ds: FederatedDataset, kind: LossKind, state: DualState,
     ]
 
 
+def _unless_infeasible(evaluate, strict: bool):
+    """``evaluate()``, or None when it meets an out-of-box hinge dual and the
+    round tolerates that."""
+    try:
+        return evaluate()
+    except DualInfeasibleError:
+        if strict:
+            raise
+        return None
+
+
 def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                     model: OmegaModel, state: DualState, budgets, drops, *,
                     gamma: float = 1.0, round_idx: int = 0, seed: int = 0,
                     sigma_prime_mode: str = "global", workers: int = 1,
-                    measure: bool = False) -> RoundStats:
+                    measure: bool = False, local_solver=None) -> RoundStats:
     """One synchronous round: parallel local solves against a common snapshot,
-    then a gamma-scaled reduce and refreshed objectives."""
+    then a gamma-scaled reduce and refreshed objectives.
+
+    ``local_solver(view, budget, rng) -> LocalResult`` defaults to
+    ``solve_local`` (MOCHA); ``FixedQualitySolver`` gives CoCoA and
+    ``MiniBatchSolver`` mini-batch SDCA.  A solver with a true
+    ``may_leave_box`` attribute gets None for every value that needs a
+    feasible hinge dual; any other solver raises DualInfeasibleError.
+    """
+    # Resolved per call, not bound as a default, so a wrapped solve_local is used.
+    solve = solve_local if local_solver is None else local_solver
+    strict = not getattr(solve, "may_leave_box", False)
     m = ds.m
     W = primal_from_dual(state.v, rel.mbar)
     kappa = _kappa_vector(rel, sigma_prime_mode)
     views = make_views(ds, kind, state, W, kappa)
-    dual_before = dual_objective(state, ds, kind, rel)
+    dual_before = _unless_infeasible(
+        lambda: dual_objective(state, ds, kind, rel), strict)
     rstar_before = regularizer_conjugate(state.v, rel.mbar)
 
     def _node(t: int) -> LocalResult:
         if drops[t]:
             return LocalResult(np.zeros(ds.tasks[t].n), np.zeros(ds.d), 0)
         rng = np.random.default_rng([seed, SOLVER_STREAM, t, round_idx])
-        return solve_local(views[t], int(budgets[t]), rng)
+        return solve(views[t], int(budgets[t]), rng)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -379,26 +470,29 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     else:
         results = [_node(t) for t in range(m)]
 
-    subproblem_sum = sum(
+    subproblem_sum = _unless_infeasible(lambda: sum(
         _view_value(views[t], results[t].delta_alpha, results[t].delta_v)
         for t in range(m)
-    )
+    ), strict)
     thetas = None
     if measure:
         thetas = [measure_theta(views[t], results[t].delta_alpha) for t in range(m)]
+    elif any(r.theta is not None for r in results):
+        # A dropped node made no progress.
+        thetas = [1.0 if r.theta is None else r.theta for r in results]
 
     for t in range(m):
         state.alpha[t] += gamma * results[t].delta_alpha
         state.v[:, t] += gamma * results[t].delta_v
 
-    dual = dual_objective(state, ds, kind, rel)
+    dual = _unless_infeasible(lambda: dual_objective(state, ds, kind, rel), strict)
     W_new = primal_from_dual(state.v, rel.mbar)
     primal = primal_objective(W_new, ds, kind, rel.omega, model)
     return RoundStats(
         h=round_idx,
         dual=dual,
         primal=primal,
-        gap=dual + primal,
+        gap=None if dual is None else dual + primal,
         dropped=[t for t in range(m) if drops[t]],
         update_counts=[r.update_count for r in results],
         theta=thetas,
@@ -413,9 +507,11 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                  rounds: int, gap_tol: float | None = None, gamma: float = 1.0,
                  seed: int = 0, start_round: int = 0,
                  sigma_prime_mode: str = "global", workers: int = 1,
-                 measure_theta_rounds: int = 0) -> list[RoundStats]:
+                 measure_theta_rounds: int = 0,
+                 local_solver=None) -> list[RoundStats]:
     """Repeat federated rounds with budgets/drops drawn from the policy until
-    the round count is exhausted or the duality gap reaches the tolerance."""
+    the round count is exhausted or the duality gap reaches the tolerance.
+    ``local_solver`` is passed to every ``federated_round``."""
     out: list[RoundStats] = []
     if gap_tol is not None and duality_gap(state, ds, kind, rel, model) <= gap_tol:
         return out
@@ -427,10 +523,10 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
             ds, kind, rel, model, state, budgets, drops,
             gamma=gamma, round_idx=h, seed=seed,
             sigma_prime_mode=sigma_prime_mode, workers=workers,
-            measure=k < measure_theta_rounds,
+            measure=k < measure_theta_rounds, local_solver=local_solver,
         )
         out.append(stats)
-        if gap_tol is not None and stats.gap <= gap_tol:
+        if gap_tol is not None and stats.gap is not None and stats.gap <= gap_tol:
             break
     return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FederatedDataset
-from .solver import ConvergenceError, RoundStats
+from .solver import RoundStats
 
 
 def theta_bar(p_max: float, theta_max: float) -> float:
@@ -78,35 +78,9 @@ def lipschitz_iteration_bound(n: int, eps: float, L: float, sigma_total: float,
 # Spectral quantities
 
 
-def largest_sv_squared(X: np.ndarray, tol: float = 1e-9,
-                       max_iter: int = 100000) -> float:
-    """Squared largest singular value of X by power iteration on the Gram
-    operator, to relative tolerance ``tol`` on the Rayleigh quotient."""
-    X = np.asarray(X, dtype=float)
-    d, n = X.shape
-    dim = min(d, n)
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-
-    def gram(u):
-        # X^T X or X X^T, whichever is smaller; same top eigenvalue.
-        if dim == n:
-            return X.T @ (X @ u)
-        return X @ (X.T @ u)
-
-    lam = 0.0
-    for _ in range(max_iter):
-        gu = gram(v)
-        norm = np.linalg.norm(gu)
-        if norm == 0.0:
-            return 0.0
-        v = gu / norm
-        lam_new = float(v @ gram(v))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
-            return lam_new
-        lam = lam_new
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+def largest_sv_squared(X: np.ndarray) -> float:
+    """Squared largest singular value of X."""
+    return float(np.linalg.norm(np.asarray(X, dtype=float), 2) ** 2)
 
 
 def sigma_t(X_t: np.ndarray, mbar_tt: float) -> float:
@@ -128,26 +102,6 @@ def sigma_stats(ds: FederatedDataset, mbar: np.ndarray) -> SigmaStats:
     ])
     sizes = np.array(ds.task_sizes(), dtype=float)
     return SigmaStats(per, float(per.max()), float(per @ sizes))
-
-
-@dataclass(frozen=True)
-class ConvergenceInputs:
-    """Everything the iteration bounds need, gathered in one place."""
-
-    n: int
-    epsilon_d: float
-    mu: float | None
-    lipschitz: float | None
-    sigma_prime: float
-    sigma_max: float
-    sigma_total: float
-    p_max: float
-    theta_max: float
-    gamma: float = 1.0
-    initial_gap_bound: float | None = None
-
-    def theta_bar(self) -> float:
-        return theta_bar(self.p_max, self.theta_max)
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,16 @@ dir = {out}
 
 def test_cli_error_codes(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.ini")]) == 1
-    bad = write_config(tmp_path / "bad.ini", BASE_SYNTH + """
+    bad_out = tmp_path / "bad_out"
+    bad = write_config(tmp_path / "bad.ini", BASE_SYNTH + f"""
 [method]
 name = not_a_method
+
+[output]
+dir = {bad_out}
 """)
     assert main(["train", "--config", bad]) == 1
+    assert not bad_out.exists()
     missing = write_config(tmp_path / "missing.ini", """
 [dataset]
 source = synthetic
@@ -253,6 +258,21 @@ dir = {out}
     assert body[0] == "elapsed_ms,primal_suboptimality"
     last = body[-1].split(",")
     assert float(last[0]) > 0.0
+
+
+def test_bench_rejects_bad_names_before_writing(tmp_path):
+    for i, bad in enumerate(["presets = wifi, dialup", "presets =",
+                             "methods = mocha, sgd", "heterogeneity = none, wild"]):
+        out = tmp_path / f"bench{i}"
+        cfg = write_config(tmp_path / f"bench{i}.ini", BASE_SYNTH + f"""
+[bench]
+{bad}
+
+[output]
+dir = {out}
+""")
+        assert main(["bench", "--config", cfg]) == 1, bad
+        assert not out.exists(), bad
 
 
 def test_theory_command(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fedmtl.losses import (
     INFEASIBLE,
@@ -178,6 +178,8 @@ def test_coordinate_update_matches_grid_oracle():
     n2=st.floats(0, 5),
     kappa=st.floats(0.1, 3),
 )
+# A subnormal norm whose product with kappa underflows to zero.
+@example(b=0.0, y=1.0, score=0.0, n2=5e-324, kappa=0.5)
 def test_coordinate_update_stays_in_hinge_box(b, y, score, n2, kappa):
     alpha = b * y
     delta = coordinate_update(LossKind.HINGE, alpha, y, score, n2, kappa)

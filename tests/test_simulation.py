@@ -174,15 +174,16 @@ def test_drop_injection_reaches_solver():
     ds = generate_synthetic(SyntheticSpec(m=3, d=5, n_min=10, n_max=10, seed=4))
     model = MeanRegularized(1.0, 1.0)
     profiles = [NodeProfile(drop_probability=0.9) for _ in range(3)]
-    sim = simulate_run(
-        "mocha", ds, kind=HINGE, model=model, preset=PRESETS["wifi"],
-        heterogeneity=HeterogeneityPolicy("none", n_min=10),
-        seed=11, rounds=20, profiles=profiles,
-    )
-    assert any(s.dropped for s in sim.trace)
-    dropped_counts = [c for s in sim.trace for t, c in enumerate(s.update_counts)
-                      if t in s.dropped]
-    assert all(c == 0 for c in dropped_counts)
+    for method in ("mocha", "mb_sdca"):
+        sim = simulate_run(
+            method, ds, kind=HINGE, model=model, preset=PRESETS["wifi"],
+            heterogeneity=HeterogeneityPolicy("high", n_min=10),
+            seed=11, rounds=20, profiles=profiles,
+        )
+        assert any(s.dropped for s in sim.trace), method
+        dropped_counts = [c for s in sim.trace for t, c in enumerate(s.update_counts)
+                          if t in s.dropped]
+        assert all(c == 0 for c in dropped_counts), method
 
 
 def test_attach_times_invariant_to_recomputation():

@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import make_dataset
 
+from fedmtl.baselines import cocoa_run, mb_sdca_run
 from fedmtl.data import FederatedDataset, TaskDataset
 from fedmtl.losses import LossKind
 from fedmtl.regularizers import (
@@ -209,6 +210,22 @@ def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
     trace3 = run_w_update(ds2, LossKind.HINGE, good, model2, state3,
                           ConstantPolicy(4), rounds=3, seed=0)
     assert verify_lemma_decrease(trace3, 1.0).passed
+
+
+def test_verify_lemma_decrease_holds_for_cocoa_and_mb_sdca():
+    # Both baselines run on the shared round engine, which records the
+    # decrease-check fields for them.
+    for seed in range(5):
+        ds = make_dataset(np.random.default_rng(seed), m=3, d=4, n_lo=6, n_hi=9)
+        model = MeanRegularized(1.0, 1.0)
+        rel = build_relationship(model, initial_omega(model, ds.m))
+        for kind in (LossKind.HINGE, LossKind.SQUARED):
+            runs = [
+                cocoa_run(ds, kind, rel, model, 0.1, 8, seed=seed),
+                mb_sdca_run(ds, kind, rel, model, 5, 1.0, 8, seed=seed),
+            ]
+            for run in runs:
+                assert verify_lemma_decrease(run.trace, 1.0).passed
 
 
 def test_verify_lemma_decrease_requires_fields():
