@@ -30,6 +30,7 @@ from .solver import (
     MiniBatchSolver,
     PrimalState,
     RoundStats,
+    RunResult,
     SolverConfig,
     duality_gap,
     init_dual_state,
@@ -44,43 +45,46 @@ SGD_STREAM = 12
 DEFAULT_LAMBDA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 
-@dataclass(frozen=True)
-class BaselineRun:
-    """Round trace plus the weights the method ended on."""
-
-    trace: list[RoundStats]
-    primal: PrimalState
+def check_method_params(method: str, params: dict) -> None:
+    """Raise ValueError when a setting that ``method`` reads from ``params``
+    is out of range; other methods and other keys are not looked at."""
+    if method == "cocoa" and not 0.0 <= params["theta"] < 1.0:
+        raise ValueError("theta must be in [0, 1)")
+    if method in ("mb_sdca", "mb_sgd") and params["batch"] < 1:
+        raise ValueError("batch must be >= 1")
+    if method == "mb_sdca" and not 1.0 <= params["beta"] <= params["batch"]:
+        raise ValueError("beta must be in [1, batch]")
+    if method == "mb_sgd" and params["schedule"] not in ("constant", "inv_sqrt"):
+        raise ValueError("schedule must be 'constant' or 'inv_sqrt'")
 
 
 def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
               model: OmegaModel, theta_target: float, rounds: int, *,
               seed: int = 0, gap_tol: float | None = None,
-              max_passes: int = 500, oracle_tol: float = 1e-9) -> BaselineRun:
+              max_passes: int = 500, oracle_tol: float = 1e-9) -> RunResult:
     """Synchronous solver with one fixed solution quality across all nodes and
     rounds: every node grinds until its measured quality reaches the target
     (see ``FixedQualitySolver``), however long that takes."""
-    if not 0.0 <= theta_target < 1.0:
-        raise ValueError("theta must be in [0, 1)")
+    check_method_params("cocoa", {"theta": theta_target})
     state = init_dual_state(ds)
     trace = run_w_update(
         ds, kind, rel, model, state, ConstantPolicy(0),
         rounds=rounds, gap_tol=gap_tol, seed=seed,
         local_solver=FixedQualitySolver(theta_target, max_passes, oracle_tol),
     )
-    return BaselineRun(trace, PrimalState(primal_from_dual(state.v, rel.mbar)))
+    return RunResult(trace, PrimalState(primal_from_dual(state.v, rel.mbar)), rel.omega)
 
 
 def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                 model: OmegaModel, batch: int, beta: float, rounds: int, *,
                 seed: int = 0, policy=None,
-                gap_tol: float | None = None) -> BaselineRun:
+                gap_tol: float | None = None) -> RunResult:
     """Mini-batch dual coordinate ascent: each node computes ``batch`` (or the
     policy's budget of) independent coordinate deltas against the frozen
     snapshot and applies them scaled by beta over their count (see
     ``MiniBatchSolver``).  Hinge dual values that leave the box are reported
     as None."""
-    if batch < 1 or not 1.0 <= beta <= batch:
-        raise ValueError("need batch >= 1 and 1 <= beta <= batch")
+    check_method_params("mb_sdca", {"batch": batch, "beta": beta})
     state = init_dual_state(ds)
     trace = run_w_update(
         ds, kind, rel, model, state,
@@ -88,21 +92,20 @@ def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
         rounds=rounds, gap_tol=gap_tol, seed=seed,
         local_solver=MiniBatchSolver(beta),
     )
-    return BaselineRun(trace, PrimalState(primal_from_dual(state.v, rel.mbar)))
+    return RunResult(trace, PrimalState(primal_from_dual(state.v, rel.mbar)), rel.omega)
 
 
 def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
                omega: np.ndarray, batch: int, step: float, rounds: int, *,
                seed: int = 0, schedule: str = "constant",
-               policy=None) -> BaselineRun:
+               policy=None) -> RunResult:
     """Mini-batch subgradient descent on the primal: every node estimates the
-    subgradient of its local loss term from ``batch`` points (without
-    replacement), adds its column of the coupling gradient, and the update is
-    applied synchronously."""
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    if schedule not in ("constant", "inv_sqrt"):
-        raise ValueError("schedule must be 'constant' or 'inv_sqrt'")
+    subgradient of its local loss term from ``batch`` (or the policy's budget
+    of) points, without replacement, adds its column of the coupling
+    gradient, and the update is applied synchronously."""
+    check_method_params("mb_sgd", {"batch": batch, "schedule": schedule})
+    if policy is None:
+        policy = ConstantPolicy(batch)
     W = np.zeros((ds.d, ds.m))
     trace: list[RoundStats] = []
     for h in range(rounds):
@@ -111,13 +114,12 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
         counts = []
         dropped = []
         for t, task in enumerate(ds.tasks):
-            b_t = int(policy.budget(t, h)) if policy is not None else batch
-            if policy is not None and policy.dropped(t, h):
+            if policy.dropped(t, h):
                 dropped.append(t)
                 grad[:, t] = 0.0
                 counts.append(0)
                 continue
-            b_t = min(max(b_t, 1), task.n)
+            b_t = min(max(int(policy.budget(t, h)), 1), task.n)
             counts.append(b_t)
             rng = np.random.default_rng([seed, SGD_STREAM, t, h])
             idx = rng.choice(task.n, size=b_t, replace=False)
@@ -130,7 +132,7 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
             primal=primal_objective(W, ds, kind, omega, model),
             dropped=dropped, update_counts=counts,
         ))
-    return BaselineRun(trace, PrimalState(W.copy()))
+    return RunResult(trace, PrimalState(W), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -39,6 +38,7 @@ from .regularizers import (
     write_matrix_csv,
 )
 from .simulation import (
+    METHOD_DEFAULTS,
     PRESETS,
     HeterogeneityPolicy,
     NetworkPreset,
@@ -217,14 +217,33 @@ def build_solver_config(cfg, seed: int) -> SolverConfig:
 
 
 def method_params(cfg) -> dict:
+    """The [method] settings of the round methods; each key, its type and its
+    default come from ``METHOD_DEFAULTS``."""
     return {
-        "theta": _get_float(cfg, "method", "theta", 0.1),
-        "batch": _get_int(cfg, "method", "batch", 1),
-        "beta": _get_float(cfg, "method", "beta", 1.0),
-        "step": _get_float(cfg, "method", "step", 0.1),
-        "schedule": _get_str(cfg, "method", "schedule", "constant"),
-        "max_passes": _get_int(cfg, "method", "max_passes", 500),
+        key: _get(cfg, "method", key,
+                  str.strip if isinstance(default, str) else type(default), default)
+        for key, default in METHOD_DEFAULTS.items()
     }
+
+
+def _checked_method_params(cfg, methods) -> dict:
+    """``method_params``, range-checked for every method that will run."""
+    params = method_params(cfg)
+    try:
+        for method in methods:
+            baselines.check_method_params(method, params)
+    except ValueError as exc:
+        raise ConfigError(f"method: {exc}") from None
+    return params
+
+
+def _load(args):
+    """What every run command starts from: the config, the seed, the loss
+    and the dataset."""
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
+    return cfg, seed, kind, build_dataset(cfg, seed)
 
 
 def _echo_config(config_path, outdir) -> None:
@@ -256,12 +275,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    cfg, seed, kind, ds = _load(args)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
     method = _get_str(cfg, "method", "name", required=True)
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    ds = build_dataset(cfg, seed)
 
     # Each branch reads all of its settings before the config is echoed.
     omega = None
@@ -280,15 +296,15 @@ def cmd_train(args) -> int:
         preset = build_preset(cfg)
         het = build_heterogeneity(cfg, min(ds.task_sizes()))
         profiles = build_profiles(cfg, ds.m)
-        params = method_params(cfg)
+        params = _checked_method_params(cfg, [method])
         _echo_config(args.config, outdir)
-        sim = simulate_run(
+        result = simulate_run(
             method, ds, kind=kind, model=model, preset=preset,
             heterogeneity=het, seed=seed, rounds=solver_config.inner_rounds,
             gap_tol=solver_config.gap_tol, profiles=profiles,
             method_params=params, solver_config=solver_config,
         )
-        trace, primal, omega = sim.trace, sim.primal, sim.omega
+        trace, primal, omega = result.trace, result.primal, result.omega
         last = trace[-1] if trace else None
         final_gap = last.gap if last else None
         final_dual = last.dual if last else None
@@ -348,11 +364,8 @@ def _compare_trainers(cfg, kind: LossKind):
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    cfg, seed, kind, ds = _load(args)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    ds = build_dataset(cfg, seed)
     grid = _get_list(cfg, "compare", "lambda_grid", float,
                      list(baselines.DEFAULT_LAMBDA_GRID))
     rows = baselines.compare_models(
@@ -382,6 +395,7 @@ def cmd_compare(args) -> int:
 
 def _reference_primal_floor(ds, kind, model, seed, rounds=3000) -> float:
     """Lower bound on the optimal primal value via a tightly solved run."""
+    # Looked up per call so that a patched fedmtl.solver.run_mocha times it.
     from .solver import ConstantPolicy, run_mocha
 
     config = SolverConfig(inner_rounds=rounds, gap_tol=1e-9, seed=seed)
@@ -393,18 +407,14 @@ def _reference_primal_floor(ds, kind, model, seed, rounds=3000) -> float:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    cfg, seed, kind, ds = _load(args)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    ds = build_dataset(cfg, seed)
     model = build_model(cfg)
     methods = _get_list(cfg, "bench", "methods", str, list(ROUND_METHODS))
     presets = _get_list(cfg, "bench", "presets", str, ["wifi", "lte", "3g"])
     het_modes = _get_list(cfg, "bench", "heterogeneity", str, ["none", "low", "high"])
     rounds = _get_int(cfg, "bench", "rounds", 200)
     target_rel = _get_float(cfg, "bench", "target_suboptimality", 1e-2)
-    params = method_params(cfg)
     profiles = build_profiles(cfg, ds.m)
     n_min = min(ds.task_sizes())
     solver_config = build_solver_config(cfg, seed)
@@ -416,6 +426,7 @@ def cmd_bench(args) -> int:
     for method in methods:
         if method not in ROUND_METHODS:
             raise ConfigError(f"bench.methods: unknown method {method!r}")
+    params = _checked_method_params(cfg, methods)
     fixed_k = _get_int(cfg, "systems", "fixed_k", None)
     try:
         hets = [HeterogeneityPolicy(mode, n_min, fixed_k) for mode in het_modes]
@@ -456,47 +467,45 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fault(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    cfg, seed, kind, ds = _load(args)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    ds = build_dataset(cfg, seed)
     model = build_model(cfg)
     probabilities = _get_list(
         cfg, "fault", "probabilities", float, [round(0.1 * i, 1) for i in range(10)]
     )
     rounds = _get_int(cfg, "fault", "rounds", 500)
     gap_tol = _get_float(cfg, "fault", "gap_tol", 1e-4)
+    # One node that never reports, everyone else reliable.
+    permanent = _get_int(cfg, "fault", "permanent_node", 0)
+    if not 0 <= permanent < ds.m:
+        raise ConfigError(
+            f"fault.permanent_node: must be in [0, {ds.m}), got {permanent}")
     clock = _get_float(cfg, "systems", "clock_rate", 1e6)
-    n_min = min(ds.task_sizes())
-    het = HeterogeneityPolicy("none", n_min)
+    het = HeterogeneityPolicy("none", min(ds.task_sizes()))
     solver_config = build_solver_config(cfg, seed)
     preset = build_preset(cfg)
 
+    def _profiles(drop_probabilities):
+        try:
+            return [NodeProfile(clock_rate=clock, drop_probability=p)
+                    for p in drop_probabilities]
+        except ValueError as exc:
+            raise ConfigError(f"fault: {exc}") from None
+
+    runs = [(f"p{p:g}", _profiles([p] * ds.m)) for p in probabilities]
+    runs.append(("permanent", _profiles(
+        [1.0 if t == permanent else 0.0 for t in range(ds.m)])))
+
     _echo_config(args.config, outdir)
     summary = {}
-
-    def _run(tag, profiles):
-        sim = simulate_run(
+    for tag, profiles in runs:
+        trace = simulate_run(
             "mocha", ds, kind=kind, model=model, preset=preset,
             heterogeneity=het, seed=seed, rounds=rounds, gap_tol=gap_tol,
             profiles=profiles, solver_config=solver_config,
-        )
-        write_trace_csv(os.path.join(outdir, f"fault_{tag}.csv"), sim.trace)
-        last = sim.trace[-1]
-        summary[tag] = {"rounds": len(sim.trace), "final_gap": last.gap}
-
-    for p in probabilities:
-        profiles = [NodeProfile(clock_rate=clock, drop_probability=p)
-                    for _ in range(ds.m)]
-        _run(f"p{p:g}", profiles)
-    # One node that never reports, everyone else reliable.
-    permanent = _get_int(cfg, "fault", "permanent_node", 0)
-    profiles = [
-        NodeProfile(clock_rate=clock, drop_probability=1.0 if t == permanent else 0.0)
-        for t in range(ds.m)
-    ]
-    _run("permanent", profiles)
+        ).trace
+        write_trace_csv(os.path.join(outdir, f"fault_{tag}.csv"), trace)
+        summary[tag] = {"rounds": len(trace), "final_gap": trace[-1].gap}
     _write_summary(outdir, summary)
     for tag, row in summary.items():
         print(f"{tag:>10}: rounds={row['rounds']:4d} gap={row['final_gap']:.3e}")
@@ -504,10 +513,7 @@ def cmd_fault(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    ds = build_dataset(cfg, seed)
+    cfg, seed, kind, ds = _load(args)
     model = build_model(cfg)
     gamma = _get_float(cfg, "theory", "gamma", 1.0)
     rel = build_relationship(model, initial_omega(model, ds.m), gamma)

@@ -40,6 +40,8 @@ class TaskDataset:
             raise ValueError("each task needs at least one example")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly +1 or -1")
+        if not np.isfinite(feats).all():
+            raise ValueError("features must be finite")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -178,6 +180,7 @@ def load_federated_csv(directory_path) -> FederatedDataset:
         path = found[k]
         rows = []
         labels = []
+        linenos = []
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -204,10 +207,16 @@ def load_federated_csv(directory_path) -> FederatedDataset:
                     )
                 labels.append(values[0])
                 rows.append(values[1:])
+                linenos.append(lineno)
         if not rows:
             raise DataFormatError(f"{path}: empty task file")
+        features = np.array(rows)
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            lineno = linenos[int(np.argmin(finite))]
+            raise DataFormatError(f"{path}:{lineno}: non-finite feature")
         tasks.append(
-            TaskDataset(task_id=k, features=np.array(rows).T, labels=np.array(labels))
+            TaskDataset(task_id=k, features=features.T, labels=np.array(labels))
         )
     return FederatedDataset(tuple(tasks))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .data import FederatedDataset
 from .losses import LossKind
 from .regularizers import OmegaModel, build_relationship, initial_omega
-from .solver import RoundStats, SolverConfig, run_mocha
+from .solver import RoundStats, RunResult, SolverConfig, run_mocha
 
 BUDGET_STREAM = 21
 DROP_STREAM = 22
@@ -36,6 +36,11 @@ MESSAGE_BYTES_PER_FEATURE = 8.0
 
 # Strictly positive floor so simulated time advances even for free rounds.
 MIN_ROUND_MS = 1e-9
+
+# Settings of the compared methods, with their defaults: theta and max_passes
+# for cocoa, batch and beta for mb_sdca, batch, step and schedule for mb_sgd.
+METHOD_DEFAULTS = {"theta": 0.1, "batch": 1, "beta": 1.0, "step": 0.1,
+                   "schedule": "constant", "max_passes": 500}
 
 
 @dataclass(frozen=True)
@@ -181,69 +186,50 @@ def attach_times(trace: list[RoundStats], d: int, profiles,
     return trace
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    method: str
-    trace: list[RoundStats]
-    preset: NetworkPreset
-    heterogeneity: HeterogeneityPolicy
-    primal: object = None     # PrimalState of the finished run
-    omega: np.ndarray | None = None
-
-
 def simulate_run(method: str, ds: FederatedDataset, *, kind: LossKind,
                  model: OmegaModel, preset: NetworkPreset,
                  heterogeneity: HeterogeneityPolicy, seed: int,
                  rounds: int, gap_tol: float | None = None,
                  profiles=None, method_params: dict | None = None,
-                 solver_config: SolverConfig | None = None) -> SimulationResult:
+                 solver_config: SolverConfig | None = None) -> RunResult:
     """Run a method under a systems environment and annotate its trace with
-    estimated time.  ``method_params`` carries per-method knobs: theta for
-    cocoa, batch/beta for mb_sdca, batch/step/schedule for mb_sgd."""
+    estimated time.  ``method_params`` overrides ``METHOD_DEFAULTS``."""
     from . import baselines
 
-    params = dict(method_params or {})
+    params = {**METHOD_DEFAULTS, **(method_params or {})}
     if profiles is None:
         profiles = [NodeProfile() for _ in range(ds.m)]
     if len(profiles) != ds.m:
         raise ValueError("need one node profile per task")
     policy = SystemsPolicy(seed, profiles, heterogeneity)
+    # The mini-batch methods draw budgets and drops only under heterogeneity.
+    batch_policy = policy if heterogeneity.mode != "none" else None
 
+    # The fixed coupling the baselines run against.
+    omega = initial_omega(model, ds.m)
     if method == "mocha":
-        config = solver_config or SolverConfig()
-        config = replace(config, seed=seed, inner_rounds=rounds, gap_tol=gap_tol)
+        config = replace(solver_config or SolverConfig(), seed=seed,
+                         inner_rounds=rounds, gap_tol=gap_tol)
         result = run_mocha(ds, model, config, policy, kind)
-        trace, primal, omega = result.trace, result.primal, result.omega
     elif method == "cocoa":
-        omega = initial_omega(model, ds.m)
-        rel = build_relationship(model, omega)
-        run = baselines.cocoa_run(
-            ds, kind, rel, model, params.get("theta", 0.1), rounds,
-            seed=seed, gap_tol=gap_tol,
-            max_passes=params.get("max_passes", 500),
+        result = baselines.cocoa_run(
+            ds, kind, build_relationship(model, omega), model,
+            params["theta"], rounds, seed=seed, gap_tol=gap_tol,
+            max_passes=params["max_passes"],
         )
-        trace, primal = run.trace, run.primal
     elif method == "mb_sdca":
-        omega = initial_omega(model, ds.m)
-        rel = build_relationship(model, omega)
-        run = baselines.mb_sdca_run(
-            ds, kind, rel, model, params.get("batch", 1),
-            params.get("beta", 1.0), rounds, seed=seed,
-            policy=policy if heterogeneity.mode != "none" else None,
-            gap_tol=gap_tol,
+        result = baselines.mb_sdca_run(
+            ds, kind, build_relationship(model, omega), model,
+            params["batch"], params["beta"], rounds, seed=seed,
+            policy=batch_policy, gap_tol=gap_tol,
         )
-        trace, primal = run.trace, run.primal
     elif method == "mb_sgd":
-        omega = initial_omega(model, ds.m)
-        run = baselines.mb_sgd_run(
-            ds, kind, model, omega, params.get("batch", 1),
-            params.get("step", 0.1), rounds, seed=seed,
-            schedule=params.get("schedule", "constant"),
-            policy=policy if heterogeneity.mode != "none" else None,
+        result = baselines.mb_sgd_run(
+            ds, kind, model, omega, params["batch"], params["step"], rounds,
+            seed=seed, schedule=params["schedule"], policy=batch_policy,
         )
-        trace, primal = run.trace, run.primal
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    attach_times(trace, ds.d, profiles, preset)
-    return SimulationResult(method, trace, preset, heterogeneity, primal, omega)
+    attach_times(result.trace, ds.d, profiles, preset)
+    return result

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,11 +142,13 @@ class RoundStats:
 
 
 @dataclass(frozen=True)
-class MochaResult:
+class RunResult:
+    """A finished run of any round method: its trace, the weights it ended
+    on, and its final coupling matrix (the fixed one for the baselines)."""
+
+    trace: list[RoundStats]
     primal: PrimalState
     omega: np.ndarray
-    trace: list[RoundStats]
-    relationship: RelationshipState
 
 
 class ConstantPolicy:
@@ -532,7 +534,7 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
 
 
 def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
-              policy, kind: LossKind = LossKind.HINGE) -> MochaResult:
+              policy, kind: LossKind = LossKind.HINGE) -> RunResult:
     """Full alternating run: federated weight updates interleaved with central
     coupling updates, warm-starting the dual across outer iterations."""
     omega = initial_omega(model, ds.m)
@@ -556,7 +558,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
             omega = new_omega
             rel = build_relationship(model, omega, config.gamma)
     W = primal_from_dual(state.v, rel.mbar)
-    return MochaResult(PrimalState(W), omega, trace, rel)
+    return RunResult(trace, PrimalState(W), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,45 @@ dir = {out}
     assert (out / "fault_p0.3.csv").exists()
 
 
+def test_fault_rejects_bad_permanent_node_before_writing(tmp_path):
+    for i, bad in enumerate(["abc", "3", "-1"]):
+        out = tmp_path / f"fault{i}"
+        cfg = write_config(tmp_path / f"fault{i}.ini", BASE_SYNTH + f"""
+[fault]
+probabilities = 0.0
+rounds = 5
+permanent_node = {bad}
+
+[output]
+dir = {out}
+""")
+        assert main(["fault", "--config", cfg]) == 1, bad
+        assert not out.exists(), bad
+
+
+def test_bad_method_params_rejected_before_writing(tmp_path):
+    cases = [
+        ("train", "name = cocoa\ntheta = 1.5"),
+        ("train", "name = mb_sdca\nbatch = 2\nbeta = 5"),
+        ("train", "name = mb_sgd\nschedule = bogus"),
+        ("bench", "theta = 1.5"),
+    ]
+    for i, (command, method) in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        cfg = write_config(tmp_path / f"run{i}.ini", BASE_SYNTH + f"""
+[method]
+{method}
+
+[bench]
+rounds = 2
+
+[output]
+dir = {out}
+""")
+        assert main([command, "--config", cfg]) == 1, method
+        assert not out.exists(), method
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench"
     cfg = write_config(tmp_path / "bench.ini", BASE_SYNTH + f"""

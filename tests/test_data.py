@@ -49,6 +49,21 @@ def test_load_errors(tmp_path):
         load_federated_csv(tmp_path)
 
 
+def test_load_rejects_non_finite_features(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        write_csv(tmp_path / "task_0.csv", [[1, 0.5, 0.5], [-1, 0.5, bad]])
+        with pytest.raises(DataFormatError, match=r"task_0\.csv:2.*non-finite"):
+            load_federated_csv(tmp_path)
+
+
+def test_task_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((2, 3))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TaskDataset(0, X, np.array([1.0, -1.0, 1.0]))
+
+
 def test_save_load_roundtrip(tmp_path, rng):
     spec = SyntheticSpec(m=3, d=5, n_min=4, n_max=9, seed=11)
     ds = generate_synthetic(spec)
