@@ -50,6 +50,8 @@ def check_method_params(method: str, params: dict) -> None:
     is out of range; other methods and other keys are not looked at."""
     if method == "cocoa" and not 0.0 <= params["theta"] < 1.0:
         raise ValueError("theta must be in [0, 1)")
+    if method == "cocoa" and params["max_passes"] < 1:
+        raise ValueError("max_passes must be >= 1")
     if method in ("mb_sdca", "mb_sgd") and params["batch"] < 1:
         raise ValueError("batch must be >= 1")
     if method == "mb_sdca" and not 1.0 <= params["beta"] <= params["batch"]:
@@ -65,7 +67,7 @@ def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     """Synchronous solver with one fixed solution quality across all nodes and
     rounds: every node grinds until its measured quality reaches the target
     (see ``FixedQualitySolver``), however long that takes."""
-    check_method_params("cocoa", {"theta": theta_target})
+    check_method_params("cocoa", {"theta": theta_target, "max_passes": max_passes})
     state = init_dual_state(ds)
     trace = run_w_update(
         ds, kind, rel, model, state, ConstantPolicy(0),

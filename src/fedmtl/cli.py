@@ -246,6 +246,11 @@ def _load(args):
     return cfg, seed, kind, build_dataset(cfg, seed)
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name}: {rule}, got {value!r}")
+
+
 def _echo_config(config_path, outdir) -> None:
     os.makedirs(outdir, exist_ok=True)
     shutil.copyfile(config_path, os.path.join(outdir, "config.ini"))
@@ -368,12 +373,21 @@ def cmd_compare(args) -> int:
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
     grid = _get_list(cfg, "compare", "lambda_grid", float,
                      list(baselines.DEFAULT_LAMBDA_GRID))
+    trainers = _compare_trainers(cfg, kind)
+    shuffles = _get_int(cfg, "compare", "shuffles", 10)
+    k_folds = _get_int(cfg, "compare", "k_folds", 5)
+    train_fraction = _get_float(cfg, "compare", "train_fraction", 0.75)
+    if not trainers:
+        raise ConfigError("compare.methods: needs at least one method")
+    if not grid:
+        raise ConfigError("compare.lambda_grid: needs at least one value")
+    _require(shuffles >= 1, "compare.shuffles", "must be >= 1", shuffles)
+    _require(k_folds >= 2, "compare.k_folds", "must be >= 2", k_folds)
+    _require(0.0 < train_fraction < 1.0, "compare.train_fraction",
+             "must be in (0, 1)", train_fraction)
     rows = baselines.compare_models(
-        ds, _compare_trainers(cfg, kind), grid,
-        shuffles=_get_int(cfg, "compare", "shuffles", 10),
-        seed=seed,
-        k_folds=_get_int(cfg, "compare", "k_folds", 5),
-        train_fraction=_get_float(cfg, "compare", "train_fraction", 0.75),
+        ds, trainers, grid, shuffles=shuffles, seed=seed, k_folds=k_folds,
+        train_fraction=train_fraction,
     )
     _echo_config(args.config, outdir)
     with open(os.path.join(outdir, "compare.csv"), "w", encoding="ascii") as fh:
@@ -414,6 +428,7 @@ def cmd_bench(args) -> int:
     presets = _get_list(cfg, "bench", "presets", str, ["wifi", "lte", "3g"])
     het_modes = _get_list(cfg, "bench", "heterogeneity", str, ["none", "low", "high"])
     rounds = _get_int(cfg, "bench", "rounds", 200)
+    _require(rounds >= 1, "bench.rounds", "must be >= 1", rounds)
     target_rel = _get_float(cfg, "bench", "target_suboptimality", 1e-2)
     profiles = build_profiles(cfg, ds.m)
     n_min = min(ds.task_sizes())
@@ -474,12 +489,12 @@ def cmd_fault(args) -> int:
         cfg, "fault", "probabilities", float, [round(0.1 * i, 1) for i in range(10)]
     )
     rounds = _get_int(cfg, "fault", "rounds", 500)
+    _require(rounds >= 1, "fault.rounds", "must be >= 1", rounds)
     gap_tol = _get_float(cfg, "fault", "gap_tol", 1e-4)
     # One node that never reports, everyone else reliable.
     permanent = _get_int(cfg, "fault", "permanent_node", 0)
-    if not 0 <= permanent < ds.m:
-        raise ConfigError(
-            f"fault.permanent_node: must be in [0, {ds.m}), got {permanent}")
+    _require(0 <= permanent < ds.m, "fault.permanent_node",
+             f"must be in [0, {ds.m})", permanent)
     clock = _get_float(cfg, "systems", "clock_rate", 1e6)
     het = HeterogeneityPolicy("none", min(ds.task_sizes()))
     solver_config = build_solver_config(cfg, seed)
@@ -505,10 +520,13 @@ def cmd_fault(args) -> int:
             profiles=profiles, solver_config=solver_config,
         ).trace
         write_trace_csv(os.path.join(outdir, f"fault_{tag}.csv"), trace)
-        summary[tag] = {"rounds": len(trace), "final_gap": trace[-1].gap}
+        # Empty when the gap at alpha = 0 already meets gap_tol.
+        summary[tag] = {"rounds": len(trace),
+                        "final_gap": trace[-1].gap if trace else None}
     _write_summary(outdir, summary)
     for tag, row in summary.items():
-        print(f"{tag:>10}: rounds={row['rounds']:4d} gap={row['final_gap']:.3e}")
+        gap = "-" if row["final_gap"] is None else f"{row['final_gap']:.3e}"
+        print(f"{tag:>10}: rounds={row['rounds']:4d} gap={gap}")
     return 0
 
 

@@ -19,7 +19,8 @@ carries; it cancels in the approximation-quality ratio and in all decrease
 checks, which re-add it explicitly where needed.
 
 Concurrency: node solves within a round read a frozen snapshot and write only
-their own blocks, so they may run on a thread pool; the reduce step applies
+their own blocks, so they may run on a thread pool, and the native coordinate
+kernel releases the interpreter lock while it runs; the reduce step applies
 deltas in task order, making traces bit-identical for any worker count.
 Per-node randomness comes from streams keyed by (seed, stream, task, round).
 """
@@ -27,9 +28,17 @@ Per-node randomness comes from streams keyed by (seed, stream, task, round).
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -250,10 +259,86 @@ def _step_function(kind: LossKind):
     return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_updates.c")
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled ``fedmtl_run_updates`` from ``_updates.c``, or None when
+    there is no C compiler or the build fails.
+
+    Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
+    build writes a temporary file and renames it, so concurrent builds are
+    safe.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fedmtl"
+        lib = cache / f"_updates-{key[:16]}.so"
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).fedmtl_run_updates
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    ptr = ctypes.c_void_p
+    kernel.argtypes = [ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                       ptr, ptr, ptr, ptr, ptr, ctypes.c_double, ptr, ptr, ptr]
+    kernel.restype = None
+    return kernel
+
+
+def _writable_f64(a: np.ndarray) -> bool:
+    return (a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.writeable)
+
+
 def _run_updates(view: SubproblemView, idx: np.ndarray,
                  delta: np.ndarray, u: np.ndarray) -> None:
     """Apply exact single-coordinate updates at the given indices, in order,
-    mutating the accumulated delta and u = X @ delta."""
+    mutating the accumulated delta and u = X @ delta.
+
+    Runs the native kernel when it is built; the dot products then sum in
+    another order than numpy's, so results can differ from
+    ``_run_updates_py`` in the last digits.
+    """
+    kernel = _load_kernel()
+    if kernel is None or not (_writable_f64(delta) and _writable_f64(u)):
+        return _run_updates_py(view, idx, delta, u)
+    X = np.asfortranarray(view.X, dtype=np.float64)
+    d, n = X.shape
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    if delta.shape != (n,) or u.shape != (d,):
+        raise ValueError("delta and u must match the view's n and d")
+    if idx.size and not (0 <= idx.min() and idx.max() < n):
+        raise IndexError(f"coordinate index out of range [0, {n})")
+    arrays = [np.ascontiguousarray(a, dtype=np.float64)
+              for a in (view.w, view.labels, view.alpha, view.col_norms2)]
+    if any(a.shape != s for a, s in zip(arrays, [(d,), (n,), (n,), (n,)])):
+        raise ValueError("view arrays do not match its d x n features")
+    w, y, alpha, norms2 = (a.ctypes.data for a in arrays)
+    kernel(view.kind is LossKind.HINGE, d, idx.size, X.ctypes.data, w, y,
+           alpha, norms2, view.kappa, idx.ctypes.data, delta.ctypes.data,
+           u.ctypes.data)
+    return None
+
+
+def _run_updates_py(view: SubproblemView, idx: np.ndarray,
+                    delta: np.ndarray, u: np.ndarray) -> None:
+    """Reference for ``_run_updates``: the same updates as a Python loop."""
     X = view.X
     w = view.w
     y = view.labels
@@ -435,6 +520,13 @@ def _unless_infeasible(evaluate, strict: bool):
         return None
 
 
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """One pool per worker count, kept for the life of the process, so
+    rounds do not pay for starting and joining threads."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fedmtl")
+
+
 def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                     model: OmegaModel, state: DualState, budgets, drops, *,
                     gamma: float = 1.0, round_idx: int = 0, seed: int = 0,
@@ -467,8 +559,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
         return solve(views[t], int(budgets[t]), rng)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_node, range(m)))
+        results = list(_executor(workers).map(_node, range(m)))
     else:
         results = [_node(t) for t in range(m)]
 

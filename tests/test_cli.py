@@ -246,11 +246,59 @@ dir = {out}
         assert not out.exists(), bad
 
 
+def test_zero_rounds_rejected_before_writing(tmp_path):
+    for command in ("bench", "fault"):
+        out = tmp_path / command
+        cfg = write_config(tmp_path / f"{command}.ini", BASE_SYNTH + f"""
+[{command}]
+rounds = 0
+
+[output]
+dir = {out}
+""")
+        assert main([command, "--config", cfg]) == 1, command
+        assert not out.exists(), command
+
+
+def test_fault_records_a_run_that_starts_converged(tmp_path, capsys):
+    out = tmp_path / "fault"
+    cfg = write_config(tmp_path / "fault.ini", BASE_SYNTH + f"""
+[fault]
+probabilities = 0.0
+rounds = 5
+gap_tol = 1e9
+
+[output]
+dir = {out}
+""")
+    assert main(["fault", "--config", cfg]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["p0"] == {"rounds": 0, "final_gap": None}
+    assert summary["permanent"] == {"rounds": 0, "final_gap": None}
+    assert "gap=-" in capsys.readouterr().out
+
+
+def test_compare_rejects_bad_settings_before_writing(tmp_path):
+    for i, bad in enumerate(["k_folds = 1", "train_fraction = 0", "train_fraction = 1",
+                             "shuffles = 0", "lambda_grid =", "methods ="]):
+        out = tmp_path / f"cmp{i}"
+        cfg = write_config(tmp_path / f"cmp{i}.ini", BASE_SYNTH + f"""
+[compare]
+{bad}
+
+[output]
+dir = {out}
+""")
+        assert main(["compare", "--config", cfg]) == 1, bad
+        assert not out.exists(), bad
+
+
 def test_bad_method_params_rejected_before_writing(tmp_path):
     cases = [
         ("train", "name = cocoa\ntheta = 1.5"),
         ("train", "name = mb_sdca\nbatch = 2\nbeta = 5"),
         ("train", "name = mb_sgd\nschedule = bogus"),
+        ("train", "name = cocoa\nmax_passes = 0"),
         ("bench", "theta = 1.5"),
     ]
     for i, (command, method) in enumerate(cases):

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -366,6 +367,16 @@ def test_workers_do_not_change_trace(rng):
     for x, y in zip(s1.alpha, s4.alpha):
         assert np.array_equal(x, y)
     assert np.array_equal(s1.v, s4.v)
+
+
+def test_pooled_rounds_do_not_add_threads(rng):
+    ds = make_dataset(rng, m=4, d=5, n_lo=8, n_hi=12)
+    model, rel = mean_reg_setup(ds)
+    before = threading.active_count()
+    for _ in range(5):
+        run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(15),
+                     rounds=3, seed=6, workers=2)
+    assert threading.active_count() <= before + 2
 
 
 def test_run_mocha_fixed_coupling_equals_long_w_update(rng):
