@@ -301,11 +301,6 @@ def _load_kernel():
     return kernel
 
 
-def _writable_f64(a: np.ndarray) -> bool:
-    return (a.dtype == np.float64 and a.flags.c_contiguous
-            and a.flags.writeable)
-
-
 def _run_updates(view: SubproblemView, idx: np.ndarray,
                  delta: np.ndarray, u: np.ndarray) -> None:
     """Apply exact single-coordinate updates at the given indices, in order,
@@ -316,7 +311,9 @@ def _run_updates(view: SubproblemView, idx: np.ndarray,
     ``_run_updates_py`` in the last digits.
     """
     kernel = _load_kernel()
-    if kernel is None or not (_writable_f64(delta) and _writable_f64(u)):
+    # delta and u are written in place, so they cannot be converted copies.
+    if kernel is None or not all(a.dtype == np.float64 and a.flags.carray
+                                 for a in (delta, u)):
         return _run_updates_py(view, idx, delta, u)
     X = np.asfortranarray(view.X, dtype=np.float64)
     d, n = X.shape
