@@ -63,7 +63,7 @@ def check_method_params(method: str, params: dict) -> None:
 def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
               model: OmegaModel, theta_target: float, rounds: int, *,
               seed: int = 0, gap_tol: float | None = None,
-              max_passes: int = 500, oracle_tol: float = 1e-9) -> RunResult:
+              max_passes: int = 500) -> RunResult:
     """Synchronous solver with one fixed solution quality across all nodes and
     rounds: every node grinds until its measured quality reaches the target
     (see ``FixedQualitySolver``), however long that takes."""
@@ -72,7 +72,7 @@ def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     trace = run_w_update(
         ds, kind, rel, model, state, ConstantPolicy(0),
         rounds=rounds, gap_tol=gap_tol, seed=seed,
-        local_solver=FixedQualitySolver(theta_target, max_passes, oracle_tol),
+        local_solver=FixedQualitySolver(theta_target, max_passes),
     )
     return RunResult(trace, PrimalState(primal_from_dual(state.v, rel.mbar)), rel.omega)
 
@@ -204,13 +204,16 @@ def mocha_trainer(model_factory, *, kind: LossKind = LossKind.HINGE,
     ``model_factory``, budgets of ``budget_epochs`` local passes per round."""
     from .solver import run_mocha
 
+    if budget_epochs < 1:
+        raise ValueError("budget_epochs must be >= 1")
+    config = SolverConfig(
+        inner_rounds=inner_rounds, outer_rounds=outer_rounds,
+        gap_tol=gap_tol, seed=seed,
+    )
+
     def train(ds: FederatedDataset, lam: float) -> PrimalState:
         model = model_factory(lam)
         policy = ConstantPolicy([task.n * budget_epochs for task in ds.tasks])
-        config = SolverConfig(
-            inner_rounds=inner_rounds, outer_rounds=outer_rounds,
-            gap_tol=gap_tol, seed=seed,
-        )
         return run_mocha(ds, model, config, policy, kind).primal
 
     return train

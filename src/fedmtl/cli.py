@@ -291,6 +291,8 @@ def cmd_train(args) -> int:
     if method in ("local", "global"):
         lam = _get_float(cfg, "method", "lambda", required=True)
         max_epochs = _get_int(cfg, "method", "max_epochs", 20000)
+        _require(lam > 0.0, "method.lambda", "must be > 0", lam)
+        _require(max_epochs >= 1, "method.max_epochs", "must be >= 1", max_epochs)
         trainer = baselines.train_local if method == "local" else baselines.train_global
         _echo_config(args.config, outdir)
         primal = trainer(ds, lam, kind, max_epochs=max_epochs, seed=seed)
@@ -342,6 +344,7 @@ def cmd_train(args) -> int:
 def _compare_trainers(cfg, kind: LossKind):
     names = _get_list(cfg, "compare", "methods", str, ["global", "local", "mtl"])
     max_epochs = _get_int(cfg, "compare", "max_epochs", 20000)
+    _require(max_epochs >= 1, "compare.max_epochs", "must be >= 1", max_epochs)
     trainers = {}
     for name in names:
         if name == "global":
@@ -356,13 +359,16 @@ def _compare_trainers(cfg, kind: LossKind):
                 factory = lambda lam: ProbabilisticPrior(lam, sigma2, ridge)
             else:
                 factory = lambda lam: MeanRegularized(lam, lam)
-            trainers[name] = baselines.mocha_trainer(
-                factory, kind=kind,
+            settings = dict(
                 inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
                 outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),
                 gap_tol=_get_float(cfg, "compare", "mtl_gap_tol", 1e-4),
                 budget_epochs=_get_int(cfg, "compare", "mtl_budget_epochs", 1),
             )
+            try:
+                trainers[name] = baselines.mocha_trainer(factory, kind=kind, **settings)
+            except ValueError as exc:
+                raise ConfigError(f"compare: {exc}") from None
         else:
             raise ConfigError(f"compare.methods: unknown method {name!r}")
     return trainers

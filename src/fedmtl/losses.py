@@ -6,12 +6,16 @@ Both losses take a real score u and a label y in {-1, +1}:
     squared: (u - y)^2 / 2            1-smooth
 
 The dual machinery always evaluates the conjugate at the negated dual
-variable, so ``conjugate_value(kind, a, y)`` returns l*(-a).
+variable, so ``conjugate_value(kind, a, y)`` returns l*(-a).  For the hinge
+loss that is +inf off the box y*a in [0, 1].  ``loss_value`` and
+``conjugate_value`` are the scalar references for ``loss_sum`` and
+``conjugate_sum``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,23 +29,6 @@ DOMAIN_ATOL = 1e-9
 class LossKind(enum.Enum):
     HINGE = "hinge"
     SQUARED = "squared"
-
-
-class Infeasible:
-    """Marker for conjugate values outside the effective domain."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFEASIBLE"
-
-
-INFEASIBLE = Infeasible()
 
 
 class DualInfeasibleError(ValueError):
@@ -81,13 +68,13 @@ def loss_sum(kind: LossKind, scores: np.ndarray, labels: np.ndarray) -> float:
     return float(0.5 * np.square(scores - labels).sum())
 
 
-def conjugate_value(kind: LossKind, a: float, y: float):
-    """Evaluate l*(-a); returns INFEASIBLE outside the domain (hinge only)."""
+def conjugate_value(kind: LossKind, a: float, y: float) -> float:
+    """Evaluate l*(-a); +inf outside the hinge dual box."""
     _check_label(y)
     if kind is LossKind.HINGE:
         b = a * y
         if b < -DOMAIN_ATOL or b > 1.0 + DOMAIN_ATOL:
-            return INFEASIBLE
+            return math.inf
         return -a * y
     return 0.5 * a * a - a * y
 
@@ -133,29 +120,6 @@ def _hinge_delta(alpha_i: float, y_i: float, score_i: float,
 def _squared_delta(alpha_i: float, y_i: float, score_i: float,
                    x_norm2: float, kappa: float) -> float:
     return (y_i - alpha_i - score_i) / (1.0 + kappa * x_norm2)
-
-
-def coordinate_update(kind: LossKind, alpha_i: float, y_i: float,
-                      score_i: float, x_norm2: float, kappa: float) -> float:
-    """Exact minimizer delta of the local subproblem restricted to one coordinate.
-
-    ``score_i`` is w_t(alpha).x_i plus kappa times the inner product of x_i
-    with the locally accumulated X_t @ delta_alpha_t; ``kappa`` is the
-    effective quadratic coefficient sigma' * Mbar_tt.
-    """
-    _check_label(y_i)
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if x_norm2 < 0.0:
-        raise ValueError("x_norm2 must be nonnegative")
-    if kind is LossKind.HINGE:
-        b = y_i * alpha_i
-        if b < -DOMAIN_ATOL or b > 1.0 + DOMAIN_ATOL:
-            raise DualInfeasibleError(
-                f"y*alpha={b:.6g} outside the hinge dual box"
-            )
-        return _hinge_delta(alpha_i, y_i, score_i, x_norm2, kappa)
-    return _squared_delta(alpha_i, y_i, score_i, x_norm2, kappa)
 
 
 def subgradient(kind: LossKind, u: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -146,8 +146,9 @@ def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndar
     """Central coupling update given the current weights.
 
     Fixed-coupling models return omega unchanged.  The probabilistic model
-    returns the trace-normalized symmetric square root of W^T W, computed by
-    eigendecomposition with negative roundoff eigenvalues floored at zero; a
+    returns the trace-normalized symmetric square root of W^T W, computed
+    from the thin SVD W = U S V^T as V S V^T, so a rank-deficient W (d < m)
+    does not turn roundoff in W^T W into square roots of order sqrt(eps); a
     degenerate W falls back to I/m.
     """
     if isinstance(model, MeanRegularized):
@@ -155,10 +156,9 @@ def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(W)):
         raise ValueError("weights must be finite for the coupling update")
     m = W.shape[1]
-    gram = W.T @ W
-    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    tr = float(np.trace(root))
+    _, s, vt = np.linalg.svd(W, full_matrices=False)
+    root = (vt.T * s) @ vt
+    tr = float(s.sum())
     if tr < model.ridge_eps:
         return np.eye(m) / m
     out = root / tr

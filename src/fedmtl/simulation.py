@@ -77,16 +77,6 @@ PRESETS = {
 }
 
 
-def preset_for_ratio(ratio: float, clock_rate: float, d: int,
-                     name: str | None = None) -> NetworkPreset:
-    """Custom preset whose round-trip cost is ``ratio`` times the compute cost
-    of a single local update; backs the 10x / 100x / 1000x comparisons."""
-    if ratio <= 0.0:
-        raise ValueError("ratio must be positive")
-    update_ms = C_UPDATE * d / clock_rate
-    return NetworkPreset(name or f"ratio{ratio:g}x", 0.5 * ratio * update_ms, 1e18)
-
-
 @dataclass(frozen=True)
 class HeterogeneityPolicy:
     """Per-round work budgets: ``none`` grants the full n_min, ``low`` draws

@@ -44,7 +44,6 @@ import numpy as np
 
 from .data import FederatedDataset
 from .losses import (
-    INFEASIBLE,
     DualInfeasibleError,
     LossKind,
     _hinge_delta,
@@ -65,6 +64,12 @@ from .regularizers import (
 
 # Stream tags keep the solver, budget, and dropout randomness independent.
 SOLVER_STREAM = 11
+
+# Sweep cap of the exact subproblem solve.
+_ORACLE_MAX_PASSES = 20000
+
+# Tolerance of the exact solve that CoCoA's theta is measured against.
+_COCOA_ORACLE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -93,14 +98,6 @@ def init_dual_state(ds: FederatedDataset) -> DualState:
     )
 
 
-def recompute_v(state: DualState, ds: FederatedDataset) -> np.ndarray:
-    """Fresh X @ alpha, column per task; used by consistency checks."""
-    v = np.empty((ds.d, ds.m))
-    for t, task in enumerate(ds.tasks):
-        v[:, t] = task.features @ state.alpha[t]
-    return v
-
-
 @dataclass
 class SolverConfig:
     gamma: float = 1.0
@@ -110,7 +107,6 @@ class SolverConfig:
     gap_tol: float | None = None
     seed: int = 0
     workers: int = 1
-    measure_theta_rounds: int = 0        # oracle-measure theta for the first k rounds
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -119,6 +115,16 @@ class SolverConfig:
             raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.inner_rounds < 1:
+            raise ValueError("inner_rounds must be >= 1")
+        if self.outer_rounds < 0:
+            raise ValueError("outer_rounds must be >= 0")
+
+
+# The columns of a written trace, in order.
+TRACE_FIELDS = ("h", "elapsed_ms_estimated", "dual", "primal", "gap", "dropped", "theta")
 
 
 @dataclass
@@ -139,15 +145,7 @@ class RoundStats:
     rstar_before: float | None = None     # R*(v) snapshot; re-adds the dropped constant
 
     def trace_record(self) -> dict:
-        return {
-            "h": self.h,
-            "elapsed_ms_estimated": self.elapsed_ms_estimated,
-            "dual": self.dual,
-            "primal": self.primal,
-            "gap": self.gap,
-            "dropped": list(self.dropped),
-            "theta": None if self.theta is None else list(self.theta),
-        }
+        return {name: getattr(self, name) for name in TRACE_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -188,9 +186,8 @@ def dual_objective(state: DualState, ds: FederatedDataset, kind: LossKind,
     return total + regularizer_conjugate(state.v, rel.mbar)
 
 
-def primal_objective(W, ds: FederatedDataset, kind: LossKind,
+def primal_objective(W: np.ndarray, ds: FederatedDataset, kind: LossKind,
                      omega: np.ndarray, model: OmegaModel) -> float:
-    W = np.asarray(getattr(W, "W", W), dtype=float)
     if W.shape != (ds.d, ds.m):
         raise ValueError(f"weights shape {W.shape} does not match dataset")
     total = 0.0
@@ -225,21 +222,10 @@ class SubproblemView:
     kind: LossKind
 
 
-def local_subproblem_value(delta_alpha, w_t, alpha_t, labels, X_t,
-                           kind: LossKind, kappa: float):
-    """Constant-free subproblem value at delta_alpha; INFEASIBLE outside the
-    hinge dual box."""
-    delta_alpha = np.asarray(delta_alpha, dtype=float)
-    u = X_t @ delta_alpha
-    try:
-        conj = conjugate_sum(kind, np.asarray(alpha_t) + delta_alpha,
-                             np.asarray(labels, dtype=float))
-    except DualInfeasibleError:
-        return INFEASIBLE
-    return conj + float(w_t @ u) + 0.5 * kappa * float(u @ u)
-
-
 def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = None) -> float:
+    """Constant-free subproblem value at ``delta``, reusing ``u`` = X @ delta
+    when the caller has it; raises DualInfeasibleError outside the hinge
+    dual box."""
     if u is None:
         u = view.X @ delta
     conj = conjugate_sum(view.kind, view.alpha + delta, view.labels)
@@ -255,7 +241,11 @@ class LocalResult:
 
 
 def _step_function(kind: LossKind):
-    """Exact single-coordinate step for the loss, without argument checks."""
+    """Exact single-coordinate step ``step(alpha_i, y_i, score_i, x_norm2,
+    kappa)`` for the loss: the minimizer of the local subproblem restricted
+    to coordinate i.  ``score_i`` is w_t . x_i plus kappa times x_i . u, and
+    ``kappa`` > 0 the effective quadratic coefficient sigma' * Mbar_tt.  The
+    arguments are not checked."""
     return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
 
@@ -370,8 +360,7 @@ def solve_local(view: SubproblemView, budget: int, rng) -> LocalResult:
     return LocalResult(delta, view.X @ delta, int(budget))
 
 
-def oracle_subproblem_opt(view: SubproblemView, tol: float = 1e-13,
-                          max_passes: int = 20000) -> np.ndarray:
+def oracle_subproblem_opt(view: SubproblemView, tol: float = 1e-13) -> np.ndarray:
     """Near-exact subproblem minimizer by cyclic coordinate descent.
 
     Each sweep applies every coordinate's exact one-dimensional minimizer;
@@ -384,14 +373,14 @@ def oracle_subproblem_opt(view: SubproblemView, tol: float = 1e-13,
     u = np.zeros(view.X.shape[0])
     order = np.arange(n_t)
     value = _view_value(view, delta, u)
-    for _ in range(max_passes):
+    for _ in range(_ORACLE_MAX_PASSES):
         _run_updates(view, order, delta, u)
         new_value = _view_value(view, delta, u)
         if value - new_value <= tol * (1.0 + abs(new_value)):
             return delta
         value = new_value
     raise ConvergenceError(
-        f"subproblem solve did not converge within {max_passes} sweeps"
+        f"subproblem solve did not converge within {_ORACLE_MAX_PASSES} sweeps"
     )
 
 
@@ -418,16 +407,16 @@ class FixedQualitySolver:
     ignores the budget, so per-round work follows the hardest subproblem.
 
     Quality is measured against the exact subproblem optimum (affordable at
-    desk scale), removing estimator noise from method comparisons.
+    desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
+    from method comparisons.
     """
 
     theta_target: float
     max_passes: int = 500
-    oracle_tol: float = 1e-9
 
     def __call__(self, view: SubproblemView, budget: int, rng) -> LocalResult:
         n_t = view.labels.size
-        oracle = oracle_subproblem_opt(view, tol=self.oracle_tol)
+        oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
         g_zero = _view_value(view, np.zeros(n_t))
         g_star = _view_value(view, oracle)
         denom = g_zero - g_star
@@ -528,7 +517,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
                     model: OmegaModel, state: DualState, budgets, drops, *,
                     gamma: float = 1.0, round_idx: int = 0, seed: int = 0,
                     sigma_prime_mode: str = "global", workers: int = 1,
-                    measure: bool = False, local_solver=None) -> RoundStats:
+                    local_solver=None) -> RoundStats:
     """One synchronous round: parallel local solves against a common snapshot,
     then a gamma-scaled reduce and refreshed objectives.
 
@@ -565,9 +554,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
         for t in range(m)
     ), strict)
     thetas = None
-    if measure:
-        thetas = [measure_theta(views[t], results[t].delta_alpha) for t in range(m)]
-    elif any(r.theta is not None for r in results):
+    if any(r.theta is not None for r in results):
         # A dropped node made no progress.
         thetas = [1.0 if r.theta is None else r.theta for r in results]
 
@@ -597,7 +584,6 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                  rounds: int, gap_tol: float | None = None, gamma: float = 1.0,
                  seed: int = 0, start_round: int = 0,
                  sigma_prime_mode: str = "global", workers: int = 1,
-                 measure_theta_rounds: int = 0,
                  local_solver=None) -> list[RoundStats]:
     """Repeat federated rounds with budgets/drops drawn from the policy until
     the round count is exhausted or the duality gap reaches the tolerance.
@@ -613,7 +599,7 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
             ds, kind, rel, model, state, budgets, drops,
             gamma=gamma, round_idx=h, seed=seed,
             sigma_prime_mode=sigma_prime_mode, workers=workers,
-            measure=k < measure_theta_rounds, local_solver=local_solver,
+            local_solver=local_solver,
         )
         out.append(stats)
         if gap_tol is not None and stats.gap is not None and stats.gap <= gap_tol:
@@ -636,7 +622,6 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
             rounds=config.inner_rounds, gap_tol=config.gap_tol,
             gamma=config.gamma, seed=config.seed, start_round=h,
             sigma_prime_mode=config.sigma_prime_mode, workers=config.workers,
-            measure_theta_rounds=max(0, config.measure_theta_rounds - h),
         )
         trace.extend(stats)
         h += len(stats)
@@ -652,7 +637,13 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
 # ---------------------------------------------------------------------------
 # Trace output
 
-TRACE_FIELDS = ["h", "elapsed_ms_estimated", "dual", "primal", "gap", "dropped", "theta"]
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(repr(x) for x in value)
+    return value
 
 
 def write_trace_jsonl(path, trace: list[RoundStats]) -> None:
@@ -662,18 +653,10 @@ def write_trace_jsonl(path, trace: list[RoundStats]) -> None:
 
 
 def write_trace_csv(path, trace: list[RoundStats]) -> None:
-    """CSV mirror of the JSONL trace; list fields are semicolon-joined."""
+    """CSV mirror of the JSONL trace: None is an empty cell and a list is
+    semicolon-joined."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         for stats in trace:
-            rec = stats.trace_record()
-            writer.writerow([
-                rec["h"],
-                "" if rec["elapsed_ms_estimated"] is None else rec["elapsed_ms_estimated"],
-                "" if rec["dual"] is None else rec["dual"],
-                "" if rec["primal"] is None else rec["primal"],
-                "" if rec["gap"] is None else rec["gap"],
-                ";".join(str(t) for t in rec["dropped"]),
-                "" if rec["theta"] is None else ";".join(repr(x) for x in rec["theta"]),
-            ])
+            writer.writerow([_csv_cell(v) for v in stats.trace_record().values()])

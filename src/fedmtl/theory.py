@@ -124,9 +124,6 @@ def sigma_prime_sides(ds: FederatedDataset, mbar: np.ndarray,
         sigma' * sum_t ||X_t alpha_t||^2_{M_t} >= gamma * ||X alpha||^2_M.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    trials = alphas.shape[0]
-    m = ds.m
-    diag = np.diag(mbar)
     blocks = []
     offset = 0
     for task in ds.tasks:
@@ -134,14 +131,11 @@ def sigma_prime_sides(ds: FederatedDataset, mbar: np.ndarray,
         offset += task.n
     if offset != alphas.shape[1]:
         raise ValueError(f"alpha length {alphas.shape[1]} does not match n={offset}")
-    lhs = np.zeros(trials)
-    rhs = np.zeros(trials)
-    for t in range(m):
-        lhs += diag[t] * np.einsum("ij,ij->i", blocks[t], blocks[t])
-        for t2 in range(m):
-            rhs += mbar[t, t2] * np.einsum("ij,ij->i", blocks[t], blocks[t2])
-    lhs *= sigma_prime_val
-    rhs *= gamma
+    # V[i, :, t] = X_t alpha_t for trial i; G[i] is its m x m Gram matrix.
+    V = np.stack(blocks, axis=2)
+    G = np.einsum("ids,idt->ist", V, V)
+    lhs = sigma_prime_val * np.einsum("itt,t->i", G, np.diag(mbar))
+    rhs = gamma * np.einsum("ist,st->i", G, mbar)
     return lhs, rhs
 
 

@@ -23,6 +23,14 @@ def make_dataset(rng, m=3, d=6, n_lo=8, n_hi=15):
     return FederatedDataset(tuple(tasks))
 
 
+def recompute_v(state, ds):
+    """Fresh X @ alpha, column per task, for checking the solver's running v."""
+    v = np.empty((ds.d, ds.m))
+    for t, task in enumerate(ds.tasks):
+        v[:, t] = task.features @ state.alpha[t]
+    return v
+
+
 def random_view(rng, kind, d=6, n=10, kappa=None):
     X = rng.standard_normal((d, n))
     y = rng.choice([-1.0, 1.0], size=n)

@@ -280,7 +280,9 @@ dir = {out}
 
 def test_compare_rejects_bad_settings_before_writing(tmp_path):
     for i, bad in enumerate(["k_folds = 1", "train_fraction = 0", "train_fraction = 1",
-                             "shuffles = 0", "lambda_grid =", "methods ="]):
+                             "shuffles = 0", "lambda_grid =", "methods =",
+                             "mtl_inner_rounds = -3", "mtl_outer_rounds = -1",
+                             "mtl_budget_epochs = 0", "max_epochs = 0"]):
         out = tmp_path / f"cmp{i}"
         cfg = write_config(tmp_path / f"cmp{i}.ini", BASE_SYNTH + f"""
 [compare]
@@ -299,6 +301,9 @@ def test_bad_method_params_rejected_before_writing(tmp_path):
         ("train", "name = mb_sdca\nbatch = 2\nbeta = 5"),
         ("train", "name = mb_sgd\nschedule = bogus"),
         ("train", "name = cocoa\nmax_passes = 0"),
+        ("train", "name = local\nlambda = -1"),
+        ("train", "name = global\nlambda = 0"),
+        ("train", "name = local\nlambda = 1\nmax_epochs = 0"),
         ("bench", "theta = 1.5"),
     ]
     for i, (command, method) in enumerate(cases):
@@ -315,6 +320,24 @@ dir = {out}
 """)
         assert main([command, "--config", cfg]) == 1, method
         assert not out.exists(), method
+
+
+def test_bad_solver_settings_rejected_before_writing(tmp_path):
+    for i, bad in enumerate(["workers = 0", "workers = -2", "inner_rounds = 0",
+                             "inner_rounds = -4", "outer_rounds = -1"]):
+        out = tmp_path / f"run{i}"
+        cfg = write_config(tmp_path / f"run{i}.ini", BASE_SYNTH + f"""
+[method]
+name = mocha
+
+[solver]
+{bad}
+
+[output]
+dir = {out}
+""")
+        assert main(["train", "--config", cfg]) == 1, bad
+        assert not out.exists(), bad
 
 
 def test_bench_command(tmp_path):

@@ -1,18 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from fedmtl.losses import (
-    INFEASIBLE,
     DualInfeasibleError,
     LossKind,
     conjugate_sum,
     conjugate_value,
-    coordinate_update,
     loss_constants,
     loss_sum,
     loss_value,
 )
+from fedmtl.solver import _step_function
 
 KINDS = [LossKind.HINGE, LossKind.SQUARED]
 
@@ -75,9 +76,9 @@ def test_conjugate_values_against_grid_oracle():
 
 
 def test_conjugate_domain_marker():
-    assert conjugate_value(LossKind.HINGE, 2.0, 1.0) is INFEASIBLE
-    assert conjugate_value(LossKind.HINGE, -0.5, 1.0) is INFEASIBLE
-    assert conjugate_value(LossKind.HINGE, -1.0, -1.0) is not INFEASIBLE
+    assert conjugate_value(LossKind.HINGE, 2.0, 1.0) == math.inf
+    assert conjugate_value(LossKind.HINGE, -0.5, 1.0) == math.inf
+    assert conjugate_value(LossKind.HINGE, -1.0, -1.0) == -1.0
     # squared has full domain
     assert conjugate_value(LossKind.SQUARED, 100.0, 1.0) == pytest.approx(4900.0)
 
@@ -125,8 +126,8 @@ def test_fenchel_young_squared(u, a, y):
 
 def test_coordinate_update_frozen_examples():
     # grid-search oracle values, frozen
-    assert coordinate_update(LossKind.HINGE, 0.0, 1.0, 0.0, 1.0, 1.0) == 1.0
-    assert coordinate_update(LossKind.HINGE, 0.0, 1.0, 2.0, 1.0, 1.0) == 0.0
+    assert _step_function(LossKind.HINGE)(0.0, 1.0, 0.0, 1.0, 1.0) == 1.0
+    assert _step_function(LossKind.HINGE)(0.0, 1.0, 2.0, 1.0, 1.0) == 0.0
     assert grid_coordinate_oracle(LossKind.HINGE, 0.0, 1.0, 0.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-4)
     assert grid_coordinate_oracle(LossKind.HINGE, 0.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-4)
 
@@ -140,9 +141,9 @@ def test_coordinate_update_fixed_point():
             score = float(rng.normal())
             n2 = float(rng.uniform(0.1, 4.0))
             kappa = float(rng.uniform(0.2, 3.0))
-            d1 = coordinate_update(kind, alpha, y, score, n2, kappa)
+            d1 = _step_function(kind)(alpha, y, score, n2, kappa)
             # after moving to the minimizer, the score shifts by kappa*n2*d1
-            d2 = coordinate_update(kind, alpha + d1, y, score + kappa * n2 * d1, n2, kappa)
+            d2 = _step_function(kind)(alpha + d1, y, score + kappa * n2 * d1, n2, kappa)
             assert abs(d2) < 1e-12
 
 
@@ -155,7 +156,7 @@ def test_coordinate_update_matches_grid_oracle():
         score = float(3.0 * rng.normal())
         n2 = 0.0 if i % 97 == 0 else float(rng.uniform(0.05, 5.0))
         kappa = float(rng.uniform(0.2, 3.0))
-        delta = coordinate_update(kind, alpha, y, score, n2, kappa)
+        delta = _step_function(kind)(alpha, y, score, n2, kappa)
         if kind is LossKind.SQUARED and n2 == 0.0:
             # unconstrained quadratic minimizer, check stationarity directly
             assert abs((alpha + delta) - y + score) < 1e-10
@@ -182,15 +183,8 @@ def test_coordinate_update_matches_grid_oracle():
 @example(b=0.0, y=1.0, score=0.0, n2=5e-324, kappa=0.5)
 def test_coordinate_update_stays_in_hinge_box(b, y, score, n2, kappa):
     alpha = b * y
-    delta = coordinate_update(LossKind.HINGE, alpha, y, score, n2, kappa)
+    delta = _step_function(LossKind.HINGE)(alpha, y, score, n2, kappa)
     assert -1e-12 <= y * (alpha + delta) <= 1.0 + 1e-12
-
-
-def test_coordinate_update_rejects_infeasible_hinge():
-    with pytest.raises(DualInfeasibleError):
-        coordinate_update(LossKind.HINGE, 1.5, 1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        coordinate_update(LossKind.HINGE, 0.5, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_loss_sum_matches_scalar():

@@ -213,6 +213,20 @@ def test_update_omega_output_properties():
         assert abs(np.trace(omega) - 1.0) <= 1e-10
 
 
+def test_learned_omega_stable_under_ulp_perturbation():
+    # With d < m, W^T W is rank deficient; Omega must still move by no more
+    # than roundoff when W does.
+    rng = np.random.default_rng(31)
+    model = ProbabilisticPrior(lam=1.0)
+    for d, m in ((3, 12), (10, 100), (5, 40)):
+        for _ in range(5):
+            W = rng.standard_normal((d, m))
+            bumped = W * (1.0 + 1e-15 * rng.standard_normal(W.shape))
+            omega = update_omega(model, W, np.eye(m) / m)
+            moved = update_omega(model, bumped, np.eye(m) / m)
+            assert np.abs(moved - omega).max() <= 1e-12 * np.abs(omega).max()
+
+
 def test_build_relationship_checks_trace():
     model = ProbabilisticPrior(lam=1.0)
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from fedmtl.simulation import (
     SystemsPolicy,
     attach_times,
     estimate_flops,
-    preset_for_ratio,
     round_time,
     sample_budget,
     sample_drop,
@@ -91,9 +90,6 @@ def test_round_time_dropped_nodes_never_extend():
 def test_preset_table_and_ratio_helper():
     assert set(PRESETS) == {"wifi", "lte", "3g"}
     assert PRESETS["3g"].latency_ms > PRESETS["lte"].latency_ms > PRESETS["wifi"].latency_ms
-    preset = preset_for_ratio(1000.0, clock_rate=1e6, d=20)
-    update_ms = 4 * 20 / 1e6
-    assert preset.comm_ms(8.0 * 20) == pytest.approx(1000.0 * update_ms, rel=1e-9)
 
 
 def test_systems_policy_reproducible_streams():

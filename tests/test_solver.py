@@ -1,13 +1,14 @@
+import csv
 import json
 import threading
 
 import numpy as np
 import pytest
 
-from tests.conftest import make_dataset, random_view
+from tests.conftest import make_dataset, random_view, recompute_v
 
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
-from fedmtl.losses import INFEASIBLE, LossKind, hinge_box_violation
+from fedmtl.losses import DualInfeasibleError, LossKind, hinge_box_violation
 from fedmtl.regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
@@ -18,23 +19,24 @@ from fedmtl.regularizers import (
 )
 from fedmtl.solver import (
     ConstantPolicy,
+    FixedQualitySolver,
     SolverConfig,
     SubproblemView,
     dual_objective,
     duality_gap,
     federated_round,
     init_dual_state,
-    local_subproblem_value,
     make_views,
     measure_theta,
     oracle_subproblem_opt,
     primal_objective,
-    recompute_v,
     run_mocha,
     run_w_update,
     solve_local,
     write_trace_csv,
     write_trace_jsonl,
+    _COCOA_ORACLE_TOL,
+    _step_function,
     _view_value,
 )
 from fedmtl.theory import verify_lemma_decrease
@@ -123,16 +125,14 @@ def test_duality_gap_at_zero_equals_n(rng):
 
 def test_local_subproblem_value_zero_delta(rng):
     view = random_view(rng, HINGE, d=4, n=6)
-    val = local_subproblem_value(np.zeros(6), view.w, view.alpha, view.labels,
-                                 view.X, HINGE, view.kappa)
+    val = _view_value(view, np.zeros(6))
     assert val == pytest.approx(-float(view.alpha @ view.labels))
 
 
 def test_local_subproblem_value_term_by_term(rng):
     view = random_view(rng, SQUARED, d=3, n=3)
     delta = 0.3 * rng.standard_normal(3)
-    got = local_subproblem_value(delta, view.w, view.alpha, view.labels,
-                                 view.X, SQUARED, view.kappa)
+    got = _view_value(view, delta)
     # assemble every term separately
     expected = 0.0
     u = np.zeros(3)
@@ -147,20 +147,18 @@ def test_local_subproblem_value_term_by_term(rng):
 def test_local_subproblem_value_infeasible_marker(rng):
     view = random_view(rng, HINGE, d=3, n=4)
     delta = 5.0 * view.labels  # pushes y*(alpha+delta) far above 1
-    val = local_subproblem_value(delta, view.w, view.alpha, view.labels,
-                                 view.X, HINGE, view.kappa)
-    assert val is INFEASIBLE
+    with pytest.raises(DualInfeasibleError):
+        _view_value(view, delta)
 
 
 def test_local_value_decreases_after_coordinate_step(rng):
-    from fedmtl.losses import coordinate_update
     for kind in (HINGE, SQUARED):
         view = random_view(rng, kind, d=4, n=7)
         before = _view_value(view, np.zeros(7))
         i = 2
         score = float(view.w @ view.X[:, i])
-        step = coordinate_update(kind, view.alpha[i], view.labels[i], score,
-                                 view.col_norms2[i], view.kappa)
+        step = _step_function(kind)(view.alpha[i], view.labels[i], score,
+                                    view.col_norms2[i], view.kappa)
         delta = np.zeros(7)
         delta[i] = step
         after = _view_value(view, delta)
@@ -233,6 +231,18 @@ def test_measure_theta_semantics(rng):
     star = oracle_subproblem_opt(view)
     assert measure_theta(view, np.zeros(8), star) == 1.0
     assert measure_theta(view, star, star) == 0.0
+
+
+def test_cocoa_theta_matches_measure_theta(rng):
+    for kind in (HINGE, SQUARED):
+        for target in (0.0, 0.1, 0.5):
+            view = random_view(rng, kind, d=4, n=9)
+            solver = FixedQualitySolver(target)
+            res = solver(view, 0, np.random.default_rng(3))
+            oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
+            assert res.theta == pytest.approx(
+                measure_theta(view, res.delta_alpha, oracle), rel=0.0, abs=1e-9)
+            assert res.theta <= target or res.update_count == solver.max_passes * 9
 
 
 def test_measure_theta_halfway(rng):
@@ -481,21 +491,33 @@ def test_single_machine_reduction(rng):
 def test_trace_writers(tmp_path, rng):
     ds = make_dataset(rng, m=2, d=3, n_lo=5, n_hi=6)
     model, rel = mean_reg_setup(ds)
-    state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(5),
-                         rounds=4, seed=0, measure_theta_rounds=2)
-    jsonl = tmp_path / "trace.jsonl"
-    write_trace_jsonl(jsonl, trace)
-    rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
-    assert len(rows) == 4
-    assert set(rows[0]) == {"h", "elapsed_ms_estimated", "dual", "primal", "gap",
-                            "dropped", "theta"}
-    assert rows[0]["theta"] is not None and len(rows[0]["theta"]) == ds.m
-    assert rows[3]["theta"] is None
-    assert all(0.0 <= x <= 1.0 for x in rows[0]["theta"])
+    cocoa = run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(0),
+                         rounds=4, seed=0, local_solver=FixedQualitySolver(0.5))
+    mocha = run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(5),
+                         rounds=4, seed=0)
+    for trace, has_theta in ((cocoa, True), (mocha, False)):
+        jsonl = tmp_path / "trace.jsonl"
+        write_trace_jsonl(jsonl, trace)
+        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        assert len(rows) == 4
+        assert set(rows[0]) == {"h", "elapsed_ms_estimated", "dual", "primal", "gap",
+                                "dropped", "theta"}
+        for row in rows:
+            if has_theta:
+                assert len(row["theta"]) == ds.m
+                assert all(0.0 <= x <= 1.0 for x in row["theta"])
+            else:
+                assert row["theta"] is None
 
-    csv_path = tmp_path / "trace.csv"
-    write_trace_csv(csv_path, trace)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "h,elapsed_ms_estimated,dual,primal,gap,dropped,theta"
-    assert len(lines) == 5
+        csv_path = tmp_path / "trace.csv"
+        write_trace_csv(csv_path, trace)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "h,elapsed_ms_estimated,dual,primal,gap,dropped,theta"
+        assert len(lines) == 5
+        # Each cell is the JSON value: None empty, a list semicolon-joined.
+        for row, cells in zip(rows, list(csv.reader(lines))[1:]):
+            assert cells[0] == str(row["h"]) and cells[1] == ""
+            assert cells[2:5] == [repr(row[k]) for k in ("dual", "primal", "gap")]
+            assert cells[5] == ""
+            assert cells[6] == ("" if row["theta"] is None
+                                else ";".join(repr(x) for x in row["theta"]))

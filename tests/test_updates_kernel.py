@@ -9,8 +9,18 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import random_view
 
 from fedmtl import solver
+from fedmtl.data import SyntheticSpec, generate_synthetic
 from fedmtl.losses import LossKind, hinge_box_violation
-from fedmtl.solver import SubproblemView, _run_updates, _run_updates_py, solve_local
+from fedmtl.regularizers import ProbabilisticPrior
+from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
+from fedmtl.solver import (
+    SolverConfig,
+    SubproblemView,
+    _run_updates,
+    _run_updates_py,
+    run_mocha,
+    solve_local,
+)
 
 
 def _updated(run, view, idx):
@@ -89,3 +99,33 @@ def test_python_fallback_matches_reference(monkeypatch):
     res = solve_local(view, 200, np.random.default_rng(3))
     assert np.array_equal(res.delta_alpha, ref_delta)
     assert np.array_equal(res.delta_v, view.X @ ref_delta)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_learned_omega_run_matches_python_loop(monkeypatch):
+    # d < m, so W^T W is rank deficient: the coupling update must not turn
+    # the kernel's last-digit differences into visible ones.
+    ds = generate_synthetic(SyntheticSpec(m=12, d=3, n_min=20, n_max=30,
+                                          cluster_count=3, deviation=0.3,
+                                          noise=0.05, seed=11))
+    model = ProbabilisticPrior(lam=1.0)
+    policy = SystemsPolicy(11, [NodeProfile(drop_probability=0.1)] * ds.m,
+                           HeterogeneityPolicy("high", min(ds.task_sizes())))
+    config = SolverConfig(inner_rounds=5, outer_rounds=6, seed=11)
+
+    def run():
+        return run_mocha(ds, model, config, policy, LossKind.SQUARED)
+
+    got = run()
+    monkeypatch.setattr(solver, "_run_updates", _run_updates_py)
+    ref = run()
+    assert len(got.trace) == len(ref.trace) == 30
+    for a, b in zip(got.trace, ref.trace):
+        assert a.dropped == b.dropped and a.update_counts == b.update_counts
+        # Relative to the primal, since the gap is a difference of two values.
+        for x, y in ((a.dual, b.dual), (a.primal, b.primal), (a.gap, b.gap)):
+            assert abs(x - y) <= 1e-10 * abs(b.primal)
+    np.testing.assert_allclose(got.primal.W, ref.primal.W, rtol=0.0,
+                               atol=1e-10 * np.abs(ref.primal.W).max())
+    np.testing.assert_allclose(got.omega, ref.omega, rtol=0.0,
+                               atol=1e-10 * np.abs(ref.omega).max())
