@@ -457,16 +457,23 @@ def cmd_bench(args) -> int:
     _echo_config(args.config, outdir)
     floor = _reference_primal_floor(ds, kind, model, seed)
     summary = {"primal_floor": floor, "cells": {}}
+    cocoa_trace = None
     for het in hets:
         for method in methods:
             # The preset changes only the simulated time, so one solve
-            # serves every preset.
-            trace = simulate_run(
-                method, ds, kind=kind, model=model,
-                preset=PRESETS[presets[0]], heterogeneity=het, seed=seed,
-                rounds=rounds, profiles=profiles, method_params=params,
-                solver_config=solver_config,
-            ).trace
+            # serves every preset; CoCoA draws no budgets or drops, so one
+            # solve also serves every heterogeneity mode.
+            if method == "cocoa" and cocoa_trace is not None:
+                trace = cocoa_trace
+            else:
+                trace = simulate_run(
+                    method, ds, kind=kind, model=model,
+                    preset=PRESETS[presets[0]], heterogeneity=het, seed=seed,
+                    rounds=rounds, profiles=profiles, method_params=params,
+                    solver_config=solver_config,
+                ).trace
+            if method == "cocoa":
+                cocoa_trace = trace
             for preset_name in presets:
                 attach_times(trace, ds.d, profiles, PRESETS[preset_name])
                 cell = f"{method}_{preset_name}_{het.mode}"

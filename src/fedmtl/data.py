@@ -3,7 +3,9 @@
 On disk a federated dataset is a directory of files ``task_<k>.csv``
 (k zero-based, one file per task, no header) where each row is
 ``label,f1,...,fd`` with the label literally ``1`` or ``-1``.  In memory each
-task holds its features as a d x n_t matrix whose columns are examples.
+task holds its features as a column-major d x n_t matrix whose columns are
+examples; the federated dataset also packs every task's labels and squared
+column norms into n-vectors, task t at ``offsets[t]:offsets[t + 1]``.
 
 All dataset values are immutable after construction and safe to share across
 parallel workers.
@@ -11,6 +13,7 @@ parallel workers.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -59,9 +62,18 @@ class TaskDataset:
         return self.features.shape[0]
 
 
+def _packed(arrays) -> np.ndarray:
+    out = np.concatenate(arrays)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FederatedDataset:
     tasks: tuple[TaskDataset, ...]
+    offsets: np.ndarray = field(init=False, repr=False)      # m + 1 task starts
+    labels: np.ndarray = field(init=False, repr=False)       # packed, n
+    col_norms2: np.ndarray = field(init=False, repr=False)   # packed, n
 
     def __post_init__(self):
         tasks = tuple(self.tasks)
@@ -76,6 +88,17 @@ class FederatedDataset:
                     f"task {k} has feature dimension {task.d}, expected {d}"
                 )
         object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "offsets", _packed([[0], np.cumsum([t.n for t in tasks])]))
+        object.__setattr__(self, "labels", _packed([t.labels for t in tasks]))
+        object.__setattr__(self, "col_norms2", _packed([t.col_norms2 for t in tasks]))
+
+    @functools.cached_property
+    def feature_table(self) -> np.ndarray:
+        """Address of each task's column-major float64 features, for native
+        code; the tasks keep the arrays alive."""
+        table = np.array([t.features.ctypes.data for t in self.tasks], dtype=np.uintp)
+        table.setflags(write=False)
+        return table
 
     @property
     def m(self) -> int:
@@ -83,7 +106,7 @@ class FederatedDataset:
 
     @property
     def n(self) -> int:
-        return sum(t.n for t in self.tasks)
+        return self.labels.size
 
     @property
     def d(self) -> int:

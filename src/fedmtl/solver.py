@@ -18,11 +18,20 @@ Stored subproblem values omit the constant R*(v)/m share that every task
 carries; it cancels in the approximation-quality ratio and in all decrease
 checks, which re-add it explicitly where needed.
 
-Concurrency: node solves within a round read a frozen snapshot and write only
-their own blocks, so they may run on a thread pool, and the native coordinate
-kernel releases the interpreter lock while it runs; the reduce step applies
-deltas in task order, making traces bit-identical for any worker count.
-Per-node randomness comes from streams keyed by (seed, stream, task, round).
+Layout: the dual iterate is one packed n-vector with task t's block at
+``ds.offsets[t]:ds.offsets[t + 1]``, next to the dataset's packed labels and
+squared column norms; features stay per task.  A round hands every node's
+snapshot to the local solver at once (``RoundView``) and gets back one packed
+delta, so the dual and the summed subproblem values are each one pass over
+packed vectors rather than a loop over tasks.
+
+Concurrency: every node's stream, keyed by (seed, stream, task, round), is
+built on the calling thread, and MOCHA's local solver draws all its indices
+there too.  The nodes are then split into contiguous chunks, one per worker,
+and each chunk is one call of the native round kernel, which releases the
+interpreter lock.  Nodes read a frozen snapshot and write only their own
+blocks, and the reduce adds the packed delta once, so traces are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import shutil
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -83,19 +92,26 @@ class PrimalState:
     W: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class DualState:
-    """Dual iterate: per-task blocks alpha_t and the shared v with v[:, t] = X_t alpha_t."""
+    """Dual iterate: every block alpha_t packed in one n-vector, updated in
+    place, and the shared v with v[:, t] = X_t alpha_t.
 
-    alpha: list[np.ndarray]
+    ``alpha[t]`` is a view of block t, so an in-place edit reaches the packed
+    vector; ``alpha`` is a tuple, so rebinding a block raises.
+    """
+
+    packed: np.ndarray
     v: np.ndarray
+    offsets: InitVar[np.ndarray]
+    alpha: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self, offsets):
+        self.alpha = tuple(self.packed[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 def init_dual_state(ds: FederatedDataset) -> DualState:
-    return DualState(
-        alpha=[np.zeros(t.n) for t in ds.tasks],
-        v=np.zeros((ds.d, ds.m)),
-    )
+    return DualState(np.zeros(ds.n), np.zeros((ds.d, ds.m)), ds.offsets)
 
 
 @dataclass
@@ -180,10 +196,8 @@ class ConstantPolicy:
 
 def dual_objective(state: DualState, ds: FederatedDataset, kind: LossKind,
                    rel: RelationshipState) -> float:
-    total = 0.0
-    for t, task in enumerate(ds.tasks):
-        total += conjugate_sum(kind, state.alpha[t], task.labels)
-    return total + regularizer_conjugate(state.v, rel.mbar)
+    return (conjugate_sum(kind, state.packed, ds.labels)
+            + regularizer_conjugate(state.v, rel.mbar))
 
 
 def primal_objective(W: np.ndarray, ds: FederatedDataset, kind: LossKind,
@@ -222,6 +236,32 @@ class SubproblemView:
     kind: LossKind
 
 
+@dataclass(frozen=True, eq=False)
+class RoundView:
+    """Frozen picture of one round for every node: the dataset, the packed
+    dual snapshot, the weight snapshot W (column t for node t), each node's
+    kappa, and how many threads the local solves may use."""
+
+    ds: FederatedDataset
+    kind: LossKind
+    alpha: np.ndarray
+    W: np.ndarray
+    kappa: np.ndarray
+    workers: int = 1
+
+    def node(self, t: int) -> SubproblemView:
+        task = self.ds.tasks[t]
+        return SubproblemView(
+            X=task.features,
+            labels=task.labels,
+            alpha=self.alpha[self.ds.offsets[t]:self.ds.offsets[t + 1]],
+            w=self.W[:, t],
+            col_norms2=task.col_norms2,
+            kappa=float(self.kappa[t]),
+            kind=self.kind,
+        )
+
+
 def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = None) -> float:
     """Constant-free subproblem value at ``delta``, reusing ``u`` = X @ delta
     when the caller has it; raises DualInfeasibleError outside the hinge
@@ -233,11 +273,20 @@ def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = 
 
 
 @dataclass
-class LocalResult:
-    delta_alpha: np.ndarray
+class RoundResult:
+    """What one round's local solves send back: the packed dual deltas,
+    delta_v with column t = X_t delta_t, each node's update count, and each
+    node's measured solution quality when the solver knows it (1 for a
+    dropped node, which made no progress)."""
+
+    delta: np.ndarray
     delta_v: np.ndarray
-    update_count: int
-    theta: float | None = None      # measured solution quality, if the solver knows it
+    update_counts: list[int]
+    theta: list[float] | None = None
+
+    @property
+    def update_count(self) -> int:
+        return sum(self.update_counts)
 
 
 def _step_function(kind: LossKind):
@@ -255,8 +304,9 @@ _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 @functools.cache
 def _load_kernel():
-    """The compiled ``fedmtl_run_updates`` from ``_updates.c``, or None when
-    there is no C compiler or the build fails.
+    """The compiled ``_updates.c``, with ``fedmtl_run_updates`` and
+    ``fedmtl_run_round`` declared, or None when there is no C compiler or
+    the build fails.
 
     Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
     build writes a temporary file and renames it, so concurrent builds are
@@ -269,26 +319,27 @@ def _load_kernel():
         source = _KERNEL_SOURCE.read_bytes()
         key = hashlib.sha256(source + " ".join(_KERNEL_FLAGS).encode()).hexdigest()
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fedmtl"
-        lib = cache / f"_updates-{key[:16]}.so"
-        if not lib.exists():
+        path = cache / f"_updates-{key[:16]}.so"
+        if not path.exists():
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
                 subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
                                check=True, capture_output=True)
-                os.replace(tmp, lib)
+                os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).fedmtl_run_updates
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):
         return None
-    ptr = ctypes.c_void_p
-    kernel.argtypes = [ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
-                       ptr, ptr, ptr, ptr, ptr, ctypes.c_double, ptr, ptr, ptr]
-    kernel.restype = None
-    return kernel
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.fedmtl_run_updates.argtypes = [ctypes.c_int, i64, i64, ptr, ptr, ptr, ptr, ptr,
+                                       ctypes.c_double, ptr, ptr, ptr]
+    lib.fedmtl_run_round.argtypes = [ctypes.c_int, i64, i64, i64, *[ptr] * 11]
+    lib.fedmtl_run_updates.restype = lib.fedmtl_run_round.restype = None
+    return lib
 
 
 def _run_updates(view: SubproblemView, idx: np.ndarray,
@@ -300,10 +351,10 @@ def _run_updates(view: SubproblemView, idx: np.ndarray,
     another order than numpy's, so results can differ from
     ``_run_updates_py`` in the last digits.
     """
-    kernel = _load_kernel()
+    lib = _load_kernel()
     # delta and u are written in place, so they cannot be converted copies.
-    if kernel is None or not all(a.dtype == np.float64 and a.flags.carray
-                                 for a in (delta, u)):
+    if lib is None or not all(a.dtype == np.float64 and a.flags.carray
+                              for a in (delta, u)):
         return _run_updates_py(view, idx, delta, u)
     X = np.asfortranarray(view.X, dtype=np.float64)
     d, n = X.shape
@@ -317,9 +368,9 @@ def _run_updates(view: SubproblemView, idx: np.ndarray,
     if any(a.shape != s for a, s in zip(arrays, [(d,), (n,), (n,), (n,)])):
         raise ValueError("view arrays do not match its d x n features")
     w, y, alpha, norms2 = (a.ctypes.data for a in arrays)
-    kernel(view.kind is LossKind.HINGE, d, idx.size, X.ctypes.data, w, y,
-           alpha, norms2, view.kappa, idx.ctypes.data, delta.ctypes.data,
-           u.ctypes.data)
+    lib.fedmtl_run_updates(view.kind is LossKind.HINGE, d, idx.size, X.ctypes.data,
+                           w, y, alpha, norms2, view.kappa, idx.ctypes.data,
+                           delta.ctypes.data, u.ctypes.data)
     return None
 
 
@@ -343,21 +394,110 @@ def _run_updates_py(view: SubproblemView, idx: np.ndarray,
     return None
 
 
-def solve_local(view: SubproblemView, budget: int, rng) -> LocalResult:
-    """Run ``budget`` randomized coordinate updates (uniform with replacement).
+def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
+               delta: np.ndarray) -> None:
+    """For every node t, apply ``_run_updates`` at its local indices
+    ``idx[starts[t]:starts[t + 1]]`` against the round's snapshot, adding
+    the steps to its block of the packed ``delta``.
 
-    A budget of zero models a dropped node.  The subproblem value never
-    increases, and the returned delta_v is recomputed as X @ delta_alpha so it
-    is exactly consistent with the dual update.
+    Native when the kernel is built: one call per chunk of contiguous nodes,
+    one chunk per worker, each node's arithmetic exactly that of
+    ``_run_updates``.  Otherwise ``_run_round_py``.
     """
-    n_t = view.labels.size
-    delta = np.zeros(n_t)
-    if budget <= 0:
-        return LocalResult(delta, np.zeros(view.X.shape[0]), 0)
-    idx = rng.integers(0, n_t, size=int(budget))
-    u = np.zeros(view.X.shape[0])
-    _run_updates(view, idx, delta, u)
-    return LocalResult(delta, view.X @ delta, int(budget))
+    lib = _load_kernel()
+    if lib is None:
+        return _run_round_py(view, idx, starts, delta)
+    ds = view.ds
+    m, d = ds.m, ds.d
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    if starts.shape != (m + 1,) or starts[0] != 0 or starts[-1] != idx.size:
+        raise ValueError("starts must hold m + 1 offsets into idx")
+    if not (delta.dtype == np.float64 and delta.flags.carray and delta.shape == (ds.n,)):
+        raise ValueError("delta must be a writable contiguous float64 n-vector")
+    counts = np.diff(starts)
+    if idx.size and not (0 <= idx.min()
+                         and (idx < np.repeat(np.diff(ds.offsets), counts)).all()):
+        raise IndexError("coordinate index out of range of its node")
+    W = np.ascontiguousarray(view.W.T, dtype=np.float64)    # row t is node t's w
+    kappa = np.ascontiguousarray(view.kappa, dtype=np.float64)
+    alpha = np.ascontiguousarray(view.alpha, dtype=np.float64)
+    if W.shape != (m, d) or kappa.shape != (m,) or alpha.shape != (ds.n,):
+        raise ValueError("round view arrays do not match the dataset")
+    U = np.zeros((m, d))
+    # Every array stays referenced here until the calls return.
+    pointers = [a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
+                                        ds.col_norms2, kappa, ds.offsets, idx,
+                                        starts, delta, U)]
+    hinge = view.kind is LossKind.HINGE
+
+    def chunk(bounds) -> None:
+        lib.fedmtl_run_round(hinge, d, *bounds, *pointers)
+
+    workers = min(view.workers, m)
+    if workers > 1:
+        cuts = [m * k // workers for k in range(workers + 1)]
+        list(_executor(workers).map(chunk, zip(cuts[:-1], cuts[1:])))
+    else:
+        chunk((0, m))
+    return None
+
+
+def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
+                  delta: np.ndarray) -> None:
+    """Reference for ``_run_round``, and its path without a compiler:
+    ``_run_updates_py`` for each node in turn."""
+    offsets = view.ds.offsets
+    for t in range(view.ds.m):
+        _run_updates_py(view.node(t), idx[starts[t]:starts[t + 1]],
+                        delta[offsets[t]:offsets[t + 1]], np.zeros(view.ds.d))
+    return None
+
+
+def solve_local(view: RoundView, budgets, drops, streams) -> RoundResult:
+    """MOCHA's local solves for one round: each responding node runs
+    ``budgets[t]`` randomized coordinate updates (uniform with replacement,
+    drawn from ``streams[t]``) against the snapshot.
+
+    A dropped node, or a budget of zero, does nothing.  No node's subproblem
+    value increases, and delta_v is recomputed as X_t @ delta_t so it is
+    exactly consistent with the dual update.
+    """
+    ds = view.ds
+    counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
+    draws = [streams[t].integers(0, task.n, size=counts[t])
+             for t, task in enumerate(ds.tasks) if counts[t]]
+    idx = np.concatenate([np.empty(0, dtype=np.int64), *draws])
+    delta = np.zeros(ds.n)
+    _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta)
+    delta_v = np.zeros((ds.d, ds.m))
+    for t, task in enumerate(ds.tasks):
+        if counts[t]:
+            delta_v[:, t] = task.features @ delta[ds.offsets[t]:ds.offsets[t + 1]]
+    return RoundResult(delta, delta_v, counts)
+
+
+def _node_by_node(view: RoundView, budgets, drops, streams, solve_node) -> RoundResult:
+    """A round solver built from a per-node one, looped over the responding
+    nodes on the calling thread.  ``solve_node(node_view, budget, rng,
+    delta_t) -> (update_count, theta or None)`` writes its delta into
+    ``delta_t``, node t's block of the packed delta."""
+    ds = view.ds
+    delta = np.zeros(ds.n)
+    delta_v = np.zeros((ds.d, ds.m))
+    counts = [0] * ds.m
+    thetas = [None] * ds.m
+    for t, task in enumerate(ds.tasks):
+        if drops[t]:
+            continue
+        delta_t = delta[ds.offsets[t]:ds.offsets[t + 1]]
+        counts[t], thetas[t] = solve_node(view.node(t), int(budgets[t]), streams[t], delta_t)
+        if counts[t]:
+            delta_v[:, t] = task.features @ delta_t
+    if all(theta is None for theta in thetas):
+        return RoundResult(delta, delta_v, counts)
+    return RoundResult(delta, delta_v, counts,
+                       [1.0 if theta is None else theta for theta in thetas])
 
 
 def oracle_subproblem_opt(view: SubproblemView, tol: float = 1e-13) -> np.ndarray:
@@ -402,9 +542,10 @@ def measure_theta(view: SubproblemView, delta_alpha: np.ndarray,
 
 @dataclass(frozen=True)
 class FixedQualitySolver:
-    """CoCoA's local solver: randomized passes over the local data until the
-    measured quality reaches ``theta_target`` or ``max_passes`` run out.  It
-    ignores the budget, so per-round work follows the hardest subproblem.
+    """CoCoA's local solver: on each responding node, randomized passes over
+    the local data until the measured quality reaches ``theta_target`` or
+    ``max_passes`` run out.  It ignores the budgets, so per-round work
+    follows the hardest subproblem.
 
     Quality is measured against the exact subproblem optimum (affordable at
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
@@ -414,13 +555,15 @@ class FixedQualitySolver:
     theta_target: float
     max_passes: int = 500
 
-    def __call__(self, view: SubproblemView, budget: int, rng) -> LocalResult:
+    def __call__(self, view: RoundView, budgets, drops, streams) -> RoundResult:
+        return _node_by_node(view, budgets, drops, streams, self._solve_node)
+
+    def _solve_node(self, view: SubproblemView, budget: int, rng, delta):
         n_t = view.labels.size
         oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
         g_zero = _view_value(view, np.zeros(n_t))
         g_star = _view_value(view, oracle)
         denom = g_zero - g_star
-        delta = np.zeros(n_t)
         u = np.zeros(view.X.shape[0])
         count = 0
         theta = 0.0
@@ -433,15 +576,14 @@ class FixedQualitySolver:
                 theta = (_view_value(view, delta, u) - g_star) / denom
                 if theta <= self.theta_target:
                     break
-        return LocalResult(delta, view.X @ delta, count,
-                           float(min(1.0, max(0.0, theta))))
+        return count, float(min(1.0, max(0.0, theta)))
 
 
 @dataclass(frozen=True)
 class MiniBatchSolver:
-    """Mini-batch SDCA's local solver: ``budget`` coordinate steps, each taken
-    independently against the frozen snapshot, summed and scaled by
-    beta / budget.
+    """Mini-batch SDCA's local solver: on each responding node, ``budget``
+    coordinate steps, each taken independently against the frozen snapshot,
+    summed and scaled by beta / budget.
 
     With beta = 1 the scaled sum is a convex combination, so hinge
     feasibility is preserved; beta near the budget can overshoot when sampled
@@ -452,12 +594,13 @@ class MiniBatchSolver:
     # Tells the round engine to report an out-of-box hinge dual as None.
     may_leave_box = True
 
-    def __call__(self, view: SubproblemView, budget: int, rng) -> LocalResult:
-        n_t = view.labels.size
-        delta = np.zeros(n_t)
+    def __call__(self, view: RoundView, budgets, drops, streams) -> RoundResult:
+        return _node_by_node(view, budgets, drops, streams, self._solve_node)
+
+    def _solve_node(self, view: SubproblemView, budget: int, rng, delta):
         if budget <= 0:
-            return LocalResult(delta, np.zeros(view.X.shape[0]), 0)
-        idx = rng.integers(0, n_t, size=int(budget))
+            return 0, None
+        idx = rng.integers(0, view.labels.size, size=budget)
         scale = self.beta / budget
         step_fn = _step_function(view.kind)
         for i in idx:
@@ -465,7 +608,7 @@ class MiniBatchSolver:
             step = step_fn(view.alpha[i], view.labels[i], float(view.w @ x),
                            view.col_norms2[i], view.kappa)
             delta[i] += scale * step
-        return LocalResult(delta, view.X @ delta, int(budget))
+        return budget, None
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +623,18 @@ def _kappa_vector(rel: RelationshipState, mode: str) -> np.ndarray:
 
 
 def make_views(ds: FederatedDataset, kind: LossKind, state: DualState,
-               W: np.ndarray, kappa: np.ndarray) -> list[SubproblemView]:
-    return [
-        SubproblemView(
-            X=task.features,
-            labels=task.labels,
-            alpha=state.alpha[t],
-            w=W[:, t],
-            col_norms2=task.col_norms2,
-            kappa=float(kappa[t]),
-            kind=kind,
-        )
-        for t, task in enumerate(ds.tasks)
-    ]
+               W: np.ndarray, kappa: np.ndarray, workers: int = 1) -> RoundView:
+    return RoundView(ds, kind, state.packed, W, kappa, workers)
+
+
+def _subproblem_sum(view: RoundView, result: RoundResult) -> float:
+    """Sum over nodes of the constant-free subproblem values at the round's
+    deltas: one conjugate sum over the packed duals, plus w_t . u_t and
+    kappa_t / 2 * ||u_t||^2 summed over nodes, with u_t = delta_v[:, t]."""
+    u = result.delta_v
+    conj = conjugate_sum(view.kind, view.alpha + result.delta, view.ds.labels)
+    return (conj + float(np.einsum("dt,dt->", view.W, u))
+            + 0.5 * float(np.einsum("t,dt,dt->", view.kappa, u, u)))
 
 
 def _unless_infeasible(evaluate, strict: bool):
@@ -517,15 +659,21 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
                     model: OmegaModel, state: DualState, budgets, drops, *,
                     gamma: float = 1.0, round_idx: int = 0, seed: int = 0,
                     sigma_prime_mode: str = "global", workers: int = 1,
-                    local_solver=None) -> RoundStats:
-    """One synchronous round: parallel local solves against a common snapshot,
-    then a gamma-scaled reduce and refreshed objectives.
+                    local_solver=None, previous: RoundStats | None = None) -> RoundStats:
+    """One synchronous round: local solves against a common snapshot, then a
+    gamma-scaled reduce and refreshed objectives.
 
-    ``local_solver(view, budget, rng) -> LocalResult`` defaults to
-    ``solve_local`` (MOCHA); ``FixedQualitySolver`` gives CoCoA and
-    ``MiniBatchSolver`` mini-batch SDCA.  A solver with a true
+    ``local_solver(view, budgets, drops, streams) -> RoundResult`` solves
+    every node's subproblem for the round: ``view`` is the ``RoundView``,
+    ``streams[t]`` node t's random stream (None for a dropped node).  It
+    defaults to ``solve_local`` (MOCHA); ``FixedQualitySolver`` gives CoCoA
+    and ``MiniBatchSolver`` mini-batch SDCA.  A solver with a true
     ``may_leave_box`` attribute gets None for every value that needs a
     feasible hinge dual; any other solver raises DualInfeasibleError.
+
+    ``previous``, the stats of the round just run against the same ``rel``
+    with ``state`` untouched since, supplies ``dual_before`` without
+    evaluating the dual again.
     """
     # Resolved per call, not bound as a default, so a wrapped solve_local is used.
     solve = solve_local if local_solver is None else local_solver
@@ -533,34 +681,20 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     m = ds.m
     W = primal_from_dual(state.v, rel.mbar)
     kappa = _kappa_vector(rel, sigma_prime_mode)
-    views = make_views(ds, kind, state, W, kappa)
-    dual_before = _unless_infeasible(
-        lambda: dual_objective(state, ds, kind, rel), strict)
-    rstar_before = regularizer_conjugate(state.v, rel.mbar)
-
-    def _node(t: int) -> LocalResult:
-        if drops[t]:
-            return LocalResult(np.zeros(ds.tasks[t].n), np.zeros(ds.d), 0)
-        rng = np.random.default_rng([seed, SOLVER_STREAM, t, round_idx])
-        return solve(views[t], int(budgets[t]), rng)
-
-    if workers > 1:
-        results = list(_executor(workers).map(_node, range(m)))
+    view = make_views(ds, kind, state, W, kappa, workers)
+    if previous is None:
+        dual_before = _unless_infeasible(
+            lambda: dual_objective(state, ds, kind, rel), strict)
     else:
-        results = [_node(t) for t in range(m)]
+        dual_before = previous.dual
+    rstar_before = regularizer_conjugate(state.v, rel.mbar)
+    streams = [None if drops[t] else np.random.default_rng([seed, SOLVER_STREAM, t, round_idx])
+               for t in range(m)]
+    result = solve(view, budgets, drops, streams)
+    subproblem_sum = _unless_infeasible(lambda: _subproblem_sum(view, result), strict)
 
-    subproblem_sum = _unless_infeasible(lambda: sum(
-        _view_value(views[t], results[t].delta_alpha, results[t].delta_v)
-        for t in range(m)
-    ), strict)
-    thetas = None
-    if any(r.theta is not None for r in results):
-        # A dropped node made no progress.
-        thetas = [1.0 if r.theta is None else r.theta for r in results]
-
-    for t in range(m):
-        state.alpha[t] += gamma * results[t].delta_alpha
-        state.v[:, t] += gamma * results[t].delta_v
+    state.packed += gamma * result.delta
+    state.v += gamma * result.delta_v
 
     dual = _unless_infeasible(lambda: dual_objective(state, ds, kind, rel), strict)
     W_new = primal_from_dual(state.v, rel.mbar)
@@ -571,8 +705,8 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
         primal=primal,
         gap=None if dual is None else dual + primal,
         dropped=[t for t in range(m) if drops[t]],
-        update_counts=[r.update_count for r in results],
-        theta=thetas,
+        update_counts=result.update_counts,
+        theta=result.theta,
         dual_before=dual_before,
         subproblem_sum=subproblem_sum,
         rstar_before=rstar_before,
@@ -599,7 +733,7 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
             ds, kind, rel, model, state, budgets, drops,
             gamma=gamma, round_idx=h, seed=seed,
             sigma_prime_mode=sigma_prime_mode, workers=workers,
-            local_solver=local_solver,
+            local_solver=local_solver, previous=out[-1] if out else None,
         )
         out.append(stats)
         if gap_tol is not None and stats.gap is not None and stats.gap <= gap_tol:

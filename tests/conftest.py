@@ -3,7 +3,7 @@ import pytest
 
 from fedmtl.data import FederatedDataset, TaskDataset
 from fedmtl.losses import LossKind
-from fedmtl.solver import SubproblemView
+from fedmtl.solver import RoundView, SubproblemView
 
 
 def make_task(rng, d=6, n=12, task_id=0):
@@ -47,6 +47,14 @@ def random_view(rng, kind, d=6, n=10, kappa=None):
         kappa=float(rng.uniform(0.5, 2.0)) if kappa is None else kappa,
         kind=kind,
     )
+
+
+def one_node_round(view):
+    """A one-task RoundView with the data and snapshot of ``view``.  Its
+    ``node(0)`` holds the dataset's Fortran-ordered features and norms."""
+    ds = FederatedDataset((TaskDataset(0, view.X, view.labels),))
+    return RoundView(ds, view.kind, np.array(view.alpha, dtype=float),
+                     view.w[:, None], np.array([view.kappa]))
 
 
 @pytest.fixture

@@ -370,6 +370,41 @@ dir = {out}
     assert float(last[0]) > 0.0
 
 
+def test_bench_solves_cocoa_once_for_every_mode(tmp_path, monkeypatch):
+    from fedmtl import baselines
+
+    calls = []
+    original = baselines.cocoa_run
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cocoa_run", counting)
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path / "bench.ini", BASE_SYNTH + f"""
+[model]
+kind = mean_regularized
+
+[method]
+loss = squared
+
+[bench]
+methods = cocoa,mocha
+presets = wifi,lte
+heterogeneity = none,high
+rounds = 5
+
+[output]
+dir = {out}
+""")
+    assert main(["bench", "--config", cfg]) == 0
+    assert len(calls) == 1
+    for preset in ("wifi", "lte"):
+        assert (out / f"bench_cocoa_{preset}_none.csv").read_bytes() == \
+            (out / f"bench_cocoa_{preset}_high.csv").read_bytes()
+
+
 def test_bench_rejects_bad_names_before_writing(tmp_path):
     for i, bad in enumerate(["presets = wifi, dialup", "presets =",
                              "methods = mocha, sgd", "heterogeneity = none, wild"]):

@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from tests.conftest import make_dataset, random_view, recompute_v
+from tests.conftest import make_dataset, one_node_round, random_view, recompute_v
 
+from fedmtl import solver
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
 from fedmtl.losses import DualInfeasibleError, LossKind, hinge_box_violation
 from fedmtl.regularizers import (
@@ -85,9 +86,22 @@ def test_weak_duality_on_random_feasible_duals(rng):
     for _ in range(50):
         state = init_dual_state(ds)
         for t, task in enumerate(ds.tasks):
-            state.alpha[t] = task.labels * rng.uniform(0, 1, size=task.n)
+            state.alpha[t][:] = task.labels * rng.uniform(0, 1, size=task.n)
         state.v = recompute_v(state, ds)
         assert duality_gap(state, ds, HINGE, rel, model) >= -1e-8
+
+
+def test_dual_state_blocks_are_views_of_the_packed_alpha(rng):
+    ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=8)
+    model, rel = mean_reg_setup(ds)
+    state = init_dual_state(ds)
+    with pytest.raises(TypeError):
+        state.alpha[1] = np.ones(ds.tasks[1].n)
+    state.alpha[1][:] = 0.5 * ds.tasks[1].labels
+    state.v = recompute_v(state, ds)
+    assert state.packed[ds.offsets[1]:ds.offsets[2]].tolist() == state.alpha[1].tolist()
+    expected = -0.5 * ds.tasks[1].n + 0.25 * float(np.sum(rel.mbar * (state.v.T @ state.v)))
+    assert dual_objective(state, ds, HINGE, rel) == pytest.approx(expected, rel=1e-12)
 
 
 def test_primal_objective_frozen_values(rng):
@@ -166,17 +180,17 @@ def test_local_value_decreases_after_coordinate_step(rng):
 
 
 def test_solve_local_budget_zero(rng):
-    view = random_view(rng, HINGE, d=4, n=6)
-    res = solve_local(view, 0, np.random.default_rng(0))
-    assert np.all(res.delta_alpha == 0.0) and np.all(res.delta_v == 0.0)
+    view = one_node_round(random_view(rng, HINGE, d=4, n=6))
+    res = solve_local(view, [0], [False], [np.random.default_rng(0)])
+    assert np.all(res.delta == 0.0) and np.all(res.delta_v == 0.0)
     assert res.update_count == 0
 
 
 def test_solve_local_deterministic(rng):
-    view = random_view(rng, HINGE, d=4, n=9)
-    a = solve_local(view, 40, np.random.default_rng([5, 1]))
-    b = solve_local(view, 40, np.random.default_rng([5, 1]))
-    assert np.array_equal(a.delta_alpha, b.delta_alpha)
+    view = one_node_round(random_view(rng, HINGE, d=4, n=9))
+    a = solve_local(view, [40], [False], [np.random.default_rng([5, 1])])
+    b = solve_local(view, [40], [False], [np.random.default_rng([5, 1])])
+    assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.delta_v, b.delta_v)
 
 
@@ -194,9 +208,10 @@ def test_rng_stream_prefix_property():
 
 def test_solve_local_reaches_oracle_value(rng):
     for kind in (HINGE, SQUARED):
-        view = random_view(rng, kind, d=3, n=5)
-        res = solve_local(view, 10_000 * 5, np.random.default_rng(2))
-        val = _view_value(view, res.delta_alpha)
+        round_view = one_node_round(random_view(rng, kind, d=3, n=5))
+        view = round_view.node(0)
+        res = solve_local(round_view, [10_000 * 5], [False], [np.random.default_rng(2)])
+        val = _view_value(view, res.delta)
         star = oracle_subproblem_opt(view)
         val_star = _view_value(view, star)
         assert val <= val_star + 1e-10 * max(1.0, abs(val_star))
@@ -236,13 +251,15 @@ def test_measure_theta_semantics(rng):
 def test_cocoa_theta_matches_measure_theta(rng):
     for kind in (HINGE, SQUARED):
         for target in (0.0, 0.1, 0.5):
-            view = random_view(rng, kind, d=4, n=9)
+            round_view = one_node_round(random_view(rng, kind, d=4, n=9))
+            view = round_view.node(0)
             solver = FixedQualitySolver(target)
-            res = solver(view, 0, np.random.default_rng(3))
+            res = solver(round_view, [0], [False], [np.random.default_rng(3)])
             oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
-            assert res.theta == pytest.approx(
-                measure_theta(view, res.delta_alpha, oracle), rel=0.0, abs=1e-9)
-            assert res.theta <= target or res.update_count == solver.max_passes * 9
+            (theta,) = res.theta
+            assert theta == pytest.approx(
+                measure_theta(view, res.delta, oracle), rel=0.0, abs=1e-9)
+            assert theta <= target or res.update_count == solver.max_passes * 9
 
 
 def test_measure_theta_halfway(rng):
@@ -305,6 +322,31 @@ def test_lemma_decrease_on_seeded_runs(rng):
             trace = run_w_update(ds, kind, rel, model, state, ConstantPolicy(8),
                                  rounds=15, gamma=gamma, seed=4)
             assert verify_lemma_decrease(trace, gamma).passed
+
+
+def test_dual_before_reuses_the_previous_dual(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(m=5, d=3, n_min=10, n_max=20, cluster_count=2,
+                                          deviation=0.3, noise=0.05, seed=4))
+    config = SolverConfig(inner_rounds=4, outer_rounds=3, seed=4)
+    fresh = []
+    original = solver.federated_round
+
+    def recording(ds, kind, rel, model, state, *args, **kwargs):
+        fresh.append(dual_objective(state, ds, kind, rel))
+        return original(ds, kind, rel, model, state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "federated_round", recording)
+    trace = run_mocha(ds, ProbabilisticPrior(lam=0.5), config,
+                      DropPolicy(budget=12, dropped_ids={1}), SQUARED).trace
+    assert len(trace) == 12
+    assert [stats.dual_before for stats in trace] == fresh
+    for k in range(1, len(trace)):
+        if k % config.inner_rounds:
+            assert trace[k].dual_before == trace[k - 1].dual
+        else:
+            # The learned coupling changed, so the dual is evaluated again.
+            assert trace[k].dual_before != trace[k - 1].dual
+    assert verify_lemma_decrease(trace, config.gamma).passed
 
 
 def test_hinge_feasibility_and_v_consistency_after_rounds(rng):
