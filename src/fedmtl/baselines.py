@@ -184,16 +184,12 @@ def train_global(ds: FederatedDataset, lam: float, kind: LossKind = LossKind.HIN
     return PrimalState(np.tile(w[:, None], (1, ds.m)))
 
 
-def local_trainer(kind: LossKind = LossKind.HINGE, gap_tol: float = 1e-6,
-                  max_epochs: int = 20000):
-    return lambda ds, lam: train_local(ds, lam, kind, gap_tol=gap_tol,
-                                       max_epochs=max_epochs)
+def local_trainer(kind: LossKind = LossKind.HINGE, max_epochs: int = 20000):
+    return lambda ds, lam: train_local(ds, lam, kind, max_epochs=max_epochs)
 
 
-def global_trainer(kind: LossKind = LossKind.HINGE, gap_tol: float = 1e-6,
-                   max_epochs: int = 20000):
-    return lambda ds, lam: train_global(ds, lam, kind, gap_tol=gap_tol,
-                                        max_epochs=max_epochs)
+def global_trainer(kind: LossKind = LossKind.HINGE, max_epochs: int = 20000):
+    return lambda ds, lam: train_global(ds, lam, kind, max_epochs=max_epochs)
 
 
 def mocha_trainer(model_factory, *, kind: LossKind = LossKind.HINGE,

@@ -3,24 +3,31 @@
 Subcommands: generate | train | compare | bench | fault | theory.
 Configuration is a flat INI file (key = value under [section] headers); no
 environment variables are consulted, so a run is reproducible from the config
-file and seed alone.  The config is echoed into the output directory.
+file and seed alone.  The config is echoed into the output directory.  Each
+setting is read in one place: ``theory`` takes gamma from ``[solver] gamma``,
+the value ``train`` runs with.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
+missing, unparsable or out-of-range setting exits 1 before anything is
+written; malformed dataset files exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
 import sys
 import configparser
+from dataclasses import replace
 
 import numpy as np
 
 from . import baselines
 from .data import (
+    DataFormatError,
     FederatedDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -70,6 +77,19 @@ def load_config(path) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
+
+
+@contextlib.contextmanager
+def _settings(section: str):
+    """Turn a ValueError raised in the block by a settings object's own range
+    checks into a ConfigError naming ``section``.  Data errors and config
+    errors pass through as they are."""
+    try:
+        yield
+    except (ConfigError, DataFormatError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _get(cfg, section, key, cast, default=None, required=False):
@@ -125,16 +145,17 @@ def parse_loss(name: str) -> LossKind:
 
 
 def _synthetic_spec(cfg, seed: int) -> SyntheticSpec:
-    return SyntheticSpec(
-        m=_get_int(cfg, "synthetic", "m", required=True),
-        d=_get_int(cfg, "synthetic", "d", required=True),
-        n_min=_get_int(cfg, "synthetic", "n_min", required=True),
-        n_max=_get_int(cfg, "synthetic", "n_max", required=True),
-        cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
-        deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
-        noise=_get_float(cfg, "synthetic", "noise", 0.0),
-        seed=_get_int(cfg, "synthetic", "seed", seed),
-    )
+    with _settings("synthetic"):
+        return SyntheticSpec(
+            m=_get_int(cfg, "synthetic", "m", required=True),
+            d=_get_int(cfg, "synthetic", "d", required=True),
+            n_min=_get_int(cfg, "synthetic", "n_min", required=True),
+            n_max=_get_int(cfg, "synthetic", "n_max", required=True),
+            cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
+            deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
+            noise=_get_float(cfg, "synthetic", "noise", 0.0),
+            seed=_get_int(cfg, "synthetic", "seed", seed),
+        )
 
 
 def build_dataset(cfg, seed: int) -> FederatedDataset:
@@ -153,56 +174,63 @@ def build_dataset(cfg, seed: int) -> FederatedDataset:
     return ds
 
 
-def build_model(cfg, lam_override: float | None = None):
+def build_model(cfg):
     kind = _get_str(cfg, "model", "kind", "mean_regularized")
-    if kind == "mean_regularized":
-        return MeanRegularized(
-            lambda1=_get_float(cfg, "model", "lambda1", 1.0),
-            lambda2=_get_float(cfg, "model", "lambda2", 1.0),
-        )
-    if kind == "probabilistic":
-        return ProbabilisticPrior(
-            lam=lam_override if lam_override is not None
-            else _get_float(cfg, "model", "lam", 1.0),
-            sigma2_prior=_get_float(cfg, "model", "sigma2_prior", 1.0),
-            ridge_eps=_get_float(cfg, "model", "ridge_eps", 1e-6),
-        )
+    with _settings("model"):
+        if kind == "mean_regularized":
+            return MeanRegularized(
+                lambda1=_get_float(cfg, "model", "lambda1", 1.0),
+                lambda2=_get_float(cfg, "model", "lambda2", 1.0),
+            )
+        if kind == "probabilistic":
+            return ProbabilisticPrior(
+                lam=_get_float(cfg, "model", "lam", 1.0),
+                sigma2_prior=_get_float(cfg, "model", "sigma2_prior", 1.0),
+                ridge_eps=_get_float(cfg, "model", "ridge_eps", 1e-6),
+            )
     raise ConfigError(f"model.kind: unknown coupling model {kind!r}")
 
 
-def build_preset(cfg) -> NetworkPreset:
-    name = _get_str(cfg, "network", "preset", "wifi").lower()
+def build_preset(cfg, name: str | None = None) -> NetworkPreset:
+    """The network preset ``name``, by default ``[network] preset``; ``custom``
+    takes its latency and bandwidth from ``[network]``."""
+    if name is None:
+        name = _get_str(cfg, "network", "preset", "wifi")
+    name = name.lower()
     if name == "custom":
-        return NetworkPreset(
-            "custom",
-            _get_float(cfg, "network", "latency_ms", required=True),
-            _get_float(cfg, "network", "bandwidth", required=True),
-        )
+        with _settings("network"):
+            return NetworkPreset(
+                "custom",
+                _get_float(cfg, "network", "latency_ms", required=True),
+                _get_float(cfg, "network", "bandwidth", required=True),
+            )
     if name not in PRESETS:
-        raise ConfigError(f"network.preset: unknown preset {name!r}")
+        raise ConfigError(f"unknown network preset {name!r}")
     return PRESETS[name]
 
 
-def build_heterogeneity(cfg, n_min: int) -> HeterogeneityPolicy:
-    mode = _get_str(cfg, "systems", "heterogeneity", "none")
-    k = _get_int(cfg, "systems", "fixed_k", None)
-    try:
-        return HeterogeneityPolicy(mode=mode, n_min=n_min, k=k)
-    except ValueError as exc:
-        raise ConfigError(f"systems.heterogeneity: {exc}") from None
+def build_heterogeneity(cfg, n_min: int, mode: str | None = None) -> HeterogeneityPolicy:
+    """The budget policy ``mode``, by default ``[systems] heterogeneity``,
+    with ``[systems] fixed_k``."""
+    if mode is None:
+        mode = _get_str(cfg, "systems", "heterogeneity", "none")
+    with _settings("systems"):
+        return HeterogeneityPolicy(mode, n_min, _get_int(cfg, "systems", "fixed_k", None))
 
 
-def build_profiles(cfg, m: int) -> list[NodeProfile]:
+def build_profiles(cfg, m: int, drop_probabilities=None) -> list[NodeProfile]:
+    """One profile per node at ``[systems] clock_rate``; node t drops with
+    ``drop_probabilities[t]``, by default ``[systems] drop_probability``."""
     clock = _get_float(cfg, "systems", "clock_rate", 1e6)
-    p = _get_float(cfg, "systems", "drop_probability", 0.0)
-    try:
-        return [NodeProfile(clock_rate=clock, drop_probability=p) for _ in range(m)]
-    except ValueError as exc:
-        raise ConfigError(f"systems: {exc}") from None
+    if drop_probabilities is None:
+        drop_probabilities = [_get_float(cfg, "systems", "drop_probability", 0.0)] * m
+    with _settings("systems"):
+        return [NodeProfile(clock_rate=clock, drop_probability=p)
+                for p in drop_probabilities]
 
 
 def build_solver_config(cfg, seed: int) -> SolverConfig:
-    try:
+    with _settings("solver"):
         return SolverConfig(
             gamma=_get_float(cfg, "solver", "gamma", 1.0),
             sigma_prime_mode=_get_str(cfg, "solver", "sigma_prime_mode", "global"),
@@ -212,8 +240,6 @@ def build_solver_config(cfg, seed: int) -> SolverConfig:
             workers=_get_int(cfg, "solver", "workers", 1),
             seed=seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
 
 
 def method_params(cfg) -> dict:
@@ -229,19 +255,21 @@ def method_params(cfg) -> dict:
 def _checked_method_params(cfg, methods) -> dict:
     """``method_params``, range-checked for every method that will run."""
     params = method_params(cfg)
-    try:
+    with _settings("method"):
         for method in methods:
             baselines.check_method_params(method, params)
-    except ValueError as exc:
-        raise ConfigError(f"method: {exc}") from None
     return params
+
+
+def _seed(cfg, args) -> int:
+    return args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
 
 
 def _load(args):
     """What every run command starts from: the config, the seed, the loss
     and the dataset."""
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    seed = _seed(cfg, args)
     kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
     return cfg, seed, kind, build_dataset(cfg, seed)
 
@@ -268,7 +296,7 @@ def _write_summary(outdir, summary: dict) -> None:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    seed = _seed(cfg, args)
     outdir = args.out or _get_str(cfg, "output", "dir", required=True)
     ds = generate_synthetic(_synthetic_spec(cfg, seed))
     save_federated_csv(ds, outdir)
@@ -306,10 +334,8 @@ def cmd_train(args) -> int:
         params = _checked_method_params(cfg, [method])
         _echo_config(args.config, outdir)
         result = simulate_run(
-            method, ds, kind=kind, model=model, preset=preset,
-            heterogeneity=het, seed=seed, rounds=solver_config.inner_rounds,
-            gap_tol=solver_config.gap_tol, profiles=profiles,
-            method_params=params, solver_config=solver_config,
+            method, ds, solver_config, kind=kind, model=model, preset=preset,
+            heterogeneity=het, profiles=profiles, method_params=params,
         )
         trace, primal, omega = result.trace, result.primal, result.omega
         last = trace[-1] if trace else None
@@ -359,16 +385,16 @@ def _compare_trainers(cfg, kind: LossKind):
                 factory = lambda lam: ProbabilisticPrior(lam, sigma2, ridge)
             else:
                 factory = lambda lam: MeanRegularized(lam, lam)
+            with _settings("model"):
+                factory(1.0)   # range-checks sigma2_prior and ridge_eps up front
             settings = dict(
                 inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
                 outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),
                 gap_tol=_get_float(cfg, "compare", "mtl_gap_tol", 1e-4),
                 budget_epochs=_get_int(cfg, "compare", "mtl_budget_epochs", 1),
             )
-            try:
+            with _settings("compare"):
                 trainers[name] = baselines.mocha_trainer(factory, kind=kind, **settings)
-            except ValueError as exc:
-                raise ConfigError(f"compare: {exc}") from None
         else:
             raise ConfigError(f"compare.methods: unknown method {name!r}")
     return trainers
@@ -387,6 +413,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare.methods: needs at least one method")
     if not grid:
         raise ConfigError("compare.lambda_grid: needs at least one value")
+    _require(min(grid) > 0.0, "compare.lambda_grid", "needs every value > 0", grid)
     _require(shuffles >= 1, "compare.shuffles", "must be >= 1", shuffles)
     _require(k_folds >= 2, "compare.k_folds", "must be >= 2", k_folds)
     _require(0.0 < train_fraction < 1.0, "compare.train_fraction",
@@ -436,23 +463,19 @@ def cmd_bench(args) -> int:
     rounds = _get_int(cfg, "bench", "rounds", 200)
     _require(rounds >= 1, "bench.rounds", "must be >= 1", rounds)
     target_rel = _get_float(cfg, "bench", "target_suboptimality", 1e-2)
+    _require(0.0 < target_rel < 1.0, "bench.target_suboptimality",
+             "must be in (0, 1)", target_rel)
     profiles = build_profiles(cfg, ds.m)
-    n_min = min(ds.task_sizes())
-    solver_config = build_solver_config(cfg, seed)
+    # No gap target: every cell runs the full round count.
+    config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=None)
     if not presets:
         raise ConfigError("bench.presets: needs at least one preset")
-    for preset_name in presets:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"bench.presets: unknown preset {preset_name!r}")
+    presets = [build_preset(cfg, name) for name in presets]
     for method in methods:
         if method not in ROUND_METHODS:
             raise ConfigError(f"bench.methods: unknown method {method!r}")
     params = _checked_method_params(cfg, methods)
-    fixed_k = _get_int(cfg, "systems", "fixed_k", None)
-    try:
-        hets = [HeterogeneityPolicy(mode, n_min, fixed_k) for mode in het_modes]
-    except ValueError as exc:
-        raise ConfigError(f"bench.heterogeneity: {exc}") from None
+    hets = [build_heterogeneity(cfg, min(ds.task_sizes()), mode) for mode in het_modes]
 
     _echo_config(args.config, outdir)
     floor = _reference_primal_floor(ds, kind, model, seed)
@@ -467,16 +490,14 @@ def cmd_bench(args) -> int:
                 trace = cocoa_trace
             else:
                 trace = simulate_run(
-                    method, ds, kind=kind, model=model,
-                    preset=PRESETS[presets[0]], heterogeneity=het, seed=seed,
-                    rounds=rounds, profiles=profiles, method_params=params,
-                    solver_config=solver_config,
+                    method, ds, config, kind=kind, model=model, preset=presets[0],
+                    heterogeneity=het, profiles=profiles, method_params=params,
                 ).trace
             if method == "cocoa":
                 cocoa_trace = trace
-            for preset_name in presets:
-                attach_times(trace, ds.d, profiles, PRESETS[preset_name])
-                cell = f"{method}_{preset_name}_{het.mode}"
+            for preset in presets:
+                attach_times(trace, ds.d, profiles, preset)
+                cell = f"{method}_{preset.name}_{het.mode}"
                 path = os.path.join(outdir, f"bench_{cell}.csv")
                 first = trace[0].primal
                 target = floor + target_rel * max(first - floor, 0.0)
@@ -508,29 +529,19 @@ def cmd_fault(args) -> int:
     permanent = _get_int(cfg, "fault", "permanent_node", 0)
     _require(0 <= permanent < ds.m, "fault.permanent_node",
              f"must be in [0, {ds.m})", permanent)
-    clock = _get_float(cfg, "systems", "clock_rate", 1e6)
     het = HeterogeneityPolicy("none", min(ds.task_sizes()))
-    solver_config = build_solver_config(cfg, seed)
+    config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=gap_tol)
     preset = build_preset(cfg)
-
-    def _profiles(drop_probabilities):
-        try:
-            return [NodeProfile(clock_rate=clock, drop_probability=p)
-                    for p in drop_probabilities]
-        except ValueError as exc:
-            raise ConfigError(f"fault: {exc}") from None
-
-    runs = [(f"p{p:g}", _profiles([p] * ds.m)) for p in probabilities]
-    runs.append(("permanent", _profiles(
-        [1.0 if t == permanent else 0.0 for t in range(ds.m)])))
+    runs = [(f"p{p:g}", build_profiles(cfg, ds.m, [p] * ds.m)) for p in probabilities]
+    runs.append(("permanent", build_profiles(
+        cfg, ds.m, [1.0 if t == permanent else 0.0 for t in range(ds.m)])))
 
     _echo_config(args.config, outdir)
     summary = {}
     for tag, profiles in runs:
         trace = simulate_run(
-            "mocha", ds, kind=kind, model=model, preset=preset,
-            heterogeneity=het, seed=seed, rounds=rounds, gap_tol=gap_tol,
-            profiles=profiles, solver_config=solver_config,
+            "mocha", ds, config, kind=kind, model=model, preset=preset,
+            heterogeneity=het, profiles=profiles,
         ).trace
         write_trace_csv(os.path.join(outdir, f"fault_{tag}.csv"), trace)
         # Empty when the gap at alpha = 0 already meets gap_tol.
@@ -546,14 +557,17 @@ def cmd_fault(args) -> int:
 def cmd_theory(args) -> int:
     cfg, seed, kind, ds = _load(args)
     model = build_model(cfg)
-    gamma = _get_float(cfg, "theory", "gamma", 1.0)
-    rel = build_relationship(model, initial_omega(model, ds.m), gamma)
-    stats = theory_mod.sigma_stats(ds, rel.mbar)
+    gamma = build_solver_config(cfg, seed).gamma
     eps = _get_float(cfg, "theory", "eps", 1e-3)
+    _require(eps > 0.0, "theory.eps", "must be > 0", eps)
     p_max = _get_float(cfg, "theory", "p_max", 0.0)
     theta_max = _get_float(cfg, "theory", "theta_max", 0.0)
+    with _settings("theory"):
+        tbar = theory_mod.theta_bar(p_max, theta_max)
     gap0 = _get_float(cfg, "theory", "initial_gap_bound", None)
-    tbar = theory_mod.theta_bar(p_max, theta_max)
+    _require(gap0 is None or gap0 > 0.0, "theory.initial_gap_bound", "must be > 0", gap0)
+    rel = build_relationship(model, initial_omega(model, ds.m), gamma)
+    stats = theory_mod.sigma_stats(ds, rel.mbar)
     consts = loss_constants(kind)
     out = {
         "n": ds.n,

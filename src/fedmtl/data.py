@@ -30,7 +30,6 @@ class TaskDataset:
     task_id: int
     features: np.ndarray   # d x n_t, columns are examples
     labels: np.ndarray     # n_t values in {-1, +1}
-    col_norms2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         feats = np.asfortranarray(np.asarray(self.features, dtype=float))
@@ -49,9 +48,6 @@ class TaskDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        norms2 = np.einsum("ij,ij->j", feats, feats)
-        norms2.setflags(write=False)
-        object.__setattr__(self, "col_norms2", norms2)
 
     @property
     def n(self) -> int:
@@ -90,7 +86,8 @@ class FederatedDataset:
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "offsets", _packed([[0], np.cumsum([t.n for t in tasks])]))
         object.__setattr__(self, "labels", _packed([t.labels for t in tasks]))
-        object.__setattr__(self, "col_norms2", _packed([t.col_norms2 for t in tasks]))
+        object.__setattr__(self, "col_norms2", _packed(
+            [np.einsum("ij,ij->j", t.features, t.features) for t in tasks]))
 
     @functools.cached_property
     def feature_table(self) -> np.ndarray:

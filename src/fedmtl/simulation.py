@@ -15,7 +15,7 @@ wrapped run is reproducible and indifferent to worker threading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class NodeProfile:
         if self.clock_rate <= 0.0:
             raise ValueError("clock_rate must be positive")
         if not 0.0 <= self.drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
+            raise ValueError(
+                f"drop_probability must be in [0, 1], got {self.drop_probability!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class HeterogeneityPolicy:
 
     def __post_init__(self):
         if self.mode not in ("none", "low", "high", "fixed"):
-            raise ValueError("mode must be none|low|high|fixed")
+            raise ValueError(f"mode must be none|low|high|fixed, got {self.mode!r}")
         if self.n_min < 1:
             raise ValueError("n_min must be >= 1")
         if self.mode == "fixed" and (self.k is None or self.k < 0):
@@ -176,14 +177,15 @@ def attach_times(trace: list[RoundStats], d: int, profiles,
     return trace
 
 
-def simulate_run(method: str, ds: FederatedDataset, *, kind: LossKind,
-                 model: OmegaModel, preset: NetworkPreset,
-                 heterogeneity: HeterogeneityPolicy, seed: int,
-                 rounds: int, gap_tol: float | None = None,
-                 profiles=None, method_params: dict | None = None,
-                 solver_config: SolverConfig | None = None) -> RunResult:
+def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
+                 kind: LossKind, model: OmegaModel, preset: NetworkPreset,
+                 heterogeneity: HeterogeneityPolicy, profiles=None,
+                 method_params: dict | None = None) -> RunResult:
     """Run a method under a systems environment and annotate its trace with
-    estimated time.  ``method_params`` overrides ``METHOD_DEFAULTS``."""
+    estimated time.  Every method takes its seed, round count and gap target
+    from ``config``; MOCHA runs the whole config, while the baselines run
+    against the initial coupling at gamma = 1.  ``method_params`` overrides
+    ``METHOD_DEFAULTS``."""
     from . import baselines
 
     params = {**METHOD_DEFAULTS, **(method_params or {})}
@@ -191,6 +193,7 @@ def simulate_run(method: str, ds: FederatedDataset, *, kind: LossKind,
         profiles = [NodeProfile() for _ in range(ds.m)]
     if len(profiles) != ds.m:
         raise ValueError("need one node profile per task")
+    seed, rounds, gap_tol = config.seed, config.inner_rounds, config.gap_tol
     policy = SystemsPolicy(seed, profiles, heterogeneity)
     # The mini-batch methods draw budgets and drops only under heterogeneity.
     batch_policy = policy if heterogeneity.mode != "none" else None
@@ -198,8 +201,6 @@ def simulate_run(method: str, ds: FederatedDataset, *, kind: LossKind,
     # The fixed coupling the baselines run against.
     omega = initial_omega(model, ds.m)
     if method == "mocha":
-        config = replace(solver_config or SolverConfig(), seed=seed,
-                         inner_rounds=rounds, gap_tol=gap_tol)
         result = run_mocha(ds, model, config, policy, kind)
     elif method == "cocoa":
         result = baselines.cocoa_run(

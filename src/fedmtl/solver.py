@@ -46,7 +46,7 @@ import shutil
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,23 +95,15 @@ class PrimalState:
 @dataclass(eq=False)
 class DualState:
     """Dual iterate: every block alpha_t packed in one n-vector, updated in
-    place, and the shared v with v[:, t] = X_t alpha_t.
-
-    ``alpha[t]`` is a view of block t, so an in-place edit reaches the packed
-    vector; ``alpha`` is a tuple, so rebinding a block raises.
-    """
+    place (block t at ``ds.offsets[t]:ds.offsets[t + 1]``), and the shared v
+    with v[:, t] = X_t alpha_t."""
 
     packed: np.ndarray
     v: np.ndarray
-    offsets: InitVar[np.ndarray]
-    alpha: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self, offsets):
-        self.alpha = tuple(self.packed[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 def init_dual_state(ds: FederatedDataset) -> DualState:
-    return DualState(np.zeros(ds.n), np.zeros((ds.d, ds.m)), ds.offsets)
+    return DualState(np.zeros(ds.n), np.zeros((ds.d, ds.m)))
 
 
 @dataclass
@@ -250,13 +242,13 @@ class RoundView:
     workers: int = 1
 
     def node(self, t: int) -> SubproblemView:
-        task = self.ds.tasks[t]
+        block = slice(self.ds.offsets[t], self.ds.offsets[t + 1])
         return SubproblemView(
-            X=task.features,
-            labels=task.labels,
-            alpha=self.alpha[self.ds.offsets[t]:self.ds.offsets[t + 1]],
+            X=self.ds.tasks[t].features,
+            labels=self.ds.labels[block],
+            alpha=self.alpha[block],
             w=self.W[:, t],
-            col_norms2=task.col_norms2,
+            col_norms2=self.ds.col_norms2[block],
             kappa=float(self.kappa[t]),
             kind=self.kind,
         )
@@ -657,11 +649,11 @@ def _executor(workers: int) -> ThreadPoolExecutor:
 
 def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                     model: OmegaModel, state: DualState, budgets, drops, *,
-                    gamma: float = 1.0, round_idx: int = 0, seed: int = 0,
+                    round_idx: int = 0, seed: int = 0,
                     sigma_prime_mode: str = "global", workers: int = 1,
                     local_solver=None, previous: RoundStats | None = None) -> RoundStats:
     """One synchronous round: local solves against a common snapshot, then a
-    gamma-scaled reduce and refreshed objectives.
+    reduce scaled by ``rel.gamma`` and refreshed objectives.
 
     ``local_solver(view, budgets, drops, streams) -> RoundResult`` solves
     every node's subproblem for the round: ``view`` is the ``RoundView``,
@@ -693,8 +685,8 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     result = solve(view, budgets, drops, streams)
     subproblem_sum = _unless_infeasible(lambda: _subproblem_sum(view, result), strict)
 
-    state.packed += gamma * result.delta
-    state.v += gamma * result.delta_v
+    state.packed += rel.gamma * result.delta
+    state.v += rel.gamma * result.delta_v
 
     dual = _unless_infeasible(lambda: dual_objective(state, ds, kind, rel), strict)
     W_new = primal_from_dual(state.v, rel.mbar)
@@ -715,7 +707,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
 
 def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                  model: OmegaModel, state: DualState, policy, *,
-                 rounds: int, gap_tol: float | None = None, gamma: float = 1.0,
+                 rounds: int, gap_tol: float | None = None,
                  seed: int = 0, start_round: int = 0,
                  sigma_prime_mode: str = "global", workers: int = 1,
                  local_solver=None) -> list[RoundStats]:
@@ -731,7 +723,7 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
         drops = [policy.dropped(t, h) for t in range(ds.m)]
         stats = federated_round(
             ds, kind, rel, model, state, budgets, drops,
-            gamma=gamma, round_idx=h, seed=seed,
+            round_idx=h, seed=seed,
             sigma_prime_mode=sigma_prime_mode, workers=workers,
             local_solver=local_solver, previous=out[-1] if out else None,
         )
@@ -754,7 +746,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
         stats = run_w_update(
             ds, kind, rel, model, state, policy,
             rounds=config.inner_rounds, gap_tol=config.gap_tol,
-            gamma=config.gamma, seed=config.seed, start_round=h,
+            seed=config.seed, start_round=h,
             sigma_prime_mode=config.sigma_prime_mode, workers=config.workers,
         )
         trace.extend(stats)

@@ -124,15 +124,12 @@ def sigma_prime_sides(ds: FederatedDataset, mbar: np.ndarray,
         sigma' * sum_t ||X_t alpha_t||^2_{M_t} >= gamma * ||X alpha||^2_M.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    blocks = []
-    offset = 0
-    for task in ds.tasks:
-        blocks.append(alphas[:, offset:offset + task.n] @ task.features.T)
-        offset += task.n
-    if offset != alphas.shape[1]:
-        raise ValueError(f"alpha length {alphas.shape[1]} does not match n={offset}")
+    if alphas.shape[1] != ds.n:
+        raise ValueError(f"alpha length {alphas.shape[1]} does not match n={ds.n}")
+    o = ds.offsets
     # V[i, :, t] = X_t alpha_t for trial i; G[i] is its m x m Gram matrix.
-    V = np.stack(blocks, axis=2)
+    V = np.stack([alphas[:, o[t]:o[t + 1]] @ task.features.T
+                  for t, task in enumerate(ds.tasks)], axis=2)
     G = np.einsum("ids,idt->ist", V, V)
     lhs = sigma_prime_val * np.einsum("itt,t->i", G, np.diag(mbar))
     rhs = gamma * np.einsum("ist,st->i", G, mbar)

@@ -23,11 +23,16 @@ def make_dataset(rng, m=3, d=6, n_lo=8, n_hi=15):
     return FederatedDataset(tuple(tasks))
 
 
+def block(state, ds, t):
+    """Task t's block of the packed dual, as a writable view."""
+    return state.packed[ds.offsets[t]:ds.offsets[t + 1]]
+
+
 def recompute_v(state, ds):
     """Fresh X @ alpha, column per task, for checking the solver's running v."""
     v = np.empty((ds.d, ds.m))
     for t, task in enumerate(ds.tasks):
-        v[:, t] = task.features @ state.alpha[t]
+        v[:, t] = task.features @ block(state, ds, t)
     return v
 
 

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 
@@ -338,6 +339,28 @@ dir = {out}
 """)
         assert main(["train", "--config", cfg]) == 1, bad
         assert not out.exists(), bad
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("train", "[model]\nlambda2 = 0"),
+    ("train", "[synthetic]\nm = 0"),
+    ("generate", "[synthetic]\nm = 0"),
+    ("train", "[network]\npreset = custom\nlatency_ms = -1\nbandwidth = 100"),
+    ("theory", "[theory]\np_max = 1.5"),
+    ("theory", "[theory]\neps = 0"),
+    ("theory", "[solver]\ngamma = 2"),
+    ("compare", "[compare]\nlambda_grid = -1, 0.5"),
+    ("bench", "[bench]\ntarget_suboptimality = -1"),
+])
+def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings):
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE_SYNTH + "\n[method]\nname = mocha\n")
+    parser.read_string(settings)
+    with open(tmp_path / "bad.ini", "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path / "bad.ini"), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_bench_command(tmp_path):

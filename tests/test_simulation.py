@@ -17,6 +17,7 @@ from fedmtl.simulation import (
     sample_drop,
     simulate_run,
 )
+from fedmtl.solver import SolverConfig
 
 HINGE = LossKind.HINGE
 
@@ -110,9 +111,8 @@ def _small_run(preset, seed=3, het_mode="none", rounds=6):
     ds = generate_synthetic(SyntheticSpec(m=3, d=6, n_min=12, n_max=12, seed=1))
     model = MeanRegularized(1.0, 1.0)
     return simulate_run(
-        "mocha", ds, kind=HINGE, model=model, preset=preset,
-        heterogeneity=HeterogeneityPolicy(het_mode, n_min=12),
-        seed=seed, rounds=rounds,
+        "mocha", ds, SolverConfig(inner_rounds=rounds, seed=seed), kind=HINGE,
+        model=model, preset=preset, heterogeneity=HeterogeneityPolicy(het_mode, n_min=12),
     ), ds
 
 
@@ -153,17 +153,17 @@ def test_simulate_run_methods_dispatch():
         ("mb_sgd", {"batch": 3, "step": 0.05}),
     ]:
         sim = simulate_run(
-            method, ds, kind=HINGE, model=model, preset=PRESETS["wifi"],
-            heterogeneity=HeterogeneityPolicy("none", n_min=10),
-            seed=1, rounds=4, method_params=params,
+            method, ds, SolverConfig(inner_rounds=4, seed=1), kind=HINGE, model=model,
+            preset=PRESETS["wifi"], heterogeneity=HeterogeneityPolicy("none", n_min=10),
+            method_params=params,
         )
         assert len(sim.trace) == 4
         assert sim.trace[-1].elapsed_ms_estimated > 0
         assert sim.primal.W.shape == (ds.d, ds.m)
     with pytest.raises(ValueError):
-        simulate_run("nope", ds, kind=HINGE, model=model, preset=PRESETS["wifi"],
-                     heterogeneity=HeterogeneityPolicy("none", n_min=10),
-                     seed=1, rounds=2)
+        simulate_run("nope", ds, SolverConfig(inner_rounds=2, seed=1), kind=HINGE,
+                     model=model, preset=PRESETS["wifi"],
+                     heterogeneity=HeterogeneityPolicy("none", n_min=10))
 
 
 def test_drop_injection_reaches_solver():
@@ -172,9 +172,9 @@ def test_drop_injection_reaches_solver():
     profiles = [NodeProfile(drop_probability=0.9) for _ in range(3)]
     for method in ("mocha", "mb_sdca"):
         sim = simulate_run(
-            method, ds, kind=HINGE, model=model, preset=PRESETS["wifi"],
-            heterogeneity=HeterogeneityPolicy("high", n_min=10),
-            seed=11, rounds=20, profiles=profiles,
+            method, ds, SolverConfig(inner_rounds=20, seed=11), kind=HINGE, model=model,
+            preset=PRESETS["wifi"], heterogeneity=HeterogeneityPolicy("high", n_min=10),
+            profiles=profiles,
         )
         assert any(s.dropped for s in sim.trace), method
         dropped_counts = [c for s in sim.trace for t, c in enumerate(s.update_counts)

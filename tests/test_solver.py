@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from tests.conftest import make_dataset, one_node_round, random_view, recompute_v
+from tests.conftest import block, make_dataset, one_node_round, random_view, recompute_v
 
 from fedmtl import solver
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
@@ -74,7 +74,7 @@ def test_dual_objective_zero_and_hand_value():
     model, rel = mean_reg_setup(ds, lambda1=0.0, lambda2=1.0)
     state = init_dual_state(ds)
     assert dual_objective(state, ds, HINGE, rel) == 0.0
-    state.alpha[0][0] = 1.0
+    block(state, ds, 0)[0] = 1.0
     state.v = recompute_v(state, ds)
     # conjugate term -1 plus quadratic term 1/4
     assert dual_objective(state, ds, HINGE, rel) == pytest.approx(-0.75, abs=1e-15)
@@ -86,7 +86,7 @@ def test_weak_duality_on_random_feasible_duals(rng):
     for _ in range(50):
         state = init_dual_state(ds)
         for t, task in enumerate(ds.tasks):
-            state.alpha[t][:] = task.labels * rng.uniform(0, 1, size=task.n)
+            block(state, ds, t)[:] = task.labels * rng.uniform(0, 1, size=task.n)
         state.v = recompute_v(state, ds)
         assert duality_gap(state, ds, HINGE, rel, model) >= -1e-8
 
@@ -95,11 +95,10 @@ def test_dual_state_blocks_are_views_of_the_packed_alpha(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=8)
     model, rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    with pytest.raises(TypeError):
-        state.alpha[1] = np.ones(ds.tasks[1].n)
-    state.alpha[1][:] = 0.5 * ds.tasks[1].labels
+    block(state, ds, 1)[:] = 0.5 * ds.tasks[1].labels
     state.v = recompute_v(state, ds)
-    assert state.packed[ds.offsets[1]:ds.offsets[2]].tolist() == state.alpha[1].tolist()
+    assert state.packed[ds.offsets[1]:ds.offsets[2]].tolist() == \
+        (0.5 * ds.tasks[1].labels).tolist()
     expected = -0.5 * ds.tasks[1].n + 0.25 * float(np.sum(rel.mbar * (state.v.T @ state.v)))
     assert dual_objective(state, ds, HINGE, rel) == pytest.approx(expected, rel=1e-12)
 
@@ -287,13 +286,13 @@ def test_round_all_dropped_leaves_state(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=8)
     model, rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    state.alpha[0][:] = ds.tasks[0].labels * 0.5
+    block(state, ds, 0)[:] = ds.tasks[0].labels * 0.5
     state.v = recompute_v(state, ds)
-    before_alpha = [a.copy() for a in state.alpha]
+    before_alpha = state.packed.copy()
     before_v = state.v.copy()
     stats = federated_round(ds, HINGE, rel, model, state,
                             budgets=[10] * 3, drops=[True] * 3)
-    assert all(np.array_equal(a, b) for a, b in zip(state.alpha, before_alpha))
+    assert np.array_equal(state.packed, before_alpha)
     assert np.array_equal(state.v, before_v)
     assert stats.dropped == [0, 1, 2]
     assert stats.update_counts == [0, 0, 0]
@@ -320,7 +319,7 @@ def test_lemma_decrease_on_seeded_runs(rng):
             model, rel = mean_reg_setup(ds, gamma=gamma)
             state = init_dual_state(ds)
             trace = run_w_update(ds, kind, rel, model, state, ConstantPolicy(8),
-                                 rounds=15, gamma=gamma, seed=4)
+                                 rounds=15, seed=4)
             assert verify_lemma_decrease(trace, gamma).passed
 
 
@@ -354,9 +353,9 @@ def test_hinge_feasibility_and_v_consistency_after_rounds(rng):
     model, rel = mean_reg_setup(ds, gamma=0.5)
     state = init_dual_state(ds)
     run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(9),
-                 rounds=25, gamma=0.5, seed=8)
+                 rounds=25, seed=8)
     for t, task in enumerate(ds.tasks):
-        assert hinge_box_violation(state.alpha[t], task.labels) <= 1e-12
+        assert hinge_box_violation(block(state, ds, t), task.labels) <= 1e-12
     fresh = recompute_v(state, ds)
     assert np.linalg.norm(state.v - fresh) <= 1e-8 * (1.0 + np.linalg.norm(fresh))
 
@@ -416,8 +415,7 @@ def test_workers_do_not_change_trace(rng):
     t4, s4 = run(4)
     for a, b in zip(t1, t4):
         assert a.dual == b.dual and a.primal == b.primal and a.gap == b.gap
-    for x, y in zip(s1.alpha, s4.alpha):
-        assert np.array_equal(x, y)
+    assert np.array_equal(s1.packed, s4.packed)
     assert np.array_equal(s1.v, s4.v)
 
 
