@@ -4,7 +4,12 @@
    fedmtl_run_round, which runs it for a range of nodes, that of
    fedmtl.solver._run_round; _run_updates_py is the reference both must
    match.  Built without contraction into fused multiply-adds, so each
-   operation rounds as it does in Python. */
+   operation rounds as it does in Python.
+
+   fedmtl_draw_integers and fedmtl_draw_random reproduce numpy's
+   np.random.default_rng streams bit for bit; fedmtl.solver.native_integers
+   and native_random call them and check them against numpy when the
+   library is loaded. */
 
 #include <stdint.h>
 
@@ -71,5 +76,150 @@ void fedmtl_run_round(int hinge, int64_t d, int64_t t0, int64_t t1,
         fedmtl_run_updates(hinge, d, starts[t + 1] - starts[t], X[t], W + t * d,
                            y + o, alpha + o, norms2 + o, kappa[t],
                            idx + starts[t], delta + o, U + t * d);
+    }
+}
+
+
+/* numpy's SeedSequence (pool of four 32-bit words) and PCG64 (128-bit LCG
+   with XSL-RR output, O'Neill 2014), as np.random.default_rng(key) builds
+   them for a key of four integers below 2**64. */
+
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    int has32;          /* the high half of the last 64-bit output is unused */
+    uint32_t high32;
+} pcg64;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ (r >> 16);
+}
+
+static void pcg64_step(pcg64 *g)
+{
+    static const u128 mult = ((u128)0x2360ed051fc65da4ull << 64) | 0x4385df649fccf645ull;
+    g->state = g->state * mult + g->inc;
+}
+
+static void pcg64_seed(pcg64 *g, const uint64_t key[4])
+{
+    /* Each key integer gives its 32-bit words, low first; zero gives one. */
+    uint32_t entropy[8], pool[4], hash = INIT_A, words[8];
+    int n = 0;
+    for (int k = 0; k < 4; k++) {
+        entropy[n++] = (uint32_t)key[k];
+        if (key[k] >> 32)
+            entropy[n++] = (uint32_t)(key[k] >> 32);
+    }
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
+    /* generate_state(4, uint64): eight words, paired little-endian. */
+    hash = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hash;
+        hash *= MULT_B;
+        v *= hash;
+        words[i] = v ^ (v >> 16);
+    }
+    uint64_t s[4];
+    for (int i = 0; i < 4; i++)
+        s[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+    /* pcg64_set_seed: s[0], s[1] are the state's high and low halves, s[2],
+       s[3] those of the sequence. */
+    g->inc = ((((u128)s[2] << 64) | s[3]) << 1) | 1u;
+    g->state = 0;
+    pcg64_step(g);
+    g->state += ((u128)s[0] << 64) | s[1];
+    pcg64_step(g);
+    g->has32 = 0;
+    g->high32 = 0;
+}
+
+static uint64_t pcg64_next64(pcg64 *g)
+{
+    pcg64_step(g);
+    uint64_t hi = (uint64_t)(g->state >> 64), x = hi ^ (uint64_t)g->state;
+    unsigned r = (unsigned)(hi >> 58);
+    return (x >> r) | (x << ((64u - r) & 63u));
+}
+
+static uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has32) {
+        g->has32 = 0;
+        return g->high32;
+    }
+    uint64_t next = pcg64_next64(g);
+    g->has32 = 1;
+    g->high32 = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* Lemire's multiply-and-reject (arXiv:1805.10941) on 32-bit draws, as
+   numpy's buffered_bounded_lemire_uint32: uniform on [0, range], for
+   range < 2**32 - 1. */
+static uint32_t bounded32(pcg64 *g, uint32_t range)
+{
+    uint32_t excl = range + 1u;
+    uint64_t m = (uint64_t)pcg64_next32(g) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        uint32_t threshold = (UINT32_MAX - range) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg64_next32(g) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* For key k (keys is nkeys x 4, row-major), counts[k] integers in
+   [lo[k], lo[k] + range[k]] appended to out, as
+   default_rng(key).integers(lo, lo + range, size=count, endpoint=True)
+   draws them; every range must be below 2**32 - 1. */
+void fedmtl_draw_integers(int64_t nkeys, const uint64_t *keys, const int64_t *lo,
+                          const int64_t *range, const int64_t *counts, int64_t *out)
+{
+    for (int64_t k = 0; k < nkeys; k++) {
+        pcg64 g;
+        if (range[k] && counts[k])
+            pcg64_seed(&g, keys + 4 * k);
+        for (int64_t j = 0; j < counts[k]; j++)
+            *out++ = lo[k] + (range[k] ? (int64_t)bounded32(&g, (uint32_t)range[k]) : 0);
+    }
+}
+
+/* For key k, out[k] = default_rng(key).random(). */
+void fedmtl_draw_random(int64_t nkeys, const uint64_t *keys, double *out)
+{
+    for (int64_t k = 0; k < nkeys; k++) {
+        pcg64 g;
+        pcg64_seed(&g, keys + 4 * k);
+        out[k] = (double)(pcg64_next64(&g) >> 11) * (1.0 / 9007199254740992.0);
     }
 }

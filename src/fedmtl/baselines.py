@@ -115,13 +115,14 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
         grad = regularizer_grad(W, omega, model)
         counts = []
         dropped = []
+        budgets, drops = policy.draws(ds.m, h)
         for t, task in enumerate(ds.tasks):
-            if policy.dropped(t, h):
+            if drops[t]:
                 dropped.append(t)
                 grad[:, t] = 0.0
                 counts.append(0)
                 continue
-            b_t = min(max(int(policy.budget(t, h)), 1), task.n)
+            b_t = min(max(int(budgets[t]), 1), task.n)
             counts.append(b_t)
             rng = np.random.default_rng([seed, SGD_STREAM, t, h])
             idx = rng.choice(task.n, size=b_t, replace=False)

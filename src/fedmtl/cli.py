@@ -378,15 +378,12 @@ def _compare_trainers(cfg, kind: LossKind):
         elif name == "local":
             trainers[name] = baselines.local_trainer(kind, max_epochs=max_epochs)
         elif name == "mtl":
-            model_kind = _get_str(cfg, "model", "kind", "probabilistic")
-            if model_kind == "probabilistic":
-                sigma2 = _get_float(cfg, "model", "sigma2_prior", 1.0)
-                ridge = _get_float(cfg, "model", "ridge_eps", 1e-6)
-                factory = lambda lam: ProbabilisticPrior(lam, sigma2, ridge)
+            # The coupling train runs; each grid lambda takes the place of its weights.
+            model = build_model(cfg)
+            if isinstance(model, ProbabilisticPrior):
+                factory = lambda lam: replace(model, lam=lam)
             else:
                 factory = lambda lam: MeanRegularized(lam, lam)
-            with _settings("model"):
-                factory(1.0)   # range-checks sigma2_prior and ridge_eps up front
             settings = dict(
                 inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
                 outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),

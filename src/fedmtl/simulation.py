@@ -10,7 +10,9 @@ round lasts as long as the slowest responding node; dropped nodes never extend
 the deadline, which is set by the coordinator's clock cycle.
 
 Budget and dropout draws are pure functions of (seed, node, round), so any
-wrapped run is reproducible and indifferent to worker threading.
+wrapped run is reproducible and indifferent to worker threading.  A round's
+budgets and drops are drawn for every node at once, natively where the
+native draws reproduce numpy's streams.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ import numpy as np
 from .data import FederatedDataset
 from .losses import LossKind
 from .regularizers import OmegaModel, build_relationship, initial_omega
-from .solver import RoundStats, RunResult, SolverConfig, run_mocha
+from .solver import (
+    RoundStats,
+    RunResult,
+    SolverConfig,
+    native_integers,
+    native_random,
+    run_mocha,
+)
 
 BUDGET_STREAM = 21
 DROP_STREAM = 22
@@ -145,7 +154,8 @@ def round_time(per_node_flops, profiles, preset: NetworkPreset,
 
 class SystemsPolicy:
     """Budget/drop provider for solver runs, backed by reproducible streams
-    keyed on (seed, node, round)."""
+    keyed on (seed, node, round).  ``budget`` and ``dropped`` draw one node's
+    values; ``draws`` gives the same values for a whole round."""
 
     def __init__(self, seed: int, profiles, heterogeneity: HeterogeneityPolicy):
         if seed < 0:
@@ -161,6 +171,20 @@ class SystemsPolicy:
     def dropped(self, task_id: int, round_idx: int) -> bool:
         rng = np.random.default_rng([self.seed, DROP_STREAM, task_id, round_idx])
         return sample_drop(self.profiles[task_id], rng)
+
+    def draws(self, m: int, round_idx: int) -> tuple[list[int], list[bool]]:
+        """``budget`` and ``dropped`` of nodes 0 .. m - 1 for the round: one
+        native call for the budgets and one for the drops, or the per-node
+        methods where the native draws cannot run."""
+        lo, hi = self.heterogeneity.bounds()
+        budgets = native_integers([(self.seed, BUDGET_STREAM, t, round_idx) for t in range(m)],
+                                  lo, hi, 1)
+        uniforms = native_random([(self.seed, DROP_STREAM, t, round_idx) for t in range(m)])
+        if budgets is None or uniforms is None:
+            return ([self.budget(t, round_idx) for t in range(m)],
+                    [self.dropped(t, round_idx) for t in range(m)])
+        probabilities = [profile.drop_probability for profile in self.profiles[:m]]
+        return budgets.tolist(), (uniforms < probabilities).tolist()
 
 
 def attach_times(trace: list[RoundStats], d: int, profiles,

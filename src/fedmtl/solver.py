@@ -25,10 +25,13 @@ snapshot to the local solver at once (``RoundView``) and gets back one packed
 delta, so the dual and the summed subproblem values are each one pass over
 packed vectors rather than a loop over tasks.
 
-Concurrency: every node's stream, keyed by (seed, stream, task, round), is
-built on the calling thread, and MOCHA's local solver draws all its indices
-there too.  The nodes are then split into contiguous chunks, one per worker,
-and each chunk is one call of the native round kernel, which releases the
+Concurrency: every random draw is keyed by (seed, stream, task, round) and
+taken on the calling thread.  A round's budgets and drops, and every
+responding node's coordinate indices, are each one native call that
+reproduces numpy's ``default_rng`` streams bit for bit (``native_integers``,
+``native_random``), with numpy itself as the path where that cannot run.
+The nodes are then split into contiguous chunks, one per worker, and each
+chunk is one call of the native round kernel, which releases the
 interpreter lock.  Nodes read a frozen snapshot and write only their own
 blocks, and the reduce adds the packed delta once, so traces are
 bit-identical for any worker count.
@@ -168,18 +171,18 @@ class RunResult:
 
 class ConstantPolicy:
     """Fixed per-round update budget, no drops.  Budget may be an int applied
-    to every node or a per-node sequence."""
+    to every node or a per-node sequence.
+
+    A policy's ``draws(m, round_idx)`` gives the budgets and drop flags of
+    nodes 0 .. m - 1 for one round."""
 
     def __init__(self, budget):
         self._budget = budget
 
-    def budget(self, task_id: int, round_idx: int) -> int:
+    def draws(self, m: int, round_idx: int) -> tuple[list[int], list[bool]]:
         if np.isscalar(self._budget):
-            return int(self._budget)
-        return int(self._budget[task_id])
-
-    def dropped(self, task_id: int, round_idx: int) -> bool:
-        return False
+            return [int(self._budget)] * m, [False] * m
+        return [int(self._budget[t]) for t in range(m)], [False] * m
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,20 @@ class SubproblemView:
     col_norms2: np.ndarray
     kappa: float
     kind: LossKind
+
+    @functools.cached_property
+    def _kernel_args(self) -> tuple[int, int, list[np.ndarray], list[int]]:
+        """``(d, n, arrays, pointers)`` for the native kernel: the features
+        column-major and w, labels, alpha and norms contiguous float64,
+        converted and checked once per view.  ``arrays`` keeps the buffers
+        behind ``pointers`` alive."""
+        X = np.asfortranarray(self.X, dtype=np.float64)
+        d, n = X.shape
+        arrays = [X, *(np.ascontiguousarray(a, dtype=np.float64)
+                       for a in (self.w, self.labels, self.alpha, self.col_norms2))]
+        if any(a.shape != s for a, s in zip(arrays[1:], [(d,), (n,), (n,), (n,)])):
+            raise ValueError("view arrays do not match its d x n features")
+        return d, n, arrays, [a.ctypes.data for a in arrays]
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +311,33 @@ _KERNEL_SOURCE = Path(__file__).with_name("_updates.c")
 _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
+# The native draws are used only if they give numpy's draws for this key:
+# its first word takes two 32-bit entropy words, and the odd count leaves
+# the high half of a 64-bit output for the next integer.
+_STREAM_CHECK = ((2**63 + 12345, SOLVER_STREAM, 3, 7), -5, 2**31, 7)
+
+
+def _streams_match_numpy(lib) -> bool:
+    """Whether ``lib``'s draws for ``_STREAM_CHECK`` equal numpy's."""
+    key, lo, hi, count = _STREAM_CHECK
+    keys = np.array([key], dtype=np.uint64)
+    args = [np.array([v], dtype=np.int64) for v in (lo, hi - lo, count)]
+    ints, double = np.empty(count, dtype=np.int64), np.empty(1)
+    lib.fedmtl_draw_integers(1, keys.ctypes.data, *(a.ctypes.data for a in args),
+                             ints.ctypes.data)
+    lib.fedmtl_draw_random(1, keys.ctypes.data, double.ctypes.data)
+    ref = np.random.default_rng(list(key)).integers(lo, hi, size=count, endpoint=True)
+    return bool(np.array_equal(ints, ref)
+                and double[0] == np.random.default_rng(list(key)).random())
+
+
 @functools.cache
 def _load_kernel():
-    """The compiled ``_updates.c``, with ``fedmtl_run_updates`` and
-    ``fedmtl_run_round`` declared, or None when there is no C compiler or
-    the build fails.
+    """The compiled ``_updates.c``, with ``fedmtl_run_updates``,
+    ``fedmtl_run_round``, ``fedmtl_draw_integers`` and ``fedmtl_draw_random``
+    declared, or None when there is no C compiler or the build fails.
+    ``lib.numpy_streams`` is whether the draws matched numpy's when loaded;
+    numpy does not promise that its streams stay the same across versions.
 
     Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
     build writes a temporary file and renames it, so concurrent builds are
@@ -330,8 +369,65 @@ def _load_kernel():
     lib.fedmtl_run_updates.argtypes = [ctypes.c_int, i64, i64, ptr, ptr, ptr, ptr, ptr,
                                        ctypes.c_double, ptr, ptr, ptr]
     lib.fedmtl_run_round.argtypes = [ctypes.c_int, i64, i64, i64, *[ptr] * 11]
-    lib.fedmtl_run_updates.restype = lib.fedmtl_run_round.restype = None
+    lib.fedmtl_draw_integers.argtypes = [i64, *[ptr] * 5]
+    lib.fedmtl_draw_random.argtypes = [i64, ptr, ptr]
+    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round,
+                  lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
+        entry.restype = None
+    lib.numpy_streams = _streams_match_numpy(lib)
     return lib
+
+
+def _stream_keys(keys):
+    """``keys`` as the K x 4 uint64 array the native draws take, or None when
+    they must take numpy's path: no kernel, a kernel whose draws did not
+    match numpy's, or a key that is not four integers in [0, 2**64)."""
+    lib = _load_kernel()
+    if lib is None or not lib.numpy_streams:
+        return None
+    try:
+        return np.array(keys, dtype=np.uint64).reshape(len(keys), 4)
+    except (OverflowError, ValueError):
+        return None
+
+
+def native_integers(keys, lo, hi, counts) -> np.ndarray | None:
+    """Every key's draws in one native call, concatenated: for key k,
+    ``counts[k]`` integers in ``[lo[k], hi[k]]``, exactly those of
+    ``np.random.default_rng(list(keys[k])).integers(lo[k], hi[k],
+    size=counts[k], endpoint=True)``.  ``lo``, ``hi`` and ``counts`` may be
+    scalars.
+
+    None when the caller must draw with numpy: see ``_stream_keys``, and a
+    range ``hi - lo`` of 2**32 - 1 or more, or an invalid one.
+    """
+    key_array = _stream_keys(keys)
+    if key_array is None:
+        return None
+    lo, hi, counts = (np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype=np.int64),
+                                                           (len(key_array),)))
+                      for a in (lo, hi, counts))
+    width = hi - lo
+    if key_array.size and not (width.min() >= 0 and width.max() < 2**32 - 1
+                               and counts.min() >= 0):
+        return None
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    _load_kernel().fedmtl_draw_integers(len(key_array), key_array.ctypes.data, lo.ctypes.data,
+                                        width.ctypes.data, counts.ctypes.data,
+                                        out.ctypes.data)
+    return out
+
+
+def native_random(keys) -> np.ndarray | None:
+    """One double per key in one native call, exactly
+    ``np.random.default_rng(list(key)).random()``; None when the caller must
+    draw with numpy (see ``_stream_keys``)."""
+    key_array = _stream_keys(keys)
+    if key_array is None:
+        return None
+    out = np.empty(len(key_array))
+    _load_kernel().fedmtl_draw_random(len(key_array), key_array.ctypes.data, out.ctypes.data)
+    return out
 
 
 def _run_updates(view: SubproblemView, idx: np.ndarray,
@@ -341,28 +437,24 @@ def _run_updates(view: SubproblemView, idx: np.ndarray,
 
     Runs the native kernel when it is built; the dot products then sum in
     another order than numpy's, so results can differ from
-    ``_run_updates_py`` in the last digits.
+    ``_run_updates_py`` in the last digits.  The view's arrays are converted
+    on its first call, so repeated sweeps over one view pay that once.
     """
     lib = _load_kernel()
     # delta and u are written in place, so they cannot be converted copies.
-    if lib is None or not all(a.dtype == np.float64 and a.flags.carray
-                              for a in (delta, u)):
+    if (lib is None or delta.dtype != np.float64 or not delta.flags.carray
+            or u.dtype != np.float64 or not u.flags.carray):
         return _run_updates_py(view, idx, delta, u)
-    X = np.asfortranarray(view.X, dtype=np.float64)
-    d, n = X.shape
+    d, n, _, (X, w, y, alpha, norms2) = view._kernel_args
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if delta.shape != (n,) or u.shape != (d,):
         raise ValueError("delta and u must match the view's n and d")
-    if idx.size and not (0 <= idx.min() and idx.max() < n):
+    # A negative index wraps to a large unsigned one, so one bound checks both ends.
+    if idx.size and idx.view(np.uint64).max() >= n:
         raise IndexError(f"coordinate index out of range [0, {n})")
-    arrays = [np.ascontiguousarray(a, dtype=np.float64)
-              for a in (view.w, view.labels, view.alpha, view.col_norms2)]
-    if any(a.shape != s for a, s in zip(arrays, [(d,), (n,), (n,), (n,)])):
-        raise ValueError("view arrays do not match its d x n features")
-    w, y, alpha, norms2 = (a.ctypes.data for a in arrays)
-    lib.fedmtl_run_updates(view.kind is LossKind.HINGE, d, idx.size, X.ctypes.data,
-                           w, y, alpha, norms2, view.kappa, idx.ctypes.data,
-                           delta.ctypes.data, u.ctypes.data)
+    lib.fedmtl_run_updates(view.kind is LossKind.HINGE, d, idx.size, X, w, y, alpha,
+                           norms2, view.kappa, idx.ctypes.data, delta.ctypes.data,
+                           u.ctypes.data)
     return None
 
 
@@ -446,20 +538,34 @@ def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     return None
 
 
-def solve_local(view: RoundView, budgets, drops, streams) -> RoundResult:
+def _round_indices(ds: FederatedDataset, budgets, drops, keys):
+    """Each node's update count (its budget, or 0 when it drops) and the
+    responding nodes' coordinate indices, concatenated in node order: node t
+    draws its count uniformly from [0, n_t), with replacement, from the
+    stream ``keys[t]``.  One native call for the round, or per node with
+    numpy where that cannot run."""
+    counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
+    live = [t for t in range(ds.m) if counts[t]]
+    idx = native_integers([keys[t] for t in live], 0, [ds.tasks[t].n - 1 for t in live],
+                          [counts[t] for t in live])
+    if idx is None:
+        idx = np.concatenate([np.empty(0, dtype=np.int64), *(
+            np.random.default_rng(list(keys[t])).integers(0, ds.tasks[t].n, size=counts[t])
+            for t in live)])
+    return counts, idx
+
+
+def solve_local(view: RoundView, budgets, drops, keys) -> RoundResult:
     """MOCHA's local solves for one round: each responding node runs
     ``budgets[t]`` randomized coordinate updates (uniform with replacement,
-    drawn from ``streams[t]``) against the snapshot.
+    drawn from the stream ``keys[t]``) against the snapshot.
 
     A dropped node, or a budget of zero, does nothing.  No node's subproblem
     value increases, and delta_v is recomputed as X_t @ delta_t so it is
     exactly consistent with the dual update.
     """
     ds = view.ds
-    counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
-    draws = [streams[t].integers(0, task.n, size=counts[t])
-             for t, task in enumerate(ds.tasks) if counts[t]]
-    idx = np.concatenate([np.empty(0, dtype=np.int64), *draws])
+    counts, idx = _round_indices(ds, budgets, drops, keys)
     delta = np.zeros(ds.n)
     _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta)
     delta_v = np.zeros((ds.d, ds.m))
@@ -469,11 +575,11 @@ def solve_local(view: RoundView, budgets, drops, streams) -> RoundResult:
     return RoundResult(delta, delta_v, counts)
 
 
-def _node_by_node(view: RoundView, budgets, drops, streams, solve_node) -> RoundResult:
+def _node_by_node(view: RoundView, drops, solve_node) -> RoundResult:
     """A round solver built from a per-node one, looped over the responding
-    nodes on the calling thread.  ``solve_node(node_view, budget, rng,
-    delta_t) -> (update_count, theta or None)`` writes its delta into
-    ``delta_t``, node t's block of the packed delta."""
+    nodes on the calling thread.  ``solve_node(t, node_view, delta_t) ->
+    (update_count, theta or None)`` writes its delta into ``delta_t``, node
+    t's block of the packed delta."""
     ds = view.ds
     delta = np.zeros(ds.n)
     delta_v = np.zeros((ds.d, ds.m))
@@ -483,7 +589,7 @@ def _node_by_node(view: RoundView, budgets, drops, streams, solve_node) -> Round
         if drops[t]:
             continue
         delta_t = delta[ds.offsets[t]:ds.offsets[t + 1]]
-        counts[t], thetas[t] = solve_node(view.node(t), int(budgets[t]), streams[t], delta_t)
+        counts[t], thetas[t] = solve_node(t, view.node(t), delta_t)
         if counts[t]:
             delta_v[:, t] = task.features @ delta_t
     if all(theta is None for theta in thetas):
@@ -547,10 +653,11 @@ class FixedQualitySolver:
     theta_target: float
     max_passes: int = 500
 
-    def __call__(self, view: RoundView, budgets, drops, streams) -> RoundResult:
-        return _node_by_node(view, budgets, drops, streams, self._solve_node)
+    def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
+        return _node_by_node(view, drops,
+                             lambda t, node, delta: self._solve_node(node, keys[t], delta))
 
-    def _solve_node(self, view: SubproblemView, budget: int, rng, delta):
+    def _solve_node(self, view: SubproblemView, key, delta):
         n_t = view.labels.size
         oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
         g_zero = _view_value(view, np.zeros(n_t))
@@ -561,6 +668,7 @@ class FixedQualitySolver:
         theta = 0.0
         if denom > 1e-14:
             theta = 1.0
+            rng = np.random.default_rng(list(key))
             for _ in range(self.max_passes):
                 idx = rng.integers(0, n_t, size=n_t)
                 _run_updates(view, idx, delta, u)
@@ -586,21 +694,23 @@ class MiniBatchSolver:
     # Tells the round engine to report an out-of-box hinge dual as None.
     may_leave_box = True
 
-    def __call__(self, view: RoundView, budgets, drops, streams) -> RoundResult:
-        return _node_by_node(view, budgets, drops, streams, self._solve_node)
+    def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
+        counts, idx = _round_indices(view.ds, budgets, drops, keys)
+        starts = np.cumsum([0, *counts])
+        return _node_by_node(view, drops, lambda t, node, delta: self._solve_node(
+            node, idx[starts[t]:starts[t + 1]], delta))
 
-    def _solve_node(self, view: SubproblemView, budget: int, rng, delta):
-        if budget <= 0:
+    def _solve_node(self, view: SubproblemView, idx: np.ndarray, delta):
+        if not idx.size:
             return 0, None
-        idx = rng.integers(0, view.labels.size, size=budget)
-        scale = self.beta / budget
+        scale = self.beta / idx.size
         step_fn = _step_function(view.kind)
         for i in idx:
             x = view.X[:, i]
             step = step_fn(view.alpha[i], view.labels[i], float(view.w @ x),
                            view.col_norms2[i], view.kappa)
             delta[i] += scale * step
-        return budget, None
+        return idx.size, None
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +765,10 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     """One synchronous round: local solves against a common snapshot, then a
     reduce scaled by ``rel.gamma`` and refreshed objectives.
 
-    ``local_solver(view, budgets, drops, streams) -> RoundResult`` solves
+    ``local_solver(view, budgets, drops, keys) -> RoundResult`` solves
     every node's subproblem for the round: ``view`` is the ``RoundView``,
-    ``streams[t]`` node t's random stream (None for a dropped node).  It
+    ``keys[t]`` the key of node t's random stream, (seed, SOLVER_STREAM, t,
+    round_idx), and None for a dropped node.  It
     defaults to ``solve_local`` (MOCHA); ``FixedQualitySolver`` gives CoCoA
     and ``MiniBatchSolver`` mini-batch SDCA.  A solver with a true
     ``may_leave_box`` attribute gets None for every value that needs a
@@ -680,9 +791,8 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     else:
         dual_before = previous.dual
     rstar_before = regularizer_conjugate(state.v, rel.mbar)
-    streams = [None if drops[t] else np.random.default_rng([seed, SOLVER_STREAM, t, round_idx])
-               for t in range(m)]
-    result = solve(view, budgets, drops, streams)
+    keys = [None if drops[t] else (seed, SOLVER_STREAM, t, round_idx) for t in range(m)]
+    result = solve(view, budgets, drops, keys)
     subproblem_sum = _unless_infeasible(lambda: _subproblem_sum(view, result), strict)
 
     state.packed += rel.gamma * result.delta
@@ -719,8 +829,7 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
         return out
     for k in range(rounds):
         h = start_round + k
-        budgets = [policy.budget(t, h) for t in range(ds.m)]
-        drops = [policy.dropped(t, h) for t in range(ds.m)]
+        budgets, drops = policy.draws(ds.m, h)
         stats = federated_round(
             ds, kind, rel, model, state, budgets, drops,
             round_idx=h, seed=seed,

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from fedmtl import baselines
 from fedmtl.cli import main
-from fedmtl.regularizers import read_matrix_csv
+from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, read_matrix_csv
+from fedmtl.solver import PrimalState
 
 
 def write_config(path, text):
@@ -350,6 +352,7 @@ dir = {out}
     ("theory", "[theory]\neps = 0"),
     ("theory", "[solver]\ngamma = 2"),
     ("compare", "[compare]\nlambda_grid = -1, 0.5"),
+    ("compare", "[model]\nkind = bogus"),
     ("bench", "[bench]\ntarget_suboptimality = -1"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings):
@@ -361,6 +364,36 @@ def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings
     out = tmp_path / "out"
     assert main([command, "--config", str(tmp_path / "bad.ini"), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, expected", [
+    ("", MeanRegularized(0.5, 0.5)),
+    ("kind = probabilistic\nsigma2_prior = 2", ProbabilisticPrior(0.5, 2.0, 1e-6)),
+])
+def test_compare_couples_tasks_as_train_does(tmp_path, monkeypatch, model, expected):
+    factories = []
+
+    def mocha_trainer(factory, **settings):
+        factories.append(factory)
+        return lambda ds, lam: PrimalState(np.zeros((ds.d, ds.m)))
+
+    monkeypatch.setattr(baselines, "mocha_trainer", mocha_trainer)
+    cfg = write_config(tmp_path / "cmp.ini", BASE_SYNTH + f"""
+[model]
+{model}
+
+[compare]
+methods = mtl
+shuffles = 1
+k_folds = 2
+lambda_grid = 0.5
+
+[output]
+dir = {tmp_path / "cmp"}
+""")
+    assert main(["compare", "--config", cfg]) == 0
+    (factory,) = factories
+    assert factory(0.5) == expected
 
 
 def test_bench_command(tmp_path):

@@ -107,6 +107,23 @@ def test_systems_policy_reproducible_streams():
     assert len(draws) > 1
 
 
+@pytest.mark.parametrize("seed", [7, 2**63 + 5, 2**64 + 5])
+@pytest.mark.parametrize("heterogeneity", [HeterogeneityPolicy("none", n_min=50),
+                                           HeterogeneityPolicy("low", n_min=50),
+                                           HeterogeneityPolicy("high", n_min=50),
+                                           HeterogeneityPolicy("fixed", n_min=1, k=0)])
+def test_systems_policy_round_draws_match_per_node_draws(seed, heterogeneity):
+    # A seed of 2**64 or more takes the per-node path; drop probabilities 0 and 1
+    # pin the comparison's ends.
+    profiles = [NodeProfile(drop_probability=p) for p in (0.0, 0.3, 0.5, 1.0, 0.7)]
+    policy = SystemsPolicy(seed, profiles, heterogeneity)
+    for h in range(8):
+        budgets, drops = policy.draws(5, h)
+        assert budgets == [policy.budget(t, h) for t in range(5)]
+        assert drops == [policy.dropped(t, h) for t in range(5)]
+        assert all(type(b) is int for b in budgets) and all(type(d) is bool for d in drops)
+
+
 def _small_run(preset, seed=3, het_mode="none", rounds=6):
     ds = generate_synthetic(SyntheticSpec(m=3, d=6, n_min=12, n_max=12, seed=1))
     model = MeanRegularized(1.0, 1.0)

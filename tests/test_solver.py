@@ -57,11 +57,8 @@ class DropPolicy:
         self._budget = budget
         self._dropped = set(dropped_ids)
 
-    def budget(self, task_id, round_idx):
-        return self._budget
-
-    def dropped(self, task_id, round_idx):
-        return task_id in self._dropped
+    def draws(self, m, round_idx):
+        return [self._budget] * m, [t in self._dropped for t in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +177,15 @@ def test_local_value_decreases_after_coordinate_step(rng):
 
 def test_solve_local_budget_zero(rng):
     view = one_node_round(random_view(rng, HINGE, d=4, n=6))
-    res = solve_local(view, [0], [False], [np.random.default_rng(0)])
+    res = solve_local(view, [0], [False], [(0, 11, 0, 0)])
     assert np.all(res.delta == 0.0) and np.all(res.delta_v == 0.0)
     assert res.update_count == 0
 
 
 def test_solve_local_deterministic(rng):
     view = one_node_round(random_view(rng, HINGE, d=4, n=9))
-    a = solve_local(view, [40], [False], [np.random.default_rng([5, 1])])
-    b = solve_local(view, [40], [False], [np.random.default_rng([5, 1])])
+    a = solve_local(view, [40], [False], [(5, 1, 0, 0)])
+    b = solve_local(view, [40], [False], [(5, 1, 0, 0)])
     assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.delta_v, b.delta_v)
 
@@ -209,7 +206,7 @@ def test_solve_local_reaches_oracle_value(rng):
     for kind in (HINGE, SQUARED):
         round_view = one_node_round(random_view(rng, kind, d=3, n=5))
         view = round_view.node(0)
-        res = solve_local(round_view, [10_000 * 5], [False], [np.random.default_rng(2)])
+        res = solve_local(round_view, [10_000 * 5], [False], [(2, 11, 0, 0)])
         val = _view_value(view, res.delta)
         star = oracle_subproblem_opt(view)
         val_star = _view_value(view, star)
@@ -253,7 +250,7 @@ def test_cocoa_theta_matches_measure_theta(rng):
             round_view = one_node_round(random_view(rng, kind, d=4, n=9))
             view = round_view.node(0)
             solver = FixedQualitySolver(target)
-            res = solver(round_view, [0], [False], [np.random.default_rng(3)])
+            res = solver(round_view, [0], [False], [(3, 11, 0, 0)])
             oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
             (theta,) = res.theta
             assert theta == pytest.approx(

@@ -1,4 +1,5 @@
-"""The native coordinate-update kernel against its Python reference."""
+"""The native coordinate-update kernel against its Python reference, and the
+native random draws against numpy's."""
 
 import shutil
 import subprocess
@@ -10,20 +11,26 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import one_node_round, random_view
 
 from fedmtl import solver
+from fedmtl.baselines import mb_sdca_run, mb_sgd_run
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
 from fedmtl.losses import LossKind, hinge_box_violation
-from fedmtl.regularizers import ProbabilisticPrior
+from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, build_relationship
 from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
 from fedmtl.solver import (
     RoundView,
     SolverConfig,
     SubproblemView,
+    _round_indices,
     _run_round_py,
     _run_updates,
     _run_updates_py,
+    native_integers,
+    native_random,
     run_mocha,
     solve_local,
 )
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def _updated(run, view, idx):
@@ -109,12 +116,14 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
     budgets = [int(rng.integers(0, 3 * task.n + 1)) for task in ds.tasks]
     drops = list(rng.random(m) < 0.3)
 
+    keys = [None if drops[t] else (seed, 11, t, 0) for t in range(m)]
+
     def streams():
-        return [None if drops[t] else np.random.default_rng([seed, t]) for t in range(m)]
+        return [None if key is None else np.random.default_rng(list(key)) for key in keys]
 
     with np.errstate(over="ignore"):
         # A subnormal curvature overflows the unclipped hinge step to inf.
-        res = solve_local(view, budgets, drops, streams())
+        res = solve_local(view, budgets, drops, keys)
         for t, rng_t in enumerate(streams()):
             count = 0 if drops[t] else budgets[t]
             assert res.update_counts[t] == count
@@ -136,27 +145,31 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
                                atol=1e-12 * np.abs(ref).max(initial=0.0))
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@needs_cc
 def test_kernel_loads_where_a_compiler_exists():
     subprocess.run([shutil.which("cc"), "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                     str(solver._KERNEL_SOURCE)], check=True, capture_output=True)
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
-    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round):
+    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round,
+                  lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         assert entry.argtypes and entry.restype is None
+    assert lib.numpy_streams is True
 
 
 def test_out_of_range_index_raises():
     view = random_view(np.random.default_rng(0), LossKind.SQUARED, n=5)
-    with pytest.raises(IndexError):
-        _updated(_run_updates, view, np.array([0, 5]))
+    # The second and third calls reuse the view's converted arrays.
+    for idx in ([0, 5], [-1, 2], [3, 5]):
+        with pytest.raises(IndexError):
+            _updated(_run_updates, view, np.array(idx))
 
 
 def test_python_fallback_matches_reference(monkeypatch):
     round_view = one_node_round(random_view(np.random.default_rng(1), LossKind.HINGE,
                                             d=7, n=30))
     view = round_view.node(0)
-    idx = np.random.default_rng(3).integers(0, 30, size=200)
+    idx = np.random.default_rng([3, 11, 0, 0]).integers(0, 30, size=200)
     ref_delta, ref_u = _updated(_run_updates_py, view, idx)
 
     # A strided delta cannot go to the kernel and takes the Python loop.
@@ -166,12 +179,12 @@ def test_python_fallback_matches_reference(monkeypatch):
     assert np.array_equal(buf[::2], ref_delta) and np.array_equal(u, ref_u)
 
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    res = solve_local(round_view, [200], [False], [np.random.default_rng(3)])
+    res = solve_local(round_view, [200], [False], [(3, 11, 0, 0)])
     assert np.array_equal(res.delta, ref_delta)
     assert np.array_equal(res.delta_v[:, 0], view.X @ ref_delta)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@needs_cc
 def test_learned_omega_run_matches_python_loop(monkeypatch):
     # d < m, so W^T W is rank deficient: the coupling update must not turn
     # the kernel's last-digit differences into visible ones.
@@ -219,3 +232,114 @@ def test_run_mocha_bit_identical_across_workers():
             [(s.dual, s.primal, s.dropped, s.update_counts) for s in ref.trace]
         assert np.array_equal(run.primal.W, ref.primal.W)
         assert np.array_equal(run.omega, ref.omega)
+
+
+_WORD = st.integers(0, 2**64 - 1)
+# Ranges of width 0 (lo == hi), of the smallest sizes, and up to 2**32 - 2,
+# the widest the native draws take.
+_WIDTH = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 2))
+
+
+@needs_cc
+@settings(max_examples=150, deadline=None)
+@given(cases=st.lists(st.tuples(st.tuples(_WORD, _WORD, _WORD, _WORD),
+                                st.integers(-2**31, 2**31), _WIDTH,
+                                st.integers(0, 40), st.integers(0, 40)),
+                      max_size=6))
+def test_native_draws_match_numpy(cases):
+    """Every key's integers in one call equal numpy's from that key's stream,
+    taken as two consecutive draws, so the unused half of a 64-bit output
+    carries over; every key's double equals numpy's first ``random()``."""
+    keys = [key for key, *_ in cases]
+    got = native_integers(keys, [lo for _, lo, *_ in cases],
+                          [lo + width for _, lo, width, *_ in cases],
+                          [a + b for *_, a, b in cases])
+    expected = []
+    for key, lo, width, a, b in cases:
+        rng = np.random.default_rng(list(key))
+        expected += [rng.integers(lo, lo + width, size=size, endpoint=True) for size in (a, b)]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.concatenate([np.empty(0, dtype=np.int64), *expected]))
+    doubles = native_random(keys)
+    assert doubles.tolist() == [np.random.default_rng(list(key)).random() for key in keys]
+
+
+@needs_cc
+def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
+    key = (5, 11, 2, 9)
+    for keys in ([(2**64, 11, 2, 9)], [(-1, 11, 2, 9)], [(5, 11, 2)]):
+        assert native_integers(keys, 0, 9, 4) is None
+        assert native_random(keys) is None
+    for lo, hi in ((0, 2**32 - 1), (-2**31, 2**31), (3, 2)):
+        assert native_integers([key], lo, hi, 4) is None
+    # The widest range the native draws take.
+    assert np.array_equal(native_integers([key], 0, 2**32 - 2, 5),
+                          np.random.default_rng(list(key)).integers(0, 2**32 - 2, size=5,
+                                                                    endpoint=True))
+    # A round whose keys need numpy draws each node's indices with numpy.
+    ds = generate_synthetic(SyntheticSpec(m=4, d=3, n_min=5, n_max=9, seed=3))
+    keys = [(2**64 + 3, 11, t, 0) for t in range(ds.m)]
+    counts, idx = _round_indices(ds, [4, 0, 7, 3], [False, False, False, True], keys)
+    assert counts == [4, 0, 7, 0]
+    assert np.array_equal(idx, np.concatenate([
+        np.random.default_rng(list(keys[t])).integers(0, ds.tasks[t].n, size=counts[t])
+        for t in (0, 2)]))
+    monkeypatch.setattr(solver, "_load_kernel", lambda: None)
+    assert native_integers([key], 0, 9, 4) is None and native_random([key]) is None
+
+
+def _dropping_runs(workers):
+    """run_mocha, mb_sdca_run and mb_sgd_run under a high-heterogeneity
+    policy that drops nodes with probability 0.3."""
+    ds = generate_synthetic(SyntheticSpec(m=6, d=4, n_min=10, n_max=25, cluster_count=2,
+                                          deviation=0.3, noise=0.05, seed=9))
+    policy = SystemsPolicy(9, [NodeProfile(drop_probability=0.3)] * ds.m,
+                           HeterogeneityPolicy("high", min(ds.task_sizes())))
+    fixed = MeanRegularized(1.0, 1.0)
+    rel = build_relationship(fixed, np.eye(ds.m) / ds.m)
+    return [
+        run_mocha(ds, ProbabilisticPrior(lam=0.5),
+                  SolverConfig(inner_rounds=5, outer_rounds=3, seed=9, workers=workers),
+                  policy, LossKind.SQUARED),
+        mb_sdca_run(ds, LossKind.HINGE, rel, fixed, 5, 2.0, 8, seed=9, policy=policy),
+        mb_sgd_run(ds, LossKind.HINGE, fixed, rel.omega, 5, 0.01, 8, seed=9, policy=policy),
+    ]
+
+
+def _assert_same_runs(got, ref):
+    for a, b in zip(got, ref):
+        assert a.trace == b.trace
+        assert np.array_equal(a.primal.W, b.primal.W)
+        assert np.array_equal(a.omega, b.omega)
+
+
+@needs_cc
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runs_bit_identical_without_native_draws(monkeypatch, workers):
+    # The updates run the Python reference in both, so only the draws differ.
+    monkeypatch.setattr(solver, "_run_round", _run_round_py)
+    got = _dropping_runs(workers)
+    assert any(stats.dropped for stats in got[0].trace)
+    assert any(stats.dropped for stats in got[2].trace)
+    monkeypatch.setattr(solver, "_load_kernel", lambda: None)
+    _assert_same_runs(got, _dropping_runs(workers))
+
+
+@needs_cc
+def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
+    got = _dropping_runs(2)
+    default_rng = np.random.default_rng
+    try:
+        with monkeypatch.context() as patch:
+            # As if numpy's streams had changed since the native draws were written.
+            patch.setattr(np.random, "default_rng", lambda key: default_rng([*key, 1]))
+            solver._load_kernel.cache_clear()
+            lib = solver._load_kernel()
+        assert lib is not None and lib.numpy_streams is False
+        assert native_integers([(5, 11, 2, 9)], 0, 9, 4) is None
+        assert native_random([(5, 11, 2, 9)]) is None
+        # Numpy's draws, with the native update kernel.
+        _assert_same_runs(got, _dropping_runs(2))
+    finally:
+        solver._load_kernel.cache_clear()
+    assert solver._load_kernel().numpy_streams is True
