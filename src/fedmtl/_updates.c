@@ -1,10 +1,13 @@
-/* Exact single-coordinate updates of the local dual subproblem.
+/* The native passes of a MOCHA round over the features.
 
    fedmtl_run_updates is the native body of fedmtl.solver._run_updates, and
-   fedmtl_run_round, which runs it for a range of nodes, that of
-   fedmtl.solver._run_round; _run_updates_py is the reference both must
-   match.  Built without contraction into fused multiply-adds, so each
-   operation rounds as it does in Python.
+   fedmtl_run_round, which runs it for a range of nodes and leaves each
+   node's u = X_t delta_t for the reduce, that of fedmtl.solver._run_round;
+   _run_updates_py is the reference both must match.  fedmtl_task_losses is
+   the native body of fedmtl.solver._task_losses, the per-task loss sums of
+   the primal, with _task_losses_py as its reference.  Every product over the
+   features is the four-lane dot below, and the library is built without
+   contraction into fused multiply-adds, so each operation rounds as written.
 
    fedmtl_draw_integers and fedmtl_draw_random reproduce numpy's
    np.random.default_rng streams bit for bit; fedmtl.solver.native_integers
@@ -29,6 +32,27 @@ static double hinge_delta(double a, double y, double s, double n2, double kappa)
     return y * b_new - a;
 }
 
+/* a . b over d terms in four lanes: lane k adds, in order from 0, the terms
+   with j = k (mod 4), and the lanes combine as (l0 + l1) + (l2 + l3). */
+static double dot(int64_t d, const double *a, const double *b)
+{
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    int64_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+        l0 += a[j] * b[j];
+        l1 += a[j + 1] * b[j + 1];
+        l2 += a[j + 2] * b[j + 2];
+        l3 += a[j + 3] * b[j + 3];
+    }
+    if (j < d)
+        l0 += a[j] * b[j];
+    if (j + 1 < d)
+        l1 += a[j + 1] * b[j + 1];
+    if (j + 2 < d)
+        l2 += a[j + 2] * b[j + 2];
+    return (l0 + l1) + (l2 + l3);
+}
+
 /* X is d x n, column-major, so column i starts at X + i * d.  For each index
    in idx, in order, the step for coordinate i is added to delta[i] and
    step * x_i to u. */
@@ -40,12 +64,7 @@ void fedmtl_run_updates(int hinge, int64_t d, int64_t count,
     for (int64_t k = 0; k < count; k++) {
         int64_t i = idx[k];
         const double *x = X + i * d;
-        double wx = 0.0, ux = 0.0, step;
-        for (int64_t j = 0; j < d; j++) {
-            wx += w[j] * x[j];
-            ux += u[j] * x[j];
-        }
-        double s = wx + kappa * ux, a = alpha[i] + delta[i];
+        double s = dot(d, w, x) + kappa * dot(d, u, x), a = alpha[i] + delta[i], step;
         if (hinge)
             step = hinge_delta(a, y[i], s, norms2[i], kappa);
         else
@@ -76,6 +95,31 @@ void fedmtl_run_round(int hinge, int64_t d, int64_t t0, int64_t t1,
         fedmtl_run_updates(hinge, d, starts[t + 1] - starts[t], X[t], W + t * d,
                            y + o, alpha + o, norms2 + o, kappa[t],
                            idx + starts[t], delta + o, U + t * d);
+    }
+}
+
+
+/* out[t] = the loss sum of node t, 0 <= t < m, at its weights in row t of W
+   (m x d, row-major): sum_i max(0, 1 - y_i s_i) for the hinge, and half of
+   sum_i (s_i - y_i)^2 for the squared loss, with s_i = w_t . x_i, adding the
+   examples in order.  X[t], y and offsets are as in fedmtl_run_round. */
+void fedmtl_task_losses(int hinge, int64_t d, int64_t m, const double *const *X,
+                        const double *W, const double *y, const int64_t *offsets,
+                        double *out)
+{
+    for (int64_t t = 0; t < m; t++) {
+        const double *x = X[t], *w = W + t * d;
+        double total = 0.0;
+        for (int64_t i = offsets[t]; i < offsets[t + 1]; i++, x += d) {
+            double s = dot(d, w, x);
+            if (hinge) {
+                double margin = 1.0 - y[i] * s;
+                total += margin < 0.0 ? 0.0 : margin;
+            } else {
+                total += (s - y[i]) * (s - y[i]);
+            }
+        }
+        out[t] = hinge ? total : 0.5 * total;
     }
 }
 

@@ -23,7 +23,12 @@ Layout: the dual iterate is one packed n-vector with task t's block at
 squared column norms; features stay per task.  A round hands every node's
 snapshot to the local solver at once (``RoundView``) and gets back one packed
 delta, so the dual and the summed subproblem values are each one pass over
-packed vectors rather than a loop over tasks.
+packed vectors rather than a loop over tasks.  MOCHA's round makes two
+passes over the features, both native: the round kernel, whose running
+u_t = X_t @ delta_t is the node's delta_v, and the primal's per-task loss
+sums (``_task_losses``).  Both take their dot products in the kernel's
+four-lane order; ``_run_updates_py`` and ``_task_losses_py`` are the numpy
+references and the paths without a compiler.
 
 Concurrency: every random draw is keyed by (seed, stream, task, round) and
 taken on the calling thread.  A round's budgets and drops, and every
@@ -197,11 +202,11 @@ def dual_objective(state: DualState, ds: FederatedDataset, kind: LossKind,
 
 def primal_objective(W: np.ndarray, ds: FederatedDataset, kind: LossKind,
                      omega: np.ndarray, model: OmegaModel) -> float:
-    if W.shape != (ds.d, ds.m):
-        raise ValueError(f"weights shape {W.shape} does not match dataset")
     total = 0.0
-    for t, task in enumerate(ds.tasks):
-        total += loss_sum(kind, W[:, t] @ task.features, task.labels)
+    # One term per task, added in task order; sum() would compensate on
+    # Python 3.12 and later.
+    for loss in _task_losses(W, ds, kind).tolist():
+        total += loss
     return total + regularizer_value(W, omega, model)
 
 
@@ -284,9 +289,10 @@ def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = 
 @dataclass
 class RoundResult:
     """What one round's local solves send back: the packed dual deltas,
-    delta_v with column t = X_t delta_t, each node's update count, and each
-    node's measured solution quality when the solver knows it (1 for a
-    dropped node, which made no progress)."""
+    delta_v with column t = X_t delta_t (up to rounding, as the node
+    accumulated it), each node's update count, and each node's measured
+    solution quality when the solver knows it (1 for a dropped node, which
+    made no progress)."""
 
     delta: np.ndarray
     delta_v: np.ndarray
@@ -334,10 +340,11 @@ def _streams_match_numpy(lib) -> bool:
 @functools.cache
 def _load_kernel():
     """The compiled ``_updates.c``, with ``fedmtl_run_updates``,
-    ``fedmtl_run_round``, ``fedmtl_draw_integers`` and ``fedmtl_draw_random``
-    declared, or None when there is no C compiler or the build fails.
-    ``lib.numpy_streams`` is whether the draws matched numpy's when loaded;
-    numpy does not promise that its streams stay the same across versions.
+    ``fedmtl_run_round``, ``fedmtl_task_losses``, ``fedmtl_draw_integers``
+    and ``fedmtl_draw_random`` declared, or None when there is no C compiler
+    or the build fails.  ``lib.numpy_streams`` is whether the draws matched
+    numpy's when loaded; numpy does not promise that its streams stay the
+    same across versions.
 
     Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
     build writes a temporary file and renames it, so concurrent builds are
@@ -369,9 +376,10 @@ def _load_kernel():
     lib.fedmtl_run_updates.argtypes = [ctypes.c_int, i64, i64, ptr, ptr, ptr, ptr, ptr,
                                        ctypes.c_double, ptr, ptr, ptr]
     lib.fedmtl_run_round.argtypes = [ctypes.c_int, i64, i64, i64, *[ptr] * 11]
+    lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
     lib.fedmtl_draw_integers.argtypes = [i64, *[ptr] * 5]
     lib.fedmtl_draw_random.argtypes = [i64, ptr, ptr]
-    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round,
+    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round, lib.fedmtl_task_losses,
                   lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         entry.restype = None
     lib.numpy_streams = _streams_match_numpy(lib)
@@ -433,10 +441,12 @@ def native_random(keys) -> np.ndarray | None:
 def _run_updates(view: SubproblemView, idx: np.ndarray,
                  delta: np.ndarray, u: np.ndarray) -> None:
     """Apply exact single-coordinate updates at the given indices, in order,
-    mutating the accumulated delta and u = X @ delta.
+    mutating the accumulated delta and u = X @ delta: each step adds step *
+    x_i to u.
 
-    Runs the native kernel when it is built; the dot products then sum in
-    another order than numpy's, so results can differ from
+    Runs the native kernel when it is built; its dot products then sum in
+    four lanes (lane k the terms with j = k mod 4, combined as (l0 + l1) +
+    (l2 + l3)), not in numpy's order, so results can differ from
     ``_run_updates_py`` in the last digits.  The view's arrays are converted
     on its first call, so repeated sweeps over one view pay that once.
     """
@@ -479,10 +489,12 @@ def _run_updates_py(view: SubproblemView, idx: np.ndarray,
 
 
 def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
-               delta: np.ndarray) -> None:
+               delta: np.ndarray) -> np.ndarray:
     """For every node t, apply ``_run_updates`` at its local indices
     ``idx[starts[t]:starts[t + 1]]`` against the round's snapshot, adding
-    the steps to its block of the packed ``delta``.
+    the steps to its block of the packed ``delta``.  Returns U (m x d), whose
+    row t is node t's accumulated u = X_t delta_t, zero for a node without
+    updates.
 
     Native when the kernel is built: one call per chunk of contiguous nodes,
     one chunk per worker, each node's arithmetic exactly that of
@@ -524,18 +536,47 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
         list(_executor(workers).map(chunk, zip(cuts[:-1], cuts[1:])))
     else:
         chunk((0, m))
-    return None
+    return U
 
 
 def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
-                  delta: np.ndarray) -> None:
+                  delta: np.ndarray) -> np.ndarray:
     """Reference for ``_run_round``, and its path without a compiler:
-    ``_run_updates_py`` for each node in turn."""
+    ``_run_updates_py`` for each node in turn, each node's u in its row."""
     offsets = view.ds.offsets
+    U = np.zeros((view.ds.m, view.ds.d))
     for t in range(view.ds.m):
         _run_updates_py(view.node(t), idx[starts[t]:starts[t + 1]],
-                        delta[offsets[t]:offsets[t + 1]], np.zeros(view.ds.d))
-    return None
+                        delta[offsets[t]:offsets[t + 1]], U[t])
+    return U
+
+
+def _task_losses(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.ndarray:
+    """Each task's loss sum at its weights, column t of W for task t, in one
+    native call over the dataset's feature table.
+
+    The scores are the kernel's four-lane dot and each task's examples add
+    in order, so the sums can differ from ``_task_losses_py`` in the last
+    digits.  ``_task_losses_py`` when there is no compiler.
+    """
+    if W.shape != (ds.d, ds.m):
+        raise ValueError(f"weights shape {W.shape} does not match dataset")
+    lib = _load_kernel()
+    if lib is None:
+        return _task_losses_py(W, ds, kind)
+    rows = np.ascontiguousarray(W.T, dtype=np.float64)     # row t is task t's w
+    out = np.empty(ds.m)
+    lib.fedmtl_task_losses(kind is LossKind.HINGE, ds.d, ds.m,
+                           *(a.ctypes.data for a in (ds.feature_table, rows, ds.labels,
+                                                     ds.offsets, out)))
+    return out
+
+
+def _task_losses_py(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.ndarray:
+    """Reference for ``_task_losses``: numpy scores and one ``loss_sum`` per
+    task."""
+    return np.array([loss_sum(kind, W[:, t] @ task.features, task.labels)
+                     for t, task in enumerate(ds.tasks)])
 
 
 def _round_indices(ds: FederatedDataset, budgets, drops, keys):
@@ -561,18 +602,15 @@ def solve_local(view: RoundView, budgets, drops, keys) -> RoundResult:
     drawn from the stream ``keys[t]``) against the snapshot.
 
     A dropped node, or a budget of zero, does nothing.  No node's subproblem
-    value increases, and delta_v is recomputed as X_t @ delta_t so it is
-    exactly consistent with the dual update.
+    value increases.  delta_v is U^T from ``_run_round``: column t is the u
+    that node t's updates accumulated, X_t @ delta_t up to rounding, which
+    is also what its steps were scored against.
     """
     ds = view.ds
     counts, idx = _round_indices(ds, budgets, drops, keys)
     delta = np.zeros(ds.n)
-    _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta)
-    delta_v = np.zeros((ds.d, ds.m))
-    for t, task in enumerate(ds.tasks):
-        if counts[t]:
-            delta_v[:, t] = task.features @ delta[ds.offsets[t]:ds.offsets[t + 1]]
-    return RoundResult(delta, delta_v, counts)
+    U = _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta)
+    return RoundResult(delta, U.T, counts)
 
 
 def _node_by_node(view: RoundView, drops, solve_node) -> RoundResult:

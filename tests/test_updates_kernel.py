@@ -1,6 +1,7 @@
 """The native coordinate-update kernel against its Python reference, and the
 native random draws against numpy's."""
 
+import ctypes
 import shutil
 import subprocess
 
@@ -8,13 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import one_node_round, random_view
+from tests.conftest import one_node_round, random_view, recompute_v
 
 from fedmtl import solver
 from fedmtl.baselines import mb_sdca_run, mb_sgd_run
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
 from fedmtl.losses import LossKind, hinge_box_violation
-from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, build_relationship
+from fedmtl.regularizers import (
+    MeanRegularized,
+    ProbabilisticPrior,
+    build_relationship,
+    initial_omega,
+)
 from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
 from fedmtl.solver import (
     RoundView,
@@ -24,9 +30,13 @@ from fedmtl.solver import (
     _run_round_py,
     _run_updates,
     _run_updates_py,
+    _task_losses,
+    _task_losses_py,
+    init_dual_state,
     native_integers,
     native_random,
     run_mocha,
+    run_w_update,
     solve_local,
 )
 
@@ -43,7 +53,9 @@ def _updated(run, view, idx):
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(list(LossKind)),
-    d=st.integers(1, 9),
+    # Every remainder of d modulo the kernel's four dot-product lanes, and
+    # up to three full passes over them.
+    d=st.integers(1, 13),
     n=st.integers(1, 12),
     count=st.integers(0, 80),
     zero_cols=st.integers(0, 3),
@@ -87,7 +99,7 @@ def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
 @given(
     kind=st.sampled_from(list(LossKind)),
     m=st.integers(1, 6),
-    d=st.integers(1, 9),
+    d=st.integers(1, 13),
     zero_cols=st.integers(0, 2),
     subnormal=st.booleans(),
     workers=st.integers(1, 3),
@@ -133,16 +145,67 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
             native, u = np.zeros(ds.tasks[t].n), np.zeros(d)
             _run_updates(view.node(t), idx, native, u)
             assert np.array_equal(res.delta[block], native)
-            assert np.array_equal(res.delta_v[:, t],
-                                  ds.tasks[t].features @ native if count else np.zeros(d))
+            # delta_v is the u the node's updates accumulated.
+            assert np.array_equal(res.delta_v[:, t], u)
         ref = np.zeros(ds.n)
         starts = np.concatenate([[0], np.cumsum(res.update_counts)])
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
             rng_t.integers(0, ds.tasks[t].n, size=res.update_counts[t])
             for t, rng_t in enumerate(streams()) if res.update_counts[t]])
-        _run_round_py(view, idx, starts, ref)
-    np.testing.assert_allclose(res.delta, ref, rtol=0.0,
-                               atol=1e-12 * np.abs(ref).max(initial=0.0))
+        ref_u = _run_round_py(view, idx, starts, ref)
+    for got, want in ((res.delta, ref), (res.delta_v, ref_u.T)):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(list(LossKind)),
+    d=st.integers(1, 13),
+    # Task sizes, down to tasks of one example.
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    zero_cols=st.integers(0, 2),
+    subnormal=st.booleans(),
+    scale=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_task_losses_match_python_loop(kind, d, sizes, zero_cols, subnormal, scale, seed):
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for t, n in enumerate(sizes):
+        X = rng.standard_normal((d, n))
+        X[:, :zero_cols] = 0.0
+        tasks.append(TaskDataset(t, X, rng.choice([-1.0, 1.0], size=n)))
+    if subnormal:
+        # The only nonzero entry of this column is 2.2e-162.
+        X = tasks[-1].features.copy()
+        X[:, -1] = 0.0
+        X[0, -1] = 2.2e-162
+        tasks[-1] = TaskDataset(len(sizes) - 1, X, tasks[-1].labels)
+    ds = FederatedDataset(tuple(tasks))
+    W = scale * rng.standard_normal((d, ds.m))
+    got = _task_losses(W, ds, kind)
+    ref = _task_losses_py(W, ds, kind)
+    assert got.shape == ref.shape == (ds.m,)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        _task_losses(W[:, :-1] if ds.m > 1 else W[:-1], ds, kind)
+
+
+def test_running_v_stays_on_x_alpha():
+    # v is the sum of the kernel's per-round u, never recomputed from alpha.
+    ds = generate_synthetic(SyntheticSpec(m=10, d=11, n_min=20, n_max=40, cluster_count=2,
+                                          deviation=0.3, noise=0.05, seed=4))
+    model = MeanRegularized(1.0, 1.0)
+    rel = build_relationship(model, initial_omega(model, ds.m))
+    policy = SystemsPolicy(4, [NodeProfile(drop_probability=0.2)] * ds.m,
+                           HeterogeneityPolicy("high", min(ds.task_sizes())))
+    state = init_dual_state(ds)
+    trace = run_w_update(ds, LossKind.SQUARED, rel, model, state, policy,
+                         rounds=60, seed=4, workers=2)
+    assert len(trace) == 60 and any(stats.dropped for stats in trace)
+    x_alpha = recompute_v(state, ds)
+    assert np.linalg.norm(state.v - x_alpha) <= 1e-10 * (1.0 + np.linalg.norm(x_alpha))
 
 
 @needs_cc
@@ -151,9 +214,12 @@ def test_kernel_loads_where_a_compiler_exists():
                     str(solver._KERNEL_SOURCE)], check=True, capture_output=True)
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
-    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round,
+    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round, lib.fedmtl_task_losses,
                   lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         assert entry.argtypes and entry.restype is None
+    # hinge, d, m, then the feature table, W, labels, offsets and the output.
+    assert lib.fedmtl_task_losses.argtypes == [ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+                                               *[ctypes.c_void_p] * 5]
     assert lib.numpy_streams is True
 
 
@@ -181,7 +247,7 @@ def test_python_fallback_matches_reference(monkeypatch):
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
     res = solve_local(round_view, [200], [False], [(3, 11, 0, 0)])
     assert np.array_equal(res.delta, ref_delta)
-    assert np.array_equal(res.delta_v[:, 0], view.X @ ref_delta)
+    assert np.array_equal(res.delta_v[:, 0], ref_u)
 
 
 @needs_cc
@@ -316,8 +382,10 @@ def _assert_same_runs(got, ref):
 @needs_cc
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runs_bit_identical_without_native_draws(monkeypatch, workers):
-    # The updates run the Python reference in both, so only the draws differ.
+    # The updates and the loss sums run the Python references in both, so
+    # only the draws differ.
     monkeypatch.setattr(solver, "_run_round", _run_round_py)
+    monkeypatch.setattr(solver, "_task_losses", _task_losses_py)
     got = _dropping_runs(workers)
     assert any(stats.dropped for stats in got[0].trace)
     assert any(stats.dropped for stats in got[2].trace)
