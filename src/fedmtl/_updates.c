@@ -1,13 +1,13 @@
-/* The native passes of a MOCHA round over the features.
+/* The native passes of a round over the features.
 
-   fedmtl_run_updates is the native body of fedmtl.solver._run_updates, and
-   fedmtl_run_round, which runs it for a range of nodes and leaves each
-   node's u = X_t delta_t for the reduce, that of fedmtl.solver._run_round;
-   _run_updates_py is the reference both must match.  fedmtl_task_losses is
-   the native body of fedmtl.solver._task_losses, the per-task loss sums of
-   the primal, with _task_losses_py as its reference.  Every product over the
-   features is the four-lane dot below, and the library is built without
-   contraction into fused multiply-adds, so each operation rounds as written.
+   fedmtl_run_round is the native body of fedmtl.solver._run_round, the
+   coordinate steps of every dual method's round (MOCHA, CoCoA and
+   mini-batch SDCA), with _run_round_py as the reference it must match.
+   fedmtl_task_losses is the native body of fedmtl.solver._task_losses, the
+   per-task loss sums of the primal, with _task_losses_py as its reference.
+   Every product over the features is the four-lane dot below, and the
+   library is built without contraction into fused multiply-adds, so each
+   operation rounds as written.
 
    fedmtl_draw_integers and fedmtl_draw_random reproduce numpy's
    np.random.default_rng streams bit for bit; fedmtl.solver.native_integers
@@ -53,22 +53,32 @@ static double dot(int64_t d, const double *a, const double *b)
     return (l0 + l1) + (l2 + l3);
 }
 
-/* X is d x n, column-major, so column i starts at X + i * d.  For each index
-   in idx, in order, the step for coordinate i is added to delta[i] and
-   step * x_i to u. */
-void fedmtl_run_updates(int hinge, int64_t d, int64_t count,
+/* One node's steps.  X is d x n, column-major, so column i starts at
+   X + i * d.  For each index in idx, in order, the step for coordinate i is
+   added to delta[i] and step * x_i to u.  With beta = 0 each step is scored
+   against the running delta and u (MOCHA's sequential steps); with beta > 0
+   it is scored against the snapshot alone and scaled by beta / count
+   (mini-batch SDCA). */
+static void run_updates(int hinge, double beta, int64_t d, int64_t count,
                         const double *X, const double *w, const double *y,
                         const double *alpha, const double *norms2, double kappa,
                         const int64_t *idx, double *delta, double *u)
 {
+    double scale = count ? beta / (double)count : 0.0;
     for (int64_t k = 0; k < count; k++) {
         int64_t i = idx[k];
         const double *x = X + i * d;
-        double s = dot(d, w, x) + kappa * dot(d, u, x), a = alpha[i] + delta[i], step;
+        double s = dot(d, w, x), a = alpha[i], step;
+        if (beta == 0.0) {
+            s += kappa * dot(d, u, x);
+            a += delta[i];
+        }
         if (hinge)
             step = hinge_delta(a, y[i], s, norms2[i], kappa);
         else
             step = (y[i] - a - s) / (1.0 + kappa * norms2[i]);
+        if (beta != 0.0)
+            step *= scale;
         if (step != 0.0) {
             delta[i] += step;
             for (int64_t j = 0; j < d; j++)
@@ -81,9 +91,10 @@ void fedmtl_run_updates(int hinge, int64_t d, int64_t count,
    node t's d x n_t column-major features; W (m x d, row-major) holds node
    t's weights in row t.  The packed n-vectors y, alpha, norms2 and delta
    hold node t's entries at offsets[t] .. offsets[t + 1]; its indices, local
-   to the node, are idx[starts[t]] .. idx[starts[t + 1] - 1].  U (m x d,
-   row-major, zeroed) takes node t's u in row t. */
-void fedmtl_run_round(int hinge, int64_t d, int64_t t0, int64_t t1,
+   to the node, are idx[starts[t]] .. idx[starts[t + 1] - 1].  Node t's
+   steps add to its block of delta and to row t of U (m x d, row-major),
+   which the caller owns, so repeated calls accumulate. */
+void fedmtl_run_round(int hinge, double beta, int64_t d, int64_t t0, int64_t t1,
                       const double *const *X, const double *W, const double *y,
                       const double *alpha, const double *norms2,
                       const double *kappa, const int64_t *offsets,
@@ -92,9 +103,9 @@ void fedmtl_run_round(int hinge, int64_t d, int64_t t0, int64_t t1,
 {
     for (int64_t t = t0; t < t1; t++) {
         int64_t o = offsets[t];
-        fedmtl_run_updates(hinge, d, starts[t + 1] - starts[t], X[t], W + t * d,
-                           y + o, alpha + o, norms2 + o, kappa[t],
-                           idx + starts[t], delta + o, U + t * d);
+        run_updates(hinge, beta, d, starts[t + 1] - starts[t], X[t], W + t * d,
+                    y + o, alpha + o, norms2 + o, kappa[t], idx + starts[t],
+                    delta + o, U + t * d);
     }
 }
 

@@ -8,8 +8,8 @@ Both losses take a real score u and a label y in {-1, +1}:
 The dual machinery always evaluates the conjugate at the negated dual
 variable, so ``conjugate_value(kind, a, y)`` returns l*(-a).  For the hinge
 loss that is +inf off the box y*a in [0, 1].  ``loss_value`` and
-``conjugate_value`` are the scalar references for ``loss_sum`` and
-``conjugate_sum``.
+``conjugate_value`` are the scalar references for ``loss_sum``,
+``conjugate_sum`` and ``conjugate_terms``.
 """
 
 from __future__ import annotations
@@ -85,16 +85,26 @@ def hinge_box_violation(alpha: np.ndarray, labels: np.ndarray) -> float:
     return float(max(np.max(-b, initial=0.0), np.max(b - 1.0, initial=0.0)))
 
 
+def _check_hinge_box(alpha: np.ndarray, labels: np.ndarray) -> None:
+    viol = hinge_box_violation(alpha, labels)
+    if viol > DOMAIN_ATOL:
+        raise DualInfeasibleError(f"hinge dual outside [0,1] box by {viol:.3e}")
+
+
 def conjugate_sum(kind: LossKind, alpha: np.ndarray, labels: np.ndarray) -> float:
     """Sum of l*(-alpha_i) over a dual block; raises if any hinge dual is infeasible."""
     if kind is LossKind.HINGE:
-        viol = hinge_box_violation(alpha, labels)
-        if viol > DOMAIN_ATOL:
-            raise DualInfeasibleError(
-                f"hinge dual outside [0,1] box by {viol:.3e}"
-            )
+        _check_hinge_box(alpha, labels)
         return -float(alpha @ labels)
     return float(0.5 * alpha @ alpha - alpha @ labels)
+
+
+def conjugate_terms(kind: LossKind, alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each l*(-alpha_i) of a dual block; raises as ``conjugate_sum`` does."""
+    if kind is LossKind.HINGE:
+        _check_hinge_box(alpha, labels)
+        return -alpha * labels
+    return 0.5 * alpha * alpha - alpha * labels
 
 
 def _hinge_delta(alpha_i: float, y_i: float, score_i: float,

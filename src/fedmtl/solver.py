@@ -23,11 +23,16 @@ Layout: the dual iterate is one packed n-vector with task t's block at
 squared column norms; features stay per task.  A round hands every node's
 snapshot to the local solver at once (``RoundView``) and gets back one packed
 delta, so the dual and the summed subproblem values are each one pass over
-packed vectors rather than a loop over tasks.  MOCHA's round makes two
-passes over the features, both native: the round kernel, whose running
-u_t = X_t @ delta_t is the node's delta_v, and the primal's per-task loss
-sums (``_task_losses``).  Both take their dot products in the kernel's
-four-lane order; ``_run_updates_py`` and ``_task_losses_py`` are the numpy
+packed vectors rather than a loop over tasks.
+
+Every dual method's round is ``_run_round`` calls, one implementation of the
+coordinate step: MOCHA's is one call over its budgets, mini-batch SDCA's one
+call that scores every step against the snapshot (beta > 0), and CoCoA's one
+call per sweep of its exact oracle and per randomized pass, each over the
+nodes still working.  The kernel's running u_t = X_t @ delta_t is node t's
+delta_v.  The primal's per-task loss sums (``_task_losses``) are the other
+native pass over the features.  Both take their dot products in the kernel's
+four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
 references and the paths without a compiler.
 
 Concurrency: every random draw is keyed by (seed, stream, task, round) and
@@ -51,9 +56,7 @@ import hashlib
 import json
 import os
 import shutil
-import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +69,7 @@ from .losses import (
     _hinge_delta,
     _squared_delta,
     conjugate_sum,
+    conjugate_terms,
     loss_sum,
 )
 from .regularizers import (
@@ -225,7 +229,9 @@ def duality_gap(state: DualState, ds: FederatedDataset, kind: LossKind,
 @dataclass(frozen=True, eq=False)
 class SubproblemView:
     """Frozen per-node picture of one round: local data, current dual block,
-    weight snapshot, and the effective quadratic coefficient kappa."""
+    weight snapshot, and the effective quadratic coefficient kappa.  The
+    per-node reference for ``_run_updates_py``, ``_view_value`` and
+    ``measure_theta``."""
 
     X: np.ndarray
     labels: np.ndarray
@@ -234,20 +240,6 @@ class SubproblemView:
     col_norms2: np.ndarray
     kappa: float
     kind: LossKind
-
-    @functools.cached_property
-    def _kernel_args(self) -> tuple[int, int, list[np.ndarray], list[int]]:
-        """``(d, n, arrays, pointers)`` for the native kernel: the features
-        column-major and w, labels, alpha and norms contiguous float64,
-        converted and checked once per view.  ``arrays`` keeps the buffers
-        behind ``pointers`` alive."""
-        X = np.asfortranarray(self.X, dtype=np.float64)
-        d, n = X.shape
-        arrays = [X, *(np.ascontiguousarray(a, dtype=np.float64)
-                       for a in (self.w, self.labels, self.alpha, self.col_norms2))]
-        if any(a.shape != s for a, s in zip(arrays[1:], [(d,), (n,), (n,), (n,)])):
-            raise ValueError("view arrays do not match its d x n features")
-        return d, n, arrays, [a.ctypes.data for a in arrays]
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,12 +268,10 @@ class RoundView:
         )
 
 
-def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = None) -> float:
-    """Constant-free subproblem value at ``delta``, reusing ``u`` = X @ delta
-    when the caller has it; raises DualInfeasibleError outside the hinge
-    dual box."""
-    if u is None:
-        u = view.X @ delta
+def _view_value(view: SubproblemView, delta: np.ndarray) -> float:
+    """Constant-free subproblem value at ``delta``; raises DualInfeasibleError
+    outside the hinge dual box.  The per-node reference for ``_node_values``."""
+    u = view.X @ delta
     conj = conjugate_sum(view.kind, view.alpha + delta, view.labels)
     return conj + float(view.w @ u) + 0.5 * view.kappa * float(u @ u)
 
@@ -289,10 +279,10 @@ def _view_value(view: SubproblemView, delta: np.ndarray, u: np.ndarray | None = 
 @dataclass
 class RoundResult:
     """What one round's local solves send back: the packed dual deltas,
-    delta_v with column t = X_t delta_t (up to rounding, as the node
-    accumulated it), each node's update count, and each node's measured
-    solution quality when the solver knows it (1 for a dropped node, which
-    made no progress)."""
+    delta_v = U^T from ``_run_round``, whose column t is the u that node t's
+    steps accumulated (X_t delta_t up to rounding), each node's update count,
+    and each node's measured solution quality when the solver knows it (1 for
+    a dropped node, which made no progress)."""
 
     delta: np.ndarray
     delta_v: np.ndarray
@@ -339,9 +329,9 @@ def _streams_match_numpy(lib) -> bool:
 
 @functools.cache
 def _load_kernel():
-    """The compiled ``_updates.c``, with ``fedmtl_run_updates``,
-    ``fedmtl_run_round``, ``fedmtl_task_losses``, ``fedmtl_draw_integers``
-    and ``fedmtl_draw_random`` declared, or None when there is no C compiler
+    """The compiled ``_updates.c``, with ``fedmtl_run_round``,
+    ``fedmtl_task_losses``, ``fedmtl_draw_integers`` and
+    ``fedmtl_draw_random`` declared, or None when there is no C compiler
     or the build fails.  ``lib.numpy_streams`` is whether the draws matched
     numpy's when loaded; numpy does not promise that its streams stay the
     same across versions.
@@ -359,27 +349,28 @@ def _load_kernel():
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fedmtl"
         path = cache / f"_updates-{key[:16]}.so"
         if not path.exists():
+            import subprocess   # only a build needs it
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
-                               check=True, capture_output=True)
+                if subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                                  capture_output=True).returncode:
+                    return None
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError):
+    except OSError:
         return None
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.fedmtl_run_updates.argtypes = [ctypes.c_int, i64, i64, ptr, ptr, ptr, ptr, ptr,
-                                       ctypes.c_double, ptr, ptr, ptr]
-    lib.fedmtl_run_round.argtypes = [ctypes.c_int, i64, i64, i64, *[ptr] * 11]
+    lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, i64,
+                                     *[ptr] * 11]
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
     lib.fedmtl_draw_integers.argtypes = [i64, *[ptr] * 5]
     lib.fedmtl_draw_random.argtypes = [i64, ptr, ptr]
-    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round, lib.fedmtl_task_losses,
+    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses,
                   lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         entry.restype = None
     lib.numpy_streams = _streams_match_numpy(lib)
@@ -438,39 +429,13 @@ def native_random(keys) -> np.ndarray | None:
     return out
 
 
-def _run_updates(view: SubproblemView, idx: np.ndarray,
-                 delta: np.ndarray, u: np.ndarray) -> None:
-    """Apply exact single-coordinate updates at the given indices, in order,
-    mutating the accumulated delta and u = X @ delta: each step adds step *
-    x_i to u.
-
-    Runs the native kernel when it is built; its dot products then sum in
-    four lanes (lane k the terms with j = k mod 4, combined as (l0 + l1) +
-    (l2 + l3)), not in numpy's order, so results can differ from
-    ``_run_updates_py`` in the last digits.  The view's arrays are converted
-    on its first call, so repeated sweeps over one view pay that once.
-    """
-    lib = _load_kernel()
-    # delta and u are written in place, so they cannot be converted copies.
-    if (lib is None or delta.dtype != np.float64 or not delta.flags.carray
-            or u.dtype != np.float64 or not u.flags.carray):
-        return _run_updates_py(view, idx, delta, u)
-    d, n, _, (X, w, y, alpha, norms2) = view._kernel_args
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if delta.shape != (n,) or u.shape != (d,):
-        raise ValueError("delta and u must match the view's n and d")
-    # A negative index wraps to a large unsigned one, so one bound checks both ends.
-    if idx.size and idx.view(np.uint64).max() >= n:
-        raise IndexError(f"coordinate index out of range [0, {n})")
-    lib.fedmtl_run_updates(view.kind is LossKind.HINGE, d, idx.size, X, w, y, alpha,
-                           norms2, view.kappa, idx.ctypes.data, delta.ctypes.data,
-                           u.ctypes.data)
-    return None
-
-
-def _run_updates_py(view: SubproblemView, idx: np.ndarray,
-                    delta: np.ndarray, u: np.ndarray) -> None:
-    """Reference for ``_run_updates``: the same updates as a Python loop."""
+def _run_updates_py(view: SubproblemView, idx: np.ndarray, delta: np.ndarray,
+                    u: np.ndarray, beta: float = 0.0) -> None:
+    """One node's steps in ``_run_round``, as a Python loop: the exact
+    single-coordinate step at each index in turn, added to ``delta`` and, times
+    x_i, to ``u``.  With beta = 0 each step is scored against the running
+    delta and u; with beta > 0 against the snapshot alone, scaled by
+    beta / len(idx)."""
     X = view.X
     w = view.w
     y = view.labels
@@ -478,49 +443,60 @@ def _run_updates_py(view: SubproblemView, idx: np.ndarray,
     norms2 = view.col_norms2
     kappa = view.kappa
     step_fn = _step_function(view.kind)
+    scale = beta / len(idx) if len(idx) else 0.0
     for i in idx:
         x = X[:, i]
-        s = float(w @ x) + kappa * float(u @ x)
-        step = step_fn(alpha[i] + delta[i], y[i], s, norms2[i], kappa)
+        if beta:
+            step = scale * step_fn(alpha[i], y[i], float(w @ x), norms2[i], kappa)
+        else:
+            s = float(w @ x) + kappa * float(u @ x)
+            step = step_fn(alpha[i] + delta[i], y[i], s, norms2[i], kappa)
         if step != 0.0:
             delta[i] += step
             u += step * x
-    return None
 
 
 def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
-               delta: np.ndarray) -> np.ndarray:
-    """For every node t, apply ``_run_updates`` at its local indices
+               delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
+    """For every node t, take the coordinate steps at its local indices
     ``idx[starts[t]:starts[t + 1]]`` against the round's snapshot, adding
-    the steps to its block of the packed ``delta``.  Returns U (m x d), whose
-    row t is node t's accumulated u = X_t delta_t, zero for a node without
-    updates.
+    them to its block of the packed ``delta`` and x_i times each to row t of
+    ``U`` (m x d), so that row accumulates u = X_t delta_t across calls.
+
+    beta = 0 gives MOCHA's sequential steps, each scored against the node's
+    running delta and u.  beta > 0 gives mini-batch SDCA's: each step is
+    scored against the snapshot alone and scaled by beta / b_t, with b_t the
+    node's count in this call.
 
     Native when the kernel is built: one call per chunk of contiguous nodes,
-    one chunk per worker, each node's arithmetic exactly that of
-    ``_run_updates``.  Otherwise ``_run_round_py``.
+    one chunk per worker.  Its dot products sum in four lanes (lane k the
+    terms with j = k mod 4, combined as (l0 + l1) + (l2 + l3)), not in
+    numpy's order, so results can differ from ``_run_round_py``, the path
+    without a compiler, in the last digits.
     """
-    lib = _load_kernel()
-    if lib is None:
-        return _run_round_py(view, idx, starts, delta)
     ds = view.ds
     m, d = ds.m, ds.d
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     if starts.shape != (m + 1,) or starts[0] != 0 or starts[-1] != idx.size:
         raise ValueError("starts must hold m + 1 offsets into idx")
-    if not (delta.dtype == np.float64 and delta.flags.carray and delta.shape == (ds.n,)):
-        raise ValueError("delta must be a writable contiguous float64 n-vector")
+    # Both are written in place, so they cannot be converted copies.
+    for name, a, shape in (("delta", delta, (ds.n,)), ("U", U, (m, d))):
+        if not (a.dtype == np.float64 and a.flags.carray and a.shape == shape):
+            raise ValueError(f"{name} must be a writable C-contiguous float64 "
+                             f"array of shape {shape}")
     counts = np.diff(starts)
     if idx.size and not (0 <= idx.min()
                          and (idx < np.repeat(np.diff(ds.offsets), counts)).all()):
         raise IndexError("coordinate index out of range of its node")
+    lib = _load_kernel()
+    if lib is None:
+        return _run_round_py(view, idx, starts, delta, U, beta)
     W = np.ascontiguousarray(view.W.T, dtype=np.float64)    # row t is node t's w
     kappa = np.ascontiguousarray(view.kappa, dtype=np.float64)
     alpha = np.ascontiguousarray(view.alpha, dtype=np.float64)
     if W.shape != (m, d) or kappa.shape != (m,) or alpha.shape != (ds.n,):
         raise ValueError("round view arrays do not match the dataset")
-    U = np.zeros((m, d))
     # Every array stays referenced here until the calls return.
     pointers = [a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
                                         ds.col_norms2, kappa, ds.offsets, idx,
@@ -528,7 +504,7 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     hinge = view.kind is LossKind.HINGE
 
     def chunk(bounds) -> None:
-        lib.fedmtl_run_round(hinge, d, *bounds, *pointers)
+        lib.fedmtl_run_round(hinge, beta, d, *bounds, *pointers)
 
     workers = min(view.workers, m)
     if workers > 1:
@@ -536,19 +512,17 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
         list(_executor(workers).map(chunk, zip(cuts[:-1], cuts[1:])))
     else:
         chunk((0, m))
-    return U
 
 
 def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
-                  delta: np.ndarray) -> np.ndarray:
+                  delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
     """Reference for ``_run_round``, and its path without a compiler:
-    ``_run_updates_py`` for each node in turn, each node's u in its row."""
+    ``_run_updates_py`` for each node in turn, each node's u in its row of
+    ``U``."""
     offsets = view.ds.offsets
-    U = np.zeros((view.ds.m, view.ds.d))
     for t in range(view.ds.m):
         _run_updates_py(view.node(t), idx[starts[t]:starts[t + 1]],
-                        delta[offsets[t]:offsets[t + 1]], U[t])
-    return U
+                        delta[offsets[t]:offsets[t + 1]], U[t], beta)
 
 
 def _task_losses(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.ndarray:
@@ -596,6 +570,16 @@ def _round_indices(ds: FederatedDataset, budgets, drops, keys):
     return counts, idx
 
 
+def _budget_round(view: RoundView, budgets, drops, keys, beta: float) -> RoundResult:
+    """One ``_run_round`` call over the round's budgets: each responding node
+    draws its indices with ``_round_indices`` and steps in ``beta``'s mode."""
+    ds = view.ds
+    counts, idx = _round_indices(ds, budgets, drops, keys)
+    delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
+    _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta, U, beta)
+    return RoundResult(delta, U.T, counts)
+
+
 def solve_local(view: RoundView, budgets, drops, keys) -> RoundResult:
     """MOCHA's local solves for one round: each responding node runs
     ``budgets[t]`` randomized coordinate updates (uniform with replacement,
@@ -606,67 +590,59 @@ def solve_local(view: RoundView, budgets, drops, keys) -> RoundResult:
     that node t's updates accumulated, X_t @ delta_t up to rounding, which
     is also what its steps were scored against.
     """
-    ds = view.ds
-    counts, idx = _round_indices(ds, budgets, drops, keys)
-    delta = np.zeros(ds.n)
-    U = _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta)
-    return RoundResult(delta, U.T, counts)
+    return _budget_round(view, budgets, drops, keys, 0.0)
 
 
-def _node_by_node(view: RoundView, drops, solve_node) -> RoundResult:
-    """A round solver built from a per-node one, looped over the responding
-    nodes on the calling thread.  ``solve_node(t, node_view, delta_t) ->
-    (update_count, theta or None)`` writes its delta into ``delta_t``, node
-    t's block of the packed delta."""
-    ds = view.ds
-    delta = np.zeros(ds.n)
-    delta_v = np.zeros((ds.d, ds.m))
-    counts = [0] * ds.m
-    thetas = [None] * ds.m
-    for t, task in enumerate(ds.tasks):
-        if drops[t]:
-            continue
-        delta_t = delta[ds.offsets[t]:ds.offsets[t + 1]]
-        counts[t], thetas[t] = solve_node(t, view.node(t), delta_t)
-        if counts[t]:
-            delta_v[:, t] = task.features @ delta_t
-    if all(theta is None for theta in thetas):
-        return RoundResult(delta, delta_v, counts)
-    return RoundResult(delta, delta_v, counts,
-                       [1.0 if theta is None else theta for theta in thetas])
+def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Every node's constant-free subproblem value at the packed ``delta``,
+    with row t of ``U`` node t's X_t delta_t, in one pass: the conjugate
+    terms summed per node, plus w_t . u_t and kappa_t / 2 * ||u_t||^2.
+    Raises DualInfeasibleError outside the hinge dual box."""
+    conj = conjugate_terms(view.kind, view.alpha + delta, view.ds.labels)
+    return (np.add.reduceat(conj, view.ds.offsets[:-1])
+            + np.einsum("dt,td->t", view.W, U) + 0.5 * view.kappa * np.einsum("td,td->t", U, U))
 
 
-def oracle_subproblem_opt(view: SubproblemView, tol: float = 1e-13) -> np.ndarray:
-    """Near-exact subproblem minimizer by cyclic coordinate descent.
+def oracle_subproblem_opt(view: RoundView, nodes, tol: float = 1e-13) -> np.ndarray:
+    """Near-exact subproblem minimizers of the listed nodes by cyclic
+    coordinate descent, as one packed delta (zero in every other block).
 
-    Each sweep applies every coordinate's exact one-dimensional minimizer;
-    for these box-constrained quadratics a sweep with no improvement certifies
-    optimality, so iteration stops once the per-sweep decrease falls below
-    tol * scale. Intended for desk-scale tasks (n_t up to ~1e4).
+    Each sweep applies every coordinate's exact one-dimensional minimizer, in
+    order; for these box-constrained quadratics a sweep with no improvement
+    certifies optimality, so a node stops once its per-sweep decrease falls
+    below tol * scale.  The sweeps run in lockstep, one ``_run_round`` call
+    per sweep over the nodes that have not yet converged.  Intended for
+    desk-scale tasks (n_t up to ~1e4).
     """
-    n_t = view.labels.size
-    delta = np.zeros(n_t)
-    u = np.zeros(view.X.shape[0])
-    order = np.arange(n_t)
-    value = _view_value(view, delta, u)
+    ds = view.ds
+    sizes = np.diff(ds.offsets)
+    local = np.arange(ds.n) - np.repeat(ds.offsets[:-1], sizes)   # 0 .. n_t - 1 per block
+    delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
+    live = np.zeros(ds.m, dtype=bool)
+    live[list(nodes)] = True
+    value = _node_values(view, delta, U)
     for _ in range(_ORACLE_MAX_PASSES):
-        _run_updates(view, order, delta, u)
-        new_value = _view_value(view, delta, u)
-        if value - new_value <= tol * (1.0 + abs(new_value)):
-            return delta
+        if not live.any():
+            break
+        _run_round(view, local[np.repeat(live, sizes)],
+                   np.concatenate([[0], np.cumsum(np.where(live, sizes, 0))]), delta, U)
+        new_value = _node_values(view, delta, U)
+        live &= ~(value - new_value <= tol * (1.0 + np.abs(new_value)))
         value = new_value
-    raise ConvergenceError(
-        f"subproblem solve did not converge within {_ORACLE_MAX_PASSES} sweeps"
-    )
+    if live.any():
+        raise ConvergenceError(
+            f"subproblem solve did not converge within {_ORACLE_MAX_PASSES} sweeps"
+        )
+    return delta
 
 
 def measure_theta(view: SubproblemView, delta_alpha: np.ndarray,
-                  oracle_delta: np.ndarray | None = None) -> float:
-    """Relative suboptimality of a local solution: 1 for no progress, 0 for an
-    exact solve.  A vanishing denominator means the subproblem was already
-    solved, reported as 0."""
-    if oracle_delta is None:
-        oracle_delta = oracle_subproblem_opt(view)
+                  oracle_delta: np.ndarray) -> float:
+    """Relative suboptimality of a local solution against the subproblem
+    optimum ``oracle_delta`` (see ``oracle_subproblem_opt``): 1 for no
+    progress, 0 for an exact solve.  A vanishing denominator means the
+    subproblem was already solved, reported as 0.  The per-node reference for
+    the quality ``FixedQualitySolver`` reports."""
     g_zero = _view_value(view, np.zeros_like(delta_alpha))
     g_star = _view_value(view, oracle_delta)
     denom = g_zero - g_star
@@ -685,43 +661,51 @@ class FixedQualitySolver:
 
     Quality is measured against the exact subproblem optimum (affordable at
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
-    from method comparisons.
+    from method comparisons.  The passes run in lockstep, one ``_run_round``
+    call per pass over the nodes still above the target; each node draws its
+    n_t indices per pass from its own stream ``keys[t]``, so its work and
+    result do not depend on the other nodes.
     """
 
     theta_target: float
     max_passes: int = 500
 
     def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
-        return _node_by_node(view, drops,
-                             lambda t, node, delta: self._solve_node(node, keys[t], delta))
-
-    def _solve_node(self, view: SubproblemView, key, delta):
-        n_t = view.labels.size
-        oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
-        g_zero = _view_value(view, np.zeros(n_t))
-        g_star = _view_value(view, oracle)
-        denom = g_zero - g_star
-        u = np.zeros(view.X.shape[0])
-        count = 0
-        theta = 0.0
-        if denom > 1e-14:
-            theta = 1.0
-            rng = np.random.default_rng(list(key))
-            for _ in range(self.max_passes):
-                idx = rng.integers(0, n_t, size=n_t)
-                _run_updates(view, idx, delta, u)
-                count += n_t
-                theta = (_view_value(view, delta, u) - g_star) / denom
-                if theta <= self.theta_target:
-                    break
-        return count, float(min(1.0, max(0.0, theta)))
+        ds = view.ds
+        live = [t for t in range(ds.m) if not drops[t]]
+        star = oracle_subproblem_opt(view, live, _COCOA_ORACLE_TOL)
+        U_star = np.stack([task.features @ star[ds.offsets[t]:ds.offsets[t + 1]]
+                           for t, task in enumerate(ds.tasks)])
+        delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
+        g_star = _node_values(view, star, U_star)
+        denom = _node_values(view, delta, U) - g_star
+        theta = np.where(denom > 1e-14, 1.0, 0.0)
+        active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
+        streams = {t: np.random.default_rng(list(keys[t])) for t in np.flatnonzero(active)}
+        sizes = np.diff(ds.offsets)
+        counts = np.zeros(ds.m, dtype=np.int64)
+        for _ in range(self.max_passes):
+            if not active.any():
+                break
+            passed = np.where(active, sizes, 0)
+            idx = np.concatenate([streams[t].integers(0, sizes[t], size=sizes[t])
+                                  for t in np.flatnonzero(active)])
+            _run_round(view, idx, np.concatenate([[0], np.cumsum(passed)]), delta, U)
+            counts += passed
+            values = _node_values(view, delta, U)
+            theta[active] = (values[active] - g_star[active]) / denom[active]
+            active &= theta > self.theta_target
+        thetas = [1.0 if drops[t] else float(min(1.0, max(0.0, theta[t])))
+                  for t in range(ds.m)]
+        return RoundResult(delta, U.T, counts.tolist(), thetas if live else None)
 
 
 @dataclass(frozen=True)
 class MiniBatchSolver:
     """Mini-batch SDCA's local solver: on each responding node, ``budget``
     coordinate steps, each taken independently against the frozen snapshot,
-    summed and scaled by beta / budget.
+    summed and scaled by beta / budget: one ``_run_round`` call with this
+    beta.
 
     With beta = 1 the scaled sum is a convex combination, so hinge
     feasibility is preserved; beta near the budget can overshoot when sampled
@@ -733,22 +717,7 @@ class MiniBatchSolver:
     may_leave_box = True
 
     def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
-        counts, idx = _round_indices(view.ds, budgets, drops, keys)
-        starts = np.cumsum([0, *counts])
-        return _node_by_node(view, drops, lambda t, node, delta: self._solve_node(
-            node, idx[starts[t]:starts[t + 1]], delta))
-
-    def _solve_node(self, view: SubproblemView, idx: np.ndarray, delta):
-        if not idx.size:
-            return 0, None
-        scale = self.beta / idx.size
-        step_fn = _step_function(view.kind)
-        for i in idx:
-            x = view.X[:, i]
-            step = step_fn(view.alpha[i], view.labels[i], float(view.w @ x),
-                           view.col_norms2[i], view.kappa)
-            delta[i] += scale * step
-        return idx.size, None
+        return _budget_round(view, budgets, drops, keys, self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +758,11 @@ def _unless_infeasible(evaluate, strict: bool):
 
 
 @functools.cache
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """One pool per worker count, kept for the life of the process, so
-    rounds do not pay for starting and joining threads."""
+def _executor(workers: int):
+    """One ``ThreadPoolExecutor`` per worker count, kept for the life of the
+    process, so rounds do not pay for starting and joining threads."""
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fedmtl")
 
 

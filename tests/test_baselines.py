@@ -82,13 +82,21 @@ def test_cocoa_rejects_bad_theta(rng):
         cocoa_run(ds, HINGE, rel, model, 1.0, 2)
 
 
-def test_mb_sdca_batch_one_equals_budget_one_rounds(rng):
-    ds = make_dataset(rng, m=3, d=4, n_lo=6, n_hi=9)
+# The rng fixture's seed, and four more.
+@pytest.mark.parametrize("data_seed", [1234, 0, 1, 2, 3])
+# Every remainder of d modulo the kernel's four dot-product lanes.
+@pytest.mark.parametrize("d", range(1, 14))
+@pytest.mark.parametrize("kind", [HINGE, SQUARED], ids=["hinge", "squared"])
+def test_mb_sdca_batch_one_equals_budget_one_rounds(kind, d, data_seed):
+    # One step scaled by beta / b = 1, scored against the snapshot, is MOCHA's
+    # first step from a zero delta: the same kernel takes the same products.
+    ds = make_dataset(np.random.default_rng(data_seed), m=3, d=d, n_lo=6, n_hi=9)
     model, rel = setup(ds)
-    run = mb_sdca_run(ds, HINGE, rel, model, 1, 1.0, 6, seed=11)
+    run = mb_sdca_run(ds, kind, rel, model, 1, 1.0, 6, seed=11)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(1),
+    trace = run_w_update(ds, kind, rel, model, state, ConstantPolicy(1),
                          rounds=6, seed=11)
+    assert len(run.trace) == len(trace) == 6
     for a, b in zip(run.trace, trace):
         assert a.dual == b.dual
         assert a.primal == b.primal

@@ -8,6 +8,7 @@ from fedmtl.losses import (
     DualInfeasibleError,
     LossKind,
     conjugate_sum,
+    conjugate_terms,
     conjugate_value,
     loss_constants,
     loss_sum,
@@ -88,6 +89,13 @@ def test_conjugate_sum_raises_on_infeasible():
     with pytest.raises(DualInfeasibleError):
         conjugate_sum(LossKind.HINGE, np.array([1.5, 0.0]), y)
     assert conjugate_sum(LossKind.HINGE, np.array([1.0, -0.5]), y) == -1.5
+    # The per-example terms check the same box and equal the scalar values.
+    with pytest.raises(DualInfeasibleError):
+        conjugate_terms(LossKind.HINGE, np.array([1.5, 0.0]), y)
+    alpha = np.array([1.0, -0.5])
+    for kind in KINDS:
+        assert conjugate_terms(kind, alpha, y).tolist() == [
+            conjugate_value(kind, a, b) for a, b in zip(alpha.tolist(), y.tolist())]
 
 
 def test_loss_constants():

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import block, make_dataset, one_node_round, random_view, recompute_v
 
@@ -21,6 +22,8 @@ from fedmtl.regularizers import (
 from fedmtl.solver import (
     ConstantPolicy,
     FixedQualitySolver,
+    MiniBatchSolver,
+    RoundView,
     SolverConfig,
     SubproblemView,
     dual_objective,
@@ -208,15 +211,15 @@ def test_solve_local_reaches_oracle_value(rng):
         view = round_view.node(0)
         res = solve_local(round_view, [10_000 * 5], [False], [(2, 11, 0, 0)])
         val = _view_value(view, res.delta)
-        star = oracle_subproblem_opt(view)
+        star = oracle_subproblem_opt(round_view, [0])
         val_star = _view_value(view, star)
         assert val <= val_star + 1e-10 * max(1.0, abs(val_star))
 
 
 def test_oracle_already_optimal(rng):
     view = random_view(rng, SQUARED, d=4, n=6)
-    star = oracle_subproblem_opt(view)
-    assert measure_theta(view, star) == 0.0
+    star = oracle_subproblem_opt(one_node_round(view), [0])
+    assert measure_theta(view, star, star) == 0.0
     # shifting the dual block to the optimum (and the weight snapshot with it,
     # w' = w + kappa * X @ star) makes zero the exact minimizer
     shifted = SubproblemView(
@@ -224,12 +227,12 @@ def test_oracle_already_optimal(rng):
         w=view.w + view.kappa * (view.X @ star),
         col_norms2=view.col_norms2, kappa=view.kappa, kind=view.kind,
     )
-    assert np.linalg.norm(oracle_subproblem_opt(shifted)) <= 1e-6
+    assert np.linalg.norm(oracle_subproblem_opt(one_node_round(shifted), [0])) <= 1e-6
 
 
 def test_oracle_beats_random_perturbations(rng):
     view = random_view(rng, HINGE, d=4, n=6)
-    star = oracle_subproblem_opt(view)
+    star = oracle_subproblem_opt(one_node_round(view), [0])
     best = _view_value(view, star)
     for _ in range(1000):
         b = rng.uniform(0, 1, size=6)
@@ -239,7 +242,7 @@ def test_oracle_beats_random_perturbations(rng):
 
 def test_measure_theta_semantics(rng):
     view = random_view(rng, HINGE, d=4, n=8)
-    star = oracle_subproblem_opt(view)
+    star = oracle_subproblem_opt(one_node_round(view), [0])
     assert measure_theta(view, np.zeros(8), star) == 1.0
     assert measure_theta(view, star, star) == 0.0
 
@@ -251,16 +254,58 @@ def test_cocoa_theta_matches_measure_theta(rng):
             view = round_view.node(0)
             solver = FixedQualitySolver(target)
             res = solver(round_view, [0], [False], [(3, 11, 0, 0)])
-            oracle = oracle_subproblem_opt(view, tol=_COCOA_ORACLE_TOL)
+            oracle = oracle_subproblem_opt(round_view, [0], _COCOA_ORACLE_TOL)
             (theta,) = res.theta
             assert theta == pytest.approx(
                 measure_theta(view, res.delta, oracle), rel=0.0, abs=1e-9)
             assert theta <= target or res.update_count == solver.max_passes * 9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(list(LossKind)),
+    d=st.integers(1, 13),
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    target=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
+    """In CoCoA's and mini-batch SDCA's lockstep rounds, a node's delta block,
+    delta_v column, count and theta are exactly those of the same round with
+    every other node dropped."""
+    rng = np.random.default_rng(seed)
+    ds = FederatedDataset(tuple(
+        TaskDataset(t, rng.standard_normal((d, n)), rng.choice([-1.0, 1.0], size=n))
+        for t, n in enumerate(sizes)))
+    alpha = (ds.labels * rng.uniform(0.0, 1.0, size=ds.n) if kind is HINGE
+             else rng.standard_normal(ds.n))
+    # One view for every run: a view of copied arrays may lay w out
+    # differently, and numpy's products then round differently.
+    view = RoundView(ds, kind, alpha, rng.standard_normal((d, ds.m)),
+                     rng.uniform(0.5, 2.0, size=ds.m))
+    budgets = [int(rng.integers(1, 3 * n + 1)) for n in sizes]
+    keys = [(seed, 11, t, 0) for t in range(ds.m)]
+    for local_solver in (FixedQualitySolver(target), MiniBatchSolver(1.0 + 2.0 * target)):
+        together = local_solver(view, budgets, [False] * ds.m, keys)
+        for t in range(ds.m):
+            drops = [s != t for s in range(ds.m)]
+            solo = local_solver(view, budgets, drops,
+                                [None if drop else key for drop, key in zip(drops, keys)])
+            block = slice(ds.offsets[t], ds.offsets[t + 1])
+            assert np.array_equal(together.delta[block], solo.delta[block])
+            assert not solo.delta[:ds.offsets[t]].any() and not solo.delta[block.stop:].any()
+            assert np.array_equal(together.delta_v[:, t], solo.delta_v[:, t])
+            assert together.update_counts[t] == solo.update_counts[t]
+            if together.theta is None:
+                assert solo.theta is None
+            else:
+                assert together.theta[t] == solo.theta[t]
+                assert solo.theta == [1.0 if drop else solo.theta[t] for drop in drops]
+
+
 def test_measure_theta_halfway(rng):
     view = random_view(rng, SQUARED, d=4, n=8)
-    star = oracle_subproblem_opt(view)
+    star = oracle_subproblem_opt(one_node_round(view), [0])
     g0 = _view_value(view, np.zeros(8))
     gs = _view_value(view, star)
     target = 0.5 * (g0 + gs)

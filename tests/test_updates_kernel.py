@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import one_node_round, random_view, recompute_v
 
 from fedmtl import solver
-from fedmtl.baselines import mb_sdca_run, mb_sgd_run
+from fedmtl.baselines import cocoa_run, mb_sdca_run, mb_sgd_run
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
 from fedmtl.losses import LossKind, hinge_box_violation
 from fedmtl.regularizers import (
@@ -27,9 +27,8 @@ from fedmtl.solver import (
     SolverConfig,
     SubproblemView,
     _round_indices,
+    _run_round,
     _run_round_py,
-    _run_updates,
-    _run_updates_py,
     _task_losses,
     _task_losses_py,
     init_dual_state,
@@ -43,11 +42,12 @@ from fedmtl.solver import (
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-def _updated(run, view, idx):
-    delta = np.zeros(view.labels.size)
-    u = np.zeros(view.X.shape[0])
-    run(view, idx, delta, u)
-    return delta, u
+def _updated(run, round_view, idx, beta=0.0):
+    """The delta and u that ``run`` (``_run_round`` or ``_run_round_py``)
+    leaves after the steps at ``idx`` on a one-node round."""
+    delta, U = np.zeros(round_view.ds.n), np.zeros((1, round_view.ds.d))
+    run(round_view, idx, [0, len(idx)], delta, U, beta)
+    return delta, U[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -62,10 +62,12 @@ def _updated(run, view, idx):
     subnormal=st.booleans(),
     c_order=st.booleans(),
     kappa=st.floats(0.05, 5.0),
+    # MOCHA's sequential steps, and mini-batch SDCA's at two scalings.
+    beta=st.sampled_from([0.0, 1.0, 3.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
-                                    c_order, kappa, seed):
+                                    c_order, kappa, beta, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, n))
     X[:, :zero_cols] = 0.0
@@ -81,17 +83,20 @@ def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
     view = SubproblemView(X=X, labels=y, alpha=alpha, w=W[:, 1],
                           col_norms2=np.einsum("ij,ij->j", X, X),
                           kappa=kappa, kind=kind)
+    # The round's dataset holds the features column-major whatever their order here.
+    round_view = one_node_round(view)
     # Sampling with replacement repeats indices whenever count > n.
     idx = rng.integers(0, n, size=count)
 
     with np.errstate(over="ignore"):
         # A subnormal curvature overflows the unclipped hinge step to inf.
-        delta, u = _updated(_run_updates, view, idx)
-        ref_delta, ref_u = _updated(_run_updates_py, view, idx)
+        delta, u = _updated(_run_round, round_view, idx, beta)
+        ref_delta, ref_u = _updated(_run_round_py, round_view, idx, beta)
     for got, ref in ((delta, ref_delta), (u, ref_u)):
         np.testing.assert_allclose(got, ref, rtol=0.0,
                                    atol=1e-12 * np.abs(ref).max(initial=0.0))
-    if kind is LossKind.HINGE:
+    # Scaled by beta <= 1, a mini-batch's steps are a convex combination.
+    if kind is LossKind.HINGE and beta <= 1.0:
         assert hinge_box_violation(alpha + delta, y) <= 1e-12
 
 
@@ -103,10 +108,13 @@ def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
     zero_cols=st.integers(0, 2),
     subnormal=st.booleans(),
     workers=st.integers(1, 3),
+    # MOCHA's sequential steps (0), and mini-batch SDCA's with beta = 1 and
+    # with beta the largest budget.
+    beta=st.sampled_from(["0", "1", "b"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
-                                             workers, seed):
+                                             workers, beta, seed):
     rng = np.random.default_rng(seed)
     tasks = []
     for t in range(m):
@@ -127,6 +135,7 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
     # Budgets of zero, and budgets above n_t, which repeat indices.
     budgets = [int(rng.integers(0, 3 * task.n + 1)) for task in ds.tasks]
     drops = list(rng.random(m) < 0.3)
+    beta = float(max(budgets, default=1)) if beta == "b" else float(beta)
 
     keys = [None if drops[t] else (seed, 11, t, 0) for t in range(m)]
 
@@ -136,24 +145,29 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
     with np.errstate(over="ignore"):
         # A subnormal curvature overflows the unclipped hinge step to inf.
         res = solve_local(view, budgets, drops, keys)
-        for t, rng_t in enumerate(streams()):
-            count = 0 if drops[t] else budgets[t]
-            assert res.update_counts[t] == count
-            block = slice(ds.offsets[t], ds.offsets[t + 1])
-            idx = (np.empty(0, dtype=np.int64) if count == 0
-                   else rng_t.integers(0, ds.tasks[t].n, size=count))
-            native, u = np.zeros(ds.tasks[t].n), np.zeros(d)
-            _run_updates(view.node(t), idx, native, u)
-            assert np.array_equal(res.delta[block], native)
-            # delta_v is the u the node's updates accumulated.
-            assert np.array_equal(res.delta_v[:, t], u)
-        ref = np.zeros(ds.n)
         starts = np.concatenate([[0], np.cumsum(res.update_counts)])
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
             rng_t.integers(0, ds.tasks[t].n, size=res.update_counts[t])
             for t, rng_t in enumerate(streams()) if res.update_counts[t]])
-        ref_u = _run_round_py(view, idx, starts, ref)
-    for got, want in ((res.delta, ref), (res.delta_v, ref_u.T)):
+        delta, U = np.zeros(ds.n), np.zeros((m, d))
+        _run_round(view, idx, starts, delta, U, beta)
+        if beta == 0.0:
+            assert np.array_equal(res.delta, delta)
+            # delta_v is the u the node's updates accumulated.
+            assert np.array_equal(res.delta_v, U.T)
+        for t in range(m):
+            count = 0 if drops[t] else budgets[t]
+            assert res.update_counts[t] == count
+            # Node t's steps alone, every other node without indices.
+            alone, alone_U = np.zeros(ds.n), np.zeros((m, d))
+            _run_round(view, idx[starts[t]:starts[t + 1]],
+                       np.where(np.arange(m + 1) > t, count, 0), alone, alone_U, beta)
+            block = slice(ds.offsets[t], ds.offsets[t + 1])
+            assert np.array_equal(delta[block], alone[block])
+            assert np.array_equal(U[t], alone_U[t])
+        ref, ref_U = np.zeros(ds.n), np.zeros((m, d))
+        _run_round_py(view, idx, starts, ref, ref_U, beta)
+    for got, want in ((delta, ref), (U, ref_U)):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.abs(want).max(initial=0.0))
 
@@ -214,9 +228,21 @@ def test_kernel_loads_where_a_compiler_exists():
                     str(solver._KERNEL_SOURCE)], check=True, capture_output=True)
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
-    for entry in (lib.fedmtl_run_updates, lib.fedmtl_run_round, lib.fedmtl_task_losses,
+    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses,
                   lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         assert entry.argtypes and entry.restype is None
+    # One node's steps are a static helper of the round kernel, not an export.
+    assert not hasattr(lib, "fedmtl_run_updates")
+    # hinge, beta, d, the node range, then the feature table and ten arrays.
+    assert lib.fedmtl_run_round.argtypes == [ctypes.c_int, ctypes.c_double,
+                                             *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 11]
+    # A one-node round takes the native path and matches the reference.
+    round_view = one_node_round(random_view(np.random.default_rng(2), LossKind.HINGE,
+                                            d=5, n=8))
+    idx = np.random.default_rng(3).integers(0, 8, size=20)
+    for got, want in zip(_updated(_run_round, round_view, idx),
+                         _updated(_run_round_py, round_view, idx)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     # hinge, d, m, then the feature table, W, labels, offsets and the output.
     assert lib.fedmtl_task_losses.argtypes == [ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
                                                *[ctypes.c_void_p] * 5]
@@ -224,30 +250,64 @@ def test_kernel_loads_where_a_compiler_exists():
 
 
 def test_out_of_range_index_raises():
-    view = random_view(np.random.default_rng(0), LossKind.SQUARED, n=5)
-    # The second and third calls reuse the view's converted arrays.
+    round_view = one_node_round(random_view(np.random.default_rng(0), LossKind.SQUARED, n=5))
     for idx in ([0, 5], [-1, 2], [3, 5]):
         with pytest.raises(IndexError):
-            _updated(_run_updates, view, np.array(idx))
+            _updated(_run_round, round_view, np.array(idx))
+
+
+def test_run_round_rejects_a_bad_u(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(m=2, d=4, n_min=5, n_max=5, seed=1))
+    view = RoundView(ds, LossKind.SQUARED, np.zeros(ds.n), np.ones((4, 2)), np.ones(2))
+    read_only = np.zeros((2, 4))
+    read_only.setflags(write=False)
+    # Wrong shapes, a wrong dtype, column-major and strided layouts, read-only.
+    bad = [np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(8), np.zeros((2, 4), dtype=np.float32),
+           np.zeros((2, 4), order="F"), np.zeros((2, 8))[:, ::2], read_only]
+    # Checked before the kernel is chosen, so the path without a compiler checks too.
+    for load in (solver._load_kernel, lambda: None):
+        monkeypatch.setattr(solver, "_load_kernel", load)
+        for U in bad:
+            with pytest.raises(ValueError):
+                _run_round(view, [0, 2], [0, 2, 2], np.zeros(ds.n), U)
+        # delta is written in place too, so a strided one is refused as well.
+        with pytest.raises(ValueError):
+            _run_round(view, [0, 2], [0, 2, 2], np.zeros(2 * ds.n)[::2], np.zeros((2, 4)))
+        good = np.zeros((2, 4))
+        _run_round(view, [0, 2], [0, 2, 2], np.zeros(ds.n), good)
+        assert good[0].any() and not good[1].any()
+
+
+def _dual_baseline_runs():
+    """cocoa_run and mb_sdca_run with both losses on tasks of mixed sizes."""
+    ds = generate_synthetic(SyntheticSpec(m=4, d=5, n_min=8, n_max=20, cluster_count=2,
+                                          deviation=0.3, noise=0.05, seed=6))
+    model = MeanRegularized(1.0, 1.0)
+    rel = build_relationship(model, initial_omega(model, ds.m))
+    return [run(ds, kind, rel, model)
+            for kind in LossKind
+            for run in (lambda *a: cocoa_run(*a, 0.1, 6, seed=6),
+                        lambda *a: mb_sdca_run(*a, 6, 2.0, 6, seed=6))]
 
 
 def test_python_fallback_matches_reference(monkeypatch):
     round_view = one_node_round(random_view(np.random.default_rng(1), LossKind.HINGE,
                                             d=7, n=30))
-    view = round_view.node(0)
     idx = np.random.default_rng([3, 11, 0, 0]).integers(0, 30, size=200)
-    ref_delta, ref_u = _updated(_run_updates_py, view, idx)
-
-    # A strided delta cannot go to the kernel and takes the Python loop.
-    buf = np.zeros(60)
-    u = np.zeros(7)
-    _run_updates(view, idx, buf[::2], u)
-    assert np.array_equal(buf[::2], ref_delta) and np.array_equal(u, ref_u)
+    ref_delta, ref_u = _updated(_run_round_py, round_view, idx)
+    native_runs = _dual_baseline_runs()
 
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
     res = solve_local(round_view, [200], [False], [(3, 11, 0, 0)])
     assert np.array_equal(res.delta, ref_delta)
     assert np.array_equal(res.delta_v[:, 0], ref_u)
+    # CoCoA and mini-batch SDCA take the same steps without a compiler.
+    for got, ref in zip(_dual_baseline_runs(), native_runs):
+        assert len(got.trace) == len(ref.trace) == 6
+        for a, b in zip(got.trace, ref.trace):
+            assert a.dropped == b.dropped and a.update_counts == b.update_counts
+            for x, y in ((a.dual, b.dual), (a.primal, b.primal), (a.gap, b.gap)):
+                assert abs(x - y) <= 1e-10 * abs(b.primal)
 
 
 @needs_cc
