@@ -17,7 +17,6 @@ from .data import FederatedDataset, TaskDataset, prediction_error, train_test_sp
 from .losses import LossKind, subgradient
 from .regularizers import (
     MeanRegularized,
-    OmegaModel,
     RelationshipState,
     build_relationship,
     primal_from_dual,
@@ -61,16 +60,17 @@ def check_method_params(method: str, params: dict) -> None:
 
 
 def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
-              model: OmegaModel, theta_target: float, rounds: int, *,
+              theta_target: float, rounds: int, *,
               seed: int = 0, gap_tol: float | None = None,
               max_passes: int = 500) -> RunResult:
     """Synchronous solver with one fixed solution quality across all nodes and
     rounds: every node grinds until its measured quality reaches the target
-    (see ``FixedQualitySolver``), however long that takes."""
+    (see ``FixedQualitySolver``), however long that takes.  It runs against
+    the fixed coupling ``rel``."""
     check_method_params("cocoa", {"theta": theta_target, "max_passes": max_passes})
     state = init_dual_state(ds)
     trace = run_w_update(
-        ds, kind, rel, model, state, ConstantPolicy(0),
+        ds, kind, rel, state, ConstantPolicy(0),
         rounds=rounds, gap_tol=gap_tol, seed=seed,
         local_solver=FixedQualitySolver(theta_target, max_passes),
     )
@@ -78,18 +78,18 @@ def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
 
 
 def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
-                model: OmegaModel, batch: int, beta: float, rounds: int, *,
+                batch: int, beta: float, rounds: int, *,
                 seed: int = 0, policy=None,
                 gap_tol: float | None = None) -> RunResult:
     """Mini-batch dual coordinate ascent: each node computes ``batch`` (or the
     policy's budget of) independent coordinate deltas against the frozen
     snapshot and applies them scaled by beta over their count (see
-    ``MiniBatchSolver``).  Hinge dual values that leave the box are reported
-    as None."""
+    ``MiniBatchSolver``), against the fixed coupling ``rel``.  Hinge dual
+    values that leave the box are reported as None."""
     check_method_params("mb_sdca", {"batch": batch, "beta": beta})
     state = init_dual_state(ds)
     trace = run_w_update(
-        ds, kind, rel, model, state,
+        ds, kind, rel, state,
         ConstantPolicy(batch) if policy is None else policy,
         rounds=rounds, gap_tol=gap_tol, seed=seed,
         local_solver=MiniBatchSolver(beta),
@@ -97,14 +97,15 @@ def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     return RunResult(trace, PrimalState(primal_from_dual(state.v, rel.mbar)), rel.omega)
 
 
-def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
-               omega: np.ndarray, batch: int, step: float, rounds: int, *,
+def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
+               batch: int, step: float, rounds: int, *,
                seed: int = 0, schedule: str = "constant",
                policy=None) -> RunResult:
     """Mini-batch subgradient descent on the primal: every node estimates the
     subgradient of its local loss term from ``batch`` (or the policy's budget
-    of) points, without replacement, adds its column of the coupling
-    gradient, and the update is applied synchronously."""
+    of) points, without replacement, adds its column of the gradient of the
+    fixed coupling ``rel``'s penalty, and the update is applied
+    synchronously."""
     check_method_params("mb_sgd", {"batch": batch, "schedule": schedule})
     if policy is None:
         policy = ConstantPolicy(batch)
@@ -112,7 +113,7 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
     trace: list[RoundStats] = []
     for h in range(rounds):
         eta = step if schedule == "constant" else step / math.sqrt(h + 1.0)
-        grad = regularizer_grad(W, omega, model)
+        grad = regularizer_grad(W, rel.precision)
         counts = []
         dropped = []
         budgets, drops = policy.draws(ds.m, h)
@@ -132,10 +133,10 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, model: OmegaModel,
         W -= eta * grad
         trace.append(RoundStats(
             h=h, dual=None, gap=None,
-            primal=primal_objective(W, ds, kind, omega, model),
+            primal=primal_objective(W, ds, kind, rel),
             dropped=dropped, update_counts=counts,
         ))
-    return RunResult(trace, PrimalState(W), omega)
+    return RunResult(trace, PrimalState(W), rel.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +148,13 @@ def _solve_single_task(X: np.ndarray, y: np.ndarray, lam: float,
                        max_epochs: int, seed: int) -> np.ndarray:
     task = TaskDataset(task_id=0, features=X, labels=y)
     ds = FederatedDataset((task,))
-    model = MeanRegularized(lambda1=0.0, lambda2=lam)
-    rel = build_relationship(model, np.zeros((1, 1)))
+    rel = build_relationship(MeanRegularized(lambda1=0.0, lambda2=lam), np.zeros((1, 1)))
     state = init_dual_state(ds)
     run_w_update(
-        ds, kind, rel, model, state, ConstantPolicy(task.n),
+        ds, kind, rel, state, ConstantPolicy(task.n),
         rounds=max_epochs, gap_tol=gap_tol, seed=seed,
     )
-    gap = duality_gap(state, ds, kind, rel, model)
+    gap = duality_gap(state, ds, kind, rel)
     if gap > gap_tol:
         raise ConvergenceError(
             f"single-task solve stalled at gap {gap:.3e} (target {gap_tol:.1e}, "

@@ -4,12 +4,17 @@ The coupling models act on the per-task weight matrix W (d x m).  Writing w
 for the stacked columns of W, every supported model can be rewritten as the
 quadratic form
 
-    R(w) = w^T (Mbar^{-1} kron I_d) w
+    R(w) = w^T (Q kron I_d) w,    Q = Mbar^{-1},
 
-for a symmetric positive definite m x m matrix Mbar.  The conjugate is then
+for a symmetric positive definite m x m precision Q.  The conjugate is then
 R*(v) = v^T (Mbar kron I_d) v / 4 and the dual-to-primal map is w = Mbar v / 2
 blockwise; the 1/2 is forced by the quadratic-form convention and is pinned by
 the Fenchel-Young tests.
+
+``build_relationship`` turns a model and its Omega into a
+``RelationshipState`` that stores both Q and Mbar.  Below ``run_mocha`` the
+solver and the baselines read the coupling only through that state: the
+model is consulted again only to rebuild it after a central Omega update.
 
 Stacked md-vectors are represented throughout as d x m arrays whose column t
 is the block belonging to task t.
@@ -70,32 +75,6 @@ def initial_omega(model: OmegaModel, m: int) -> np.ndarray:
     return np.eye(m) / m
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(mat)[0])
-
-
-def build_mbar(model: OmegaModel, omega: np.ndarray) -> np.ndarray:
-    """Symmetric positive definite Mbar induced by the model for a given Omega."""
-    m = omega.shape[0]
-    if isinstance(model, MeanRegularized):
-        to_invert = model.lambda1 * omega + model.lambda2 * np.eye(m)
-    else:
-        ridged = omega + model.ridge_eps * np.eye(m)
-        low = _min_eig(ridged)
-        if low <= 0.0:
-            raise np.linalg.LinAlgError(
-                f"omega + ridge not positive definite (min eigenvalue {low:.3e})"
-            )
-        to_invert = model.lam * (np.eye(m) / model.sigma2_prior + np.linalg.inv(ridged))
-    low = _min_eig(to_invert)
-    if low <= 0.0:
-        raise np.linalg.LinAlgError(
-            f"coupling matrix not positive definite (min eigenvalue {low:.3e})"
-        )
-    mbar = np.linalg.inv(to_invert)
-    return 0.5 * (mbar + mbar.T)
-
-
 def sigma_prime(mbar: np.ndarray, gamma: float = 1.0) -> float:
     """Safe subproblem coefficient: gamma * max_t sum_t' |Mbar_tt'| / Mbar_tt."""
     if not 0.0 < gamma <= 1.0:
@@ -122,24 +101,14 @@ def primal_from_dual(v: np.ndarray, mbar: np.ndarray) -> np.ndarray:
     return 0.5 * (v @ mbar)
 
 
-def regularizer_value(W: np.ndarray, omega: np.ndarray, model: OmegaModel) -> float:
-    """Penalty value for weights W under the model; equals the Mbar^{-1} quadratic form."""
-    if isinstance(model, MeanRegularized):
-        return float(
-            model.lambda1 * np.sum((W @ omega) * W) + model.lambda2 * np.sum(W * W)
-        )
-    ridged = omega + model.ridge_eps * np.eye(omega.shape[0])
-    cross = np.linalg.solve(ridged, W.T).T
-    return float(model.lam * (np.sum(W * W) / model.sigma2_prior + np.sum(cross * W)))
+def regularizer_value(W: np.ndarray, precision: np.ndarray) -> float:
+    """R(W) = tr(W Q W^T) for the coupling's precision Q = Mbar^{-1}."""
+    return float(np.sum((W @ precision) * W))
 
 
-def regularizer_grad(W: np.ndarray, omega: np.ndarray, model: OmegaModel) -> np.ndarray:
-    """Gradient of regularizer_value with respect to W."""
-    if isinstance(model, MeanRegularized):
-        return 2.0 * model.lambda1 * (W @ omega) + 2.0 * model.lambda2 * W
-    ridged = omega + model.ridge_eps * np.eye(omega.shape[0])
-    cross = np.linalg.solve(ridged, W.T).T
-    return 2.0 * model.lam * (W / model.sigma2_prior + cross)
+def regularizer_grad(W: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """Gradient of regularizer_value with respect to W: 2 W Q."""
+    return 2.0 * (W @ precision)
 
 
 def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -167,28 +136,56 @@ def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class RelationshipState:
-    """Coupling snapshot the solver runs against: Omega, Mbar, and safe sigma'.
+    """Coupling snapshot the solver runs against: Omega, the precision
+    Q = Mbar^{-1} of the penalty, Mbar itself, and safe sigma'.
 
     Immutable between central coupling updates; rebuilt (and every derived
     coefficient with it) whenever Omega changes.
     """
 
     omega: np.ndarray
+    precision: np.ndarray
     mbar: np.ndarray
     sigma_prime: float
     sigma_prime_per_task: np.ndarray
     gamma: float
 
 
+def _check_pd(mat: np.ndarray, what: str) -> None:
+    """Raise LinAlgError, naming the smallest eigenvalue, unless ``mat`` has a
+    Cholesky factor; the eigenvalues are computed only on failure."""
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(mat)[0])
+        raise np.linalg.LinAlgError(
+            f"{what} not positive definite (min eigenvalue {low:.3e})"
+        ) from None
+
+
 def build_relationship(model: OmegaModel, omega: np.ndarray,
                        gamma: float = 1.0) -> RelationshipState:
-    if isinstance(model, ProbabilisticPrior):
+    """The state for this Omega: the precision Q of the model's penalty and
+    Mbar = Q^{-1}.  A non-finite Omega raises ValueError; a ridged Omega or a
+    Q that is not positive definite raises LinAlgError."""
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega must be finite")
+    m = omega.shape[0]
+    if isinstance(model, MeanRegularized):
+        precision = model.lambda1 * omega + model.lambda2 * np.eye(m)
+    else:
         tr = float(np.trace(omega))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"probabilistic coupling needs trace(omega)=1, got {tr!r}")
-    mbar = build_mbar(model, omega)
+        ridged = omega + model.ridge_eps * np.eye(m)
+        _check_pd(ridged, "omega + ridge")
+        precision = model.lam * (np.eye(m) / model.sigma2_prior + np.linalg.inv(ridged))
+    _check_pd(precision, "coupling matrix")
+    mbar = np.linalg.inv(precision)
+    mbar = 0.5 * (mbar + mbar.T)
     return RelationshipState(
         omega=omega,
+        precision=precision,
         mbar=mbar,
         sigma_prime=sigma_prime(mbar, gamma),
         sigma_prime_per_task=sigma_prime_per_task(mbar, gamma),

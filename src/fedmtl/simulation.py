@@ -223,24 +223,22 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     batch_policy = policy if heterogeneity.mode != "none" else None
 
     # The fixed coupling the baselines run against.
-    omega = initial_omega(model, ds.m)
+    rel = None if method == "mocha" else build_relationship(model, initial_omega(model, ds.m))
     if method == "mocha":
         result = run_mocha(ds, model, config, policy, kind)
     elif method == "cocoa":
         result = baselines.cocoa_run(
-            ds, kind, build_relationship(model, omega), model,
-            params["theta"], rounds, seed=seed, gap_tol=gap_tol,
+            ds, kind, rel, params["theta"], rounds, seed=seed, gap_tol=gap_tol,
             max_passes=params["max_passes"],
         )
     elif method == "mb_sdca":
         result = baselines.mb_sdca_run(
-            ds, kind, build_relationship(model, omega), model,
-            params["batch"], params["beta"], rounds, seed=seed,
+            ds, kind, rel, params["batch"], params["beta"], rounds, seed=seed,
             policy=batch_policy, gap_tol=gap_tol,
         )
     elif method == "mb_sgd":
         result = baselines.mb_sgd_run(
-            ds, kind, model, omega, params["batch"], params["step"], rounds,
+            ds, kind, rel, params["batch"], params["step"], rounds,
             seed=seed, schedule=params["schedule"], policy=batch_policy,
         )
     else:

@@ -205,21 +205,21 @@ def dual_objective(state: DualState, ds: FederatedDataset, kind: LossKind,
 
 
 def primal_objective(W: np.ndarray, ds: FederatedDataset, kind: LossKind,
-                     omega: np.ndarray, model: OmegaModel) -> float:
+                     rel: RelationshipState) -> float:
+    """P(W): the task losses plus R(W) under ``rel``'s precision, at any W,
+    so that primal-only methods are scored by the same code."""
     total = 0.0
     # One term per task, added in task order; sum() would compensate on
     # Python 3.12 and later.
     for loss in _task_losses(W, ds, kind).tolist():
         total += loss
-    return total + regularizer_value(W, omega, model)
+    return total + regularizer_value(W, rel.precision)
 
 
 def duality_gap(state: DualState, ds: FederatedDataset, kind: LossKind,
-                rel: RelationshipState, model: OmegaModel) -> float:
+                rel: RelationshipState) -> float:
     W = primal_from_dual(state.v, rel.mbar)
-    return dual_objective(state, ds, kind, rel) + primal_objective(
-        W, ds, kind, rel.omega, model
-    )
+    return dual_objective(state, ds, kind, rel) + primal_objective(W, ds, kind, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +767,7 @@ def _executor(workers: int):
 
 
 def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
-                    model: OmegaModel, state: DualState, budgets, drops, *,
+                    state: DualState, budgets, drops, *,
                     round_idx: int = 0, seed: int = 0,
                     sigma_prime_mode: str = "global", workers: int = 1,
                     local_solver=None, previous: RoundStats | None = None) -> RoundStats:
@@ -809,7 +809,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
 
     dual = _unless_infeasible(lambda: dual_objective(state, ds, kind, rel), strict)
     W_new = primal_from_dual(state.v, rel.mbar)
-    primal = primal_objective(W_new, ds, kind, rel.omega, model)
+    primal = primal_objective(W_new, ds, kind, rel)
     return RoundStats(
         h=round_idx,
         dual=dual,
@@ -825,7 +825,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
 
 
 def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
-                 model: OmegaModel, state: DualState, policy, *,
+                 state: DualState, policy, *,
                  rounds: int, gap_tol: float | None = None,
                  seed: int = 0, start_round: int = 0,
                  sigma_prime_mode: str = "global", workers: int = 1,
@@ -834,13 +834,13 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     the round count is exhausted or the duality gap reaches the tolerance.
     ``local_solver`` is passed to every ``federated_round``."""
     out: list[RoundStats] = []
-    if gap_tol is not None and duality_gap(state, ds, kind, rel, model) <= gap_tol:
+    if gap_tol is not None and duality_gap(state, ds, kind, rel) <= gap_tol:
         return out
     for k in range(rounds):
         h = start_round + k
         budgets, drops = policy.draws(ds.m, h)
         stats = federated_round(
-            ds, kind, rel, model, state, budgets, drops,
+            ds, kind, rel, state, budgets, drops,
             round_idx=h, seed=seed,
             sigma_prime_mode=sigma_prime_mode, workers=workers,
             local_solver=local_solver, previous=out[-1] if out else None,
@@ -862,7 +862,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
     h = 0
     for _ in range(config.outer_rounds):
         stats = run_w_update(
-            ds, kind, rel, model, state, policy,
+            ds, kind, rel, state, policy,
             rounds=config.inner_rounds, gap_tol=config.gap_tol,
             seed=config.seed, start_round=h,
             sigma_prime_mode=config.sigma_prime_mode, workers=config.workers,

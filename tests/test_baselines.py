@@ -38,17 +38,16 @@ SQUARED = LossKind.SQUARED
 
 def setup(ds, lambda1=1.0, lambda2=1.0):
     model = MeanRegularized(lambda1, lambda2)
-    rel = build_relationship(model, initial_omega(model, ds.m))
-    return model, rel
+    return build_relationship(model, initial_omega(model, ds.m))
 
 
 def test_cocoa_near_exact_matches_oracle_round(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=6, n_hi=8)
-    model, rel = setup(ds)
-    run = cocoa_run(ds, HINGE, rel, model, 1e-6, 1, seed=2, max_passes=2000)
+    rel = setup(ds)
+    run = cocoa_run(ds, HINGE, rel, 1e-6, 1, seed=2, max_passes=2000)
     # near-exact block solves do at least as well as huge fixed budgets
     state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(4000),
+    trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(4000),
                          rounds=1, seed=2)
     assert run.trace[0].gap <= trace[0].gap + 1e-6
 
@@ -60,26 +59,26 @@ def test_cocoa_straggler_signature():
     big = generate_synthetic(SyntheticSpec(m=1, d=6, n_min=60, n_max=60, seed=4)).tasks[0]
     tasks[2] = TaskDataset(2, big.features, big.labels)
     ds = FederatedDataset(tuple(tasks))
-    model, rel = setup(ds)
-    run = cocoa_run(ds, HINGE, rel, model, 0.1, 5, seed=5)
+    rel = setup(ds)
+    run = cocoa_run(ds, HINGE, rel, 0.1, 5, seed=5)
     ratios = [max(s.update_counts) / max(1, min(s.update_counts)) for s in run.trace]
     assert max(ratios) > 1.0
 
 
 def test_cocoa_deterministic(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=6, n_hi=9)
-    model, rel = setup(ds)
-    a = cocoa_run(ds, HINGE, rel, model, 0.2, 4, seed=9)
-    b = cocoa_run(ds, HINGE, rel, model, 0.2, 4, seed=9)
+    rel = setup(ds)
+    a = cocoa_run(ds, HINGE, rel, 0.2, 4, seed=9)
+    b = cocoa_run(ds, HINGE, rel, 0.2, 4, seed=9)
     for x, y in zip(a.trace, b.trace):
         assert x.dual == y.dual and x.update_counts == y.update_counts
 
 
 def test_cocoa_rejects_bad_theta(rng):
     ds = make_dataset(rng, m=2, d=3, n_lo=4, n_hi=5)
-    model, rel = setup(ds)
+    rel = setup(ds)
     with pytest.raises(ValueError):
-        cocoa_run(ds, HINGE, rel, model, 1.0, 2)
+        cocoa_run(ds, HINGE, rel, 1.0, 2)
 
 
 # The rng fixture's seed, and four more.
@@ -91,10 +90,10 @@ def test_mb_sdca_batch_one_equals_budget_one_rounds(kind, d, data_seed):
     # One step scaled by beta / b = 1, scored against the snapshot, is MOCHA's
     # first step from a zero delta: the same kernel takes the same products.
     ds = make_dataset(np.random.default_rng(data_seed), m=3, d=d, n_lo=6, n_hi=9)
-    model, rel = setup(ds)
-    run = mb_sdca_run(ds, kind, rel, model, 1, 1.0, 6, seed=11)
+    rel = setup(ds)
+    run = mb_sdca_run(ds, kind, rel, 1, 1.0, 6, seed=11)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, kind, rel, model, state, ConstantPolicy(1),
+    trace = run_w_update(ds, kind, rel, state, ConstantPolicy(1),
                          rounds=6, seed=11)
     assert len(run.trace) == len(trace) == 6
     for a, b in zip(run.trace, trace):
@@ -104,9 +103,9 @@ def test_mb_sdca_batch_one_equals_budget_one_rounds(kind, d, data_seed):
 
 def test_mb_sdca_scaling_contract(rng):
     ds = make_dataset(rng, m=1, d=3, n_lo=5, n_hi=5)
-    model, rel = setup(ds, 0.0, 1.0)
+    rel = setup(ds, 0.0, 1.0)
     beta, batch = 1.0, 4
-    run = mb_sdca_run(ds, HINGE, rel, model, batch, beta, 1, seed=13)
+    run = mb_sdca_run(ds, HINGE, rel, batch, beta, 1, seed=13)
     # recompute the expected update by hand against the frozen snapshot
     task = ds.tasks[0]
     kappa = rel.sigma_prime * rel.mbar[0, 0]
@@ -126,8 +125,8 @@ def test_mb_sdca_scaling_contract(rng):
 def test_mb_sdca_beta_one_never_increases_dual(rng):
     for seed in range(5):
         ds = make_dataset(np.random.default_rng(seed), m=2, d=4, n_lo=5, n_hi=8)
-        model, rel = setup(ds)
-        run = mb_sdca_run(ds, HINGE, rel, model, 6, 1.0, 15, seed=seed)
+        rel = setup(ds)
+        run = mb_sdca_run(ds, HINGE, rel, 6, 1.0, 15, seed=seed)
         duals = [s.dual for s in run.trace]
         assert all(b <= a + 1e-10 for a, b in zip(duals, duals[1:]))
 
@@ -137,10 +136,10 @@ def test_mb_sdca_full_beta_can_increase_dual():
     X = np.array([[1.0, 1.0], [0.0, 0.0]])
     y = np.array([1.0, 1.0])
     ds = FederatedDataset((TaskDataset(0, X, y),))
-    model, rel = setup(ds, 0.0, 1.0)
+    rel = setup(ds, 0.0, 1.0)
     increased = False
     for seed in range(10):
-        run = mb_sdca_run(ds, SQUARED, rel, model, 6, 6.0, 8, seed=seed)
+        run = mb_sdca_run(ds, SQUARED, rel, 6, 6.0, 8, seed=seed)
         duals = [s.dual for s in run.trace]
         if any(b > a + 1e-12 for a, b in zip(duals, duals[1:])):
             increased = True
@@ -150,50 +149,51 @@ def test_mb_sdca_full_beta_can_increase_dual():
 
 def test_mb_sdca_preserves_hinge_feasibility(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=6, n_hi=8)
-    model, rel = setup(ds)
-    run = mb_sdca_run(ds, HINGE, rel, model, 5, 1.0, 20, seed=3)
+    rel = setup(ds)
+    run = mb_sdca_run(ds, HINGE, rel, 5, 1.0, 20, seed=3)
     assert all(s.dual is not None for s in run.trace)
 
 
 def test_mb_sgd_full_batch_monotone_squared(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=10, n_hi=10)
-    model, rel = setup(ds, 0.5, 0.5)
-    run = mb_sgd_run(ds, SQUARED, model, rel.omega, 10, 0.005, 40, seed=1)
+    rel = setup(ds, 0.5, 0.5)
+    run = mb_sgd_run(ds, SQUARED, rel, 10, 0.005, 40, seed=1)
     primals = [s.primal for s in run.trace]
     assert all(b <= a + 1e-10 for a, b in zip(primals, primals[1:]))
 
 
 def test_mb_sgd_zero_step(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=6, n_hi=8)
-    model, rel = setup(ds)
-    run = mb_sgd_run(ds, HINGE, model, rel.omega, 3, 0.0, 5, seed=1)
+    rel = setup(ds)
+    run = mb_sgd_run(ds, HINGE, rel, 3, 0.0, 5, seed=1)
     assert np.all(run.primal.W == 0.0)
     assert run.trace[0].primal == ds.n
 
 
 def test_mb_sgd_schedules_and_determinism(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=6, n_hi=8)
-    model, rel = setup(ds)
-    a = mb_sgd_run(ds, HINGE, model, rel.omega, 4, 0.05, 10, seed=2, schedule="inv_sqrt")
-    b = mb_sgd_run(ds, HINGE, model, rel.omega, 4, 0.05, 10, seed=2, schedule="inv_sqrt")
+    rel = setup(ds)
+    a = mb_sgd_run(ds, HINGE, rel, 4, 0.05, 10, seed=2, schedule="inv_sqrt")
+    b = mb_sgd_run(ds, HINGE, rel, 4, 0.05, 10, seed=2, schedule="inv_sqrt")
     assert np.array_equal(a.primal.W, b.primal.W)
     with pytest.raises(ValueError):
-        mb_sgd_run(ds, HINGE, model, rel.omega, 4, 0.05, 2, schedule="bogus")
+        mb_sgd_run(ds, HINGE, rel, 4, 0.05, 2, schedule="bogus")
 
 
 def test_mb_sgd_approaches_solver_solution(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=12, n_hi=12)
-    model, rel = setup(ds, 0.5, 0.5)
+    rel = setup(ds, 0.5, 0.5)
     # reference: tightly solved coupled problem
     from fedmtl.solver import run_mocha
-    res = run_mocha(ds, model, SolverConfig(inner_rounds=3000, gap_tol=1e-8, seed=0),
+    res = run_mocha(ds, MeanRegularized(0.5, 0.5),
+                    SolverConfig(inner_rounds=3000, gap_tol=1e-8, seed=0),
                     ConstantPolicy(24), SQUARED)
     p_star = res.trace[-1].primal - res.trace[-1].gap
     p_zero = res.trace[0].primal
     rounds_mocha = len([s for s in res.trace if s.gap > 1e-3])
     best = np.inf
     for step in (0.001, 0.003, 0.01):
-        run = mb_sgd_run(ds, SQUARED, model, rel.omega, 12, step, 60 * rounds_mocha, seed=4)
+        run = mb_sgd_run(ds, SQUARED, rel, 12, step, 60 * rounds_mocha, seed=4)
         best = min(best, run.trace[-1].primal)
     assert (best - p_star) / (p_zero - p_star) <= 0.05
 

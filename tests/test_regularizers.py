@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmtl.regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
-    build_mbar,
     build_relationship,
     initial_omega,
     mean_reg_omega,
@@ -48,30 +48,50 @@ def test_mean_reg_omega():
         assert np.allclose(omega, omega.T)
 
 
-def test_build_mbar_mean_regularized():
-    model = MeanRegularized(1.0, 1.0)
-    mbar = build_mbar(model, mean_reg_omega(2))
+def test_build_relationship_mean_regularized():
+    mbar = build_relationship(MeanRegularized(1.0, 1.0), mean_reg_omega(2)).mbar
     # oracle: cofactor inversion of [[1.5,-0.5],[-0.5,1.5]]
     expected = inv2x2(np.array([[1.5, -0.5], [-0.5, 1.5]]))
     assert np.allclose(expected, MBAR_2, atol=1e-15)
     assert np.allclose(mbar, MBAR_2, atol=1e-12)
     # uncoupled tasks
-    mbar0 = build_mbar(MeanRegularized(0.0, 2.0), mean_reg_omega(3))
+    mbar0 = build_relationship(MeanRegularized(0.0, 2.0), mean_reg_omega(3)).mbar
     assert np.allclose(mbar0, np.eye(3) / 2.0, atol=1e-14)
 
 
-def test_build_mbar_probabilistic():
+def test_build_relationship_probabilistic():
     m = 4
     model = ProbabilisticPrior(lam=1.0, sigma2_prior=1.0, ridge_eps=1e-10)
-    mbar = build_mbar(model, np.eye(m) / m)
+    mbar = build_relationship(model, np.eye(m) / m).mbar
     assert np.allclose(mbar, np.eye(m) / (1.0 + m), atol=1e-8)
 
 
-def test_build_mbar_rejects_indefinite():
-    model = MeanRegularized(1.0, 1.0)
+def test_build_relationship_rejects_indefinite():
     with pytest.raises(np.linalg.LinAlgError):
-        build_mbar(MeanRegularized(1.0, 1e-12), np.array([[-2.0]]))
-    del model
+        build_relationship(MeanRegularized(1.0, 1e-12), np.array([[-2.0]]))
+
+
+@pytest.mark.parametrize("model", [MeanRegularized(1.0, 1.0), ProbabilisticPrior(lam=1.0)],
+                         ids=["mean_regularized", "probabilistic"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_relationship_rejects_non_finite_omega(model, bad):
+    omega = initial_omega(model, 2)
+    omega[0, 1] = omega[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        build_relationship(model, omega)
+    with pytest.raises(ValueError, match="finite"):
+        build_relationship(model, np.array([[bad]]))
+
+
+def test_build_relationship_names_the_failing_matrix():
+    # trace 1, but one eigenvalue is -0.5: Omega + ridge is indefinite
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"omega \+ ridge .*min eigenvalue -5\.000e-01"):
+        build_relationship(ProbabilisticPrior(lam=1.0), np.diag([1.5, -0.5]))
+    # lambda1 * Omega + lambda2 * I has eigenvalues 1.1 - 2 and 1.1
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"coupling matrix .*min eigenvalue -9\.000e-01"):
+        build_relationship(MeanRegularized(1.0, 1.1), np.diag([-2.0, 0.0]))
 
 
 def test_sigma_prime():
@@ -146,10 +166,11 @@ def test_gradient_of_conjugate_finite_differences():
 
 
 def test_regularizer_value_examples():
-    model = MeanRegularized(2.0, 1.0)
-    assert regularizer_value(np.zeros((3, 4)), mean_reg_omega(4), model) == 0.0
+    precision = build_relationship(MeanRegularized(2.0, 1.0), mean_reg_omega(4)).precision
+    assert regularizer_value(np.zeros((3, 4)), precision) == 0.0
     w = np.array([[3.0], [4.0]])
-    assert regularizer_value(w, mean_reg_omega(1), MeanRegularized(5.0, 1.0)) == 25.0
+    precision = build_relationship(MeanRegularized(5.0, 1.0), mean_reg_omega(1)).precision
+    assert regularizer_value(w, precision) == 25.0
 
 
 def test_regularizer_value_consistent_with_mbar():
@@ -157,13 +178,45 @@ def test_regularizer_value_consistent_with_mbar():
     m, d = 4, 6
     for model in (MeanRegularized(1.3, 0.7),
                   ProbabilisticPrior(lam=0.9, sigma2_prior=2.0, ridge_eps=1e-6)):
-        omega = initial_omega(model, m)
-        mbar = build_mbar(model, omega)
+        rel = build_relationship(model, initial_omega(model, m))
         for _ in range(10):
             W = rng.standard_normal((d, m))
-            direct = regularizer_value(W, omega, model)
-            quad = random_quadratic_form(W, mbar)
+            direct = regularizer_value(W, rel.precision)
+            quad = random_quadratic_form(W, rel.mbar)
             assert abs(direct - quad) <= 1e-8 * max(1.0, abs(quad))
+
+
+def model_penalty(W, omega, model):
+    """The penalty as each model defines it, in plain numpy."""
+    if isinstance(model, MeanRegularized):
+        return (model.lambda1 * np.trace(W @ omega @ W.T)
+                + model.lambda2 * np.sum(W * W))
+    ridged = omega + model.ridge_eps * np.eye(omega.shape[0])
+    return model.lam * (np.sum(W * W) / model.sigma2_prior
+                        + np.trace(W @ np.linalg.inv(ridged) @ W.T))
+
+
+def learned_omega(rng, m):
+    """Omega from the central update of a random W with fewer rows than tasks."""
+    W = rng.standard_normal((max(1, m - 1 - int(rng.integers(m))), m))
+    return update_omega(ProbabilisticPrior(lam=1.0), W, np.eye(m) / m)
+
+
+def test_regularizer_value_matches_model_formulas():
+    # The precision is checked against each model's own definition, not
+    # only against Mbar^{-1}.
+    rng = np.random.default_rng(19)
+    for m in (1, 2, 5, 9):
+        omega = learned_omega(rng, m)
+        for model in (MeanRegularized(1.3, 0.7), MeanRegularized(0.0, 2.5),
+                      ProbabilisticPrior(lam=0.9, sigma2_prior=2.0, ridge_eps=1e-6),
+                      ProbabilisticPrior(lam=3.0, sigma2_prior=0.5, ridge_eps=1e-2)):
+            rel = build_relationship(model, omega)
+            for _ in range(5):
+                W = rng.standard_normal((int(rng.integers(1, 7)), m))
+                want = model_penalty(W, omega, model)
+                got = regularizer_value(W, rel.precision)
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_regularizer_grad_finite_differences():
@@ -171,16 +224,45 @@ def test_regularizer_grad_finite_differences():
     m, d = 3, 4
     for model in (MeanRegularized(1.1, 0.6),
                   ProbabilisticPrior(lam=0.8, sigma2_prior=1.5)):
-        omega = initial_omega(model, m)
-        W = rng.standard_normal((d, m))
-        grad = regularizer_grad(W, omega, model)
-        h = 1e-5
-        for _ in range(10):
-            t = int(rng.integers(m)); i = int(rng.integers(d))
-            Wp = W.copy(); Wp[i, t] += h
-            Wm = W.copy(); Wm[i, t] -= h
-            fd = (regularizer_value(Wp, omega, model) - regularizer_value(Wm, omega, model)) / (2 * h)
-            assert abs(fd - grad[i, t]) <= 1e-5 * max(1.0, abs(fd))
+        for omega in (initial_omega(model, m), learned_omega(rng, m)):
+            W = rng.standard_normal((d, m))
+            grad = regularizer_grad(W, build_relationship(model, omega).precision)
+            h = 1e-5
+            for _ in range(10):
+                t = int(rng.integers(m)); i = int(rng.integers(d))
+                Wp = W.copy(); Wp[i, t] += h
+                Wm = W.copy(); Wm[i, t] -= h
+                fd = (model_penalty(Wp, omega, model)
+                      - model_penalty(Wm, omega, model)) / (2 * h)
+                assert abs(fd - grad[i, t]) <= 1e-5 * max(1.0, abs(fd))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    d=st.integers(1, 6),
+    mean_regularized=st.booleans(),
+    weights=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    ridge_exp=st.floats(-8.0, -1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_primal_regularizer_equals_conjugate_at_dual_weights(
+        m, d, mean_regularized, weights, ridge_exp, seed):
+    """R(W(v)) = R*(v) and Fenchel-Young hold for W = Mbar v / 2, to within
+    roundoff scaled by the condition number of Q, for both models on a
+    learned, possibly singular, Omega."""
+    rng = np.random.default_rng(seed)
+    model = (MeanRegularized(*weights) if mean_regularized
+             else ProbabilisticPrior(lam=weights[0], sigma2_prior=weights[1],
+                                     ridge_eps=10.0 ** ridge_exp))
+    rel = build_relationship(model, learned_omega(rng, m))
+    v = rng.standard_normal((d, m))
+    W = primal_from_dual(v, rel.mbar)
+    r_value = regularizer_value(W, rel.precision)
+    r_conj = regularizer_conjugate(v, rel.mbar)
+    tol = 8.0 * np.linalg.cond(rel.precision) * np.finfo(float).eps * r_conj
+    assert abs(r_value - r_conj) <= tol
+    assert abs(r_value + r_conj - float(np.sum(W * v))) <= tol
 
 
 def test_update_omega():

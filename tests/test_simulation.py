@@ -221,12 +221,12 @@ def test_cocoa_straggler_time_vs_fixed_budget():
                                 for t, task in enumerate(tasks)))
     model = MeanRegularized(1.0, 1.0)
     rel = build_relationship(model, initial_omega(model, ds.m))
-    run = cocoa_run(ds, HINGE, rel, model, 0.1, 8, seed=6)
+    run = cocoa_run(ds, HINGE, rel, 0.1, 8, seed=6)
     attach_times(run.trace, ds.d, [NodeProfile()] * 3, PRESETS["wifi"])
 
     state = init_dual_state(ds)
     median_budget = int(np.median([c for s in run.trace for c in s.update_counts]))
-    mocha_trace = run_w_update(ds, HINGE, rel, model, state,
+    mocha_trace = run_w_update(ds, HINGE, rel, state,
                                ConstantPolicy(median_budget), rounds=8, seed=6)
     attach_times(mocha_trace, ds.d, [NodeProfile()] * 3, PRESETS["wifi"])
     for c_stats, m_stats in zip(run.trace, mocha_trace):

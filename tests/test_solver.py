@@ -51,8 +51,7 @@ SQUARED = LossKind.SQUARED
 
 def mean_reg_setup(ds, lambda1=1.0, lambda2=1.0, gamma=1.0):
     model = MeanRegularized(lambda1, lambda2)
-    rel = build_relationship(model, initial_omega(model, ds.m), gamma)
-    return model, rel
+    return build_relationship(model, initial_omega(model, ds.m), gamma)
 
 
 class DropPolicy:
@@ -71,7 +70,7 @@ class DropPolicy:
 def test_dual_objective_zero_and_hand_value():
     x = np.array([[1.0], [0.0]])
     ds = FederatedDataset((TaskDataset(0, x, np.array([1.0])),))
-    model, rel = mean_reg_setup(ds, lambda1=0.0, lambda2=1.0)
+    rel = mean_reg_setup(ds, lambda1=0.0, lambda2=1.0)
     state = init_dual_state(ds)
     assert dual_objective(state, ds, HINGE, rel) == 0.0
     block(state, ds, 0)[0] = 1.0
@@ -82,18 +81,18 @@ def test_dual_objective_zero_and_hand_value():
 
 def test_weak_duality_on_random_feasible_duals(rng):
     ds = make_dataset(rng, m=3, d=5, n_lo=6, n_hi=10)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     for _ in range(50):
         state = init_dual_state(ds)
         for t, task in enumerate(ds.tasks):
             block(state, ds, t)[:] = task.labels * rng.uniform(0, 1, size=task.n)
         state.v = recompute_v(state, ds)
-        assert duality_gap(state, ds, HINGE, rel, model) >= -1e-8
+        assert duality_gap(state, ds, HINGE, rel) >= -1e-8
 
 
 def test_dual_state_blocks_are_views_of_the_packed_alpha(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=8)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
     block(state, ds, 1)[:] = 0.5 * ds.tasks[1].labels
     state.v = recompute_v(state, ds)
@@ -105,19 +104,19 @@ def test_dual_state_blocks_are_views_of_the_packed_alpha(rng):
 
 def test_primal_objective_frozen_values(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=9)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     W0 = np.zeros((ds.d, ds.m))
-    assert primal_objective(W0, ds, HINGE, rel.omega, model) == ds.n
-    assert primal_objective(W0, ds, SQUARED, rel.omega, model) == ds.n / 2
+    assert primal_objective(W0, ds, HINGE, rel) == ds.n
+    assert primal_objective(W0, ds, SQUARED, rel) == ds.n / 2
 
 
 def test_primal_objective_order_independence(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=9)
-    model, rel = mean_reg_setup(ds, 0.8, 1.2)
+    rel = mean_reg_setup(ds, 0.8, 1.2)
     W = rng.standard_normal((ds.d, ds.m))
-    got = primal_objective(W, ds, HINGE, rel.omega, model)
+    got = primal_objective(W, ds, HINGE, rel)
     # independent re-implementation, iterating tasks and examples in reverse
-    total = regularizer_value(W, rel.omega, model)
+    total = regularizer_value(W, rel.precision)
     for t in reversed(range(ds.m)):
         task = ds.tasks[t]
         for i in reversed(range(task.n)):
@@ -127,9 +126,9 @@ def test_primal_objective_order_independence(rng):
 
 def test_duality_gap_at_zero_equals_n(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=6, n_hi=8)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    assert duality_gap(state, ds, HINGE, rel, model) == pytest.approx(ds.n)
+    assert duality_gap(state, ds, HINGE, rel) == pytest.approx(ds.n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +325,13 @@ def test_measure_theta_halfway(rng):
 
 def test_round_all_dropped_leaves_state(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=5, n_hi=8)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
     block(state, ds, 0)[:] = ds.tasks[0].labels * 0.5
     state.v = recompute_v(state, ds)
     before_alpha = state.packed.copy()
     before_v = state.v.copy()
-    stats = federated_round(ds, HINGE, rel, model, state,
+    stats = federated_round(ds, HINGE, rel, state,
                             budgets=[10] * 3, drops=[True] * 3)
     assert np.array_equal(state.packed, before_alpha)
     assert np.array_equal(state.v, before_v)
@@ -344,11 +343,11 @@ def test_round_all_dropped_leaves_state(rng):
 
 def test_single_task_exact_solve_decreases_gap(rng):
     ds = make_dataset(rng, m=1, d=5, n_lo=10, n_hi=10)
-    model, rel = mean_reg_setup(ds, 0.0, 1.0)
+    rel = mean_reg_setup(ds, 0.0, 1.0)
     state = init_dual_state(ds)
-    gap_before = duality_gap(state, ds, HINGE, rel, model)
+    gap_before = duality_gap(state, ds, HINGE, rel)
     for h in range(5):
-        stats = federated_round(ds, HINGE, rel, model, state,
+        stats = federated_round(ds, HINGE, rel, state,
                                 budgets=[5000], drops=[False], round_idx=h)
         assert stats.gap <= gap_before + 1e-9
         gap_before = stats.gap
@@ -358,9 +357,9 @@ def test_lemma_decrease_on_seeded_runs(rng):
     for gamma in (0.5, 1.0):
         for kind in (HINGE, SQUARED):
             ds = make_dataset(rng, m=3, d=4, n_lo=6, n_hi=9)
-            model, rel = mean_reg_setup(ds, gamma=gamma)
+            rel = mean_reg_setup(ds, gamma=gamma)
             state = init_dual_state(ds)
-            trace = run_w_update(ds, kind, rel, model, state, ConstantPolicy(8),
+            trace = run_w_update(ds, kind, rel, state, ConstantPolicy(8),
                                  rounds=15, seed=4)
             assert verify_lemma_decrease(trace, gamma).passed
 
@@ -372,9 +371,9 @@ def test_dual_before_reuses_the_previous_dual(monkeypatch):
     fresh = []
     original = solver.federated_round
 
-    def recording(ds, kind, rel, model, state, *args, **kwargs):
+    def recording(ds, kind, rel, state, *args, **kwargs):
         fresh.append(dual_objective(state, ds, kind, rel))
-        return original(ds, kind, rel, model, state, *args, **kwargs)
+        return original(ds, kind, rel, state, *args, **kwargs)
 
     monkeypatch.setattr(solver, "federated_round", recording)
     trace = run_mocha(ds, ProbabilisticPrior(lam=0.5), config,
@@ -392,9 +391,9 @@ def test_dual_before_reuses_the_previous_dual(monkeypatch):
 
 def test_hinge_feasibility_and_v_consistency_after_rounds(rng):
     ds = make_dataset(rng, m=4, d=5, n_lo=6, n_hi=12)
-    model, rel = mean_reg_setup(ds, gamma=0.5)
+    rel = mean_reg_setup(ds, gamma=0.5)
     state = init_dual_state(ds)
-    run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(9),
+    run_w_update(ds, HINGE, rel, state, ConstantPolicy(9),
                  rounds=25, seed=8)
     for t, task in enumerate(ds.tasks):
         assert hinge_box_violation(block(state, ds, t), task.labels) <= 1e-12
@@ -404,9 +403,9 @@ def test_hinge_feasibility_and_v_consistency_after_rounds(rng):
 
 def test_run_w_update_gap_tolerance_contract(rng):
     ds = make_dataset(rng, m=2, d=4, n_lo=8, n_hi=10)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, SQUARED, rel, model, state, ConstantPolicy(200),
+    trace = run_w_update(ds, SQUARED, rel, state, ConstantPolicy(200),
                          rounds=500, gap_tol=1e-6, seed=1)
     assert trace[-1].gap <= 1e-6
     assert len(trace) < 500
@@ -414,9 +413,9 @@ def test_run_w_update_gap_tolerance_contract(rng):
 
 def test_run_w_update_geometric_decay_squared(rng):
     ds = make_dataset(rng, m=3, d=5, n_lo=10, n_hi=14)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, SQUARED, rel, model, state, ConstantPolicy(50),
+    trace = run_w_update(ds, SQUARED, rel, state, ConstantPolicy(50),
                          rounds=40, seed=2)
     gaps = np.array([s.gap for s in trace])
     mask = gaps > 1e-12
@@ -426,18 +425,18 @@ def test_run_w_update_geometric_decay_squared(rng):
 
 def test_gap_trend_hinge_monitored(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=8, n_hi=10)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(20),
+    trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(20),
                          rounds=30, seed=5)
     assert trace[-1].gap < trace[0].gap
 
 
 def test_permanent_drop_plateaus(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=10, n_hi=12)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state,
+    trace = run_w_update(ds, HINGE, rel, state,
                          DropPolicy(budget=50, dropped_ids={0}),
                          rounds=200, gap_tol=1e-6, seed=3)
     assert trace[-1].gap > 1e-6
@@ -446,11 +445,11 @@ def test_permanent_drop_plateaus(rng):
 
 def test_workers_do_not_change_trace(rng):
     ds = make_dataset(rng, m=4, d=5, n_lo=8, n_hi=12)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
 
     def run(workers):
         state = init_dual_state(ds)
-        return run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(15),
+        return run_w_update(ds, HINGE, rel, state, ConstantPolicy(15),
                             rounds=10, seed=6, workers=workers), state
 
     t1, s1 = run(1)
@@ -463,10 +462,10 @@ def test_workers_do_not_change_trace(rng):
 
 def test_pooled_rounds_do_not_add_threads(rng):
     ds = make_dataset(rng, m=4, d=5, n_lo=8, n_hi=12)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     before = threading.active_count()
     for _ in range(5):
-        run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(15),
+        run_w_update(ds, HINGE, rel, init_dual_state(ds), ConstantPolicy(15),
                      rounds=3, seed=6, workers=2)
     assert threading.active_count() <= before + 2
 
@@ -512,9 +511,9 @@ def test_run_mocha_learns_cluster_structure():
 
 def test_per_task_sigma_mode_runs_and_decreases(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=8, n_hi=10)
-    model, rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds)
     state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(20),
+    trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(20),
                          rounds=20, seed=7, sigma_prime_mode="per_task")
     assert trace[-1].gap < trace[0].gap
     assert verify_lemma_decrease(trace, 1.0).passed
@@ -560,7 +559,7 @@ def test_single_machine_reduction(rng):
     model = MeanRegularized(0.0, lam)
     rel = build_relationship(model, initial_omega(model, 1))
     state = init_dual_state(ds)
-    run_w_update(ds, HINGE, rel, model, state, ConstantPolicy(60),
+    run_w_update(ds, HINGE, rel, state, ConstantPolicy(60),
                  rounds=20000, gap_tol=1e-8, seed=1)
     w_got = primal_from_dual(state.v, rel.mbar)[:, 0]
     assert np.linalg.norm(w_got - w_ref) / np.linalg.norm(w_ref) <= 1e-4
@@ -572,10 +571,10 @@ def test_single_machine_reduction(rng):
 
 def test_trace_writers(tmp_path, rng):
     ds = make_dataset(rng, m=2, d=3, n_lo=5, n_hi=6)
-    model, rel = mean_reg_setup(ds)
-    cocoa = run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(0),
+    rel = mean_reg_setup(ds)
+    cocoa = run_w_update(ds, HINGE, rel, init_dual_state(ds), ConstantPolicy(0),
                          rounds=4, seed=0, local_solver=FixedQualitySolver(0.5))
-    mocha = run_w_update(ds, HINGE, rel, model, init_dual_state(ds), ConstantPolicy(5),
+    mocha = run_w_update(ds, HINGE, rel, init_dual_state(ds), ConstantPolicy(5),
                          rounds=4, seed=0)
     for trace, has_theta in ((cocoa, True), (mocha, False)):
         jsonl = tmp_path / "trace.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from fedmtl.losses import LossKind
 from fedmtl.regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
-    RelationshipState,
     build_relationship,
     initial_omega,
     sigma_prime,
@@ -185,7 +185,7 @@ def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
     model = MeanRegularized(1.0, 1.0)
     rel = build_relationship(model, initial_omega(model, ds.m))
     state = init_dual_state(ds)
-    trace = run_w_update(ds, LossKind.HINGE, rel, model, state, ConstantPolicy(10),
+    trace = run_w_update(ds, LossKind.HINGE, rel, state, ConstantPolicy(10),
                          rounds=12, seed=2)
     assert verify_lemma_decrease(trace, 1.0).passed
 
@@ -195,19 +195,18 @@ def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
     ds2 = FederatedDataset((TaskDataset(0, X, y), TaskDataset(1, X, y)))
     model2 = MeanRegularized(1.0, 1.0)
     good = build_relationship(model2, initial_omega(model2, 2))
-    bad = RelationshipState(
-        omega=good.omega, mbar=good.mbar,
+    bad = dataclasses.replace(
+        good,
         sigma_prime=good.sigma_prime / 4.0,
         sigma_prime_per_task=good.sigma_prime_per_task / 4.0,
-        gamma=good.gamma,
     )
     state2 = init_dual_state(ds2)
-    trace2 = run_w_update(ds2, LossKind.HINGE, bad, model2, state2,
+    trace2 = run_w_update(ds2, LossKind.HINGE, bad, state2,
                           ConstantPolicy(4), rounds=3, seed=0)
     assert not verify_lemma_decrease(trace2, 1.0).passed
 
     state3 = init_dual_state(ds2)
-    trace3 = run_w_update(ds2, LossKind.HINGE, good, model2, state3,
+    trace3 = run_w_update(ds2, LossKind.HINGE, good, state3,
                           ConstantPolicy(4), rounds=3, seed=0)
     assert verify_lemma_decrease(trace3, 1.0).passed
 
@@ -221,8 +220,8 @@ def test_verify_lemma_decrease_holds_for_cocoa_and_mb_sdca():
         rel = build_relationship(model, initial_omega(model, ds.m))
         for kind in (LossKind.HINGE, LossKind.SQUARED):
             runs = [
-                cocoa_run(ds, kind, rel, model, 0.1, 8, seed=seed),
-                mb_sdca_run(ds, kind, rel, model, 5, 1.0, 8, seed=seed),
+                cocoa_run(ds, kind, rel, 0.1, 8, seed=seed),
+                mb_sdca_run(ds, kind, rel, 5, 1.0, 8, seed=seed),
             ]
             for run in runs:
                 assert verify_lemma_decrease(run.trace, 1.0).passed

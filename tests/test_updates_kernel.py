@@ -215,7 +215,7 @@ def test_running_v_stays_on_x_alpha():
     policy = SystemsPolicy(4, [NodeProfile(drop_probability=0.2)] * ds.m,
                            HeterogeneityPolicy("high", min(ds.task_sizes())))
     state = init_dual_state(ds)
-    trace = run_w_update(ds, LossKind.SQUARED, rel, model, state, policy,
+    trace = run_w_update(ds, LossKind.SQUARED, rel, state, policy,
                          rounds=60, seed=4, workers=2)
     assert len(trace) == 60 and any(stats.dropped for stats in trace)
     x_alpha = recompute_v(state, ds)
@@ -284,7 +284,7 @@ def _dual_baseline_runs():
                                           deviation=0.3, noise=0.05, seed=6))
     model = MeanRegularized(1.0, 1.0)
     rel = build_relationship(model, initial_omega(model, ds.m))
-    return [run(ds, kind, rel, model)
+    return [run(ds, kind, rel)
             for kind in LossKind
             for run in (lambda *a: cocoa_run(*a, 0.1, 6, seed=6),
                         lambda *a: mb_sdca_run(*a, 6, 2.0, 6, seed=6))]
@@ -427,8 +427,8 @@ def _dropping_runs(workers):
         run_mocha(ds, ProbabilisticPrior(lam=0.5),
                   SolverConfig(inner_rounds=5, outer_rounds=3, seed=9, workers=workers),
                   policy, LossKind.SQUARED),
-        mb_sdca_run(ds, LossKind.HINGE, rel, fixed, 5, 2.0, 8, seed=9, policy=policy),
-        mb_sgd_run(ds, LossKind.HINGE, fixed, rel.omega, 5, 0.01, 8, seed=9, policy=policy),
+        mb_sdca_run(ds, LossKind.HINGE, rel, 5, 2.0, 8, seed=9, policy=policy),
+        mb_sgd_run(ds, LossKind.HINGE, rel, 5, 0.01, 8, seed=9, policy=policy),
     ]
 
 
