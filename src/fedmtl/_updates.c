@@ -10,9 +10,9 @@
    operation rounds as written.
 
    fedmtl_draw_integers and fedmtl_draw_random reproduce numpy's
-   np.random.default_rng streams bit for bit; fedmtl.solver.native_integers
-   and native_random call them and check them against numpy when the
-   library is loaded. */
+   np.random.default_rng streams bit for bit; fedmtl.solver.draw_integers
+   and draw_random call them and check them against numpy when the library
+   is loaded. */
 
 #include <stdint.h>
 
@@ -137,7 +137,8 @@ void fedmtl_task_losses(int hinge, int64_t d, int64_t m, const double *const *X,
 
 /* numpy's SeedSequence (pool of four 32-bit words) and PCG64 (128-bit LCG
    with XSL-RR output, O'Neill 2014), as np.random.default_rng(key) builds
-   them for a key of four integers below 2**64. */
+   them for a key of four integers below 2**64.  Node t's stream for a round
+   is keyed [seed, tag, t, round], as fedmtl.solver.stream keys it. */
 
 #define INIT_A 0x43b0d7e5u
 #define MULT_A 0x931e8875u
@@ -174,9 +175,10 @@ static void pcg64_step(pcg64 *g)
     g->state = g->state * mult + g->inc;
 }
 
-static void pcg64_seed(pcg64 *g, const uint64_t key[4])
+static void pcg64_seed(pcg64 *g, uint64_t seed, uint64_t tag, uint64_t t, uint64_t round)
 {
     /* Each key integer gives its 32-bit words, low first; zero gives one. */
+    const uint64_t key[4] = {seed, tag, t, round};
     uint32_t entropy[8], pool[4], hash = INIT_A, words[8];
     int n = 0;
     for (int k = 0; k < 4; k++) {
@@ -253,28 +255,29 @@ static uint32_t bounded32(pcg64 *g, uint32_t range)
     return (uint32_t)(m >> 32);
 }
 
-/* For key k (keys is nkeys x 4, row-major), counts[k] integers in
-   [lo[k], lo[k] + range[k]] appended to out, as
-   default_rng(key).integers(lo, lo + range, size=count, endpoint=True)
-   draws them; every range must be below 2**32 - 1. */
-void fedmtl_draw_integers(int64_t nkeys, const uint64_t *keys, const int64_t *lo,
-                          const int64_t *range, const int64_t *counts, int64_t *out)
+/* For node t, 0 <= t < m, counts[t] integers in [lo[t], lo[t] + range[t]]
+   appended to out, as default_rng([seed, tag, t, round]).integers(lo,
+   lo + range, size=count, endpoint=True) draws them; every range must be
+   below 2**32 - 1. */
+void fedmtl_draw_integers(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
+                          const int64_t *lo, const int64_t *range, const int64_t *counts,
+                          int64_t *out)
 {
-    for (int64_t k = 0; k < nkeys; k++) {
+    for (int64_t t = 0; t < m; t++) {
         pcg64 g;
-        if (range[k] && counts[k])
-            pcg64_seed(&g, keys + 4 * k);
-        for (int64_t j = 0; j < counts[k]; j++)
-            *out++ = lo[k] + (range[k] ? (int64_t)bounded32(&g, (uint32_t)range[k]) : 0);
+        if (range[t] && counts[t])
+            pcg64_seed(&g, seed, tag, t, round);
+        for (int64_t j = 0; j < counts[t]; j++)
+            *out++ = lo[t] + (range[t] ? (int64_t)bounded32(&g, (uint32_t)range[t]) : 0);
     }
 }
 
-/* For key k, out[k] = default_rng(key).random(). */
-void fedmtl_draw_random(int64_t nkeys, const uint64_t *keys, double *out)
+/* For node t, 0 <= t < m, out[t] = default_rng([seed, tag, t, round]).random(). */
+void fedmtl_draw_random(uint64_t seed, uint64_t tag, uint64_t round, int64_t m, double *out)
 {
-    for (int64_t k = 0; k < nkeys; k++) {
+    for (int64_t t = 0; t < m; t++) {
         pcg64 g;
-        pcg64_seed(&g, keys + 4 * k);
-        out[k] = (double)(pcg64_next64(&g) >> 11) * (1.0 / 9007199254740992.0);
+        pcg64_seed(&g, seed, tag, t, round);
+        out[t] = (double)(pcg64_next64(&g) >> 11) * (1.0 / 9007199254740992.0);
     }
 }

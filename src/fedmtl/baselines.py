@@ -23,6 +23,7 @@ from .regularizers import (
     regularizer_grad,
 )
 from .solver import (
+    SGD_STREAM,
     ConstantPolicy,
     ConvergenceError,
     FixedQualitySolver,
@@ -35,18 +36,18 @@ from .solver import (
     init_dual_state,
     primal_objective,
     run_w_update,
+    stream,
 )
 # Unused here, but perfbench's tracer patches these names in this module.
 from .solver import dual_objective, make_views, oracle_subproblem_opt  # noqa: F401
-
-SGD_STREAM = 12
 
 DEFAULT_LAMBDA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 
 def check_method_params(method: str, params: dict) -> None:
     """Raise ValueError when a setting that ``method`` reads from ``params``
-    is out of range; other methods and other keys are not looked at."""
+    is out of range; other methods and other keys are not looked at.
+    ``mb_sgd_run`` passes no ``step``, so a zero step stays a no-op run."""
     if method == "cocoa" and not 0.0 <= params["theta"] < 1.0:
         raise ValueError("theta must be in [0, 1)")
     if method == "cocoa" and params["max_passes"] < 1:
@@ -57,6 +58,8 @@ def check_method_params(method: str, params: dict) -> None:
         raise ValueError("beta must be in [1, batch]")
     if method == "mb_sgd" and params["schedule"] not in ("constant", "inv_sqrt"):
         raise ValueError("schedule must be 'constant' or 'inv_sqrt'")
+    if method == "mb_sgd" and "step" in params and not 0.0 < params["step"] < math.inf:
+        raise ValueError("step must be finite and > 0")
 
 
 def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
@@ -125,8 +128,7 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                 continue
             b_t = min(max(int(budgets[t]), 1), task.n)
             counts.append(b_t)
-            rng = np.random.default_rng([seed, SGD_STREAM, t, h])
-            idx = rng.choice(task.n, size=b_t, replace=False)
+            idx = stream(seed, SGD_STREAM, t, h).choice(task.n, size=b_t, replace=False)
             Xb = task.features[:, idx]
             g = subgradient(kind, W[:, t] @ Xb, task.labels[idx])
             grad[:, t] += (task.n / b_t) * (Xb @ g)

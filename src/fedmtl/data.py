@@ -133,8 +133,8 @@ class SyntheticSpec:
             raise ValueError("need 1 <= n_min <= n_max")
         if not 1 <= self.cluster_count <= self.m:
             raise ValueError("cluster_count must be in [1, m]")
-        if self.deviation < 0.0:
-            raise ValueError("deviation must be >= 0")
+        if not 0.0 <= self.deviation < np.inf:
+            raise ValueError("deviation must be finite and >= 0")
         if not 0.0 <= self.noise < 0.5:
             raise ValueError("noise rate must be in [0, 0.5)")
         if self.seed < 0:

@@ -35,8 +35,8 @@ class MeanRegularized:
     lambda2: float
 
     def __post_init__(self):
-        if self.lambda1 < 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("need lambda1 >= 0 and lambda2 > 0")
+        if not (0.0 <= self.lambda1 < np.inf and 0.0 < self.lambda2 < np.inf):
+            raise ValueError("need finite lambda1 >= 0 and lambda2 > 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ProbabilisticPrior:
     ridge_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.lam <= 0.0 or self.sigma2_prior <= 0.0 or self.ridge_eps <= 0.0:
-            raise ValueError("need lam, sigma2_prior, ridge_eps > 0")
+        if not all(0.0 < v < np.inf for v in (self.lam, self.sigma2_prior, self.ridge_eps)):
+            raise ValueError("need finite lam, sigma2_prior, ridge_eps > 0")
 
 
 OmegaModel = MeanRegularized | ProbabilisticPrior

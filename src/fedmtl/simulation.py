@@ -9,10 +9,11 @@ with one dense d-vector shipped each way (8 bytes per entry).  A synchronous
 round lasts as long as the slowest responding node; dropped nodes never extend
 the deadline, which is set by the coordinator's clock cycle.
 
-Budget and dropout draws are pure functions of (seed, node, round), so any
-wrapped run is reproducible and indifferent to worker threading.  A round's
-budgets and drops are drawn for every node at once, natively where the
-native draws reproduce numpy's streams.
+Node t's budget and drop in round h come from its own streams,
+``stream(seed, BUDGET_STREAM, t, h)`` and ``stream(seed, DROP_STREAM, t, h)``,
+so any wrapped run is reproducible and indifferent to worker threading.  A
+round's budgets are one ``draw_integers`` call and its drops one
+``draw_random`` call.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ from .data import FederatedDataset
 from .losses import LossKind
 from .regularizers import OmegaModel, build_relationship, initial_omega
 from .solver import (
+    BUDGET_STREAM,
+    DROP_STREAM,
     RoundStats,
     RunResult,
     SolverConfig,
-    native_integers,
-    native_random,
+    draw_integers,
+    draw_random,
     run_mocha,
 )
-
-BUDGET_STREAM = 21
-DROP_STREAM = 22
 
 # FLOPs charged per coordinate update (or gradient evaluation) per feature:
 # one dot against the weight snapshot, one against the local accumulator, the
@@ -58,8 +58,8 @@ class NodeProfile:
     drop_probability: float = 0.0
 
     def __post_init__(self):
-        if self.clock_rate <= 0.0:
-            raise ValueError("clock_rate must be positive")
+        if not 0.0 < self.clock_rate < np.inf:
+            raise ValueError("clock_rate must be finite and positive")
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError(
                 f"drop_probability must be in [0, 1], got {self.drop_probability!r}")
@@ -72,8 +72,8 @@ class NetworkPreset:
     bandwidth_bytes_per_ms: float
 
     def __post_init__(self):
-        if self.latency_ms < 0.0 or self.bandwidth_bytes_per_ms <= 0.0:
-            raise ValueError("need latency >= 0 and bandwidth > 0")
+        if not (0.0 <= self.latency_ms < np.inf and 0.0 < self.bandwidth_bytes_per_ms < np.inf):
+            raise ValueError("need finite latency >= 0 and bandwidth > 0")
 
     def comm_ms(self, message_bytes: float) -> float:
         # Down the weight snapshot, up the delta block.
@@ -115,17 +115,6 @@ class HeterogeneityPolicy:
         return self.k, self.k
 
 
-def sample_budget(policy: HeterogeneityPolicy, rng) -> int:
-    lo, hi = policy.bounds()
-    if lo == hi:
-        return lo
-    return int(rng.integers(lo, hi + 1))
-
-
-def sample_drop(profile: NodeProfile, rng) -> bool:
-    return bool(rng.random() < profile.drop_probability)
-
-
 def estimate_flops(update_count: int, d: int) -> float:
     if update_count < 0:
         raise ValueError("update_count must be >= 0")
@@ -153,9 +142,9 @@ def round_time(per_node_flops, profiles, preset: NetworkPreset,
 
 
 class SystemsPolicy:
-    """Budget/drop provider for solver runs, backed by reproducible streams
-    keyed on (seed, node, round).  ``budget`` and ``dropped`` draw one node's
-    values; ``draws`` gives the same values for a whole round."""
+    """Budget/drop provider for solver runs: each call gives a whole round's
+    values for nodes 0 .. m - 1, node t's from its own stream (see the
+    module docstring)."""
 
     def __init__(self, seed: int, profiles, heterogeneity: HeterogeneityPolicy):
         if seed < 0:
@@ -164,27 +153,18 @@ class SystemsPolicy:
         self.profiles = list(profiles)
         self.heterogeneity = heterogeneity
 
-    def budget(self, task_id: int, round_idx: int) -> int:
-        rng = np.random.default_rng([self.seed, BUDGET_STREAM, task_id, round_idx])
-        return sample_budget(self.heterogeneity, rng)
+    def budget(self, m: int, round_idx: int) -> list[int]:
+        """Each node's budget, uniform on the heterogeneity policy's bounds."""
+        lo, hi = self.heterogeneity.bounds()
+        return draw_integers(self.seed, BUDGET_STREAM, round_idx, lo, hi, [1] * m).tolist()
 
-    def dropped(self, task_id: int, round_idx: int) -> bool:
-        rng = np.random.default_rng([self.seed, DROP_STREAM, task_id, round_idx])
-        return sample_drop(self.profiles[task_id], rng)
+    def dropped(self, m: int, round_idx: int) -> list[bool]:
+        """Whether each node drops: a uniform below its drop probability."""
+        probabilities = [profile.drop_probability for profile in self.profiles[:m]]
+        return (draw_random(self.seed, DROP_STREAM, round_idx, m) < probabilities).tolist()
 
     def draws(self, m: int, round_idx: int) -> tuple[list[int], list[bool]]:
-        """``budget`` and ``dropped`` of nodes 0 .. m - 1 for the round: one
-        native call for the budgets and one for the drops, or the per-node
-        methods where the native draws cannot run."""
-        lo, hi = self.heterogeneity.bounds()
-        budgets = native_integers([(self.seed, BUDGET_STREAM, t, round_idx) for t in range(m)],
-                                  lo, hi, 1)
-        uniforms = native_random([(self.seed, DROP_STREAM, t, round_idx) for t in range(m)])
-        if budgets is None or uniforms is None:
-            return ([self.budget(t, round_idx) for t in range(m)],
-                    [self.dropped(t, round_idx) for t in range(m)])
-        probabilities = [profile.drop_probability for profile in self.profiles[:m]]
-        return budgets.tolist(), (uniforms < probabilities).tolist()
+        return self.budget(m, round_idx), self.dropped(m, round_idx)
 
 
 def attach_times(trace: list[RoundStats], d: int, profiles,

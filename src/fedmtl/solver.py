@@ -35,15 +35,16 @@ native pass over the features.  Both take their dot products in the kernel's
 four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
 references and the paths without a compiler.
 
-Concurrency: every random draw is keyed by (seed, stream, task, round) and
-taken on the calling thread.  A round's budgets and drops, and every
-responding node's coordinate indices, are each one native call that
-reproduces numpy's ``default_rng`` streams bit for bit (``native_integers``,
-``native_random``), with numpy itself as the path where that cannot run.
-The nodes are then split into contiguous chunks, one per worker, and each
-chunk is one call of the native round kernel, which releases the
-interpreter lock.  Nodes read a frozen snapshot and write only their own
-blocks, and the reduce adds the packed delta once, so traces are
+Concurrency: a caller names a round's randomness by (seed, tag, round)
+alone; node t's stream is ``stream(seed, tag, t, round)``, a pure function
+of its coordinates, and every draw is taken on the calling thread.  A
+round's budgets, its drops and every responding node's coordinate indices
+are one call each of ``draw_integers`` or ``draw_random``, which reproduce
+those numpy streams bit for bit natively and take numpy's path node by node
+where that cannot run.  The nodes are then split into contiguous chunks, one
+per worker, and each chunk is one call of the native round kernel, which
+releases the interpreter lock.  Nodes read a frozen snapshot and write only
+their own blocks, and the reduce adds the packed delta once, so traces are
 bit-identical for any worker count.
 """
 
@@ -83,14 +84,23 @@ from .regularizers import (
     update_omega,
 )
 
-# Stream tags keep the solver, budget, and dropout randomness independent.
+# Stream tags keep the local solvers', mini-batch SGD's, budget and dropout
+# randomness independent.
 SOLVER_STREAM = 11
+SGD_STREAM = 12
+BUDGET_STREAM = 21
+DROP_STREAM = 22
 
 # Sweep cap of the exact subproblem solve.
 _ORACLE_MAX_PASSES = 20000
 
 # Tolerance of the exact solve that CoCoA's theta is measured against.
 _COCOA_ORACLE_TOL = 1e-9
+
+
+def stream(seed: int, tag: int, t: int, round_idx: int) -> np.random.Generator:
+    """Node t's random stream under ``tag`` in round ``round_idx``."""
+    return np.random.default_rng([seed, tag, t, round_idx])
 
 
 class ConvergenceError(RuntimeError):
@@ -307,24 +317,26 @@ _KERNEL_SOURCE = Path(__file__).with_name("_updates.c")
 _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
-# The native draws are used only if they give numpy's draws for this key:
-# its first word takes two 32-bit entropy words, and the odd count leaves
-# the high half of a 64-bit output for the next integer.
-_STREAM_CHECK = ((2**63 + 12345, SOLVER_STREAM, 3, 7), -5, 2**31, 7)
+# The native draws are used only if they give numpy's draws for these
+# streams: the seed takes two 32-bit entropy words, two nodes check the node's
+# place in the key, and the odd count leaves the high half of a 64-bit output
+# for the next integer.
+_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7)
 
 
 def _streams_match_numpy(lib) -> bool:
     """Whether ``lib``'s draws for ``_STREAM_CHECK`` equal numpy's."""
-    key, lo, hi, count = _STREAM_CHECK
-    keys = np.array([key], dtype=np.uint64)
-    args = [np.array([v], dtype=np.int64) for v in (lo, hi - lo, count)]
-    ints, double = np.empty(count, dtype=np.int64), np.empty(1)
-    lib.fedmtl_draw_integers(1, keys.ctypes.data, *(a.ctypes.data for a in args),
-                             ints.ctypes.data)
-    lib.fedmtl_draw_random(1, keys.ctypes.data, double.ctypes.data)
-    ref = np.random.default_rng(list(key)).integers(lo, hi, size=count, endpoint=True)
-    return bool(np.array_equal(ints, ref)
-                and double[0] == np.random.default_rng(list(key)).random())
+    seed, tag, round_idx, lo, hi, count = _STREAM_CHECK
+    lows, widths, counts = (np.full(2, v, dtype=np.int64) for v in (lo, hi - lo, count))
+    ints, doubles = np.empty(2 * count, dtype=np.int64), np.empty(2)
+    lib.fedmtl_draw_integers(seed, tag, round_idx, 2, lows.ctypes.data, widths.ctypes.data,
+                             counts.ctypes.data, ints.ctypes.data)
+    lib.fedmtl_draw_random(seed, tag, round_idx, 2, doubles.ctypes.data)
+    return bool(
+        np.array_equal(ints, np.concatenate([
+            stream(seed, tag, t, round_idx).integers(lo, hi, size=count, endpoint=True)
+            for t in range(2)]))
+        and doubles.tolist() == [stream(seed, tag, t, round_idx).random() for t in range(2)])
 
 
 @functools.cache
@@ -364,12 +376,12 @@ def _load_kernel():
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
     lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, i64,
                                      *[ptr] * 11]
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
-    lib.fedmtl_draw_integers.argtypes = [i64, *[ptr] * 5]
-    lib.fedmtl_draw_random.argtypes = [i64, ptr, ptr]
+    lib.fedmtl_draw_integers.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
+    lib.fedmtl_draw_random.argtypes = [u64, u64, u64, i64, ptr]
     for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses,
                   lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
         entry.restype = None
@@ -377,55 +389,53 @@ def _load_kernel():
     return lib
 
 
-def _stream_keys(keys):
-    """``keys`` as the K x 4 uint64 array the native draws take, or None when
-    they must take numpy's path: no kernel, a kernel whose draws did not
-    match numpy's, or a key that is not four integers in [0, 2**64)."""
+def _draw_kernel(seed: int, tag: int, round_idx: int):
+    """The kernel when its draws give these streams, else None: there is
+    none, its draws did not match numpy's when it was loaded, or seed, tag
+    or round is not in [0, 2**64)."""
     lib = _load_kernel()
-    if lib is None or not lib.numpy_streams:
+    if lib is None or not lib.numpy_streams or not all(
+            0 <= k < 2**64 for k in (seed, tag, round_idx)):
         return None
-    try:
-        return np.array(keys, dtype=np.uint64).reshape(len(keys), 4)
-    except (OverflowError, ValueError):
-        return None
+    return lib
 
 
-def native_integers(keys, lo, hi, counts) -> np.ndarray | None:
-    """Every key's draws in one native call, concatenated: for key k,
-    ``counts[k]`` integers in ``[lo[k], hi[k]]``, exactly those of
-    ``np.random.default_rng(list(keys[k])).integers(lo[k], hi[k],
-    size=counts[k], endpoint=True)``.  ``lo``, ``hi`` and ``counts`` may be
-    scalars.
+def draw_integers(seed: int, tag: int, round_idx: int, lo, hi, counts) -> np.ndarray:
+    """For each node t < m = len(counts), ``counts[t]`` integers in
+    ``[lo[t], hi[t]]`` from its stream, concatenated in node order: exactly
+    ``stream(seed, tag, t, round_idx).integers(lo[t], hi[t],
+    size=counts[t], endpoint=True)``.  ``lo`` and ``hi`` may be scalars.
 
-    None when the caller must draw with numpy: see ``_stream_keys``, and a
-    range ``hi - lo`` of 2**32 - 1 or more, or an invalid one.
+    One native call, or node by node with numpy where that cannot run (see
+    ``_draw_kernel``), or where a drawing node's width ``hi - lo`` is
+    2**32 - 1 or more, or invalid.
     """
-    key_array = _stream_keys(keys)
-    if key_array is None:
-        return None
-    lo, hi, counts = (np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype=np.int64),
-                                                           (len(key_array),)))
-                      for a in (lo, hi, counts))
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype=np.int64), counts.shape))
+              for a in (lo, hi))
     width = hi - lo
-    if key_array.size and not (width.min() >= 0 and width.max() < 2**32 - 1
-                               and counts.min() >= 0):
-        return None
-    out = np.empty(int(counts.sum()), dtype=np.int64)
-    _load_kernel().fedmtl_draw_integers(len(key_array), key_array.ctypes.data, lo.ctypes.data,
-                                        width.ctypes.data, counts.ctypes.data,
-                                        out.ctypes.data)
-    return out
+    drawn = width[counts != 0]
+    lib = _draw_kernel(seed, tag, round_idx)
+    if (lib is not None and counts.min(initial=0) >= 0
+            and drawn.min(initial=0) >= 0 and drawn.max(initial=0) < 2**32 - 1):
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        lib.fedmtl_draw_integers(seed, tag, round_idx, len(counts), lo.ctypes.data,
+                                 width.ctypes.data, counts.ctypes.data, out.ctypes.data)
+        return out
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        stream(seed, tag, t, round_idx).integers(lo[t], hi[t], size=counts[t], endpoint=True)
+        for t in np.flatnonzero(counts))])
 
 
-def native_random(keys) -> np.ndarray | None:
-    """One double per key in one native call, exactly
-    ``np.random.default_rng(list(key)).random()``; None when the caller must
-    draw with numpy (see ``_stream_keys``)."""
-    key_array = _stream_keys(keys)
-    if key_array is None:
-        return None
-    out = np.empty(len(key_array))
-    _load_kernel().fedmtl_draw_random(len(key_array), key_array.ctypes.data, out.ctypes.data)
+def draw_random(seed: int, tag: int, round_idx: int, m: int) -> np.ndarray:
+    """``stream(seed, tag, t, round_idx).random()`` for each node t < m, in
+    one native call, or node by node with numpy where that cannot run (see
+    ``_draw_kernel``)."""
+    lib = _draw_kernel(seed, tag, round_idx)
+    if lib is None:
+        return np.array([stream(seed, tag, t, round_idx).random() for t in range(m)])
+    out = np.empty(m)
+    lib.fedmtl_draw_random(seed, tag, round_idx, m, out.ctypes.data)
     return out
 
 
@@ -553,44 +563,39 @@ def _task_losses_py(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.n
                      for t, task in enumerate(ds.tasks)])
 
 
-def _round_indices(ds: FederatedDataset, budgets, drops, keys):
+def _round_indices(ds: FederatedDataset, budgets, drops, seed: int, round_idx: int):
     """Each node's update count (its budget, or 0 when it drops) and the
     responding nodes' coordinate indices, concatenated in node order: node t
-    draws its count uniformly from [0, n_t), with replacement, from the
-    stream ``keys[t]``.  One native call for the round, or per node with
-    numpy where that cannot run."""
+    draws its count uniformly from [0, n_t), with replacement, from
+    ``stream(seed, SOLVER_STREAM, t, round_idx)``."""
     counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
-    live = [t for t in range(ds.m) if counts[t]]
-    idx = native_integers([keys[t] for t in live], 0, [ds.tasks[t].n - 1 for t in live],
-                          [counts[t] for t in live])
-    if idx is None:
-        idx = np.concatenate([np.empty(0, dtype=np.int64), *(
-            np.random.default_rng(list(keys[t])).integers(0, ds.tasks[t].n, size=counts[t])
-            for t in live)])
-    return counts, idx
+    return counts, draw_integers(seed, SOLVER_STREAM, round_idx, 0, np.diff(ds.offsets) - 1,
+                                 counts)
 
 
-def _budget_round(view: RoundView, budgets, drops, keys, beta: float) -> RoundResult:
+def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
+                  beta: float) -> RoundResult:
     """One ``_run_round`` call over the round's budgets: each responding node
     draws its indices with ``_round_indices`` and steps in ``beta``'s mode."""
     ds = view.ds
-    counts, idx = _round_indices(ds, budgets, drops, keys)
+    counts, idx = _round_indices(ds, budgets, drops, seed, round_idx)
     delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
     _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta, U, beta)
     return RoundResult(delta, U.T, counts)
 
 
-def solve_local(view: RoundView, budgets, drops, keys) -> RoundResult:
+def solve_local(view: RoundView, budgets, drops, seed: int, round_idx: int) -> RoundResult:
     """MOCHA's local solves for one round: each responding node runs
     ``budgets[t]`` randomized coordinate updates (uniform with replacement,
-    drawn from the stream ``keys[t]``) against the snapshot.
+    drawn from ``stream(seed, SOLVER_STREAM, t, round_idx)``) against the
+    snapshot.
 
     A dropped node, or a budget of zero, does nothing.  No node's subproblem
     value increases.  delta_v is U^T from ``_run_round``: column t is the u
     that node t's updates accumulated, X_t @ delta_t up to rounding, which
     is also what its steps were scored against.
     """
-    return _budget_round(view, budgets, drops, keys, 0.0)
+    return _budget_round(view, budgets, drops, seed, round_idx, 0.0)
 
 
 def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -663,14 +668,15 @@ class FixedQualitySolver:
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
     from method comparisons.  The passes run in lockstep, one ``_run_round``
     call per pass over the nodes still above the target; each node draws its
-    n_t indices per pass from its own stream ``keys[t]``, so its work and
-    result do not depend on the other nodes.
+    n_t indices per pass from its own ``stream(seed, SOLVER_STREAM, t,
+    round_idx)``, so its work and result do not depend on the other nodes.
     """
 
     theta_target: float
     max_passes: int = 500
 
-    def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
+    def __call__(self, view: RoundView, budgets, drops, seed: int,
+                 round_idx: int) -> RoundResult:
         ds = view.ds
         live = [t for t in range(ds.m) if not drops[t]]
         star = oracle_subproblem_opt(view, live, _COCOA_ORACLE_TOL)
@@ -681,7 +687,7 @@ class FixedQualitySolver:
         denom = _node_values(view, delta, U) - g_star
         theta = np.where(denom > 1e-14, 1.0, 0.0)
         active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
-        streams = {t: np.random.default_rng(list(keys[t])) for t in np.flatnonzero(active)}
+        streams = {t: stream(seed, SOLVER_STREAM, t, round_idx) for t in np.flatnonzero(active)}
         sizes = np.diff(ds.offsets)
         counts = np.zeros(ds.m, dtype=np.int64)
         for _ in range(self.max_passes):
@@ -716,8 +722,9 @@ class MiniBatchSolver:
     # Tells the round engine to report an out-of-box hinge dual as None.
     may_leave_box = True
 
-    def __call__(self, view: RoundView, budgets, drops, keys) -> RoundResult:
-        return _budget_round(view, budgets, drops, keys, self.beta)
+    def __call__(self, view: RoundView, budgets, drops, seed: int,
+                 round_idx: int) -> RoundResult:
+        return _budget_round(view, budgets, drops, seed, round_idx, self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +781,12 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     """One synchronous round: local solves against a common snapshot, then a
     reduce scaled by ``rel.gamma`` and refreshed objectives.
 
-    ``local_solver(view, budgets, drops, keys) -> RoundResult`` solves
-    every node's subproblem for the round: ``view`` is the ``RoundView``,
-    ``keys[t]`` the key of node t's random stream, (seed, SOLVER_STREAM, t,
-    round_idx), and None for a dropped node.  It
-    defaults to ``solve_local`` (MOCHA); ``FixedQualitySolver`` gives CoCoA
-    and ``MiniBatchSolver`` mini-batch SDCA.  A solver with a true
+    ``local_solver(view, budgets, drops, seed, round_idx) -> RoundResult``
+    solves every node's subproblem for the round against the ``RoundView``
+    ``view``, node t drawing from ``stream(seed, SOLVER_STREAM, t,
+    round_idx)``.  It defaults to ``solve_local`` (MOCHA);
+    ``FixedQualitySolver`` gives CoCoA and ``MiniBatchSolver`` mini-batch
+    SDCA.  A solver with a true
     ``may_leave_box`` attribute gets None for every value that needs a
     feasible hinge dual; any other solver raises DualInfeasibleError.
 
@@ -800,8 +807,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     else:
         dual_before = previous.dual
     rstar_before = regularizer_conjugate(state.v, rel.mbar)
-    keys = [None if drops[t] else (seed, SOLVER_STREAM, t, round_idx) for t in range(m)]
-    result = solve(view, budgets, drops, keys)
+    result = solve(view, budgets, drops, seed, round_idx)
     subproblem_sum = _unless_infeasible(lambda: _subproblem_sum(view, result), strict)
 
     state.packed += rel.gamma * result.delta

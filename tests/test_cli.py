@@ -303,6 +303,10 @@ def test_bad_method_params_rejected_before_writing(tmp_path):
         ("train", "name = cocoa\ntheta = 1.5"),
         ("train", "name = mb_sdca\nbatch = 2\nbeta = 5"),
         ("train", "name = mb_sgd\nschedule = bogus"),
+        ("train", "name = mb_sgd\nstep = nan"),
+        ("train", "name = mb_sgd\nstep = inf"),
+        ("train", "name = mb_sgd\nstep = -0.1"),
+        ("train", "name = mb_sgd\nstep = 0"),
         ("train", "name = cocoa\nmax_passes = 0"),
         ("train", "name = local\nlambda = -1"),
         ("train", "name = global\nlambda = 0"),
@@ -348,6 +352,16 @@ dir = {out}
     ("train", "[synthetic]\nm = 0"),
     ("generate", "[synthetic]\nm = 0"),
     ("train", "[network]\npreset = custom\nlatency_ms = -1\nbandwidth = 100"),
+    # Non-finite settings are rejected where they enter, before any output.
+    ("train", "[model]\nlambda1 = nan"),
+    ("train", "[model]\nlambda2 = nan"),
+    ("train", "[model]\nlambda1 = inf"),
+    ("train", "[model]\nkind = probabilistic\nlam = nan"),
+    ("train", "[model]\nkind = probabilistic\nsigma2_prior = nan"),
+    ("train", "[model]\nkind = probabilistic\nridge_eps = nan"),
+    ("train", "[systems]\nclock_rate = nan"),
+    ("train", "[network]\npreset = custom\nlatency_ms = nan\nbandwidth = 100"),
+    ("train", "[synthetic]\ndeviation = nan"),
     ("theory", "[theory]\np_max = 1.5"),
     ("theory", "[theory]\neps = 0"),
     ("theory", "[solver]\ngamma = 2"),

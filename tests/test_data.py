@@ -190,3 +190,9 @@ def test_standardize():
     # test transformed with train statistics, not its own
     pooled_test = np.concatenate([t.features for t in ztest.tasks], axis=1)
     assert not np.allclose(pooled_test.mean(axis=1), 0.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("deviation", [np.nan, np.inf, -0.1])
+def test_synthetic_deviation_must_be_finite_and_non_negative(deviation):
+    with pytest.raises(ValueError, match="deviation"):
+        SyntheticSpec(m=2, d=3, n_min=4, n_max=4, deviation=deviation)

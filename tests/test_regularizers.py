@@ -338,3 +338,19 @@ def test_matrix_csv_roundtrip(tmp_path):
     assert np.array_equal(mat, back)
     header = path.read_text().splitlines()[0]
     assert header == "m,4"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MeanRegularized(lambda1=np.nan, lambda2=1.0),
+    lambda: MeanRegularized(lambda1=1.0, lambda2=np.nan),
+    lambda: MeanRegularized(lambda1=np.inf, lambda2=1.0),
+    lambda: MeanRegularized(lambda1=1.0, lambda2=np.inf),
+    lambda: ProbabilisticPrior(lam=np.nan),
+    lambda: ProbabilisticPrior(lam=1.0, sigma2_prior=np.nan),
+    lambda: ProbabilisticPrior(lam=1.0, ridge_eps=np.nan),
+    lambda: ProbabilisticPrior(lam=np.inf),
+], ids=["lambda1-nan", "lambda2-nan", "lambda1-inf", "lambda2-inf", "lam-nan",
+        "sigma2_prior-nan", "ridge_eps-nan", "lam-inf"])
+def test_coupling_settings_must_be_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

@@ -13,49 +13,52 @@ from fedmtl.simulation import (
     attach_times,
     estimate_flops,
     round_time,
-    sample_budget,
-    sample_drop,
     simulate_run,
 )
-from fedmtl.solver import SolverConfig
+from fedmtl.solver import BUDGET_STREAM, DROP_STREAM, SolverConfig, stream
 
 HINGE = LossKind.HINGE
 
 
+def _budgets(heterogeneity, m, seed, round_idx=0):
+    """One round's budgets for m nodes; budgets read no node profile."""
+    return SystemsPolicy(seed, [], heterogeneity).budget(m, round_idx)
+
+
+def _drops(probability, m, seed, round_idx=0):
+    """One round's drops for m nodes that all drop with ``probability``."""
+    policy = SystemsPolicy(seed, [NodeProfile(drop_probability=probability)] * m,
+                           HeterogeneityPolicy("none", n_min=1))
+    return policy.dropped(m, round_idx)
+
+
 def test_sample_budget_fixed():
     policy = HeterogeneityPolicy("fixed", n_min=100, k=10)
-    rng = np.random.default_rng(0)
-    assert all(sample_budget(policy, rng) == 10 for _ in range(20))
+    assert _budgets(policy, 20, seed=0) == [10] * 20
 
 
 def test_sample_budget_high_range_and_mean():
     policy = HeterogeneityPolicy("high", n_min=100)
-    rng = np.random.default_rng(1)
-    draws = np.array([sample_budget(policy, rng) for _ in range(100_000)])
+    draws = np.array(_budgets(policy, 100_000, seed=1))
     assert draws.min() >= 10 and draws.max() <= 100
     assert abs(draws.mean() - 55.0) <= 1.0
 
 
 def test_sample_budget_low_range():
     policy = HeterogeneityPolicy("low", n_min=100)
-    rng = np.random.default_rng(2)
-    draws = np.array([sample_budget(policy, rng) for _ in range(2000)])
+    draws = np.array(_budgets(policy, 2000, seed=2))
     assert draws.min() >= 90 and draws.max() <= 100
 
 
 def test_sample_budget_none_mode():
     policy = HeterogeneityPolicy("none", n_min=37)
-    rng = np.random.default_rng(3)
-    assert sample_budget(policy, rng) == 37
+    assert _budgets(policy, 1, seed=3) == [37]
 
 
 def test_sample_drop_probabilities():
-    rng = np.random.default_rng(4)
-    assert not any(sample_drop(NodeProfile(drop_probability=0.0), rng) for _ in range(1000))
-    assert all(sample_drop(NodeProfile(drop_probability=1.0), rng) for _ in range(1000))
-    rng = np.random.default_rng(5)
-    freq = np.mean([sample_drop(NodeProfile(drop_probability=0.3), rng)
-                    for _ in range(100_000)])
+    assert not any(_drops(0.0, 1000, seed=4))
+    assert all(_drops(1.0, 1000, seed=4))
+    freq = np.mean(_drops(0.3, 100_000, seed=5))
     assert abs(freq - 0.3) <= 0.01
 
 
@@ -88,6 +91,23 @@ def test_round_time_dropped_nodes_never_extend():
     assert t_all == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: NodeProfile(clock_rate=np.nan),
+    lambda: NodeProfile(clock_rate=np.inf),
+    lambda: NodeProfile(clock_rate=0.0),
+    lambda: NetworkPreset("p", np.nan, 100.0),
+    lambda: NetworkPreset("p", np.inf, 100.0),
+    lambda: NetworkPreset("p", 1.0, np.nan),
+    lambda: NetworkPreset("p", 1.0, np.inf),
+], ids=["clock-nan", "clock-inf", "clock-zero", "latency-nan", "latency-inf",
+        "bandwidth-nan", "bandwidth-inf"])
+def test_systems_settings_must_be_finite(make):
+    # max(0.0, nan) is 0.0, so a NaN setting would give every round the
+    # minimum time.
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_preset_table_and_ratio_helper():
     assert set(PRESETS) == {"wifi", "lte", "3g"}
     assert PRESETS["3g"].latency_ms > PRESETS["lte"].latency_ms > PRESETS["wifi"].latency_ms
@@ -98,12 +118,11 @@ def test_systems_policy_reproducible_streams():
                            HeterogeneityPolicy("high", n_min=50))
     again = SystemsPolicy(7, [NodeProfile(drop_probability=0.4)] * 3,
                           HeterogeneityPolicy("high", n_min=50))
-    for t in range(3):
-        for h in range(10):
-            assert policy.budget(t, h) == again.budget(t, h)
-            assert policy.dropped(t, h) == again.dropped(t, h)
+    for h in range(10):
+        assert policy.budget(3, h) == again.budget(3, h)
+        assert policy.dropped(3, h) == again.dropped(3, h)
     # distinct (node, round) pairs see distinct draws somewhere
-    draws = {policy.budget(t, h) for t in range(3) for h in range(10)}
+    draws = {b for h in range(10) for b in policy.budget(3, h)}
     assert len(draws) > 1
 
 
@@ -113,14 +132,20 @@ def test_systems_policy_reproducible_streams():
                                            HeterogeneityPolicy("high", n_min=50),
                                            HeterogeneityPolicy("fixed", n_min=1, k=0)])
 def test_systems_policy_round_draws_match_per_node_draws(seed, heterogeneity):
-    # A seed of 2**64 or more takes the per-node path; drop probabilities 0 and 1
-    # pin the comparison's ends.
-    profiles = [NodeProfile(drop_probability=p) for p in (0.0, 0.3, 0.5, 1.0, 0.7)]
-    policy = SystemsPolicy(seed, profiles, heterogeneity)
+    # A round's values are node t's draws from its own streams.  A seed of
+    # 2**64 or more takes numpy's path; drop probabilities 0 and 1 pin the
+    # comparison's ends.
+    probabilities = (0.0, 0.3, 0.5, 1.0, 0.7)
+    policy = SystemsPolicy(seed, [NodeProfile(drop_probability=p) for p in probabilities],
+                           heterogeneity)
+    lo, hi = heterogeneity.bounds()
     for h in range(8):
         budgets, drops = policy.draws(5, h)
-        assert budgets == [policy.budget(t, h) for t in range(5)]
-        assert drops == [policy.dropped(t, h) for t in range(5)]
+        assert (budgets, drops) == (policy.budget(5, h), policy.dropped(5, h))
+        assert budgets == [int(stream(seed, BUDGET_STREAM, t, h).integers(lo, hi, endpoint=True))
+                           for t in range(5)]
+        assert drops == [bool(stream(seed, DROP_STREAM, t, h).random() < p)
+                         for t, p in enumerate(probabilities)]
         assert all(type(b) is int for b in budgets) and all(type(d) is bool for d in drops)
 
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -179,15 +182,15 @@ def test_local_value_decreases_after_coordinate_step(rng):
 
 def test_solve_local_budget_zero(rng):
     view = one_node_round(random_view(rng, HINGE, d=4, n=6))
-    res = solve_local(view, [0], [False], [(0, 11, 0, 0)])
+    res = solve_local(view, [0], [False], 0, 0)
     assert np.all(res.delta == 0.0) and np.all(res.delta_v == 0.0)
     assert res.update_count == 0
 
 
 def test_solve_local_deterministic(rng):
     view = one_node_round(random_view(rng, HINGE, d=4, n=9))
-    a = solve_local(view, [40], [False], [(5, 1, 0, 0)])
-    b = solve_local(view, [40], [False], [(5, 1, 0, 0)])
+    a = solve_local(view, [40], [False], 5, 0)
+    b = solve_local(view, [40], [False], 5, 0)
     assert np.array_equal(a.delta, b.delta)
     assert np.array_equal(a.delta_v, b.delta_v)
 
@@ -195,9 +198,9 @@ def test_solve_local_deterministic(rng):
 def test_rng_stream_prefix_property():
     # budget draws must be prefix-consistent so larger budgets extend smaller
     # ones; the monotone quality guarantees rely on it
-    r1 = np.random.default_rng([3, 11, 0, 0])
+    r1 = solver.stream(3, solver.SOLVER_STREAM, 0, 0)
     full = r1.integers(0, 10, size=50)
-    r2 = np.random.default_rng([3, 11, 0, 0])
+    r2 = solver.stream(3, solver.SOLVER_STREAM, 0, 0)
     head = r2.integers(0, 10, size=20)
     tail = r2.integers(0, 10, size=30)
     assert np.array_equal(full[:20], head)
@@ -208,7 +211,7 @@ def test_solve_local_reaches_oracle_value(rng):
     for kind in (HINGE, SQUARED):
         round_view = one_node_round(random_view(rng, kind, d=3, n=5))
         view = round_view.node(0)
-        res = solve_local(round_view, [10_000 * 5], [False], [(2, 11, 0, 0)])
+        res = solve_local(round_view, [10_000 * 5], [False], 2, 0)
         val = _view_value(view, res.delta)
         star = oracle_subproblem_opt(round_view, [0])
         val_star = _view_value(view, star)
@@ -252,7 +255,7 @@ def test_cocoa_theta_matches_measure_theta(rng):
             round_view = one_node_round(random_view(rng, kind, d=4, n=9))
             view = round_view.node(0)
             solver = FixedQualitySolver(target)
-            res = solver(round_view, [0], [False], [(3, 11, 0, 0)])
+            res = solver(round_view, [0], [False], 3, 0)
             oracle = oracle_subproblem_opt(round_view, [0], _COCOA_ORACLE_TOL)
             (theta,) = res.theta
             assert theta == pytest.approx(
@@ -269,7 +272,7 @@ def test_cocoa_theta_matches_measure_theta(rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
-    """In CoCoA's and mini-batch SDCA's lockstep rounds, a node's delta block,
+    """In MOCHA's, CoCoA's and mini-batch SDCA's rounds, a node's delta block,
     delta_v column, count and theta are exactly those of the same round with
     every other node dropped."""
     rng = np.random.default_rng(seed)
@@ -283,13 +286,12 @@ def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
     view = RoundView(ds, kind, alpha, rng.standard_normal((d, ds.m)),
                      rng.uniform(0.5, 2.0, size=ds.m))
     budgets = [int(rng.integers(1, 3 * n + 1)) for n in sizes]
-    keys = [(seed, 11, t, 0) for t in range(ds.m)]
-    for local_solver in (FixedQualitySolver(target), MiniBatchSolver(1.0 + 2.0 * target)):
-        together = local_solver(view, budgets, [False] * ds.m, keys)
+    for local_solver in (solve_local, FixedQualitySolver(target),
+                         MiniBatchSolver(1.0 + 2.0 * target)):
+        together = local_solver(view, budgets, [False] * ds.m, seed, 0)
         for t in range(ds.m):
             drops = [s != t for s in range(ds.m)]
-            solo = local_solver(view, budgets, drops,
-                                [None if drop else key for drop, key in zip(drops, keys)])
+            solo = local_solver(view, budgets, drops, seed, 0)
             block = slice(ds.offsets[t], ds.offsets[t + 1])
             assert np.array_equal(together.delta[block], solo.delta[block])
             assert not solo.delta[:ds.offsets[t]].any() and not solo.delta[block.stop:].any()
@@ -602,3 +604,16 @@ def test_trace_writers(tmp_path, rng):
             assert cells[5] == ""
             assert cells[6] == ("" if row["theta"] is None
                                 else ";".join(repr(x) for x in row["theta"]))
+
+
+def test_import_loads_neither_subprocess_nor_thread_pools():
+    # Every command pays for importing fedmtl: the kernel build imports
+    # subprocess and the worker pool concurrent.futures only when they run.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, fedmtl, fedmtl.cli; "
+            "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

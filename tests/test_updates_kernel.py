@@ -23,6 +23,7 @@ from fedmtl.regularizers import (
 )
 from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
 from fedmtl.solver import (
+    SOLVER_STREAM,
     RoundView,
     SolverConfig,
     SubproblemView,
@@ -31,12 +32,13 @@ from fedmtl.solver import (
     _run_round_py,
     _task_losses,
     _task_losses_py,
+    draw_integers,
+    draw_random,
     init_dual_state,
-    native_integers,
-    native_random,
     run_mocha,
     run_w_update,
     solve_local,
+    stream,
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -137,18 +139,14 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
     drops = list(rng.random(m) < 0.3)
     beta = float(max(budgets, default=1)) if beta == "b" else float(beta)
 
-    keys = [None if drops[t] else (seed, 11, t, 0) for t in range(m)]
-
-    def streams():
-        return [None if key is None else np.random.default_rng(list(key)) for key in keys]
-
     with np.errstate(over="ignore"):
         # A subnormal curvature overflows the unclipped hinge step to inf.
-        res = solve_local(view, budgets, drops, keys)
+        res = solve_local(view, budgets, drops, seed, 0)
         starts = np.concatenate([[0], np.cumsum(res.update_counts)])
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            rng_t.integers(0, ds.tasks[t].n, size=res.update_counts[t])
-            for t, rng_t in enumerate(streams()) if res.update_counts[t]])
+            stream(seed, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n,
+                                                       size=res.update_counts[t])
+            for t in range(m) if res.update_counts[t]])
         delta, U = np.zeros(ds.n), np.zeros((m, d))
         _run_round(view, idx, starts, delta, U, beta)
         if beta == 0.0:
@@ -293,12 +291,12 @@ def _dual_baseline_runs():
 def test_python_fallback_matches_reference(monkeypatch):
     round_view = one_node_round(random_view(np.random.default_rng(1), LossKind.HINGE,
                                             d=7, n=30))
-    idx = np.random.default_rng([3, 11, 0, 0]).integers(0, 30, size=200)
+    idx = stream(3, SOLVER_STREAM, 0, 0).integers(0, 30, size=200)
     ref_delta, ref_u = _updated(_run_round_py, round_view, idx)
     native_runs = _dual_baseline_runs()
 
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    res = solve_local(round_view, [200], [False], [(3, 11, 0, 0)])
+    res = solve_local(round_view, [200], [False], 3, 0)
     assert np.array_equal(res.delta, ref_delta)
     assert np.array_equal(res.delta_v[:, 0], ref_u)
     # CoCoA and mini-batch SDCA take the same steps without a compiler.
@@ -366,52 +364,91 @@ _WORD = st.integers(0, 2**64 - 1)
 _WIDTH = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 2))
 
 
+def _native_calls(patch, lib):
+    """The names of ``lib``'s draw entry points as they are called, in
+    order; the entry points still run.  ``patch`` undoes the wrapping."""
+    calls = []
+    for name in ("fedmtl_draw_integers", "fedmtl_draw_random"):
+        def wrapped(*args, _name=name, _entry=getattr(lib, name)):
+            calls.append(_name)
+            return _entry(*args)
+        patch.setattr(lib, name, wrapped)
+    return calls
+
+
+def _per_node(seed, round_idx, lo, hi, counts):
+    """``draw_integers`` under tag 11, node by node from numpy's streams."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        stream(seed, 11, t, round_idx).integers(lo, hi, size=count, endpoint=True)
+        for t, count in enumerate(counts))])
+
+
 @needs_cc
 @settings(max_examples=150, deadline=None)
-@given(cases=st.lists(st.tuples(st.tuples(_WORD, _WORD, _WORD, _WORD),
-                                st.integers(-2**31, 2**31), _WIDTH,
+@given(seed=_WORD, tag=_WORD, round_idx=_WORD,
+       nodes=st.lists(st.tuples(st.integers(-2**31, 2**31), _WIDTH,
                                 st.integers(0, 40), st.integers(0, 40)),
                       max_size=6))
-def test_native_draws_match_numpy(cases):
-    """Every key's integers in one call equal numpy's from that key's stream,
-    taken as two consecutive draws, so the unused half of a 64-bit output
-    carries over; every key's double equals numpy's first ``random()``."""
-    keys = [key for key, *_ in cases]
-    got = native_integers(keys, [lo for _, lo, *_ in cases],
-                          [lo + width for _, lo, width, *_ in cases],
-                          [a + b for *_, a, b in cases])
+def test_native_draws_match_numpy(seed, tag, round_idx, nodes):
+    """Every node's integers from one native call equal numpy's from its
+    stream, taken as two consecutive draws, so the unused half of a 64-bit
+    output carries over; every node's double equals numpy's first
+    ``random()``."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _native_calls(patch, solver._load_kernel())
+        got = draw_integers(seed, tag, round_idx, [lo for lo, *_ in nodes],
+                            [lo + width for lo, width, *_ in nodes],
+                            [a + b for *_, a, b in nodes])
+        doubles = draw_random(seed, tag, round_idx, len(nodes))
+    assert calls == ["fedmtl_draw_integers", "fedmtl_draw_random"]
     expected = []
-    for key, lo, width, a, b in cases:
-        rng = np.random.default_rng(list(key))
+    for t, (lo, width, a, b) in enumerate(nodes):
+        rng = stream(seed, tag, t, round_idx)
         expected += [rng.integers(lo, lo + width, size=size, endpoint=True) for size in (a, b)]
     assert got.dtype == np.int64
     assert np.array_equal(got, np.concatenate([np.empty(0, dtype=np.int64), *expected]))
-    doubles = native_random(keys)
-    assert doubles.tolist() == [np.random.default_rng(list(key)).random() for key in keys]
+    assert doubles.tolist() == [stream(seed, tag, t, round_idx).random()
+                                for t in range(len(nodes))]
 
 
 @needs_cc
 def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
-    key = (5, 11, 2, 9)
-    for keys in ([(2**64, 11, 2, 9)], [(-1, 11, 2, 9)], [(5, 11, 2)]):
-        assert native_integers(keys, 0, 9, 4) is None
-        assert native_random(keys) is None
-    for lo, hi in ((0, 2**32 - 1), (-2**31, 2**31), (3, 2)):
-        assert native_integers([key], lo, hi, 4) is None
-    # The widest range the native draws take.
-    assert np.array_equal(native_integers([key], 0, 2**32 - 2, 5),
-                          np.random.default_rng(list(key)).integers(0, 2**32 - 2, size=5,
-                                                                    endpoint=True))
-    # A round whose keys need numpy draws each node's indices with numpy.
+    calls = _native_calls(monkeypatch, solver._load_kernel())
+    # A seed or round of 2**64 or more takes numpy's path node by node.
+    for seed, round_idx in ((2**64, 9), (5, 2**64 + 1)):
+        assert np.array_equal(draw_integers(seed, 11, round_idx, 0, 9, [0, 3, 4]),
+                              _per_node(seed, round_idx, 0, 9, [0, 3, 4]))
+        assert draw_random(seed, 11, round_idx, 3).tolist() == [
+            stream(seed, 11, t, round_idx).random() for t in range(3)]
+    # So does a width of 2**32 - 1 or more.
+    for lo, hi in ((0, 2**32 - 1), (-2**31, 2**31)):
+        assert np.array_equal(draw_integers(5, 11, 9, lo, hi, [0, 3, 4]),
+                              _per_node(5, 9, lo, hi, [0, 3, 4]))
+    assert calls == []
+    # numpy rejects a negative seed, an empty range and a negative count.
+    for args in ((-1, 11, 9, 0, 9, [4]), (5, 11, 9, 3, 2, [4]), (5, 11, 9, 0, 9, [-1])):
+        with pytest.raises(ValueError):
+            draw_integers(*args)
+    with pytest.raises(ValueError):
+        draw_random(-1, 11, 9, 2)
+    # The widest range the native draws take, next to a node that draws
+    # nothing from a range they cannot take.
+    assert np.array_equal(draw_integers(5, 11, 9, 0, [2**32 - 2, 2**33], [5, 0]),
+                          _per_node(5, 9, 0, 2**32 - 2, [5]))
+    assert calls == ["fedmtl_draw_integers"]
+    # A round whose seed needs numpy draws each node's indices with numpy.
     ds = generate_synthetic(SyntheticSpec(m=4, d=3, n_min=5, n_max=9, seed=3))
-    keys = [(2**64 + 3, 11, t, 0) for t in range(ds.m)]
-    counts, idx = _round_indices(ds, [4, 0, 7, 3], [False, False, False, True], keys)
+    counts, idx = _round_indices(ds, [4, 0, 7, 3], [False, False, False, True], 2**64 + 3, 0)
     assert counts == [4, 0, 7, 0]
     assert np.array_equal(idx, np.concatenate([
-        np.random.default_rng(list(keys[t])).integers(0, ds.tasks[t].n, size=counts[t])
+        stream(2**64 + 3, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n, size=counts[t])
         for t in (0, 2)]))
+    # Without the kernel every draw is numpy's.
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    assert native_integers([key], 0, 9, 4) is None and native_random([key]) is None
+    assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 3, 4]),
+                          _per_node(5, 9, 0, 9, [0, 3, 4]))
+    assert draw_random(5, 11, 9, 3).tolist() == [stream(5, 11, t, 9).random() for t in range(3)]
+    assert calls == ["fedmtl_draw_integers"]
 
 
 def _dropping_runs(workers):
@@ -464,10 +501,13 @@ def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
             solver._load_kernel.cache_clear()
             lib = solver._load_kernel()
         assert lib is not None and lib.numpy_streams is False
-        assert native_integers([(5, 11, 2, 9)], 0, 9, 4) is None
-        assert native_random([(5, 11, 2, 9)]) is None
+        calls = _native_calls(monkeypatch, lib)
+        assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 4]), _per_node(5, 9, 0, 9, [0, 4]))
+        assert draw_random(5, 11, 9, 2).tolist() == [stream(5, 11, t, 9).random()
+                                                     for t in range(2)]
         # Numpy's draws, with the native update kernel.
         _assert_same_runs(got, _dropping_runs(2))
+        assert calls == []
     finally:
         solver._load_kernel.cache_clear()
     assert solver._load_kernel().numpy_streams is True
