@@ -47,7 +47,7 @@ DEFAULT_LAMBDA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 def check_method_params(method: str, params: dict) -> None:
     """Raise ValueError when a setting that ``method`` reads from ``params``
     is out of range; other methods and other keys are not looked at.
-    ``mb_sgd_run`` passes no ``step``, so a zero step stays a no-op run."""
+    ``mb_sgd_run`` checks its own ``step``, where zero is a valid no-op run."""
     if method == "cocoa" and not 0.0 <= params["theta"] < 1.0:
         raise ValueError("theta must be in [0, 1)")
     if method == "cocoa" and params["max_passes"] < 1:
@@ -110,6 +110,8 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     fixed coupling ``rel``'s penalty, and the update is applied
     synchronously."""
     check_method_params("mb_sgd", {"batch": batch, "schedule": schedule})
+    if not 0.0 <= step < math.inf:
+        raise ValueError("step must be finite and >= 0")
     if policy is None:
         policy = ConstantPolicy(batch)
     W = np.zeros((ds.d, ds.m))

@@ -42,6 +42,7 @@ from .regularizers import (
     ProbabilisticPrior,
     build_relationship,
     initial_omega,
+    sigma_prime_per_task,
     write_matrix_csv,
 )
 from .simulation import (
@@ -237,7 +238,6 @@ def build_solver_config(cfg, seed: int) -> SolverConfig:
             inner_rounds=_get_int(cfg, "solver", "inner_rounds", 100),
             outer_rounds=_get_int(cfg, "solver", "outer_rounds", 1),
             gap_tol=_get_float(cfg, "solver", "gap_tol", None),
-            workers=_get_int(cfg, "solver", "workers", 1),
             seed=seed,
         )
 
@@ -573,7 +573,7 @@ def cmd_theory(args) -> int:
         "loss": kind.value,
         "gamma": gamma,
         "sigma_prime": rel.sigma_prime,
-        "sigma_prime_per_task": list(rel.sigma_prime_per_task),
+        "sigma_prime_per_task": list(sigma_prime_per_task(rel.mbar, gamma)),
         "sigma_per_task": list(stats.per_task),
         "sigma_max": stats.sigma_max,
         "sigma_total": stats.sigma_total,

@@ -7,8 +7,8 @@ task holds its features as a column-major d x n_t matrix whose columns are
 examples; the federated dataset also packs every task's labels and squared
 column norms into n-vectors, task t at ``offsets[t]:offsets[t + 1]``.
 
-All dataset values are immutable after construction and safe to share across
-parallel workers.
+All dataset values are immutable after construction; a round reads them and
+never writes them.
 """
 
 from __future__ import annotations

@@ -137,7 +137,8 @@ def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndar
 @dataclass(frozen=True, eq=False)
 class RelationshipState:
     """Coupling snapshot the solver runs against: Omega, the precision
-    Q = Mbar^{-1} of the penalty, Mbar itself, and safe sigma'.
+    Q = Mbar^{-1} of the penalty, Mbar itself, the safe sigma', and each
+    task's local quadratic coefficient kappa_t (see ``build_relationship``).
 
     Immutable between central coupling updates; rebuilt (and every derived
     coefficient with it) whenever Omega changes.
@@ -147,7 +148,7 @@ class RelationshipState:
     precision: np.ndarray
     mbar: np.ndarray
     sigma_prime: float
-    sigma_prime_per_task: np.ndarray
+    kappa: np.ndarray
     gamma: float
 
 
@@ -163,11 +164,15 @@ def _check_pd(mat: np.ndarray, what: str) -> None:
         ) from None
 
 
-def build_relationship(model: OmegaModel, omega: np.ndarray,
-                       gamma: float = 1.0) -> RelationshipState:
-    """The state for this Omega: the precision Q of the model's penalty and
-    Mbar = Q^{-1}.  A non-finite Omega raises ValueError; a ridged Omega or a
-    Q that is not positive definite raises LinAlgError."""
+def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
+                       sigma_prime_mode: str = "global") -> RelationshipState:
+    """The state for this Omega: the precision Q of the model's penalty,
+    Mbar = Q^{-1} and kappa_t = sigma' * Mbar_tt, with task t's own sigma'_t
+    under ``per_task``.  An unknown mode or a non-finite Omega raises
+    ValueError; a ridged Omega or a Q that is not positive definite raises
+    LinAlgError."""
+    if sigma_prime_mode not in ("global", "per_task"):
+        raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
     m = omega.shape[0]
@@ -183,12 +188,14 @@ def build_relationship(model: OmegaModel, omega: np.ndarray,
     _check_pd(precision, "coupling matrix")
     mbar = np.linalg.inv(precision)
     mbar = 0.5 * (mbar + mbar.T)
+    sp = sigma_prime(mbar, gamma)
+    task_sp = sp if sigma_prime_mode == "global" else sigma_prime_per_task(mbar, gamma)
     return RelationshipState(
         omega=omega,
         precision=precision,
         mbar=mbar,
-        sigma_prime=sigma_prime(mbar, gamma),
-        sigma_prime_per_task=sigma_prime_per_task(mbar, gamma),
+        sigma_prime=sp,
+        kappa=task_sp * np.diag(mbar),
         gamma=gamma,
     )
 

@@ -11,9 +11,8 @@ the deadline, which is set by the coordinator's clock cycle.
 
 Node t's budget and drop in round h come from its own streams,
 ``stream(seed, BUDGET_STREAM, t, h)`` and ``stream(seed, DROP_STREAM, t, h)``,
-so any wrapped run is reproducible and indifferent to worker threading.  A
-round's budgets are one ``draw_integers`` call and its drops one
-``draw_random`` call.
+so any wrapped run is reproducible from its seed alone.  A round's budgets
+are one ``draw_integers`` call and its drops one ``draw_random`` call.
 """
 
 from __future__ import annotations
@@ -160,6 +159,8 @@ class SystemsPolicy:
 
     def dropped(self, m: int, round_idx: int) -> list[bool]:
         """Whether each node drops: a uniform below its drop probability."""
+        if len(self.profiles) < m:
+            raise ValueError(f"need a profile for each of {m} nodes, got {len(self.profiles)}")
         probabilities = [profile.drop_probability for profile in self.profiles[:m]]
         return (draw_random(self.seed, DROP_STREAM, round_idx, m) < probabilities).tolist()
 

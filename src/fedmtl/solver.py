@@ -35,17 +35,16 @@ native pass over the features.  Both take their dot products in the kernel's
 four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
 references and the paths without a compiler.
 
-Concurrency: a caller names a round's randomness by (seed, tag, round)
-alone; node t's stream is ``stream(seed, tag, t, round)``, a pure function
-of its coordinates, and every draw is taken on the calling thread.  A
-round's budgets, its drops and every responding node's coordinate indices
-are one call each of ``draw_integers`` or ``draw_random``, which reproduce
-those numpy streams bit for bit natively and take numpy's path node by node
-where that cannot run.  The nodes are then split into contiguous chunks, one
-per worker, and each chunk is one call of the native round kernel, which
-releases the interpreter lock.  Nodes read a frozen snapshot and write only
-their own blocks, and the reduce adds the packed delta once, so traces are
-bit-identical for any worker count.
+Determinism: a round is a pure function of the dual state, the coupling
+(``RelationshipState``, which holds each node's kappa) and the round's
+draws.  A caller names a round's randomness by (seed, tag, round) alone:
+node t's stream is ``stream(seed, tag, t, round)``.  A round's budgets, its
+drops and every responding node's coordinate indices are one call each of
+``draw_integers`` or ``draw_random``, which reproduce those numpy streams bit
+for bit natively and take numpy's path node by node where that cannot run.
+Every node's steps are then one call of the native round kernel, on the
+calling thread: the sweep is memory-bound, so threads do not pay, and a
+round's simulated length comes from its update counts, not from the host.
 """
 
 from __future__ import annotations
@@ -136,6 +135,8 @@ class SolverConfig:
     outer_rounds: int = 1
     gap_tol: float | None = None
     seed: int = 0
+    # No effect: every round runs on the calling thread.  Kept, and checked,
+    # because perfbench/workloads.py still sets it.
     workers: int = 1
 
     def __post_init__(self):
@@ -255,15 +256,14 @@ class SubproblemView:
 @dataclass(frozen=True, eq=False)
 class RoundView:
     """Frozen picture of one round for every node: the dataset, the packed
-    dual snapshot, the weight snapshot W (column t for node t), each node's
-    kappa, and how many threads the local solves may use."""
+    dual snapshot, the weight snapshot W (column t for node t) and each
+    node's kappa."""
 
     ds: FederatedDataset
     kind: LossKind
     alpha: np.ndarray
     W: np.ndarray
     kappa: np.ndarray
-    workers: int = 1
 
     def node(self, t: int) -> SubproblemView:
         block = slice(self.ds.offsets[t], self.ds.offsets[t + 1])
@@ -308,7 +308,7 @@ def _step_function(kind: LossKind):
     """Exact single-coordinate step ``step(alpha_i, y_i, score_i, x_norm2,
     kappa)`` for the loss: the minimizer of the local subproblem restricted
     to coordinate i.  ``score_i`` is w_t . x_i plus kappa times x_i . u, and
-    ``kappa`` > 0 the effective quadratic coefficient sigma' * Mbar_tt.  The
+    ``kappa`` > 0 the node's entry of ``RelationshipState.kappa``.  The
     arguments are not checked."""
     return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
@@ -377,8 +377,7 @@ def _load_kernel():
     except OSError:
         return None
     ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
-    lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, i64,
-                                     *[ptr] * 11]
+    lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, *[ptr] * 11]
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
     lib.fedmtl_draw_integers.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
     lib.fedmtl_draw_random.argtypes = [u64, u64, u64, i64, ptr]
@@ -478,11 +477,10 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     scored against the snapshot alone and scaled by beta / b_t, with b_t the
     node's count in this call.
 
-    Native when the kernel is built: one call per chunk of contiguous nodes,
-    one chunk per worker.  Its dot products sum in four lanes (lane k the
-    terms with j = k mod 4, combined as (l0 + l1) + (l2 + l3)), not in
-    numpy's order, so results can differ from ``_run_round_py``, the path
-    without a compiler, in the last digits.
+    Native when the kernel is built: one call over every node.  Its dot
+    products sum in four lanes (lane k the terms with j = k mod 4, combined
+    as (l0 + l1) + (l2 + l3)), not in numpy's order, so results can differ
+    from ``_run_round_py``, the path without a compiler, in the last digits.
     """
     ds = view.ds
     m, d = ds.m, ds.d
@@ -507,21 +505,11 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     alpha = np.ascontiguousarray(view.alpha, dtype=np.float64)
     if W.shape != (m, d) or kappa.shape != (m,) or alpha.shape != (ds.n,):
         raise ValueError("round view arrays do not match the dataset")
-    # Every array stays referenced here until the calls return.
-    pointers = [a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
-                                        ds.col_norms2, kappa, ds.offsets, idx,
-                                        starts, delta, U)]
-    hinge = view.kind is LossKind.HINGE
-
-    def chunk(bounds) -> None:
-        lib.fedmtl_run_round(hinge, beta, d, *bounds, *pointers)
-
-    workers = min(view.workers, m)
-    if workers > 1:
-        cuts = [m * k // workers for k in range(workers + 1)]
-        list(_executor(workers).map(chunk, zip(cuts[:-1], cuts[1:])))
-    else:
-        chunk((0, m))
+    # Every array stays referenced here until the call returns.
+    lib.fedmtl_run_round(view.kind is LossKind.HINGE, beta, d, m,
+                         *(a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
+                                                   ds.col_norms2, kappa, ds.offsets, idx,
+                                                   starts, delta, U)))
 
 
 def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
@@ -731,16 +719,9 @@ class MiniBatchSolver:
 # Federated rounds
 
 
-def _kappa_vector(rel: RelationshipState, mode: str) -> np.ndarray:
-    diag = np.diag(rel.mbar)
-    if mode == "per_task":
-        return rel.sigma_prime_per_task * diag
-    return rel.sigma_prime * diag
-
-
 def make_views(ds: FederatedDataset, kind: LossKind, state: DualState,
-               W: np.ndarray, kappa: np.ndarray, workers: int = 1) -> RoundView:
-    return RoundView(ds, kind, state.packed, W, kappa, workers)
+               W: np.ndarray, kappa: np.ndarray) -> RoundView:
+    return RoundView(ds, kind, state.packed, W, kappa)
 
 
 def _subproblem_sum(view: RoundView, result: RoundResult) -> float:
@@ -764,22 +745,13 @@ def _unless_infeasible(evaluate, strict: bool):
         return None
 
 
-@functools.cache
-def _executor(workers: int):
-    """One ``ThreadPoolExecutor`` per worker count, kept for the life of the
-    process, so rounds do not pay for starting and joining threads."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fedmtl")
-
-
 def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                     state: DualState, budgets, drops, *,
                     round_idx: int = 0, seed: int = 0,
-                    sigma_prime_mode: str = "global", workers: int = 1,
                     local_solver=None, previous: RoundStats | None = None) -> RoundStats:
-    """One synchronous round: local solves against a common snapshot, then a
-    reduce scaled by ``rel.gamma`` and refreshed objectives.
+    """One synchronous round: local solves against a common snapshot, each
+    node's with ``rel.kappa``, then a reduce scaled by ``rel.gamma`` and
+    refreshed objectives.
 
     ``local_solver(view, budgets, drops, seed, round_idx) -> RoundResult``
     solves every node's subproblem for the round against the ``RoundView``
@@ -798,9 +770,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
     solve = solve_local if local_solver is None else local_solver
     strict = not getattr(solve, "may_leave_box", False)
     m = ds.m
-    W = primal_from_dual(state.v, rel.mbar)
-    kappa = _kappa_vector(rel, sigma_prime_mode)
-    view = make_views(ds, kind, state, W, kappa, workers)
+    view = make_views(ds, kind, state, primal_from_dual(state.v, rel.mbar), rel.kappa)
     if previous is None:
         dual_before = _unless_infeasible(
             lambda: dual_objective(state, ds, kind, rel), strict)
@@ -834,7 +804,6 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
                  state: DualState, policy, *,
                  rounds: int, gap_tol: float | None = None,
                  seed: int = 0, start_round: int = 0,
-                 sigma_prime_mode: str = "global", workers: int = 1,
                  local_solver=None) -> list[RoundStats]:
     """Repeat federated rounds with budgets/drops drawn from the policy until
     the round count is exhausted or the duality gap reaches the tolerance.
@@ -848,7 +817,6 @@ def run_w_update(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
         stats = federated_round(
             ds, kind, rel, state, budgets, drops,
             round_idx=h, seed=seed,
-            sigma_prime_mode=sigma_prime_mode, workers=workers,
             local_solver=local_solver, previous=out[-1] if out else None,
         )
         out.append(stats)
@@ -862,7 +830,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
     """Full alternating run: federated weight updates interleaved with central
     coupling updates, warm-starting the dual across outer iterations."""
     omega = initial_omega(model, ds.m)
-    rel = build_relationship(model, omega, config.gamma)
+    rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode)
     state = init_dual_state(ds)
     trace: list[RoundStats] = []
     h = 0
@@ -871,7 +839,6 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
             ds, kind, rel, state, policy,
             rounds=config.inner_rounds, gap_tol=config.gap_tol,
             seed=config.seed, start_round=h,
-            sigma_prime_mode=config.sigma_prime_mode, workers=config.workers,
         )
         trace.extend(stats)
         h += len(stats)
@@ -879,7 +846,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
         new_omega = update_omega(model, W, omega)
         if new_omega is not omega:
             omega = new_omega
-            rel = build_relationship(model, omega, config.gamma)
+            rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode)
     W = primal_from_dual(state.v, rel.mbar)
     return RunResult(trace, PrimalState(W), omega)
 

@@ -168,6 +168,10 @@ def test_mb_sgd_zero_step(rng):
     run = mb_sgd_run(ds, HINGE, rel, 3, 0.0, 5, seed=1)
     assert np.all(run.primal.W == 0.0)
     assert run.trace[0].primal == ds.n
+    # Zero is the smallest step; a negative or non-finite one is rejected.
+    for step in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="step"):
+            mb_sgd_run(ds, HINGE, rel, 3, step, 3, seed=1)
 
 
 def test_mb_sgd_schedules_and_determinism(rng):

@@ -93,6 +93,29 @@ dir = {out}
     assert header == "h,elapsed_ms_estimated,dual,primal,gap,dropped,theta"
 
 
+def test_train_mocha_per_task_sigma_mode(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "train.ini", BASE_SYNTH + f"""
+[model]
+kind = probabilistic
+
+[method]
+name = mocha
+loss = hinge
+
+[solver]
+sigma_prime_mode = per_task
+inner_rounds = 15
+outer_rounds = 2
+
+[output]
+dir = {out}
+""")
+    assert main(["train", "--config", cfg]) == 0
+    rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    assert len(rows) == 30 and rows[-1]["gap"] < rows[0]["gap"]
+
+
 def test_train_global_omits_omega(tmp_path):
     out = tmp_path / "gout"
     cfg = write_config(tmp_path / "g.ini", BASE_SYNTH + f"""
@@ -330,8 +353,8 @@ dir = {out}
 
 
 def test_bad_solver_settings_rejected_before_writing(tmp_path):
-    for i, bad in enumerate(["workers = 0", "workers = -2", "inner_rounds = 0",
-                             "inner_rounds = -4", "outer_rounds = -1"]):
+    for i, bad in enumerate(["inner_rounds = 0", "inner_rounds = -4", "outer_rounds = -1",
+                             "sigma_prime_mode = bogus"]):
         out = tmp_path / f"run{i}"
         cfg = write_config(tmp_path / f"run{i}.ini", BASE_SYNTH + f"""
 [method]

@@ -309,6 +309,29 @@ def test_learned_omega_stable_under_ulp_perturbation():
             assert np.abs(moved - omega).max() <= 1e-12 * np.abs(omega).max()
 
 
+def test_kappa_keeps_its_formula():
+    # kappa_t = sigma' * Mbar_tt, with task t's own sigma'_t under per_task,
+    # for fixed and learned Omega under both models.
+    rng = np.random.default_rng(8)
+    learner = ProbabilisticPrior(lam=0.5)
+    for m in (1, 2, 5):
+        learned = update_omega(learner, rng.standard_normal((3, m)), np.eye(m) / m)
+        for model in (MeanRegularized(1.0, 0.5), learner):
+            for omega in (initial_omega(model, m), learned):
+                for gamma in (1.0, 0.7):
+                    for mode in ("global", "per_task"):
+                        rel = build_relationship(model, omega, gamma, mode)
+                        diag = np.diag(rel.mbar)
+                        if mode == "per_task":
+                            want = sigma_prime_per_task(rel.mbar, gamma) * diag
+                        else:
+                            want = sigma_prime(rel.mbar, gamma) * diag
+                        assert rel.kappa.shape == (m,) and (rel.kappa == want).all()
+                        assert rel.sigma_prime == sigma_prime(rel.mbar, gamma)
+    with pytest.raises(ValueError, match="sigma_prime_mode"):
+        build_relationship(learner, np.eye(2) / 2, 1.0, "bogus")
+
+
 def test_build_relationship_checks_trace():
     model = ProbabilisticPrior(lam=1.0)
     with pytest.raises(ValueError):

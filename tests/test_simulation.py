@@ -32,6 +32,16 @@ def _drops(probability, m, seed, round_idx=0):
     return policy.dropped(m, round_idx)
 
 
+def test_systems_policy_needs_a_profile_per_node():
+    none = HeterogeneityPolicy("none", n_min=1)
+    for count in (1, 2):
+        policy = SystemsPolicy(0, [NodeProfile(drop_probability=1.0)] * count, none)
+        with pytest.raises(ValueError, match=f"each of 4 nodes, got {count}"):
+            policy.draws(4, 0)
+    policy = SystemsPolicy(0, [NodeProfile(drop_probability=1.0)] * 4, none)
+    assert policy.draws(4, 0)[1] == [True] * 4
+
+
 def test_sample_budget_fixed():
     policy = HeterogeneityPolicy("fixed", n_min=100, k=10)
     assert _budgets(policy, 20, seed=0) == [10] * 20

@@ -52,9 +52,9 @@ HINGE = LossKind.HINGE
 SQUARED = LossKind.SQUARED
 
 
-def mean_reg_setup(ds, lambda1=1.0, lambda2=1.0, gamma=1.0):
+def mean_reg_setup(ds, lambda1=1.0, lambda2=1.0, gamma=1.0, mode="global"):
     model = MeanRegularized(lambda1, lambda2)
-    return build_relationship(model, initial_omega(model, ds.m), gamma)
+    return build_relationship(model, initial_omega(model, ds.m), gamma, mode)
 
 
 class DropPolicy:
@@ -445,31 +445,17 @@ def test_permanent_drop_plateaus(rng):
     assert len(trace) == 200
 
 
-def test_workers_do_not_change_trace(rng):
+def test_rounds_start_no_threads(rng, monkeypatch):
+    # Rounds run on the calling thread; SolverConfig.workers has no effect.
     ds = make_dataset(rng, m=4, d=5, n_lo=8, n_hi=12)
-    rel = mean_reg_setup(ds)
-
-    def run(workers):
-        state = init_dual_state(ds)
-        return run_w_update(ds, HINGE, rel, state, ConstantPolicy(15),
-                            rounds=10, seed=6, workers=workers), state
-
-    t1, s1 = run(1)
-    t4, s4 = run(4)
-    for a, b in zip(t1, t4):
-        assert a.dual == b.dual and a.primal == b.primal and a.gap == b.gap
-    assert np.array_equal(s1.packed, s4.packed)
-    assert np.array_equal(s1.v, s4.v)
-
-
-def test_pooled_rounds_do_not_add_threads(rng):
-    ds = make_dataset(rng, m=4, d=5, n_lo=8, n_hi=12)
-    rel = mean_reg_setup(ds)
-    before = threading.active_count()
-    for _ in range(5):
-        run_w_update(ds, HINGE, rel, init_dual_state(ds), ConstantPolicy(15),
-                     rounds=3, seed=6, workers=2)
-    assert threading.active_count() <= before + 2
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread.name), start(thread))[1])
+    run_mocha(ds, ProbabilisticPrior(lam=0.5),
+              SolverConfig(inner_rounds=3, outer_rounds=2, seed=6, workers=2),
+              ConstantPolicy(15), HINGE)
+    assert started == []
 
 
 def test_run_mocha_fixed_coupling_equals_long_w_update(rng):
@@ -513,10 +499,10 @@ def test_run_mocha_learns_cluster_structure():
 
 def test_per_task_sigma_mode_runs_and_decreases(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=8, n_hi=10)
-    rel = mean_reg_setup(ds)
+    rel = mean_reg_setup(ds, mode="per_task")
     state = init_dual_state(ds)
     trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(20),
-                         rounds=20, seed=7, sigma_prime_mode="per_task")
+                         rounds=20, seed=7)
     assert trace[-1].gap < trace[0].gap
     assert verify_lemma_decrease(trace, 1.0).passed
 
@@ -607,8 +593,8 @@ def test_trace_writers(tmp_path, rng):
 
 
 def test_import_loads_neither_subprocess_nor_thread_pools():
-    # Every command pays for importing fedmtl: the kernel build imports
-    # subprocess and the worker pool concurrent.futures only when they run.
+    # Every command pays for importing fedmtl: only a kernel build imports
+    # subprocess, and rounds run without a thread pool.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, fedmtl, fedmtl.cli; "
             "print(sorted({'subprocess', 'concurrent.futures'} & set(sys.modules)))")

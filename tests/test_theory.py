@@ -195,11 +195,7 @@ def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
     ds2 = FederatedDataset((TaskDataset(0, X, y), TaskDataset(1, X, y)))
     model2 = MeanRegularized(1.0, 1.0)
     good = build_relationship(model2, initial_omega(model2, 2))
-    bad = dataclasses.replace(
-        good,
-        sigma_prime=good.sigma_prime / 4.0,
-        sigma_prime_per_task=good.sigma_prime_per_task / 4.0,
-    )
+    bad = dataclasses.replace(good, kappa=good.kappa / 4.0)
     state2 = init_dual_state(ds2)
     trace2 = run_w_update(ds2, LossKind.HINGE, bad, state2,
                           ConstantPolicy(4), rounds=3, seed=0)

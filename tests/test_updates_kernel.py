@@ -109,14 +109,12 @@ def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
     d=st.integers(1, 13),
     zero_cols=st.integers(0, 2),
     subnormal=st.booleans(),
-    workers=st.integers(1, 3),
     # MOCHA's sequential steps (0), and mini-batch SDCA's with beta = 1 and
     # with beta the largest budget.
     beta=st.sampled_from(["0", "1", "b"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
-                                             workers, beta, seed):
+def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal, beta, seed):
     rng = np.random.default_rng(seed)
     tasks = []
     for t in range(m):
@@ -133,7 +131,7 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal,
     alpha = (ds.labels * rng.uniform(0.0, 1.0, size=ds.n) if kind is LossKind.HINGE
              else rng.standard_normal(ds.n))
     view = RoundView(ds, kind, alpha, rng.standard_normal((d, m)),
-                     rng.uniform(0.05, 5.0, size=m), workers)
+                     rng.uniform(0.05, 5.0, size=m))
     # Budgets of zero, and budgets above n_t, which repeat indices.
     budgets = [int(rng.integers(0, 3 * task.n + 1)) for task in ds.tasks]
     drops = list(rng.random(m) < 0.3)
@@ -214,7 +212,7 @@ def test_running_v_stays_on_x_alpha():
                            HeterogeneityPolicy("high", min(ds.task_sizes())))
     state = init_dual_state(ds)
     trace = run_w_update(ds, LossKind.SQUARED, rel, state, policy,
-                         rounds=60, seed=4, workers=2)
+                         rounds=60, seed=4)
     assert len(trace) == 60 and any(stats.dropped for stats in trace)
     x_alpha = recompute_v(state, ds)
     assert np.linalg.norm(state.v - x_alpha) <= 1e-10 * (1.0 + np.linalg.norm(x_alpha))
@@ -231,9 +229,9 @@ def test_kernel_loads_where_a_compiler_exists():
         assert entry.argtypes and entry.restype is None
     # One node's steps are a static helper of the round kernel, not an export.
     assert not hasattr(lib, "fedmtl_run_updates")
-    # hinge, beta, d, the node range, then the feature table and ten arrays.
+    # hinge, beta, d, m, then the feature table and ten arrays.
     assert lib.fedmtl_run_round.argtypes == [ctypes.c_int, ctypes.c_double,
-                                             *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 11]
+                                             *[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 11]
     # A one-node round takes the native path and matches the reference.
     round_view = one_node_round(random_view(np.random.default_rng(2), LossKind.HINGE,
                                             d=5, n=8))
@@ -451,7 +449,7 @@ def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
     assert calls == ["fedmtl_draw_integers"]
 
 
-def _dropping_runs(workers):
+def _dropping_runs():
     """run_mocha, mb_sdca_run and mb_sgd_run under a high-heterogeneity
     policy that drops nodes with probability 0.3."""
     ds = generate_synthetic(SyntheticSpec(m=6, d=4, n_min=10, n_max=25, cluster_count=2,
@@ -462,7 +460,7 @@ def _dropping_runs(workers):
     rel = build_relationship(fixed, np.eye(ds.m) / ds.m)
     return [
         run_mocha(ds, ProbabilisticPrior(lam=0.5),
-                  SolverConfig(inner_rounds=5, outer_rounds=3, seed=9, workers=workers),
+                  SolverConfig(inner_rounds=5, outer_rounds=3, seed=9),
                   policy, LossKind.SQUARED),
         mb_sdca_run(ds, LossKind.HINGE, rel, 5, 2.0, 8, seed=9, policy=policy),
         mb_sgd_run(ds, LossKind.HINGE, rel, 5, 0.01, 8, seed=9, policy=policy),
@@ -477,22 +475,21 @@ def _assert_same_runs(got, ref):
 
 
 @needs_cc
-@pytest.mark.parametrize("workers", [1, 2])
-def test_runs_bit_identical_without_native_draws(monkeypatch, workers):
+def test_runs_bit_identical_without_native_draws(monkeypatch):
     # The updates and the loss sums run the Python references in both, so
     # only the draws differ.
     monkeypatch.setattr(solver, "_run_round", _run_round_py)
     monkeypatch.setattr(solver, "_task_losses", _task_losses_py)
-    got = _dropping_runs(workers)
+    got = _dropping_runs()
     assert any(stats.dropped for stats in got[0].trace)
     assert any(stats.dropped for stats in got[2].trace)
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    _assert_same_runs(got, _dropping_runs(workers))
+    _assert_same_runs(got, _dropping_runs())
 
 
 @needs_cc
 def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
-    got = _dropping_runs(2)
+    got = _dropping_runs()
     default_rng = np.random.default_rng
     try:
         with monkeypatch.context() as patch:
@@ -506,7 +503,7 @@ def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
         assert draw_random(5, 11, 9, 2).tolist() == [stream(5, 11, t, 9).random()
                                                      for t in range(2)]
         # Numpy's draws, with the native update kernel.
-        _assert_same_runs(got, _dropping_runs(2))
+        _assert_same_runs(got, _dropping_runs())
         assert calls == []
     finally:
         solver._load_kernel.cache_clear()
