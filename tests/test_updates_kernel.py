@@ -449,7 +449,7 @@ def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
     assert calls == ["fedmtl_draw_integers"]
 
 
-def _dropping_runs():
+def _dropping_runs(workers=1):
     """run_mocha, mb_sdca_run and mb_sgd_run under a high-heterogeneity
     policy that drops nodes with probability 0.3."""
     ds = generate_synthetic(SyntheticSpec(m=6, d=4, n_min=10, n_max=25, cluster_count=2,
@@ -460,7 +460,7 @@ def _dropping_runs():
     rel = build_relationship(fixed, np.eye(ds.m) / ds.m)
     return [
         run_mocha(ds, ProbabilisticPrior(lam=0.5),
-                  SolverConfig(inner_rounds=5, outer_rounds=3, seed=9),
+                  SolverConfig(inner_rounds=5, outer_rounds=3, seed=9, workers=workers),
                   policy, LossKind.SQUARED),
         mb_sdca_run(ds, LossKind.HINGE, rel, 5, 2.0, 8, seed=9, policy=policy),
         mb_sgd_run(ds, LossKind.HINGE, rel, 5, 0.01, 8, seed=9, policy=policy),
@@ -475,15 +475,18 @@ def _assert_same_runs(got, ref):
 
 
 @needs_cc
-def test_runs_bit_identical_without_native_draws(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runs_bit_identical_without_native_draws(monkeypatch, workers):
     # The updates and the loss sums run the Python references in both, so
-    # only the draws differ.
+    # only the draws differ. SolverConfig.workers has no effect on a run;
+    # both values must give the same runs.
     monkeypatch.setattr(solver, "_run_round", _run_round_py)
     monkeypatch.setattr(solver, "_task_losses", _task_losses_py)
-    got = _dropping_runs()
+    got = _dropping_runs(workers)
     assert any(stats.dropped for stats in got[0].trace)
     assert any(stats.dropped for stats in got[2].trace)
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
+    _assert_same_runs(got, _dropping_runs(workers))
     _assert_same_runs(got, _dropping_runs())
 
 
