@@ -187,10 +187,10 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
                  heterogeneity: HeterogeneityPolicy, profiles=None,
                  method_params: dict | None = None) -> RunResult:
     """Run a method under a systems environment and annotate its trace with
-    estimated time.  Every method takes its seed, round count and gap target
-    from ``config``; MOCHA runs the whole config, while the baselines run
-    against the initial coupling at gamma = 1.  ``method_params`` overrides
-    ``METHOD_DEFAULTS``."""
+    estimated time.  Every method takes its seed, round count, gap target,
+    gamma and sigma' mode from ``config``; MOCHA runs the whole config, while
+    the baselines run against the initial coupling.  ``method_params``
+    overrides ``METHOD_DEFAULTS``."""
     from . import baselines
 
     params = {**METHOD_DEFAULTS, **(method_params or {})}
@@ -204,7 +204,8 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     batch_policy = policy if heterogeneity.mode != "none" else None
 
     # The fixed coupling the baselines run against.
-    rel = None if method == "mocha" else build_relationship(model, initial_omega(model, ds.m))
+    rel = None if method == "mocha" else build_relationship(
+        model, initial_omega(model, ds.m), config.gamma, config.sigma_prime_mode)
     if method == "mocha":
         result = run_mocha(ds, model, config, policy, kind)
     elif method == "cocoa":

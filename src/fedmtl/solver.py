@@ -14,15 +14,15 @@ Objectives, with v = X @ alpha maintained incrementally and W = w(alpha):
     primal  P(W)     = sum_i l(w_t . x_i, y_i) + R(W)
     gap     G(alpha) = D(alpha) + P(W(alpha)) >= 0
 
-Stored subproblem values omit the constant R*(v)/m share that every task
-carries; it cancels in the approximation-quality ratio and in all decrease
-checks, which re-add it explicitly where needed.
+Stored subproblem values omit the R*(v)/m share of each G_t, which does not
+depend on delta_t: it cancels in the approximation-quality ratio and in the
+decrease sum_t [G_t(0) - G_t(delta_t)] a round records; sum_t G_t(0) = D(alpha).
 
 Layout: the dual iterate is one packed n-vector with task t's block at
 ``ds.offsets[t]:ds.offsets[t + 1]``, next to the dataset's packed labels and
 squared column norms; features stay per task.  A round hands every node's
 snapshot to the local solver at once (``RoundView``) and gets back one packed
-delta, so the dual and the summed subproblem values are each one pass over
+delta, so the dual and the round's subproblem decrease are each one pass over
 packed vectors rather than a loop over tasks.
 
 Every dual method's round is ``_run_round`` calls, one implementation of the
@@ -161,7 +161,7 @@ TRACE_FIELDS = ("h", "elapsed_ms_estimated", "dual", "primal", "gap", "dropped",
 @dataclass
 class RoundStats:
     """One synchronous round: objectives, drops, work done, and optional
-    approximation-quality and decrease-check bookkeeping."""
+    approximation quality and what ``theory.verify_lemma_decrease`` reads."""
 
     h: int
     dual: float | None
@@ -172,8 +172,7 @@ class RoundStats:
     theta: list[float] | None = None
     elapsed_ms_estimated: float | None = None
     dual_before: float | None = None
-    subproblem_sum: float | None = None   # sum_t of stored (constant-free) values
-    rstar_before: float | None = None     # R*(v) snapshot; re-adds the dropped constant
+    subproblem_decrease: float | None = None   # sum_t [G_t(0) - G_t(delta_t)]
 
     def trace_record(self) -> dict:
         return {name: getattr(self, name) for name in TRACE_FIELDS}
@@ -596,9 +595,11 @@ def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarra
             + np.einsum("dt,td->t", view.W, U) + 0.5 * view.kappa * np.einsum("td,td->t", U, U))
 
 
-def oracle_subproblem_opt(view: RoundView, nodes, tol: float = 1e-13) -> np.ndarray:
+def oracle_subproblem_opt(view: RoundView, nodes,
+                          tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Near-exact subproblem minimizers of the listed nodes by cyclic
-    coordinate descent, as one packed delta (zero in every other block).
+    coordinate descent, as one packed delta (zero in every other block), and
+    every node's constant-free value there: ``_node_values`` of the last sweep.
 
     Each sweep applies every coordinate's exact one-dimensional minimizer, in
     order; for these box-constrained quadratics a sweep with no improvement
@@ -626,7 +627,7 @@ def oracle_subproblem_opt(view: RoundView, nodes, tol: float = 1e-13) -> np.ndar
         raise ConvergenceError(
             f"subproblem solve did not converge within {_ORACLE_MAX_PASSES} sweeps"
         )
-    return delta
+    return delta, value
 
 
 def measure_theta(view: SubproblemView, delta_alpha: np.ndarray,
@@ -667,11 +668,8 @@ class FixedQualitySolver:
                  round_idx: int) -> RoundResult:
         ds = view.ds
         live = [t for t in range(ds.m) if not drops[t]]
-        star = oracle_subproblem_opt(view, live, _COCOA_ORACLE_TOL)
-        U_star = np.stack([task.features @ star[ds.offsets[t]:ds.offsets[t + 1]]
-                           for t, task in enumerate(ds.tasks)])
+        _, g_star = oracle_subproblem_opt(view, live, _COCOA_ORACLE_TOL)
         delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
-        g_star = _node_values(view, star, U_star)
         denom = _node_values(view, delta, U) - g_star
         theta = np.where(denom > 1e-14, 1.0, 0.0)
         active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
@@ -724,16 +722,6 @@ def make_views(ds: FederatedDataset, kind: LossKind, state: DualState,
     return RoundView(ds, kind, state.packed, W, kappa)
 
 
-def _subproblem_sum(view: RoundView, result: RoundResult) -> float:
-    """Sum over nodes of the constant-free subproblem values at the round's
-    deltas: one conjugate sum over the packed duals, plus w_t . u_t and
-    kappa_t / 2 * ||u_t||^2 summed over nodes, with u_t = delta_v[:, t]."""
-    u = result.delta_v
-    conj = conjugate_sum(view.kind, view.alpha + result.delta, view.ds.labels)
-    return (conj + float(np.einsum("dt,dt->", view.W, u))
-            + 0.5 * float(np.einsum("t,dt,dt->", view.kappa, u, u)))
-
-
 def _unless_infeasible(evaluate, strict: bool):
     """``evaluate()``, or None when it meets an out-of-box hinge dual and the
     round tolerates that."""
@@ -776,9 +764,14 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
             lambda: dual_objective(state, ds, kind, rel), strict)
     else:
         dual_before = previous.dual
-    rstar_before = regularizer_conjugate(state.v, rel.mbar)
     result = solve(view, budgets, drops, seed, round_idx)
-    subproblem_sum = _unless_infeasible(lambda: _subproblem_sum(view, result), strict)
+    u = result.delta_v
+    # sum_t [G_t(0) - G_t(delta_t)]; exactly 0 for a round with no steps.
+    decrease = _unless_infeasible(lambda: (
+        conjugate_sum(kind, view.alpha, ds.labels)
+        - conjugate_sum(kind, view.alpha + result.delta, ds.labels)
+        - float(np.einsum("dt,dt->", view.W, u))
+        - 0.5 * float(np.einsum("t,dt,dt->", view.kappa, u, u))), strict)
 
     state.packed += rel.gamma * result.delta
     state.v += rel.gamma * result.delta_v
@@ -795,8 +788,7 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
         update_counts=result.update_counts,
         theta=result.theta,
         dual_before=dual_before,
-        subproblem_sum=subproblem_sum,
-        rstar_before=rstar_before,
+        subproblem_decrease=decrease,
     )
 
 

@@ -166,16 +166,17 @@ def verify_lemma_decrease(trace: list[RoundStats], gamma: float,
 
         D(alpha + gamma*delta) <= (1-gamma) D(alpha) + gamma * sum_t G_t(delta_t)
 
-    evaluated from the recorded round bookkeeping; the constant share dropped
-    from stored subproblem values is restored via the R*(v) snapshot."""
+    with G_t(delta_t) = sum_{i in t} l*(-(alpha + delta)_i) + R*(v)/m + w_t . u_t
+    + kappa_t / 2 * ||u_t||^2 and u_t = X_t delta_t.  As sum_t G_t(0) = sum_i
+    l*(-alpha_i) + R*(v) = D(alpha), the right side is D(alpha) - gamma * sum_t
+    [G_t(0) - G_t(delta_t)], read from ``dual_before`` and
+    ``subproblem_decrease``."""
     worst = math.inf
     worst_ratio = -math.inf
     for stats in trace:
-        if stats.dual_before is None or stats.subproblem_sum is None:
+        if stats.dual_before is None or stats.subproblem_decrease is None:
             raise ValueError(f"round {stats.h}: trace lacks decrease-check fields")
-        rhs = (1.0 - gamma) * stats.dual_before + gamma * (
-            stats.subproblem_sum + stats.rstar_before
-        )
+        rhs = stats.dual_before - gamma * stats.subproblem_decrease
         scale = max(1.0, abs(stats.dual_before), abs(stats.dual))
         margin = (rhs - stats.dual) / scale
         worst = min(worst, margin)

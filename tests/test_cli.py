@@ -116,6 +116,28 @@ dir = {out}
     assert len(rows) == 30 and rows[-1]["gap"] < rows[0]["gap"]
 
 
+@pytest.mark.parametrize("method", ["cocoa", "mb_sdca"])
+def test_train_baseline_honours_solver_gamma(tmp_path, method):
+    traces = []
+    for gamma in (1.0, 0.7):
+        out = tmp_path / f"out-{gamma}"
+        cfg = write_config(tmp_path / f"train-{gamma}.ini", BASE_SYNTH + f"""
+[method]
+name = {method}
+loss = squared
+
+[solver]
+gamma = {gamma}
+inner_rounds = 5
+
+[output]
+dir = {out}
+""")
+        assert main(["train", "--config", cfg]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] != traces[1]
+
+
 def test_train_global_omits_omega(tmp_path):
     out = tmp_path / "gout"
     cfg = write_config(tmp_path / "g.ini", BASE_SYNTH + f"""

@@ -21,6 +21,7 @@ from fedmtl.regularizers import (
     initial_omega,
     primal_from_dual,
     regularizer_value,
+    update_omega,
 )
 from fedmtl.solver import (
     ConstantPolicy,
@@ -213,14 +214,14 @@ def test_solve_local_reaches_oracle_value(rng):
         view = round_view.node(0)
         res = solve_local(round_view, [10_000 * 5], [False], 2, 0)
         val = _view_value(view, res.delta)
-        star = oracle_subproblem_opt(round_view, [0])
+        star, _ = oracle_subproblem_opt(round_view, [0])
         val_star = _view_value(view, star)
         assert val <= val_star + 1e-10 * max(1.0, abs(val_star))
 
 
 def test_oracle_already_optimal(rng):
     view = random_view(rng, SQUARED, d=4, n=6)
-    star = oracle_subproblem_opt(one_node_round(view), [0])
+    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
     assert measure_theta(view, star, star) == 0.0
     # shifting the dual block to the optimum (and the weight snapshot with it,
     # w' = w + kappa * X @ star) makes zero the exact minimizer
@@ -229,13 +230,16 @@ def test_oracle_already_optimal(rng):
         w=view.w + view.kappa * (view.X @ star),
         col_norms2=view.col_norms2, kappa=view.kappa, kind=view.kind,
     )
-    assert np.linalg.norm(oracle_subproblem_opt(one_node_round(shifted), [0])) <= 1e-6
+    shifted_star, _ = oracle_subproblem_opt(one_node_round(shifted), [0])
+    assert np.linalg.norm(shifted_star) <= 1e-6
 
 
 def test_oracle_beats_random_perturbations(rng):
     view = random_view(rng, HINGE, d=4, n=6)
-    star = oracle_subproblem_opt(one_node_round(view), [0])
+    star, values = oracle_subproblem_opt(one_node_round(view), [0])
     best = _view_value(view, star)
+    # The returned value takes u from the kernel, not numpy's X @ star.
+    assert values[0] == pytest.approx(best, rel=0.0, abs=1e-12 * max(1.0, abs(best)))
     for _ in range(1000):
         b = rng.uniform(0, 1, size=6)
         probe = view.labels * b - view.alpha
@@ -244,7 +248,7 @@ def test_oracle_beats_random_perturbations(rng):
 
 def test_measure_theta_semantics(rng):
     view = random_view(rng, HINGE, d=4, n=8)
-    star = oracle_subproblem_opt(one_node_round(view), [0])
+    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
     assert measure_theta(view, np.zeros(8), star) == 1.0
     assert measure_theta(view, star, star) == 0.0
 
@@ -256,7 +260,7 @@ def test_cocoa_theta_matches_measure_theta(rng):
             view = round_view.node(0)
             solver = FixedQualitySolver(target)
             res = solver(round_view, [0], [False], 3, 0)
-            oracle = oracle_subproblem_opt(round_view, [0], _COCOA_ORACLE_TOL)
+            oracle, _ = oracle_subproblem_opt(round_view, [0], _COCOA_ORACLE_TOL)
             (theta,) = res.theta
             assert theta == pytest.approx(
                 measure_theta(view, res.delta, oracle), rel=0.0, abs=1e-9)
@@ -306,7 +310,7 @@ def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
 
 def test_measure_theta_halfway(rng):
     view = random_view(rng, SQUARED, d=4, n=8)
-    star = oracle_subproblem_opt(one_node_round(view), [0])
+    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
     g0 = _view_value(view, np.zeros(8))
     gs = _view_value(view, star)
     target = 0.5 * (g0 + gs)
@@ -353,6 +357,62 @@ def test_single_task_exact_solve_decreases_gap(rng):
                                 budgets=[5000], drops=[False], round_idx=h)
         assert stats.gap <= gap_before + 1e-9
         gap_before = stats.gap
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(LossKind)),
+    learned=st.booleans(),
+    d=st.integers(1, 8),
+    nodes=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30), st.booleans()),
+                   min_size=1, max_size=5),
+    gamma=st.sampled_from([1.0, 0.6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_records_its_subproblem_decrease(kind, learned, d, nodes, gamma, seed):
+    """A MOCHA or CoCoA round's subproblem_decrease is sum_t [G_t(0) -
+    G_t(delta_t)] over the deltas its local solver returned, and is not
+    negative beyond rounding, with dropped nodes and zero budgets."""
+    rng = np.random.default_rng(seed)
+    sizes, budgets, drops = (list(c) for c in zip(*nodes))
+    ds = FederatedDataset(tuple(
+        TaskDataset(t, rng.standard_normal((d, n)), rng.choice([-1.0, 1.0], size=n))
+        for t, n in enumerate(sizes)))
+    if learned:
+        model = ProbabilisticPrior(lam=0.5)
+        omega = update_omega(model, rng.standard_normal((d, ds.m)), initial_omega(model, ds.m))
+        rel = build_relationship(model, omega, gamma)
+    else:
+        rel = mean_reg_setup(ds, gamma=gamma)
+    start = init_dual_state(ds)
+    start.packed[:] = (ds.labels * rng.uniform(0.0, 1.0, size=ds.n) if kind is HINGE
+                       else rng.standard_normal(ds.n))
+    start.v = recompute_v(start, ds)
+    for base in (solve_local, FixedQualitySolver(0.1)):
+        seen = []
+
+        def capture(view, *args):
+            # Valued here: the view's alpha is the state, which the round updates.
+            result = base(view, *args)
+            views = [view.node(t) for t in range(ds.m)]
+            seen.append((result, [_view_value(node, np.zeros(node.alpha.size)) for node in views],
+                         [_view_value(node, result.delta[ds.offsets[t]:ds.offsets[t + 1]])
+                          for t, node in enumerate(views)]))
+            return result
+
+        state = init_dual_state(ds)
+        state.packed[:], state.v = start.packed, start.v.copy()
+        stats = federated_round(ds, kind, rel, state, budgets, drops, round_idx=3,
+                                seed=seed, local_solver=capture)
+        ((result, zero, at_delta),) = seen
+        expected = sum(g0 - g for g0, g in zip(zero, at_delta))
+        assert stats.subproblem_decrease >= -1e-12 * max(1.0, abs(stats.dual_before))
+        # The field takes u_t from the kernel and _view_value takes X_t delta_t
+        # from numpy, so they agree to rounding in the terms that are summed.
+        scale = 1.0 + sum(abs(g) for g in zero + at_delta)
+        assert stats.subproblem_decrease == pytest.approx(expected, rel=0.0, abs=1e-12 * scale)
+        if not any(result.update_counts):
+            assert stats.subproblem_decrease == 0.0
 
 
 def test_lemma_decrease_on_seeded_runs(rng):
@@ -499,7 +559,12 @@ def test_run_mocha_learns_cluster_structure():
 
 def test_per_task_sigma_mode_runs_and_decreases(rng):
     ds = make_dataset(rng, m=3, d=4, n_lo=8, n_hi=10)
-    rel = mean_reg_setup(ds, mode="per_task")
+    # A learned coupling: its M-bar rows differ in row-sum to diagonal ratio,
+    # so the two modes give different kappas (mean_reg_omega's rows do not).
+    model = ProbabilisticPrior(lam=0.5)
+    omega = update_omega(model, rng.standard_normal((ds.d, ds.m)), initial_omega(model, ds.m))
+    rel = build_relationship(model, omega, 1.0, "per_task")
+    assert not np.allclose(rel.kappa, build_relationship(model, omega, 1.0, "global").kappa)
     state = init_dual_state(ds)
     trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(20),
                          rounds=20, seed=7)

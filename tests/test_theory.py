@@ -226,6 +226,8 @@ def test_verify_lemma_decrease_holds_for_cocoa_and_mb_sdca():
 def test_verify_lemma_decrease_requires_fields():
     from fedmtl.solver import RoundStats
     stats = RoundStats(h=0, dual=1.0, primal=2.0, gap=3.0, dropped=[],
-                       update_counts=[1])
-    with pytest.raises(ValueError):
-        verify_lemma_decrease([stats], 1.0)
+                       update_counts=[1], dual_before=1.5, subproblem_decrease=0.5)
+    assert verify_lemma_decrease([stats], 1.0).worst_margin == 0.0
+    for missing in ("dual_before", "subproblem_decrease"):
+        with pytest.raises(ValueError):
+            verify_lemma_decrease([dataclasses.replace(stats, **{missing: None})], 1.0)
