@@ -197,20 +197,15 @@ def global_trainer(kind: LossKind = LossKind.HINGE, max_epochs: int = 20000):
     return lambda ds, lam: train_global(ds, lam, kind, max_epochs=max_epochs)
 
 
-def mocha_trainer(model_factory, *, kind: LossKind = LossKind.HINGE,
-                  inner_rounds: int = 40, outer_rounds: int = 3,
-                  gap_tol: float | None = 1e-4, budget_epochs: int = 1,
-                  seed: int = 0):
+def mocha_trainer(model_factory, config: SolverConfig, *,
+                  kind: LossKind = LossKind.HINGE, budget_epochs: int = 1):
     """Trainer closure for model selection: lam -> coupling model via
-    ``model_factory``, budgets of ``budget_epochs`` local passes per round."""
+    ``model_factory``, run with ``config`` and budgets of ``budget_epochs``
+    local passes per round."""
     from .solver import run_mocha
 
     if budget_epochs < 1:
         raise ValueError("budget_epochs must be >= 1")
-    config = SolverConfig(
-        inner_rounds=inner_rounds, outer_rounds=outer_rounds,
-        gap_tol=gap_tol, seed=seed,
-    )
 
     def train(ds: FederatedDataset, lam: float) -> PrimalState:
         model = model_factory(lam)

@@ -5,7 +5,10 @@ Configuration is a flat INI file (key = value under [section] headers); no
 environment variables are consulted, so a run is reproducible from the config
 file and seed alone.  The config is echoed into the output directory.  Each
 setting is read in one place: ``theory`` takes gamma from ``[solver] gamma``,
-the value ``train`` runs with.
+the value ``train`` runs with, and ``compare``'s mtl model runs with the
+``[solver]`` settings but for its round counts and gap (``[compare] mtl_*``).
+Every ``.json`` and ``.jsonl`` output is strict JSON: a value that is not
+finite is written as null.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
 missing, unparsable or out-of-range setting exits 1 before anything is
@@ -54,7 +57,7 @@ from .simulation import (
     attach_times,
     simulate_run,
 )
-from .solver import SolverConfig, write_trace_csv, write_trace_jsonl
+from .solver import SolverConfig, _null_non_finite, write_trace_csv, write_trace_jsonl
 from . import theory as theory_mod
 
 
@@ -286,7 +289,7 @@ def _echo_config(config_path, outdir) -> None:
 
 def _write_summary(outdir, summary: dict) -> None:
     with open(os.path.join(outdir, "summary.json"), "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_null_non_finite(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -367,7 +370,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _compare_trainers(cfg, kind: LossKind):
+def _compare_trainers(cfg, kind: LossKind, seed: int):
     names = _get_list(cfg, "compare", "methods", str, ["global", "local", "mtl"])
     max_epochs = _get_int(cfg, "compare", "max_epochs", 20000)
     _require(max_epochs >= 1, "compare.max_epochs", "must be >= 1", max_epochs)
@@ -384,14 +387,17 @@ def _compare_trainers(cfg, kind: LossKind):
                 factory = lambda lam: replace(model, lam=lam)
             else:
                 factory = lambda lam: MeanRegularized(lam, lam)
-            settings = dict(
-                inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
-                outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),
-                gap_tol=_get_float(cfg, "compare", "mtl_gap_tol", 1e-4),
-                budget_epochs=_get_int(cfg, "compare", "mtl_budget_epochs", 1),
-            )
+            # The [solver] settings, with compare's own round counts and gap.
             with _settings("compare"):
-                trainers[name] = baselines.mocha_trainer(factory, kind=kind, **settings)
+                config = replace(
+                    build_solver_config(cfg, seed),
+                    inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
+                    outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),
+                    gap_tol=_get_float(cfg, "compare", "mtl_gap_tol", 1e-4),
+                )
+                trainers[name] = baselines.mocha_trainer(
+                    factory, config, kind=kind,
+                    budget_epochs=_get_int(cfg, "compare", "mtl_budget_epochs", 1))
         else:
             raise ConfigError(f"compare.methods: unknown method {name!r}")
     return trainers
@@ -402,7 +408,7 @@ def cmd_compare(args) -> int:
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
     grid = _get_list(cfg, "compare", "lambda_grid", float,
                      list(baselines.DEFAULT_LAMBDA_GRID))
-    trainers = _compare_trainers(cfg, kind)
+    trainers = _compare_trainers(cfg, kind, seed)
     shuffles = _get_int(cfg, "compare", "shuffles", 10)
     k_folds = _get_int(cfg, "compare", "k_folds", 5)
     train_fraction = _get_float(cfg, "compare", "train_fraction", 0.75)
@@ -596,7 +602,7 @@ def cmd_theory(args) -> int:
         out["lipschitz_rounds"] = H
         out["lipschitz_rounds_burn_in"] = H0
         out["lipschitz_h0"] = h0
-    text = json.dumps(out, indent=2, sort_keys=True)
+    text = json.dumps(_null_non_finite(out), indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

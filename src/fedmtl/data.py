@@ -83,11 +83,14 @@ class FederatedDataset:
                 raise ValueError(
                     f"task {k} has feature dimension {task.d}, expected {d}"
                 )
+        col_norms2 = _packed([np.einsum("ij,ij->j", t.features, t.features) for t in tasks])
+        # Finite features can still overflow the squared norms every step reads.
+        if not np.isfinite(col_norms2).all():
+            raise ValueError("an example's squared norm overflows")
         object.__setattr__(self, "tasks", tasks)
         object.__setattr__(self, "offsets", _packed([[0], np.cumsum([t.n for t in tasks])]))
         object.__setattr__(self, "labels", _packed([t.labels for t in tasks]))
-        object.__setattr__(self, "col_norms2", _packed(
-            [np.einsum("ij,ij->j", t.features, t.features) for t in tasks]))
+        object.__setattr__(self, "col_norms2", col_norms2)
 
     @functools.cached_property
     def feature_table(self) -> np.ndarray:
@@ -231,10 +234,13 @@ def load_federated_csv(directory_path) -> FederatedDataset:
         if not rows:
             raise DataFormatError(f"{path}: empty task file")
         features = np.array(rows)
-        finite = np.isfinite(features).all(axis=1)
-        if not finite.all():
-            lineno = linenos[int(np.argmin(finite))]
-            raise DataFormatError(f"{path}:{lineno}: non-finite feature")
+        for finite, problem in (
+                (np.isfinite(features).all(axis=1), "non-finite feature"),
+                (np.isfinite(np.einsum("ij,ij->i", features, features)),
+                 "squared norm of the features overflows")):
+            if not finite.all():
+                lineno = linenos[int(np.argmin(finite))]
+                raise DataFormatError(f"{path}:{lineno}: {problem}")
         tasks.append(
             TaskDataset(task_id=k, features=features.T, labels=np.array(labels))
         )

@@ -33,7 +33,8 @@ nodes still working.  The kernel's running u_t = X_t @ delta_t is node t's
 delta_v.  The primal's per-task loss sums (``_task_losses``) are the other
 native pass over the features.  Both take their dot products in the kernel's
 four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
-references and the paths without a compiler.
+references and the paths without a compiler.  Every reference reads the
+kernel's ``RoundView``; ``_view_value`` and ``measure_theta`` take node t's.
 
 Determinism: a round is a pure function of the dual state, the coupling
 (``RelationshipState``, which holds each node's kappa) and the round's
@@ -54,6 +55,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -237,26 +239,11 @@ def duality_gap(state: DualState, ds: FederatedDataset, kind: LossKind,
 
 
 @dataclass(frozen=True, eq=False)
-class SubproblemView:
-    """Frozen per-node picture of one round: local data, current dual block,
-    weight snapshot, and the effective quadratic coefficient kappa.  The
-    per-node reference for ``_run_updates_py``, ``_view_value`` and
-    ``measure_theta``."""
-
-    X: np.ndarray
-    labels: np.ndarray
-    alpha: np.ndarray
-    w: np.ndarray
-    col_norms2: np.ndarray
-    kappa: float
-    kind: LossKind
-
-
-@dataclass(frozen=True, eq=False)
 class RoundView:
     """Frozen picture of one round for every node: the dataset, the packed
-    dual snapshot, the weight snapshot W (column t for node t) and each
-    node's kappa."""
+    dual snapshot, the weight snapshot W and each node's kappa.  Node t reads
+    ``ds.tasks[t].features``, ``W[:, t]``, ``kappa[t]`` and its packed block
+    ``ds.offsets[t]:ds.offsets[t + 1]``, in the kernel and the references."""
 
     ds: FederatedDataset
     kind: LossKind
@@ -264,25 +251,15 @@ class RoundView:
     W: np.ndarray
     kappa: np.ndarray
 
-    def node(self, t: int) -> SubproblemView:
-        block = slice(self.ds.offsets[t], self.ds.offsets[t + 1])
-        return SubproblemView(
-            X=self.ds.tasks[t].features,
-            labels=self.ds.labels[block],
-            alpha=self.alpha[block],
-            w=self.W[:, t],
-            col_norms2=self.ds.col_norms2[block],
-            kappa=float(self.kappa[t]),
-            kind=self.kind,
-        )
 
-
-def _view_value(view: SubproblemView, delta: np.ndarray) -> float:
-    """Constant-free subproblem value at ``delta``; raises DualInfeasibleError
-    outside the hinge dual box.  The per-node reference for ``_node_values``."""
-    u = view.X @ delta
-    conj = conjugate_sum(view.kind, view.alpha + delta, view.labels)
-    return conj + float(view.w @ u) + 0.5 * view.kappa * float(u @ u)
+def _view_value(view: RoundView, t: int, delta_t: np.ndarray) -> float:
+    """Node t's constant-free subproblem value at its block ``delta_t``;
+    raises DualInfeasibleError outside the hinge dual box.  The per-node
+    reference for ``_node_values``."""
+    block = slice(view.ds.offsets[t], view.ds.offsets[t + 1])
+    u = view.ds.tasks[t].features @ delta_t
+    conj = conjugate_sum(view.kind, view.alpha[block] + delta_t, view.ds.labels[block])
+    return conj + float(view.W[:, t] @ u) + 0.5 * float(view.kappa[t]) * float(u @ u)
 
 
 @dataclass
@@ -437,33 +414,6 @@ def draw_random(seed: int, tag: int, round_idx: int, m: int) -> np.ndarray:
     return out
 
 
-def _run_updates_py(view: SubproblemView, idx: np.ndarray, delta: np.ndarray,
-                    u: np.ndarray, beta: float = 0.0) -> None:
-    """One node's steps in ``_run_round``, as a Python loop: the exact
-    single-coordinate step at each index in turn, added to ``delta`` and, times
-    x_i, to ``u``.  With beta = 0 each step is scored against the running
-    delta and u; with beta > 0 against the snapshot alone, scaled by
-    beta / len(idx)."""
-    X = view.X
-    w = view.w
-    y = view.labels
-    alpha = view.alpha
-    norms2 = view.col_norms2
-    kappa = view.kappa
-    step_fn = _step_function(view.kind)
-    scale = beta / len(idx) if len(idx) else 0.0
-    for i in idx:
-        x = X[:, i]
-        if beta:
-            step = scale * step_fn(alpha[i], y[i], float(w @ x), norms2[i], kappa)
-        else:
-            s = float(w @ x) + kappa * float(u @ x)
-            step = step_fn(alpha[i] + delta[i], y[i], s, norms2[i], kappa)
-        if step != 0.0:
-            delta[i] += step
-            u += step * x
-
-
 def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
                delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
     """For every node t, take the coordinate steps at its local indices
@@ -513,13 +463,31 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
 
 def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
                   delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
-    """Reference for ``_run_round``, and its path without a compiler:
-    ``_run_updates_py`` for each node in turn, each node's u in its row of
-    ``U``."""
-    offsets = view.ds.offsets
-    for t in range(view.ds.m):
-        _run_updates_py(view.node(t), idx[starts[t]:starts[t + 1]],
-                        delta[offsets[t]:offsets[t + 1]], U[t], beta)
+    """Reference for ``_run_round``, and its path without a compiler: for
+    each node in turn, the exact single-coordinate step at each of its
+    indices, added to its block of ``delta`` and, times x_i, to its row of
+    ``U``.  With beta = 0 each step is scored against the node's running
+    delta and u; with beta > 0 against the snapshot alone, scaled by
+    beta / b_t."""
+    ds = view.ds
+    step_fn = _step_function(view.kind)
+    for t, task in enumerate(ds.tasks):
+        node_idx = idx[starts[t]:starts[t + 1]]
+        w, u, kappa = view.W[:, t], U[t], float(view.kappa[t])
+        scale = beta / len(node_idx) if len(node_idx) else 0.0
+        for i in node_idx:
+            x = task.features[:, i]
+            k = ds.offsets[t] + i
+            if beta:
+                step = scale * step_fn(view.alpha[k], ds.labels[k], float(w @ x),
+                                       ds.col_norms2[k], kappa)
+            else:
+                s = float(w @ x) + kappa * float(u @ x)
+                step = step_fn(view.alpha[k] + delta[k], ds.labels[k], s,
+                               ds.col_norms2[k], kappa)
+            if step != 0.0:
+                delta[k] += step
+                u += step * x
 
 
 def _task_losses(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.ndarray:
@@ -589,7 +557,8 @@ def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarra
     """Every node's constant-free subproblem value at the packed ``delta``,
     with row t of ``U`` node t's X_t delta_t, in one pass: the conjugate
     terms summed per node, plus w_t . u_t and kappa_t / 2 * ||u_t||^2.
-    Raises DualInfeasibleError outside the hinge dual box."""
+    Raises DualInfeasibleError outside the hinge dual box.  Its per-node
+    reference is ``_view_value(view, t, delta_t)``."""
     conj = conjugate_terms(view.kind, view.alpha + delta, view.ds.labels)
     return (np.add.reduceat(conj, view.ds.offsets[:-1])
             + np.einsum("dt,td->t", view.W, U) + 0.5 * view.kappa * np.einsum("td,td->t", U, U))
@@ -630,19 +599,19 @@ def oracle_subproblem_opt(view: RoundView, nodes,
     return delta, value
 
 
-def measure_theta(view: SubproblemView, delta_alpha: np.ndarray,
-                  oracle_delta: np.ndarray) -> float:
-    """Relative suboptimality of a local solution against the subproblem
-    optimum ``oracle_delta`` (see ``oracle_subproblem_opt``): 1 for no
-    progress, 0 for an exact solve.  A vanishing denominator means the
-    subproblem was already solved, reported as 0.  The per-node reference for
-    the quality ``FixedQualitySolver`` reports."""
-    g_zero = _view_value(view, np.zeros_like(delta_alpha))
-    g_star = _view_value(view, oracle_delta)
+def measure_theta(view: RoundView, t: int, delta_t: np.ndarray,
+                  oracle_t: np.ndarray) -> float:
+    """Relative suboptimality of node t's local solution ``delta_t`` against
+    its subproblem optimum ``oracle_t`` (see ``oracle_subproblem_opt``): 1
+    for no progress, 0 for an exact solve.  A vanishing denominator means
+    the subproblem was already solved, reported as 0.  The per-node
+    reference for the quality ``FixedQualitySolver`` reports."""
+    g_zero = _view_value(view, t, np.zeros_like(delta_t))
+    g_star = _view_value(view, t, oracle_t)
     denom = g_zero - g_star
     if denom <= 1e-14:
         return 0.0
-    theta = (_view_value(view, delta_alpha) - g_star) / denom
+    theta = (_view_value(view, t, delta_t) - g_star) / denom
     return float(min(1.0, max(0.0, theta)))
 
 
@@ -855,10 +824,23 @@ def _csv_cell(value):
     return value
 
 
+def _null_non_finite(value):
+    """``value`` with every non-finite float in it, at any depth of dicts
+    and lists, replaced by None: JSON has no NaN or infinity, so a value a
+    run could not reach is written as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_null_non_finite(v) for v in value]
+    return value
+
+
 def write_trace_jsonl(path, trace: list[RoundStats]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for stats in trace:
-            fh.write(json.dumps(stats.trace_record()) + "\n")
+            fh.write(json.dumps(_null_non_finite(stats.trace_record()), allow_nan=False) + "\n")
 
 
 def write_trace_csv(path, trace: list[RoundStats]) -> None:

@@ -3,7 +3,7 @@ import pytest
 
 from fedmtl.data import FederatedDataset, TaskDataset
 from fedmtl.losses import LossKind
-from fedmtl.solver import RoundView, SubproblemView
+from fedmtl.solver import RoundView
 
 
 def make_task(rng, d=6, n=12, task_id=0):
@@ -37,29 +37,17 @@ def recompute_v(state, ds):
 
 
 def random_view(rng, kind, d=6, n=10, kappa=None):
+    """A one-node RoundView of random data, dual block, w and kappa."""
     X = rng.standard_normal((d, n))
     y = rng.choice([-1.0, 1.0], size=n)
     if kind is LossKind.HINGE:
         alpha = y * rng.uniform(0.0, 1.0, size=n)
     else:
         alpha = 0.5 * rng.standard_normal(n)
-    return SubproblemView(
-        X=X,
-        labels=y,
-        alpha=alpha,
-        w=0.5 * rng.standard_normal(d),
-        col_norms2=np.einsum("ij,ij->j", X, X),
-        kappa=float(rng.uniform(0.5, 2.0)) if kappa is None else kappa,
-        kind=kind,
-    )
-
-
-def one_node_round(view):
-    """A one-task RoundView with the data and snapshot of ``view``.  Its
-    ``node(0)`` holds the dataset's Fortran-ordered features and norms."""
-    ds = FederatedDataset((TaskDataset(0, view.X, view.labels),))
-    return RoundView(ds, view.kind, np.array(view.alpha, dtype=float),
-                     view.w[:, None], np.array([view.kappa]))
+    w = 0.5 * rng.standard_normal(d)
+    kappa = float(rng.uniform(0.5, 2.0)) if kappa is None else kappa
+    ds = FederatedDataset((TaskDataset(0, X, y),))
+    return RoundView(ds, kind, alpha, w[:, None], np.array([kappa]))
 
 
 @pytest.fixture

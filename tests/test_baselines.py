@@ -274,7 +274,7 @@ def test_compare_models_runs(rng):
         "local": local_trainer(),
         "global": global_trainer(),
         "mtl": mocha_trainer(lambda lam: ProbabilisticPrior(lam),
-                             inner_rounds=15, outer_rounds=2, gap_tol=None),
+                             SolverConfig(inner_rounds=15, outer_rounds=2)),
     }
     rows = compare_models(ds, trainers, [0.1, 1.0], shuffles=2, seed=3, k_folds=2)
     assert {r.method for r in rows} == {"local", "global", "mtl"}

@@ -5,10 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from fedmtl import baselines
+from fedmtl import baselines, solver
 from fedmtl.cli import main
 from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, read_matrix_csv
 from fedmtl.solver import PrimalState
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def write_config(path, text):
@@ -192,6 +196,116 @@ name = mocha
 dir = {tmp_path / 'r'}
 """)
     assert main(["train", "--config", runtime]) == 2
+
+
+@pytest.mark.parametrize("big, code", [("1e200", 2), ("1e150", 0)])
+def test_train_rejects_a_feature_whose_squared_norm_overflows(tmp_path, big, code):
+    data_dir = tmp_path / "csvdata"
+    data_dir.mkdir()
+    (data_dir / "task_0.csv").write_text(f"1,0.5,0.25\n-1,{big},0.5\n1,-0.5,1.0\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "big.ini", f"""
+[dataset]
+source = csv
+csv_dir = {data_dir}
+
+[method]
+name = mocha
+loss = squared
+
+[solver]
+inner_rounds = 5
+
+[output]
+dir = {out}
+""")
+    assert main(["train", "--config", cfg]) == code
+    if code:
+        assert not out.exists()
+    else:
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constant)
+        assert np.isfinite(summary["final_gap"])
+
+
+TINY = BASE_SYNTH + """
+[model]
+kind = mean_regularized
+
+[method]
+name = NAME
+loss = squared
+lambda = 0.1
+theta = 0.5
+batch = 4
+step = 0.01
+
+[solver]
+inner_rounds = 5
+
+[compare]
+shuffles = 1
+k_folds = 2
+lambda_grid = 1.0
+mtl_inner_rounds = 5
+mtl_outer_rounds = 1
+
+[bench]
+presets = wifi
+heterogeneity = none
+rounds = 3
+
+[fault]
+probabilities = 0.0
+rounds = 5
+"""
+
+
+def _strict_json_files(root):
+    """Every .json and .jsonl file under ``root``, each line parsed as strict
+    JSON: NaN and Infinity are refused."""
+    files = {}
+    for path in sorted([*root.rglob("*.json"), *root.rglob("*.jsonl")]):
+        text = path.read_text()
+        lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+        files[path.relative_to(root).as_posix()] = [
+            json.loads(line, parse_constant=_no_constant) for line in lines]
+    return files
+
+
+def test_every_json_output_is_strict(tmp_path):
+    runs = [(command, "mocha") for command in ("generate", "compare", "bench", "fault", "theory")]
+    runs += [("train", method) for method in ("mocha", "cocoa", "mb_sgd", "mb_sdca",
+                                              "local", "global")]
+    for command, method in runs:
+        cfg = write_config(tmp_path / f"{method}.ini", TINY.replace("NAME", method))
+        out = tmp_path / "out" / f"{command}_{method}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, (command, method)
+    files = _strict_json_files(tmp_path / "out")
+    assert len(files) == 16
+    assert "theory_mocha/theory.json" in files and "train_local/trace.jsonl" in files
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the run overflows by design
+def test_a_diverging_run_writes_null_for_its_primal(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "sgd.ini", BASE_SYNTH + """
+[model]
+kind = mean_regularized
+
+[method]
+name = mb_sgd
+loss = squared
+step = 1e3
+batch = 5
+
+[solver]
+inner_rounds = 60
+""")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    files = _strict_json_files(out)
+    (summary,) = files["summary.json"]
+    assert summary["final_primal"] is None
+    assert len(files["trace.jsonl"]) == 60 and files["trace.jsonl"][-1]["primal"] is None
 
 
 def test_cli_seed_override(tmp_path):
@@ -432,7 +546,7 @@ def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings
 def test_compare_couples_tasks_as_train_does(tmp_path, monkeypatch, model, expected):
     factories = []
 
-    def mocha_trainer(factory, **settings):
+    def mocha_trainer(factory, config, **settings):
         factories.append(factory)
         return lambda ds, lam: PrimalState(np.zeros((ds.d, ds.m)))
 
@@ -453,6 +567,43 @@ dir = {tmp_path / "cmp"}
     assert main(["compare", "--config", cfg]) == 0
     (factory,) = factories
     assert factory(0.5) == expected
+
+
+def test_compare_runs_mtl_with_the_solver_settings(tmp_path, monkeypatch):
+    calls = []
+    run_mocha = solver.run_mocha
+
+    def spy(ds, model, config, policy, kind):
+        calls.append((config.gamma, config.sigma_prime_mode, config.seed,
+                      config.inner_rounds, config.outer_rounds, config.gap_tol))
+        return run_mocha(ds, model, config, policy, kind)
+
+    monkeypatch.setattr(solver, "run_mocha", spy)
+    cfg = write_config(tmp_path / "cmp.ini", BASE_SYNTH + f"""
+[model]
+kind = probabilistic
+
+[solver]
+gamma = 0.5
+sigma_prime_mode = per_task
+inner_rounds = 7
+gap_tol = 0.5
+
+[compare]
+methods = mtl
+shuffles = 1
+k_folds = 2
+lambda_grid = 0.5
+mtl_inner_rounds = 6
+mtl_outer_rounds = 2
+mtl_gap_tol = 1e-3
+
+[output]
+dir = {tmp_path / "cmp"}
+""")
+    assert main(["compare", "--config", cfg]) == 0
+    # Two folds and the refit; the round counts and gap come from [compare].
+    assert len(calls) == 3 and set(calls) == {(0.5, "per_task", 5, 6, 2, 1e-3)}
 
 
 def test_bench_command(tmp_path):

@@ -56,6 +56,25 @@ def test_load_rejects_non_finite_features(tmp_path):
             load_federated_csv(tmp_path)
 
 
+def test_load_rejects_features_whose_squared_norm_overflows(tmp_path):
+    write_csv(tmp_path / "task_0.csv", [[1, 0.5, 0.5], [-1, 0.5, "1e200"]])
+    with pytest.raises(DataFormatError, match=r"task_0\.csv:2.*squared norm"):
+        load_federated_csv(tmp_path)
+    write_csv(tmp_path / "task_0.csv", [[1, 0.5, 0.5], [-1, 0.5, "1e150"]])
+    assert np.isfinite(load_federated_csv(tmp_path).col_norms2).all()
+
+
+def test_dataset_rejects_a_squared_norm_that_overflows():
+    X = np.zeros((2, 3))
+    X[1, 2] = 1e200
+    task = TaskDataset(0, np.zeros((2, 1)), np.array([1.0]))
+    with pytest.raises(ValueError, match="squared norm overflows"):
+        FederatedDataset((task, TaskDataset(1, X, np.array([1.0, -1.0, 1.0]))))
+    X[1, 2] = 1e150
+    ds = FederatedDataset((task, TaskDataset(1, X, np.array([1.0, -1.0, 1.0]))))
+    assert np.isfinite(ds.col_norms2).all()
+
+
 def test_task_rejects_non_finite_features():
     for bad in (np.nan, np.inf, -np.inf):
         X = np.zeros((2, 3))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import block, make_dataset, one_node_round, random_view, recompute_v
+from tests.conftest import block, make_dataset, random_view, recompute_v
 
 from fedmtl import solver
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
@@ -29,7 +29,6 @@ from fedmtl.solver import (
     MiniBatchSolver,
     RoundView,
     SolverConfig,
-    SubproblemView,
     dual_objective,
     duality_gap,
     federated_round,
@@ -141,55 +140,55 @@ def test_duality_gap_at_zero_equals_n(rng):
 
 def test_local_subproblem_value_zero_delta(rng):
     view = random_view(rng, HINGE, d=4, n=6)
-    val = _view_value(view, np.zeros(6))
-    assert val == pytest.approx(-float(view.alpha @ view.labels))
+    val = _view_value(view, 0, np.zeros(6))
+    assert val == pytest.approx(-float(view.alpha @ view.ds.labels))
 
 
 def test_local_subproblem_value_term_by_term(rng):
     view = random_view(rng, SQUARED, d=3, n=3)
     delta = 0.3 * rng.standard_normal(3)
-    got = _view_value(view, delta)
+    got = _view_value(view, 0, delta)
     # assemble every term separately
     expected = 0.0
     u = np.zeros(3)
     for i in range(3):
         a = view.alpha[i] + delta[i]
-        expected += 0.5 * a * a - a * view.labels[i]
-        u += delta[i] * view.X[:, i]
-    expected += float(view.w @ u) + 0.5 * view.kappa * float(u @ u)
+        expected += 0.5 * a * a - a * view.ds.labels[i]
+        u += delta[i] * view.ds.tasks[0].features[:, i]
+    expected += float(view.W[:, 0] @ u) + 0.5 * view.kappa[0] * float(u @ u)
     assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_local_subproblem_value_infeasible_marker(rng):
     view = random_view(rng, HINGE, d=3, n=4)
-    delta = 5.0 * view.labels  # pushes y*(alpha+delta) far above 1
+    delta = 5.0 * view.ds.labels  # pushes y*(alpha+delta) far above 1
     with pytest.raises(DualInfeasibleError):
-        _view_value(view, delta)
+        _view_value(view, 0, delta)
 
 
 def test_local_value_decreases_after_coordinate_step(rng):
     for kind in (HINGE, SQUARED):
         view = random_view(rng, kind, d=4, n=7)
-        before = _view_value(view, np.zeros(7))
+        before = _view_value(view, 0, np.zeros(7))
         i = 2
-        score = float(view.w @ view.X[:, i])
-        step = _step_function(kind)(view.alpha[i], view.labels[i], score,
-                                    view.col_norms2[i], view.kappa)
+        score = float(view.W[:, 0] @ view.ds.tasks[0].features[:, i])
+        step = _step_function(kind)(view.alpha[i], view.ds.labels[i], score,
+                                    view.ds.col_norms2[i], view.kappa[0])
         delta = np.zeros(7)
         delta[i] = step
-        after = _view_value(view, delta)
+        after = _view_value(view, 0, delta)
         assert after <= before + 1e-12
 
 
 def test_solve_local_budget_zero(rng):
-    view = one_node_round(random_view(rng, HINGE, d=4, n=6))
+    view = random_view(rng, HINGE, d=4, n=6)
     res = solve_local(view, [0], [False], 0, 0)
     assert np.all(res.delta == 0.0) and np.all(res.delta_v == 0.0)
     assert res.update_count == 0
 
 
 def test_solve_local_deterministic(rng):
-    view = one_node_round(random_view(rng, HINGE, d=4, n=9))
+    view = random_view(rng, HINGE, d=4, n=9)
     a = solve_local(view, [40], [False], 5, 0)
     b = solve_local(view, [40], [False], 5, 0)
     assert np.array_equal(a.delta, b.delta)
@@ -210,60 +209,56 @@ def test_rng_stream_prefix_property():
 
 def test_solve_local_reaches_oracle_value(rng):
     for kind in (HINGE, SQUARED):
-        round_view = one_node_round(random_view(rng, kind, d=3, n=5))
-        view = round_view.node(0)
-        res = solve_local(round_view, [10_000 * 5], [False], 2, 0)
-        val = _view_value(view, res.delta)
-        star, _ = oracle_subproblem_opt(round_view, [0])
-        val_star = _view_value(view, star)
+        view = random_view(rng, kind, d=3, n=5)
+        res = solve_local(view, [10_000 * 5], [False], 2, 0)
+        val = _view_value(view, 0, res.delta)
+        star, _ = oracle_subproblem_opt(view, [0])
+        val_star = _view_value(view, 0, star)
         assert val <= val_star + 1e-10 * max(1.0, abs(val_star))
 
 
 def test_oracle_already_optimal(rng):
     view = random_view(rng, SQUARED, d=4, n=6)
-    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
-    assert measure_theta(view, star, star) == 0.0
+    star, _ = oracle_subproblem_opt(view, [0])
+    assert measure_theta(view, 0, star, star) == 0.0
     # shifting the dual block to the optimum (and the weight snapshot with it,
     # w' = w + kappa * X @ star) makes zero the exact minimizer
-    shifted = SubproblemView(
-        X=view.X, labels=view.labels, alpha=view.alpha + star,
-        w=view.w + view.kappa * (view.X @ star),
-        col_norms2=view.col_norms2, kappa=view.kappa, kind=view.kind,
-    )
-    shifted_star, _ = oracle_subproblem_opt(one_node_round(shifted), [0])
+    X = view.ds.tasks[0].features
+    shifted = RoundView(view.ds, view.kind, view.alpha + star,
+                        view.W + view.kappa * (X @ star)[:, None], view.kappa)
+    shifted_star, _ = oracle_subproblem_opt(shifted, [0])
     assert np.linalg.norm(shifted_star) <= 1e-6
 
 
 def test_oracle_beats_random_perturbations(rng):
     view = random_view(rng, HINGE, d=4, n=6)
-    star, values = oracle_subproblem_opt(one_node_round(view), [0])
-    best = _view_value(view, star)
+    star, values = oracle_subproblem_opt(view, [0])
+    best = _view_value(view, 0, star)
     # The returned value takes u from the kernel, not numpy's X @ star.
     assert values[0] == pytest.approx(best, rel=0.0, abs=1e-12 * max(1.0, abs(best)))
     for _ in range(1000):
         b = rng.uniform(0, 1, size=6)
-        probe = view.labels * b - view.alpha
-        assert best <= _view_value(view, probe) + 1e-10
+        probe = view.ds.labels * b - view.alpha
+        assert best <= _view_value(view, 0, probe) + 1e-10
 
 
 def test_measure_theta_semantics(rng):
     view = random_view(rng, HINGE, d=4, n=8)
-    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
-    assert measure_theta(view, np.zeros(8), star) == 1.0
-    assert measure_theta(view, star, star) == 0.0
+    star, _ = oracle_subproblem_opt(view, [0])
+    assert measure_theta(view, 0, np.zeros(8), star) == 1.0
+    assert measure_theta(view, 0, star, star) == 0.0
 
 
 def test_cocoa_theta_matches_measure_theta(rng):
     for kind in (HINGE, SQUARED):
         for target in (0.0, 0.1, 0.5):
-            round_view = one_node_round(random_view(rng, kind, d=4, n=9))
-            view = round_view.node(0)
+            view = random_view(rng, kind, d=4, n=9)
             solver = FixedQualitySolver(target)
-            res = solver(round_view, [0], [False], 3, 0)
-            oracle, _ = oracle_subproblem_opt(round_view, [0], _COCOA_ORACLE_TOL)
+            res = solver(view, [0], [False], 3, 0)
+            oracle, _ = oracle_subproblem_opt(view, [0], _COCOA_ORACLE_TOL)
             (theta,) = res.theta
             assert theta == pytest.approx(
-                measure_theta(view, res.delta, oracle), rel=0.0, abs=1e-9)
+                measure_theta(view, 0, res.delta, oracle), rel=0.0, abs=1e-9)
             assert theta <= target or res.update_count == solver.max_passes * 9
 
 
@@ -285,8 +280,6 @@ def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
         for t, n in enumerate(sizes)))
     alpha = (ds.labels * rng.uniform(0.0, 1.0, size=ds.n) if kind is HINGE
              else rng.standard_normal(ds.n))
-    # One view for every run: a view of copied arrays may lay w out
-    # differently, and numpy's products then round differently.
     view = RoundView(ds, kind, alpha, rng.standard_normal((d, ds.m)),
                      rng.uniform(0.5, 2.0, size=ds.m))
     budgets = [int(rng.integers(1, 3 * n + 1)) for n in sizes]
@@ -310,18 +303,18 @@ def test_lockstep_nodes_match_their_solo_rounds(kind, d, sizes, target, seed):
 
 def test_measure_theta_halfway(rng):
     view = random_view(rng, SQUARED, d=4, n=8)
-    star, _ = oracle_subproblem_opt(one_node_round(view), [0])
-    g0 = _view_value(view, np.zeros(8))
-    gs = _view_value(view, star)
+    star, _ = oracle_subproblem_opt(view, [0])
+    g0 = _view_value(view, 0, np.zeros(8))
+    gs = _view_value(view, 0, star)
     target = 0.5 * (g0 + gs)
     lo, hi = 0.0, 1.0
     for _ in range(80):  # objective decreases along t * star on [0, 1]
         mid = 0.5 * (lo + hi)
-        if _view_value(view, mid * star) > target:
+        if _view_value(view, 0, mid * star) > target:
             lo = mid
         else:
             hi = mid
-    theta = measure_theta(view, 0.5 * (lo + hi) * star, star)
+    theta = measure_theta(view, 0, 0.5 * (lo + hi) * star, star)
     assert theta == pytest.approx(0.5, abs=1e-6)
 
 
@@ -394,10 +387,10 @@ def test_round_records_its_subproblem_decrease(kind, learned, d, nodes, gamma, s
         def capture(view, *args):
             # Valued here: the view's alpha is the state, which the round updates.
             result = base(view, *args)
-            views = [view.node(t) for t in range(ds.m)]
-            seen.append((result, [_view_value(node, np.zeros(node.alpha.size)) for node in views],
-                         [_view_value(node, result.delta[ds.offsets[t]:ds.offsets[t + 1]])
-                          for t, node in enumerate(views)]))
+            seen.append((result, [_view_value(view, t, np.zeros(task.n))
+                                  for t, task in enumerate(ds.tasks)],
+                         [_view_value(view, t, result.delta[ds.offsets[t]:ds.offsets[t + 1]])
+                          for t in range(ds.m)]))
             return result
 
         state = init_dual_state(ds)

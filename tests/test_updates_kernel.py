@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import one_node_round, random_view, recompute_v
+from tests.conftest import random_view, recompute_v
 
 from fedmtl import solver
 from fedmtl.baselines import cocoa_run, mb_sdca_run, mb_sgd_run
@@ -26,7 +26,6 @@ from fedmtl.solver import (
     SOLVER_STREAM,
     RoundView,
     SolverConfig,
-    SubproblemView,
     _round_indices,
     _run_round,
     _run_round_py,
@@ -82,11 +81,9 @@ def test_kernel_matches_python_loop(kind, d, n, count, zero_cols, subnormal,
     alpha = (y * rng.uniform(0.0, 1.0, size=n) if kind is LossKind.HINGE
              else rng.standard_normal(n))
     W = rng.standard_normal((d, 3))
-    view = SubproblemView(X=X, labels=y, alpha=alpha, w=W[:, 1],
-                          col_norms2=np.einsum("ij,ij->j", X, X),
-                          kappa=kappa, kind=kind)
     # The round's dataset holds the features column-major whatever their order here.
-    round_view = one_node_round(view)
+    round_view = RoundView(FederatedDataset((TaskDataset(0, X, y),)), kind, alpha,
+                           W[:, 1][:, None], np.array([kappa]))
     # Sampling with replacement repeats indices whenever count > n.
     idx = rng.integers(0, n, size=count)
 
@@ -240,8 +237,7 @@ def test_kernel_loads_where_a_compiler_exists():
     assert lib.fedmtl_run_round.argtypes == [ctypes.c_int, ctypes.c_double,
                                              *[ctypes.c_int64] * 2, *[ctypes.c_void_p] * 11]
     # A one-node round takes the native path and matches the reference.
-    round_view = one_node_round(random_view(np.random.default_rng(2), LossKind.HINGE,
-                                            d=5, n=8))
+    round_view = random_view(np.random.default_rng(2), LossKind.HINGE, d=5, n=8)
     idx = np.random.default_rng(3).integers(0, 8, size=20)
     for got, want in zip(_updated(_run_round, round_view, idx),
                          _updated(_run_round_py, round_view, idx)):
@@ -253,7 +249,7 @@ def test_kernel_loads_where_a_compiler_exists():
 
 
 def test_out_of_range_index_raises():
-    round_view = one_node_round(random_view(np.random.default_rng(0), LossKind.SQUARED, n=5))
+    round_view = random_view(np.random.default_rng(0), LossKind.SQUARED, n=5)
     for idx in ([0, 5], [-1, 2], [3, 5]):
         with pytest.raises(IndexError):
             _updated(_run_round, round_view, np.array(idx))
@@ -294,8 +290,7 @@ def _dual_baseline_runs():
 
 
 def test_python_fallback_matches_reference(monkeypatch):
-    round_view = one_node_round(random_view(np.random.default_rng(1), LossKind.HINGE,
-                                            d=7, n=30))
+    round_view = random_view(np.random.default_rng(1), LossKind.HINGE, d=7, n=30)
     idx = stream(3, SOLVER_STREAM, 0, 0).integers(0, 30, size=200)
     ref_delta, ref_u = _updated(_run_round_py, round_view, idx)
     native_runs = _dual_baseline_runs()
