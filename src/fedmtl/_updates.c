@@ -90,22 +90,22 @@ static void run_updates(int hinge, double beta, int64_t d, int64_t count,
 /* Nodes 0 <= t < m of one round, each against its own snapshot.  X[t] is
    node t's d x n_t column-major features; W (m x d, row-major) holds node
    t's weights in row t.  The packed n-vectors y, alpha, norms2 and delta
-   hold node t's entries at offsets[t] .. offsets[t + 1]; its indices, local
-   to the node, are idx[starts[t]] .. idx[starts[t + 1] - 1].  Node t's
-   steps add to its block of delta and to row t of U (m x d, row-major),
-   which the caller owns, so repeated calls accumulate. */
+   hold node t's entries at offsets[t] .. offsets[t + 1]; its counts[t]
+   indices, local to the node, follow node t - 1's in idx.  Node t's steps
+   add to its block of delta and to row t of U (m x d, row-major), which the
+   caller owns, so repeated calls accumulate. */
 void fedmtl_run_round(int hinge, double beta, int64_t d, int64_t m,
                       const double *const *X, const double *W, const double *y,
                       const double *alpha, const double *norms2,
                       const double *kappa, const int64_t *offsets,
-                      const int64_t *idx, const int64_t *starts,
+                      const int64_t *idx, const int64_t *counts,
                       double *delta, double *U)
 {
     for (int64_t t = 0; t < m; t++) {
         int64_t o = offsets[t];
-        run_updates(hinge, beta, d, starts[t + 1] - starts[t], X[t], W + t * d,
-                    y + o, alpha + o, norms2 + o, kappa[t], idx + starts[t],
-                    delta + o, U + t * d);
+        run_updates(hinge, beta, d, counts[t], X[t], W + t * d, y + o, alpha + o,
+                    norms2 + o, kappa[t], idx, delta + o, U + t * d);
+        idx += counts[t];
     }
 }
 

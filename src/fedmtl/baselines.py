@@ -222,9 +222,15 @@ def mocha_trainer(model_factory, config: SolverConfig, *,
 def model_select(ds: FederatedDataset, trainer, lambda_grid, k_folds: int,
                  seed: int = 0) -> tuple[float, float]:
     """k-fold cross-validation over the grid; folds are split per task and the
-    CV score is the unweighted mean task error.  Ties go to the larger lambda."""
+    CV score is the unweighted mean task error.  Ties go to the larger lambda.
+    Fold f holds out an example of every task with more than f, so k_folds
+    may not exceed the largest task."""
     if k_folds < 2:
         raise ValueError("k_folds must be >= 2")
+    largest = max(ds.task_sizes())
+    if k_folds > largest:
+        raise ValueError(f"k_folds = {k_folds} leaves a fold with no held-out example: "
+                         f"the largest task has {largest} examples")
     grid = sorted(float(l) for l in lambda_grid)
     if not grid:
         raise ValueError("lambda grid is empty")

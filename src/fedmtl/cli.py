@@ -38,6 +38,7 @@ from .data import (
     prediction_error,
     save_federated_csv,
     standardize,
+    train_test_split,
 )
 from .losses import LossKind, loss_constants
 from .regularizers import (
@@ -421,6 +422,11 @@ def cmd_compare(args) -> int:
     _require(k_folds >= 2, "compare.k_folds", "must be >= 2", k_folds)
     _require(0.0 < train_fraction < 1.0, "compare.train_fraction",
              "must be in (0, 1)", train_fraction)
+    # Every shuffle's training split has these sizes; model_select needs a
+    # held-out example in every fold.
+    largest = max(train_test_split(ds, train_fraction, seed)[0].task_sizes())
+    _require(k_folds <= largest, "compare.k_folds",
+             f"must be at most the largest training split, {largest} examples", k_folds)
     rows = baselines.compare_models(
         ds, trainers, grid, shuffles=shuffles, seed=seed, k_folds=k_folds,
         train_fraction=train_fraction,
@@ -469,8 +475,11 @@ def cmd_bench(args) -> int:
     _require(0.0 < target_rel < 1.0, "bench.target_suboptimality",
              "must be in (0, 1)", target_rel)
     profiles = build_profiles(cfg, ds.m)
-    # No gap target: every cell runs the full round count.
-    config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=None)
+    # No gap target: every cell runs the full round count.  One outer
+    # iteration, so MOCHA keeps the initial coupling that the floor and the
+    # baselines solve against.
+    config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, outer_rounds=1,
+                     gap_tol=None)
     if not presets:
         raise ConfigError("bench.presets: needs at least one preset")
     presets = [build_preset(cfg, name) for name in presets]

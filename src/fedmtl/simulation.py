@@ -189,8 +189,10 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     """Run a method under a systems environment and annotate its trace with
     estimated time.  Every method takes its seed, round count, gap target,
     gamma and sigma' mode from ``config``; MOCHA runs the whole config, while
-    the baselines run against the initial coupling.  ``method_params``
-    overrides ``METHOD_DEFAULTS``."""
+    the baselines run against the initial coupling.  The mini-batch methods'
+    budgets are their batch under ``none`` heterogeneity, and every method
+    but CoCoA drops nodes as ``profiles`` say.  ``method_params`` overrides
+    ``METHOD_DEFAULTS``."""
     from . import baselines
 
     params = {**METHOD_DEFAULTS, **(method_params or {})}
@@ -199,9 +201,9 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     if len(profiles) != ds.m:
         raise ValueError("need one node profile per task")
     seed, rounds, gap_tol = config.seed, config.inner_rounds, config.gap_tol
+    if method in ("mb_sdca", "mb_sgd") and heterogeneity.mode == "none":
+        heterogeneity = HeterogeneityPolicy("fixed", heterogeneity.n_min, params["batch"])
     policy = SystemsPolicy(seed, profiles, heterogeneity)
-    # The mini-batch methods draw budgets and drops only under heterogeneity.
-    batch_policy = policy if heterogeneity.mode != "none" else None
 
     # The fixed coupling the baselines run against.
     rel = None if method == "mocha" else build_relationship(
@@ -216,12 +218,12 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     elif method == "mb_sdca":
         result = baselines.mb_sdca_run(
             ds, kind, rel, params["batch"], params["beta"], rounds, seed=seed,
-            policy=batch_policy, gap_tol=gap_tol,
+            policy=policy, gap_tol=gap_tol,
         )
     elif method == "mb_sgd":
         result = baselines.mb_sgd_run(
             ds, kind, rel, params["batch"], params["step"], rounds,
-            seed=seed, schedule=params["schedule"], policy=batch_policy,
+            seed=seed, schedule=params["schedule"], policy=policy,
         )
     else:
         raise ValueError(f"unknown method {method!r}")

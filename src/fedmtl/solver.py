@@ -414,11 +414,11 @@ def draw_random(seed: int, tag: int, round_idx: int, m: int) -> np.ndarray:
     return out
 
 
-def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
+def _run_round(view: RoundView, idx: np.ndarray, counts,
                delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
-    """For every node t, take the coordinate steps at its local indices
-    ``idx[starts[t]:starts[t + 1]]`` against the round's snapshot, adding
-    them to its block of the packed ``delta`` and x_i times each to row t of
+    """Take node t's ``counts[t]`` coordinate steps, at the local indices
+    that follow node t - 1's in ``idx``, against the round's snapshot: each
+    adds to t's block of the packed ``delta``, and x_i times it to row t of
     ``U`` (m x d), so that row accumulates u = X_t delta_t across calls.
 
     beta = 0 gives MOCHA's sequential steps, each scored against the node's
@@ -434,21 +434,21 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     ds = view.ds
     m, d = ds.m, ds.d
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    if starts.shape != (m + 1,) or starts[0] != 0 or starts[-1] != idx.size:
-        raise ValueError("starts must hold m + 1 offsets into idx")
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    # Summed as Python ints, which cannot wrap around.
+    if counts.shape != (m,) or counts.min(initial=0) < 0 or sum(counts.tolist()) != idx.size:
+        raise ValueError("counts must hold m counts >= 0 that sum to len(idx)")
     # Both are written in place, so they cannot be converted copies.
     for name, a, shape in (("delta", delta, (ds.n,)), ("U", U, (m, d))):
         if not (a.dtype == np.float64 and a.flags.carray and a.shape == shape):
             raise ValueError(f"{name} must be a writable C-contiguous float64 "
                              f"array of shape {shape}")
-    counts = np.diff(starts)
     if idx.size and not (0 <= idx.min()
                          and (idx < np.repeat(np.diff(ds.offsets), counts)).all()):
         raise IndexError("coordinate index out of range of its node")
     lib = _load_kernel()
     if lib is None:
-        return _run_round_py(view, idx, starts, delta, U, beta)
+        return _run_round_py(view, idx, counts, delta, U, beta)
     W = np.ascontiguousarray(view.W.T, dtype=np.float64)    # row t is node t's w
     kappa = np.ascontiguousarray(view.kappa, dtype=np.float64)
     alpha = np.ascontiguousarray(view.alpha, dtype=np.float64)
@@ -458,10 +458,10 @@ def _run_round(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     lib.fedmtl_run_round(view.kind is LossKind.HINGE, beta, d, m,
                          *(a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
                                                    ds.col_norms2, kappa, ds.offsets, idx,
-                                                   starts, delta, U)))
+                                                   counts, delta, U)))
 
 
-def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
+def _run_round_py(view: RoundView, idx: np.ndarray, counts,
                   delta: np.ndarray, U: np.ndarray, beta: float = 0.0) -> None:
     """Reference for ``_run_round``, and its path without a compiler: for
     each node in turn, the exact single-coordinate step at each of its
@@ -472,7 +472,7 @@ def _run_round_py(view: RoundView, idx: np.ndarray, starts: np.ndarray,
     ds = view.ds
     step_fn = _step_function(view.kind)
     for t, task in enumerate(ds.tasks):
-        node_idx = idx[starts[t]:starts[t + 1]]
+        node_idx, idx = idx[:counts[t]], idx[counts[t]:]
         w, u, kappa = view.W[:, t], U[t], float(view.kappa[t])
         scale = beta / len(node_idx) if len(node_idx) else 0.0
         for i in node_idx:
@@ -518,24 +518,16 @@ def _task_losses_py(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.n
                      for t, task in enumerate(ds.tasks)])
 
 
-def _round_indices(ds: FederatedDataset, budgets, drops, seed: int, round_idx: int):
-    """Each node's update count (its budget, or 0 when it drops) and the
-    responding nodes' coordinate indices, concatenated in node order: node t
-    draws its count uniformly from [0, n_t), with replacement, from
-    ``stream(seed, SOLVER_STREAM, t, round_idx)``."""
-    counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
-    return counts, draw_integers(seed, SOLVER_STREAM, round_idx, 0, np.diff(ds.offsets) - 1,
-                                 counts)
-
-
 def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
                   beta: float) -> RoundResult:
-    """One ``_run_round`` call over the round's budgets: each responding node
-    draws its indices with ``_round_indices`` and steps in ``beta``'s mode."""
+    """One ``_run_round`` call in ``beta``'s mode: node t takes its budget,
+    or 0 when it drops, of indices drawn uniformly from [0, n_t), with
+    replacement, from ``stream(seed, SOLVER_STREAM, t, round_idx)``."""
     ds = view.ds
-    counts, idx = _round_indices(ds, budgets, drops, seed, round_idx)
+    counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
+    idx = draw_integers(seed, SOLVER_STREAM, round_idx, 0, np.diff(ds.offsets) - 1, counts)
     delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
-    _run_round(view, idx, np.concatenate([[0], np.cumsum(counts)]), delta, U, beta)
+    _run_round(view, idx, counts, delta, U, beta)
     return RoundResult(delta, U.T, counts)
 
 
@@ -587,8 +579,7 @@ def oracle_subproblem_opt(view: RoundView, nodes,
     for _ in range(_ORACLE_MAX_PASSES):
         if not live.any():
             break
-        _run_round(view, local[np.repeat(live, sizes)],
-                   np.concatenate([[0], np.cumsum(np.where(live, sizes, 0))]), delta, U)
+        _run_round(view, local[np.repeat(live, sizes)], np.where(live, sizes, 0), delta, U)
         new_value = _node_values(view, delta, U)
         live &= ~(value - new_value <= tol * (1.0 + np.abs(new_value)))
         value = new_value
@@ -651,7 +642,7 @@ class FixedQualitySolver:
             passed = np.where(active, sizes, 0)
             idx = np.concatenate([streams[t].integers(0, sizes[t], size=sizes[t])
                                   for t in np.flatnonzero(active)])
-            _run_round(view, idx, np.concatenate([[0], np.cumsum(passed)]), delta, U)
+            _run_round(view, idx, passed, delta, U)
             counts += passed
             values = _node_values(view, delta, U)
             theta[active] = (values[active] - g_star[active]) / denom[active]

@@ -116,39 +116,47 @@ class CheckResult:
 
 
 def sigma_prime_sides(ds: FederatedDataset, mbar: np.ndarray,
-                      sigma_prime_val: float, gamma: float,
+                      kappa: np.ndarray, gamma: float,
                       alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each dual vector (row of ``alphas``, length n) return the two sides
-    (LHS, RHS) of the safety inequality
+    (LHS, RHS) of the safety inequality for the per-node coefficients kappa
+    that the local subproblems step with (``RelationshipState.kappa``)
 
-        sigma' * sum_t ||X_t alpha_t||^2_{M_t} >= gamma * ||X alpha||^2_M.
+        sum_t kappa_t ||X_t alpha_t||^2 >= gamma * ||X alpha||^2_M,
+
+    which for kappa_t = sigma' * Mbar_tt reads sigma' * sum_t
+    ||X_t alpha_t||^2_{M_t} >= gamma * ||X alpha||^2_M.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     if alphas.shape[1] != ds.n:
         raise ValueError(f"alpha length {alphas.shape[1]} does not match n={ds.n}")
+    kappa = np.asarray(kappa, dtype=float)
+    if kappa.shape != (ds.m,):
+        raise ValueError(f"kappa shape {kappa.shape} does not match m={ds.m}")
     o = ds.offsets
     # V[i, :, t] = X_t alpha_t for trial i; G[i] is its m x m Gram matrix.
     V = np.stack([alphas[:, o[t]:o[t + 1]] @ task.features.T
                   for t, task in enumerate(ds.tasks)], axis=2)
     G = np.einsum("ids,idt->ist", V, V)
-    lhs = sigma_prime_val * np.einsum("itt,t->i", G, np.diag(mbar))
+    lhs = np.einsum("itt,t->i", G, kappa)
     rhs = gamma * np.einsum("ist,st->i", G, mbar)
     return lhs, rhs
 
 
 def verify_sigma_prime_inequality(ds: FederatedDataset, mbar: np.ndarray,
-                                  sigma_prime_val: float, gamma: float,
+                                  kappa: np.ndarray, gamma: float,
                                   trials: int, seed: int = 0,
                                   extra_alphas=None) -> CheckResult:
-    """Monte Carlo check of the safety inequality on standard-normal duals,
-    plus any explicitly supplied dual vectors."""
+    """Monte Carlo check of the safety inequality (``sigma_prime_sides``) for
+    the per-node ``kappa`` on standard-normal duals, plus any explicitly
+    supplied dual vectors."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng([seed, 0x51D3])
     alphas = rng.standard_normal((trials, ds.n))
     if extra_alphas is not None:
         alphas = np.vstack([alphas, np.atleast_2d(extra_alphas)])
-    lhs, rhs = sigma_prime_sides(ds, mbar, sigma_prime_val, gamma, alphas)
+    lhs, rhs = sigma_prime_sides(ds, mbar, kappa, gamma, alphas)
     scale = np.maximum(1.0, np.maximum(lhs, rhs))
     margins = lhs - rhs
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -259,6 +259,25 @@ def test_model_select_contracts(rng):
         model_select(ds, trainer, [0.1], 1)
 
 
+def test_model_select_needs_a_held_out_example_in_every_fold():
+    # Tasks of 2 and 3 examples: a fourth fold would hold out nothing, and
+    # its error would be the mean of no task errors.
+    ds = FederatedDataset(tuple(TaskDataset(t, np.ones((2, n)), np.ones(n))
+                                for t, n in enumerate((2, 3))))
+    calls = []
+
+    def trainer(train_ds, lam):
+        calls.append(lam)
+        return PrimalState(np.ones((ds.d, ds.m)))
+
+    with pytest.raises(ValueError, match="k_folds"):
+        model_select(ds, trainer, [0.1, 1.0], 4)
+    assert calls == []
+    # Three folds hold out an example of the larger task in each.
+    lam, err = model_select(ds, trainer, [0.1, 1.0], 3)
+    assert lam == 1.0 and err == 0.0
+
+
 def test_model_select_ties_prefer_larger_lambda(rng):
     ds = make_dataset(rng, m=2, d=3, n_lo=8, n_hi=8)
     fixed_W = PrimalState(np.ones((ds.d, ds.m)))

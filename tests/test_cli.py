@@ -457,6 +457,43 @@ dir = {out}
         assert not out.exists(), bad
 
 
+def test_compare_rejects_more_folds_than_a_training_split_holds(tmp_path, capsys):
+    # Every training split of these 4-example tasks holds 3 examples, so a
+    # fourth or fifth fold would hold out none.
+    for k_folds, code in ((5, 1), (4, 1), (3, 0)):
+        out = tmp_path / f"cmp{k_folds}"
+        cfg = write_config(tmp_path / f"cmp{k_folds}.ini", f"""
+[dataset]
+source = synthetic
+
+[synthetic]
+m = 3
+d = 4
+n_min = 4
+n_max = 4
+seed = 2
+
+[method]
+loss = squared
+
+[compare]
+methods = mtl
+lambda_grid = 0.1, 1.0
+shuffles = 2
+k_folds = {k_folds}
+
+[output]
+dir = {out}
+""")
+        assert main(["compare", "--config", cfg]) == code, k_folds
+        err = capsys.readouterr().err
+        if code:
+            assert "compare.k_folds" in err and not out.exists()
+        else:
+            summary = json.loads((out / "summary.json").read_text())
+            assert 0.0 <= summary["rows"]["mtl"]["mean_error"] <= 1.0
+
+
 def test_bad_method_params_rejected_before_writing(tmp_path):
     cases = [
         ("train", "name = cocoa\ntheta = 1.5"),
@@ -634,6 +671,47 @@ dir = {out}
     assert body[0] == "elapsed_ms,primal_suboptimality"
     last = body[-1].split(",")
     assert float(last[0]) > 0.0
+
+
+def test_bench_runs_mocha_against_the_coupling_of_its_floor(tmp_path):
+    # The floor solves the problem with the initial coupling.  MOCHA that
+    # learned its coupling over [solver] outer_rounds would solve another
+    # problem, and its suboptimality could fall below zero.
+    out = tmp_path / "bench"
+    cfg = write_config(tmp_path / "bench.ini", f"""
+[dataset]
+source = synthetic
+
+[synthetic]
+m = 4
+d = 5
+n_min = 20
+n_max = 20
+seed = 2
+
+[model]
+kind = probabilistic
+lam = 0.1
+
+[method]
+loss = squared
+
+[solver]
+outer_rounds = 3
+
+[bench]
+methods = mocha
+presets = wifi
+heterogeneity = none
+rounds = 30
+
+[output]
+dir = {out}
+""")
+    assert main(["bench", "--config", cfg]) == 0
+    rows = (out / "bench_mocha_wifi_none.csv").read_text().splitlines()[1:]
+    assert len(rows) == 30
+    assert min(float(row.split(",")[1]) for row in rows) >= 0.0
 
 
 def test_bench_solves_cocoa_once_for_every_mode(tmp_path, monkeypatch):

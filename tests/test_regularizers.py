@@ -348,7 +348,7 @@ def test_safe_sigma_prime_inequality_random():
     model = MeanRegularized(1.5, 0.8)
     rel = build_relationship(model, initial_omega(model, ds.m))
     alphas = rng.standard_normal((1000, ds.n))
-    lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.sigma_prime, 1.0, alphas)
+    lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.kappa, 1.0, alphas)
     assert np.all(lhs - rhs >= -1e-9 * np.maximum(1.0, np.maximum(lhs, rhs)))
 
 

@@ -234,6 +234,29 @@ def test_drop_injection_reaches_solver():
         assert all(c == 0 for c in dropped_counts), method
 
 
+@pytest.mark.parametrize("method", ["mb_sdca", "mb_sgd"])
+def test_mini_batch_methods_drop_without_heterogeneity(method):
+    # Under "none" their budgets stay at the batch, and their drops follow
+    # the profiles as MOCHA's do; CoCoA never drops.
+    ds = generate_synthetic(SyntheticSpec(m=4, d=5, n_min=10, n_max=10, seed=4))
+    profiles = [NodeProfile(drop_probability=0.5) for _ in range(ds.m)]
+
+    def trace(name):
+        return simulate_run(
+            name, ds, SolverConfig(inner_rounds=6, seed=4), kind=HINGE,
+            model=MeanRegularized(1.0, 1.0), preset=PRESETS["wifi"],
+            heterogeneity=HeterogeneityPolicy("none", n_min=10), profiles=profiles,
+            method_params={"batch": 5},
+        ).trace
+
+    mocha, mini_batch = trace("mocha"), trace(method)
+    assert any(s.dropped for s in mocha)
+    assert [s.dropped for s in mini_batch] == [s.dropped for s in mocha]
+    assert [s.update_counts for s in mini_batch] == [
+        [0 if t in s.dropped else 5 for t in range(ds.m)] for s in mini_batch]
+    assert not any(s.dropped for s in trace("cocoa"))
+
+
 def test_attach_times_invariant_to_recomputation():
     sim, ds = _small_run(PRESETS["3g"])
     once = [s.elapsed_ms_estimated for s in sim.trace]

@@ -17,7 +17,13 @@ from fedmtl.regularizers import (
     sigma_prime,
     sigma_prime_per_task,
 )
-from fedmtl.solver import ConstantPolicy, init_dual_state, run_w_update
+from fedmtl.solver import (
+    ConstantPolicy,
+    SolverConfig,
+    init_dual_state,
+    run_mocha,
+    run_w_update,
+)
 from fedmtl.theory import (
     convergence_constant_s,
     largest_sv_squared,
@@ -139,7 +145,7 @@ def test_verify_sigma_prime_passes_for_lemma_value(rng):
         omega /= np.trace(omega)
         model = ProbabilisticPrior(lam=0.7)
         rel = build_relationship(model, omega)
-        res = verify_sigma_prime_inequality(ds, rel.mbar, rel.sigma_prime, 1.0, 2000,
+        res = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, 1.0, 2000,
                                             seed=trial)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
@@ -150,7 +156,7 @@ def test_verify_sigma_prime_single_task_boundary(rng):
     mbar = np.array([[0.9]])
     for gamma in (0.3, 1.0):
         assert sigma_prime(mbar, gamma) == pytest.approx(gamma)
-        res = verify_sigma_prime_inequality(ds, mbar, gamma, gamma, 500)
+        res = verify_sigma_prime_inequality(ds, mbar, gamma * np.diag(mbar), gamma, 500)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -169,15 +175,52 @@ def crafted_aligned_instance():
 
 def test_verify_sigma_prime_crafted_failure():
     ds, mbar, alpha = crafted_aligned_instance()
-    sp = sigma_prime(mbar)
-    ok = verify_sigma_prime_inequality(ds, mbar, sp, 1.0, 100, extra_alphas=alpha)
+    kappa = sigma_prime(mbar) * np.diag(mbar)
+    ok = verify_sigma_prime_inequality(ds, mbar, kappa, 1.0, 100, extra_alphas=alpha)
     assert ok.passed
-    bad = verify_sigma_prime_inequality(ds, mbar, sp / 4.0, 1.0, 100,
+    bad = verify_sigma_prime_inequality(ds, mbar, kappa / 4.0, 1.0, 100,
                                         extra_alphas=alpha)
     assert not bad.passed
     # the aligned vector is the violating one
-    lhs, rhs = sigma_prime_sides(ds, mbar, sp / 4.0, 1.0, alpha)
+    lhs, rhs = sigma_prime_sides(ds, mbar, kappa / 4.0, 1.0, alpha)
     assert lhs[0] < rhs[0]
+
+
+def test_verify_sigma_prime_takes_per_task_kappa_on_a_learned_omega():
+    ds = make_dataset(np.random.default_rng(5), m=4, d=3, n_lo=5, n_hi=9)
+    model = ProbabilisticPrior(lam=0.5)
+    omega = run_mocha(ds, model, SolverConfig(inner_rounds=5, outer_rounds=2, seed=5),
+                      ConstantPolicy(5), LossKind.SQUARED).omega
+    assert not np.array_equal(omega, initial_omega(model, ds.m))
+    for gamma in (1.0, 0.6):
+        rel = build_relationship(model, omega, gamma, "per_task")
+        # The modes differ on this coupling, so the global check does not cover it.
+        assert not np.allclose(rel.kappa, build_relationship(model, omega, gamma).kappa)
+        res = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, gamma, 2000, seed=5)
+        assert res.passed
+        assert res.worst_ratio <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["global", "per_task"])
+@pytest.mark.parametrize("gamma", [1.0, 0.7])
+def test_verify_sigma_prime_fails_just_below_kappa_where_the_bound_is_tight(mode, gamma):
+    # Every entry of a mean-regularized Mbar is positive and its rows are
+    # alike, so the two sides meet when every X_t alpha_t is the same u.
+    X = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+    y = np.array([1.0, -1.0, 1.0])
+    ds = FederatedDataset(tuple(TaskDataset(t, X, y) for t in range(3)))
+    model = MeanRegularized(1.0, 0.5)
+    rel = build_relationship(model, initial_omega(model, ds.m), gamma, mode)
+    assert (rel.mbar > 0.0).all()
+    alpha = np.tile([0.5, -1.0, 0.25], ds.m)
+    ok = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, gamma, 200, extra_alphas=alpha)
+    assert ok.passed
+    assert ok.worst_ratio == pytest.approx(1.0, abs=1e-12)
+    bad = verify_sigma_prime_inequality(ds, rel.mbar, 0.99 * rel.kappa, gamma, 200,
+                                        extra_alphas=alpha)
+    assert not bad.passed
+    with pytest.raises(ValueError, match="kappa"):
+        sigma_prime_sides(ds, rel.mbar, rel.kappa[:-1], gamma, alpha)
 
 
 def test_verify_lemma_decrease_passes_and_detects_corruption(rng):

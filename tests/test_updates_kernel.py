@@ -2,12 +2,15 @@
 native random draws against numpy's."""
 
 import ctypes
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tests.conftest import random_view, recompute_v
 
@@ -26,7 +29,6 @@ from fedmtl.solver import (
     SOLVER_STREAM,
     RoundView,
     SolverConfig,
-    _round_indices,
     _run_round,
     _run_round_py,
     _task_losses,
@@ -47,7 +49,7 @@ def _updated(run, round_view, idx, beta=0.0):
     """The delta and u that ``run`` (``_run_round`` or ``_run_round_py``)
     leaves after the steps at ``idx`` on a one-node round."""
     delta, U = np.zeros(round_view.ds.n), np.zeros((1, round_view.ds.d))
-    run(round_view, idx, [0, len(idx)], delta, U, beta)
+    run(round_view, idx, [len(idx)], delta, U, beta)
     return delta, U[0]
 
 
@@ -137,13 +139,13 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal, b
     with np.errstate(over="ignore"):
         # A subnormal curvature overflows the unclipped hinge step to inf.
         res = solve_local(view, budgets, drops, seed, 0)
-        starts = np.concatenate([[0], np.cumsum(res.update_counts)])
+        ends = np.cumsum(res.update_counts)
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
             stream(seed, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n,
                                                        size=res.update_counts[t])
             for t in range(m) if res.update_counts[t]])
         delta, U = np.zeros(ds.n), np.zeros((m, d))
-        _run_round(view, idx, starts, delta, U, beta)
+        _run_round(view, idx, res.update_counts, delta, U, beta)
         if beta == 0.0:
             assert np.array_equal(res.delta, delta)
             # delta_v is the u the node's updates accumulated.
@@ -153,13 +155,13 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal, b
             assert res.update_counts[t] == count
             # Node t's steps alone, every other node without indices.
             alone, alone_U = np.zeros(ds.n), np.zeros((m, d))
-            _run_round(view, idx[starts[t]:starts[t + 1]],
-                       np.where(np.arange(m + 1) > t, count, 0), alone, alone_U, beta)
+            _run_round(view, idx[ends[t] - count:ends[t]],
+                       np.where(np.arange(m) == t, count, 0), alone, alone_U, beta)
             block = slice(ds.offsets[t], ds.offsets[t + 1])
             assert np.array_equal(delta[block], alone[block])
             assert np.array_equal(U[t], alone_U[t])
         ref, ref_U = np.zeros(ds.n), np.zeros((m, d))
-        _run_round_py(view, idx, starts, ref, ref_U, beta)
+        _run_round_py(view, idx, res.update_counts, ref, ref_U, beta)
     for got, want in ((delta, ref), (U, ref_U)):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.abs(want).max(initial=0.0))
@@ -248,6 +250,66 @@ def test_kernel_loads_where_a_compiler_exists():
     assert lib.numpy_streams is True
 
 
+# Run in a fresh interpreter with the sanitizer runtime preloaded: a kernel
+# built with -fsanitize=address,undefined takes every native entry point,
+# then refuses malformed layouts before they reach it.
+_SANITIZED_RUN = """
+import numpy as np
+from fedmtl import solver
+solver._KERNEL_FLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
+from fedmtl.baselines import cocoa_run, mb_sdca_run
+from fedmtl.data import SyntheticSpec, generate_synthetic
+from fedmtl.losses import LossKind
+from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, build_relationship
+from fedmtl.regularizers import initial_omega
+from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
+from fedmtl.solver import RoundView, SolverConfig, _run_round, _task_losses, run_mocha
+
+lib = solver._load_kernel()
+assert lib is not None and lib.numpy_streams, "the sanitized kernel did not load"
+ds = generate_synthetic(SyntheticSpec(m=4, d=5, n_min=6, n_max=15, cluster_count=2,
+                                      deviation=0.3, noise=0.05, seed=3))
+policy = SystemsPolicy(3, [NodeProfile(drop_probability=0.3)] * ds.m,
+                       HeterogeneityPolicy("high", min(ds.task_sizes())))
+model = MeanRegularized(1.0, 1.0)
+rel = build_relationship(model, initial_omega(model, ds.m))
+for kind in LossKind:
+    W = run_mocha(ds, ProbabilisticPrior(lam=0.5), SolverConfig(inner_rounds=4, outer_rounds=2,
+                  seed=3), policy, kind).primal.W
+    cocoa_run(ds, kind, rel, 0.1, 3, seed=3)
+    mb_sdca_run(ds, kind, rel, 5, 2.0, 3, seed=3, policy=policy)
+    assert np.isfinite(_task_losses(W, ds, kind)).all()
+assert solver.draw_integers(3, 11, 2, 0, 2**32 - 2, [0, 7, 1]).size == 8
+assert solver.draw_random(3, 11, 2, 5).shape == (5,)
+view = RoundView(ds, LossKind.HINGE, np.zeros(ds.n), np.ones((ds.d, ds.m)), np.ones(ds.m))
+for counts, idx in (([3000000, -3000000, 0, 0], []), ([3, -3, 0, 0], []),
+                    ([2**62] * 4, []), ([0, 3, 0], []), ([1, 0, 0, 0], [ds.tasks[0].n]),
+                    ([2, 0, 0, 0], [0]), ([0, 0, 0, 1], [-1])):
+    try:
+        _run_round(view, idx, counts, np.zeros(ds.n), np.zeros((ds.m, ds.d)))
+    except (ValueError, IndexError):
+        continue
+    raise SystemExit(f"accepted counts {counts} with indices {idx}")
+print("clean")
+"""
+
+
+@needs_cc
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    asan = subprocess.run([shutil.which("cc"), "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(asan) or not os.path.exists(asan):
+        pytest.skip("no AddressSanitizer runtime")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "LD_PRELOAD": asan,
+           "ASAN_OPTIONS": "detect_leaks=0", "UBSAN_OPTIONS": "halt_on_error=1",
+           "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _SANITIZED_RUN], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-3000:]
+    assert run.stdout.strip() == "clean"
+    assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr, run.stderr
+
+
 def test_out_of_range_index_raises():
     round_view = random_view(np.random.default_rng(0), LossKind.SQUARED, n=5)
     for idx in ([0, 5], [-1, 2], [3, 5]):
@@ -268,13 +330,83 @@ def test_run_round_rejects_a_bad_u(monkeypatch):
         monkeypatch.setattr(solver, "_load_kernel", load)
         for U in bad:
             with pytest.raises(ValueError):
-                _run_round(view, [0, 2], [0, 2, 2], np.zeros(ds.n), U)
+                _run_round(view, [0, 2], [2, 0], np.zeros(ds.n), U)
         # delta is written in place too, so a strided one is refused as well.
         with pytest.raises(ValueError):
-            _run_round(view, [0, 2], [0, 2, 2], np.zeros(2 * ds.n)[::2], np.zeros((2, 4)))
+            _run_round(view, [0, 2], [2, 0], np.zeros(2 * ds.n)[::2], np.zeros((2, 4)))
         good = np.zeros((2, 4))
-        _run_round(view, [0, 2], [0, 2, 2], np.zeros(ds.n), good)
+        _run_round(view, [0, 2], [2, 0], np.zeros(ds.n), good)
         assert good[0].any() and not good[1].any()
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _layouts(draw):
+    """Task sizes for m in [1, 4], node counts and indices: counts of length
+    m or not, negative or huge ones included; indices in range of their
+    nodes, or any, of the length the counts sum to or not."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    m = len(sizes)
+    counts = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m) | st.lists(
+        st.one_of(st.integers(-3, 6), _INT64), min_size=max(m - 1, 0), max_size=m + 1))
+    total = sum(counts)
+    if draw(st.booleans()) and len(counts) == m and min(counts) >= 0 and total <= 40:
+        idx = [draw(st.integers(0, n - 1)) for n, c in zip(sizes, counts) for _ in range(c)]
+    else:
+        size = draw(st.sampled_from([total, total, total + 1, total - 1])
+                    if 0 <= total <= 40 else st.integers(0, 12))
+        idx = draw(st.lists(st.one_of(st.integers(-1, 5), _INT64), min_size=max(size, 0),
+                            max_size=max(size, 0)))
+    return sizes, counts, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_layouts(), kind=st.sampled_from(list(LossKind)),
+       beta=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+# The inputs that read past idx at the parent of this check: a later node's
+# offset beyond an empty idx, and counts whose int64 sum wraps around to 0.
+@example(layout=([5, 5], [3000000, -3000000], []), kind=LossKind.SQUARED, beta=0.0, seed=0)
+@example(layout=([5, 5], [3, -3], []), kind=LossKind.SQUARED, beta=0.0, seed=0)
+@example(layout=([5, 5, 5, 5], [2**62] * 4, []), kind=LossKind.HINGE, beta=0.0, seed=0)
+def test_round_layout_is_checked_before_the_kernel(layout, kind, beta, seed):
+    """Natively and without a compiler, a round either refuses its layout
+    with ValueError or IndexError before the kernel runs, writing nothing,
+    or takes the steps ``_run_round_py`` takes."""
+    sizes, counts, idx = layout
+    rng = np.random.default_rng(seed)
+    ds = FederatedDataset(tuple(TaskDataset(t, rng.standard_normal((3, n)),
+                                            rng.choice([-1.0, 1.0], size=n))
+                                for t, n in enumerate(sizes)))
+    view = RoundView(ds, kind, np.zeros(ds.n), rng.standard_normal((3, ds.m)),
+                     rng.uniform(0.5, 2.0, size=ds.m))
+    outcomes = []
+    for native in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = []
+            lib = solver._load_kernel() if native else None
+            if lib is not None:
+                entry = lib.fedmtl_run_round
+                patch.setattr(lib, "fedmtl_run_round",
+                              lambda *args: (calls.append(args), entry(*args)))
+            patch.setattr(solver, "_load_kernel", lambda: lib)
+            delta, U = np.zeros(ds.n), np.zeros((ds.m, 3))
+            try:
+                _run_round(view, idx, counts, delta, U, beta)
+            except (ValueError, IndexError) as exc:
+                assert not calls and not delta.any() and not U.any()
+                outcomes.append(type(exc))
+                continue
+        assert len(calls) == (lib is not None)
+        ref, ref_U = np.zeros(ds.n), np.zeros((ds.m, 3))
+        _run_round_py(view, np.array(idx, dtype=np.int64), counts, ref, ref_U, beta)
+        for got, want in ((delta, ref), (U, ref_U)):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max(initial=0.0))
+        outcomes.append(None)
+    # Both paths refuse the same layouts.
+    assert outcomes[0] is outcomes[1]
 
 
 def _dual_baseline_runs():
@@ -438,8 +570,8 @@ def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
     assert calls == ["fedmtl_draw_integers"]
     # A round whose seed needs numpy draws each node's indices with numpy.
     ds = generate_synthetic(SyntheticSpec(m=4, d=3, n_min=5, n_max=9, seed=3))
-    counts, idx = _round_indices(ds, [4, 0, 7, 3], [False, False, False, True], 2**64 + 3, 0)
-    assert counts == [4, 0, 7, 0]
+    counts = [4, 0, 7, 0]
+    idx = draw_integers(2**64 + 3, SOLVER_STREAM, 0, 0, np.diff(ds.offsets) - 1, counts)
     assert np.array_equal(idx, np.concatenate([
         stream(2**64 + 3, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n, size=counts[t])
         for t in (0, 2)]))
