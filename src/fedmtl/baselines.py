@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FederatedDataset, TaskDataset, prediction_error, train_test_split
+from .data import FederatedDataset, TaskDataset, prediction_error, standardize, train_test_split
 from .losses import LossKind, subgradient
 from .regularizers import (
     MeanRegularized,
@@ -285,14 +285,17 @@ class ComparisonRow:
 
 def compare_models(ds: FederatedDataset, trainers: dict, lambda_grid,
                    *, shuffles: int = 10, seed: int = 0, k_folds: int = 5,
-                   train_fraction: float = 0.75) -> list[ComparisonRow]:
+                   train_fraction: float = 0.75, scaled: bool = False) -> list[ComparisonRow]:
     """Repeated shuffle evaluation: split, cross-validate lambda per method,
     refit on the training split, report mean test error with its standard
-    error over shuffles."""
+    error over shuffles.  ``scaled`` z-scores each shuffle's features with
+    the statistics of its training split alone."""
     errors = {name: [] for name in trainers}
     lambdas = {name: [] for name in trainers}
     for r in range(shuffles):
         train_ds, test_ds = train_test_split(ds, train_fraction, seed=seed * 1009 + r)
+        if scaled:
+            train_ds, test_ds = standardize(train_ds, test_ds)
         for name, trainer in trainers.items():
             lam, _ = model_select(train_ds, trainer, lambda_grid, k_folds,
                                   seed=seed * 1013 + r)

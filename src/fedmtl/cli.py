@@ -163,7 +163,14 @@ def _synthetic_spec(cfg, seed: int) -> SyntheticSpec:
         )
 
 
-def build_dataset(cfg, seed: int) -> FederatedDataset:
+def _standardized(cfg) -> bool:
+    return _get_bool(cfg, "dataset", "standardize", False)
+
+
+def build_dataset(cfg, seed: int, scale: bool = True) -> FederatedDataset:
+    """The ``[dataset]``, z-scored on all of its examples under ``standardize
+    = true`` unless ``scale`` is False (``compare`` scales each of its
+    training splits itself)."""
     source = _get_str(cfg, "dataset", "source", required=True)
     if source == "csv":
         csv_dir = _get_str(cfg, "dataset", "csv_dir", required=True)
@@ -174,7 +181,7 @@ def build_dataset(cfg, seed: int) -> FederatedDataset:
         ds = generate_synthetic(_synthetic_spec(cfg, seed))
     else:
         raise ConfigError(f"dataset.source: must be csv or synthetic, got {source!r}")
-    if _get_bool(cfg, "dataset", "standardize", False):
+    if scale and _standardized(cfg):
         ds, _ = standardize(ds)
     return ds
 
@@ -266,21 +273,32 @@ def _checked_method_params(cfg, methods) -> dict:
 
 
 def _seed(cfg, args) -> int:
-    return args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
+    name, seed = (("--seed", args.seed) if args.seed is not None
+                  else ("run.seed", _get_int(cfg, "run", "seed", 0)))
+    _require(seed >= 0, name, "must be >= 0", seed)
+    return seed
 
 
-def _load(args):
+def _load(args, scale: bool = True):
     """What every run command starts from: the config, the seed, the loss
     and the dataset."""
     cfg = load_config(args.config)
     seed = _seed(cfg, args)
     kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    return cfg, seed, kind, build_dataset(cfg, seed)
+    return cfg, seed, kind, build_dataset(cfg, seed, scale)
 
 
 def _require(ok: bool, name: str, rule: str, value) -> None:
     if not ok:
         raise ConfigError(f"{name}: {rule}, got {value!r}")
+
+
+def _distinct(name: str, keys: list) -> None:
+    """Each entry of a list setting names one run or output file: refuse an
+    empty list and a repeated entry."""
+    _require(len(keys) > 0, name, "needs at least one entry", keys)
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    _require(not repeated, name, f"repeats {', '.join(repeated)}", keys)
 
 
 def _echo_config(config_path, outdir) -> None:
@@ -303,7 +321,10 @@ def cmd_generate(args) -> int:
     seed = _seed(cfg, args)
     outdir = args.out or _get_str(cfg, "output", "dir", required=True)
     ds = generate_synthetic(_synthetic_spec(cfg, seed))
-    save_federated_csv(ds, outdir)
+    try:
+        save_federated_csv(ds, outdir)
+    except FileExistsError as exc:
+        raise ConfigError(f"output.dir: {exc}") from None
     sizes = ds.task_sizes()
     print(f"wrote {ds.m} task files to {outdir}")
     print(f"m={ds.m} d={ds.d} n={ds.n} n_t(min/mean/max)="
@@ -405,7 +426,9 @@ def _compare_trainers(cfg, kind: LossKind, seed: int):
 
 
 def cmd_compare(args) -> int:
-    cfg, seed, kind, ds = _load(args)
+    # Fit on each shuffle's training split, so that no test example shapes
+    # the scaling.
+    cfg, seed, kind, ds = _load(args, scale=False)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
     grid = _get_list(cfg, "compare", "lambda_grid", float,
                      list(baselines.DEFAULT_LAMBDA_GRID))
@@ -429,7 +452,7 @@ def cmd_compare(args) -> int:
              f"must be at most the largest training split, {largest} examples", k_folds)
     rows = baselines.compare_models(
         ds, trainers, grid, shuffles=shuffles, seed=seed, k_folds=k_folds,
-        train_fraction=train_fraction,
+        train_fraction=train_fraction, scaled=_standardized(cfg),
     )
     _echo_config(args.config, outdir)
     with open(os.path.join(outdir, "compare.csv"), "w", encoding="ascii") as fh:
@@ -480,8 +503,9 @@ def cmd_bench(args) -> int:
     # baselines solve against.
     config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, outer_rounds=1,
                      gap_tol=None)
-    if not presets:
-        raise ConfigError("bench.presets: needs at least one preset")
+    _distinct("bench.methods", methods)
+    _distinct("bench.presets", [name.lower() for name in presets])
+    _distinct("bench.heterogeneity", het_modes)
     presets = [build_preset(cfg, name) for name in presets]
     for method in methods:
         if method not in ROUND_METHODS:
@@ -545,6 +569,7 @@ def cmd_fault(args) -> int:
     config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=gap_tol)
     preset = build_preset(cfg)
     runs = [(f"p{p:g}", build_profiles(cfg, ds.m, [p] * ds.m)) for p in probabilities]
+    _distinct("fault.probabilities", [tag for tag, _ in runs])
     runs.append(("permanent", build_profiles(
         cfg, ds.m, [1.0 if t == permanent else 0.0 for t in range(ds.m)])))
 

@@ -248,7 +248,15 @@ def load_federated_csv(directory_path) -> FederatedDataset:
 
 
 def save_federated_csv(ds: FederatedDataset, directory_path) -> None:
-    """Inverse of load_federated_csv; float repr guarantees exact round trips."""
+    """Inverse of load_federated_csv; float repr guarantees exact round trips.
+    A task file that this dataset would not overwrite raises FileExistsError
+    before anything is written, since loading the directory would mix it in."""
+    names = {f"task_{task.task_id}.csv" for task in ds.tasks}
+    if os.path.isdir(directory_path):
+        for name in sorted(os.listdir(directory_path)):
+            if _TASK_FILE.match(name) and name not in names:
+                raise FileExistsError(
+                    f"{os.path.join(directory_path, name)}: task file of another dataset")
     os.makedirs(directory_path, exist_ok=True)
     for task in ds.tasks:
         path = os.path.join(directory_path, f"task_{task.task_id}.csv")

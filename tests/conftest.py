@@ -53,3 +53,14 @@ def random_view(rng, kind, d=6, n=10, kappa=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def sigma_prime_sides(ds, mbar, kappa, gamma, alphas):
+    """Both sides of the sigma' condition, sum_t kappa_t ||X_t alpha_t||^2 and
+    gamma * ||X alpha||^2_Mbar, for each dual (row of ``alphas``)."""
+    alphas = np.atleast_2d(alphas)
+    o = ds.offsets
+    U = np.stack([alphas[:, o[t]:o[t + 1]] @ task.features.T
+                  for t, task in enumerate(ds.tasks)], axis=2)
+    G = np.einsum("ids,idt->ist", U, U)
+    return np.einsum("itt,t->i", G, kappa), gamma * np.einsum("ist,st->i", G, mbar)

@@ -7,6 +7,16 @@ import pytest
 
 from fedmtl import baselines, solver
 from fedmtl.cli import main
+from fedmtl.data import (
+    FederatedDataset,
+    TaskDataset,
+    load_federated_csv,
+    prediction_error,
+    save_federated_csv,
+    standardize,
+    train_test_split,
+)
+from fedmtl.losses import LossKind
 from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, read_matrix_csv
 from fedmtl.solver import PrimalState
 
@@ -787,3 +797,139 @@ theta_max = 0.2
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate", "--config", "x"]) == 1
+
+
+def test_generate_refuses_a_directory_with_task_files_of_a_larger_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    five = write_config(tmp_path / "five.ini", BASE_SYNTH.replace("m = 3", "m = 5") + f"""
+[output]
+dir = {data}
+""")
+    three = write_config(tmp_path / "three.ini", BASE_SYNTH + f"""
+[output]
+dir = {data}
+""")
+    assert main(["generate", "--config", five]) == 0
+    first = {p.name: p.read_bytes() for p in data.iterdir()}
+    assert len(first) == 5
+    capsys.readouterr()
+    assert main(["generate", "--config", three]) == 1
+    err = capsys.readouterr().err
+    assert "output.dir" in err and "task_3.csv" in err
+    # Nothing was written, and a train on the directory still sees one dataset.
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == first
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("generate", ""),
+    ("train", "[method]\nname = local\nlambda = 0.1\nloss = squared\n"),
+    ("train", "[method]\nname = mocha\nloss = squared\n"),
+    ("compare", "[method]\nloss = squared\n[compare]\nmethods = local, global\n"),
+    ("bench", "[method]\nloss = squared\n"),
+    ("fault", "[method]\nloss = squared\n"),
+    ("theory", "[method]\nloss = squared\n"),
+], ids=["generate", "train-local", "train-mocha", "compare", "bench", "fault", "theory"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_negative_seed_exits_1_before_writing(tmp_path, capsys, command, extra, where):
+    out = tmp_path / "out"
+    text = BASE_SYNTH + extra + f"\n[output]\ndir = {out}\n"
+    argv = [command, "--config", None, "--out", str(out)]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        text = text.replace("[run]\nseed = 5", "[run]\nseed = -1")
+    argv[2] = write_config(tmp_path / "neg.ini", text)
+    assert main(argv) == 1
+    assert ("--seed" if where == "flag" else "run.seed") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("bench", "[bench]\nmethods ="),
+    ("bench", "[bench]\nheterogeneity ="),
+    ("bench", "[bench]\nmethods = mocha, mocha"),
+    ("bench", "[bench]\npresets = wifi, WIFI"),
+    ("bench", "[bench]\nheterogeneity = none, high, none"),
+    ("fault", "[fault]\nprobabilities ="),
+    ("fault", "[fault]\nprobabilities = 0.1, 0.10, 0.5"),
+], ids=["bench-no-methods", "bench-no-modes", "bench-methods-twice", "bench-presets-twice",
+        "bench-modes-twice", "fault-no-probabilities", "fault-probabilities-twice"])
+def test_bench_and_fault_refuse_empty_and_repeated_lists(tmp_path, capsys, command, setting):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "lists.ini", BASE_SYNTH + f"""
+[method]
+loss = squared
+
+{setting}
+rounds = 3
+
+[output]
+dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 1, setting
+    name = setting.splitlines()[1].split("=")[0].strip()
+    assert f"{command}.{name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_standardizes_each_shuffle_on_its_training_split(tmp_path, monkeypatch):
+    # Features far from zero mean and unit scale, so that where the scaling
+    # is fit shows in every test split.
+    rng = np.random.default_rng(4)
+    tasks = []
+    for t in range(3):
+        X = rng.standard_normal((3, 10)) * np.array([[1.0], [10.0], [0.1]]) \
+            + np.array([[3.0], [-5.0], [20.0]])
+        y = np.where(np.array([1.0, 0.1, 5.0]) @ (X - X.mean(axis=1, keepdims=True))
+                     + 0.5 * rng.standard_normal(10) > 0.0, 1.0, -1.0)
+        tasks.append(TaskDataset(t, X, y))
+    save_federated_csv(FederatedDataset(tuple(tasks)), tmp_path / "data")
+    tested = []
+
+    def recording(W, ds):
+        tested.append(np.concatenate([t.features for t in ds.tasks], axis=1))
+        return prediction_error(W, ds)
+
+    monkeypatch.setattr(baselines, "prediction_error", recording)
+    out = tmp_path / "out"
+    grid, shuffles, k_folds, seed = [0.3, 3.0], 2, 2, 5
+    cfg = write_config(tmp_path / "cmp.ini", f"""
+[dataset]
+source = csv
+csv_dir = {tmp_path / 'data'}
+standardize = true
+
+[method]
+loss = squared
+
+[compare]
+methods = local, global
+lambda_grid = {', '.join(map(str, grid))}
+shuffles = {shuffles}
+k_folds = {k_folds}
+
+[run]
+seed = {seed}
+
+[output]
+dir = {out}
+""")
+    assert main(["compare", "--config", cfg]) == 0
+    rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+    got = {row[0]: [float(e) for e in row[3:]] for row in rows}
+
+    # The same shuffles by hand; every cross-validation fold and refit is
+    # scored on the same features.
+    seen, tested[:] = tested[:], []
+    ds = load_federated_csv(tmp_path / "data")
+    want = {"local": [], "global": []}
+    for r in range(shuffles):
+        train, test = standardize(*train_test_split(ds, 0.75, seed * 1009 + r))
+        for name, trainer in (("local", baselines.local_trainer(LossKind.SQUARED)),
+                              ("global", baselines.global_trainer(LossKind.SQUARED))):
+            lam, _ = baselines.model_select(train, trainer, grid, k_folds, seed * 1013 + r)
+            want[name].append(baselines.prediction_error(trainer(train, lam), test)[1])
+    assert got == want
+    assert len(seen) == len(tested)
+    for features, expected in zip(seen, tested):
+        assert np.array_equal(features, expected)

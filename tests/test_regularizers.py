@@ -18,7 +18,7 @@ from fedmtl.regularizers import (
     update_omega,
     write_matrix_csv,
 )
-from fedmtl.theory import sigma_prime_sides
+from fedmtl.theory import verify_sigma_prime_inequality
 
 MBAR_2 = np.array([[0.75, 0.25], [0.25, 0.75]])
 
@@ -342,7 +342,8 @@ def test_build_relationship_checks_trace():
 
 
 def test_safe_sigma_prime_inequality_random():
-    from tests.conftest import make_dataset
+    # Sampled duals never exceed the certificate's worst ratio.
+    from tests.conftest import make_dataset, sigma_prime_sides
     rng = np.random.default_rng(31)
     ds = make_dataset(rng, m=4, d=5, n_lo=6, n_hi=10)
     model = MeanRegularized(1.5, 0.8)
@@ -350,6 +351,8 @@ def test_safe_sigma_prime_inequality_random():
     alphas = rng.standard_normal((1000, ds.n))
     lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.kappa, 1.0, alphas)
     assert np.all(lhs - rhs >= -1e-9 * np.maximum(1.0, np.maximum(lhs, rhs)))
+    ratio = verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0).worst_ratio
+    assert np.all(rhs <= ratio * (1.0 + 1e-12) * lhs)
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, sigma_prime_sides
 
 from fedmtl.baselines import cocoa_run, mb_sdca_run
-from fedmtl.data import FederatedDataset, TaskDataset
+from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
 from fedmtl.losses import LossKind
 from fedmtl.regularizers import (
     MeanRegularized,
@@ -16,6 +17,7 @@ from fedmtl.regularizers import (
     initial_omega,
     sigma_prime,
     sigma_prime_per_task,
+    update_omega,
 )
 from fedmtl.solver import (
     ConstantPolicy,
@@ -28,7 +30,6 @@ from fedmtl.theory import (
     convergence_constant_s,
     largest_sv_squared,
     lipschitz_iteration_bound,
-    sigma_prime_sides,
     sigma_stats,
     sigma_t,
     smooth_iteration_bound,
@@ -136,27 +137,24 @@ def test_sigma_stats_sum_structure(rng):
     assert stats.sigma_max == pytest.approx(single, rel=1e-9)
 
 
-def test_verify_sigma_prime_passes_for_lemma_value(rng):
+def test_verify_sigma_prime_passes_for_lemma_value():
     for trial in range(5):
         local = np.random.default_rng(trial)
-        ds = make_dataset(local, m=3, d=4, n_lo=5, n_hi=9)
         a = local.standard_normal((3, 3))
         omega = a @ a.T
         omega /= np.trace(omega)
         model = ProbabilisticPrior(lam=0.7)
         rel = build_relationship(model, omega)
-        res = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, 1.0, 2000,
-                                            seed=trial)
+        res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
 
 
-def test_verify_sigma_prime_single_task_boundary(rng):
-    ds = make_dataset(rng, m=1, d=4, n_lo=8, n_hi=8)
+def test_verify_sigma_prime_single_task_boundary():
     mbar = np.array([[0.9]])
     for gamma in (0.3, 1.0):
         assert sigma_prime(mbar, gamma) == pytest.approx(gamma)
-        res = verify_sigma_prime_inequality(ds, mbar, gamma * np.diag(mbar), gamma, 500)
+        res = verify_sigma_prime_inequality(mbar, gamma * np.diag(mbar), gamma)
         assert res.passed
         assert res.worst_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -176,14 +174,14 @@ def crafted_aligned_instance():
 def test_verify_sigma_prime_crafted_failure():
     ds, mbar, alpha = crafted_aligned_instance()
     kappa = sigma_prime(mbar) * np.diag(mbar)
-    ok = verify_sigma_prime_inequality(ds, mbar, kappa, 1.0, 100, extra_alphas=alpha)
+    ok = verify_sigma_prime_inequality(mbar, kappa, 1.0)
     assert ok.passed
-    bad = verify_sigma_prime_inequality(ds, mbar, kappa / 4.0, 1.0, 100,
-                                        extra_alphas=alpha)
+    bad = verify_sigma_prime_inequality(mbar, kappa / 4.0, 1.0)
     assert not bad.passed
-    # the aligned vector is the violating one
+    # the aligned vector is a violating one, and attains the worst ratio
     lhs, rhs = sigma_prime_sides(ds, mbar, kappa / 4.0, 1.0, alpha)
     assert lhs[0] < rhs[0]
+    assert rhs[0] / lhs[0] == pytest.approx(bad.worst_ratio, rel=1e-12)
 
 
 def test_verify_sigma_prime_takes_per_task_kappa_on_a_learned_omega():
@@ -196,7 +194,7 @@ def test_verify_sigma_prime_takes_per_task_kappa_on_a_learned_omega():
         rel = build_relationship(model, omega, gamma, "per_task")
         # The modes differ on this coupling, so the global check does not cover it.
         assert not np.allclose(rel.kappa, build_relationship(model, omega, gamma).kappa)
-        res = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, gamma, 2000, seed=5)
+        res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
 
@@ -212,15 +210,70 @@ def test_verify_sigma_prime_fails_just_below_kappa_where_the_bound_is_tight(mode
     model = MeanRegularized(1.0, 0.5)
     rel = build_relationship(model, initial_omega(model, ds.m), gamma, mode)
     assert (rel.mbar > 0.0).all()
-    alpha = np.tile([0.5, -1.0, 0.25], ds.m)
-    ok = verify_sigma_prime_inequality(ds, rel.mbar, rel.kappa, gamma, 200, extra_alphas=alpha)
+    ok = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
     assert ok.passed
     assert ok.worst_ratio == pytest.approx(1.0, abs=1e-12)
-    bad = verify_sigma_prime_inequality(ds, rel.mbar, 0.99 * rel.kappa, gamma, 200,
-                                        extra_alphas=alpha)
+    lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.kappa, gamma, np.tile([0.5, -1.0, 0.25], ds.m))
+    assert rhs[0] / lhs[0] == pytest.approx(1.0, abs=1e-12)
+    bad = verify_sigma_prime_inequality(rel.mbar, 0.99 * rel.kappa, gamma)
     assert not bad.passed
     with pytest.raises(ValueError, match="kappa"):
-        sigma_prime_sides(ds, rel.mbar, rel.kappa[:-1], gamma, alpha)
+        verify_sigma_prime_inequality(rel.mbar, rel.kappa[:-1], gamma)
+
+
+def test_verify_sigma_prime_fails_below_kappa_where_sampled_duals_pass():
+    # Random duals of this data almost never align the u_t = X_t alpha_t, so
+    # a sample of 2,000 passes 0.9 and 0.8 of kappa, whose exact worst ratios
+    # are 1/0.9 and 1/0.8.  Every X_t has full row rank, so some dual of
+    # this very data attains them.
+    ds = generate_synthetic(SyntheticSpec(m=8, d=5, n_min=20, n_max=20, seed=3))
+    assert all(np.linalg.matrix_rank(t.features) == ds.d for t in ds.tasks)
+    model = MeanRegularized(10.0, 10.0)
+    rel = build_relationship(model, initial_omega(model, ds.m))
+    assert verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0).passed
+    for scale in (0.9, 0.8):
+        res = verify_sigma_prime_inequality(rel.mbar, scale * rel.kappa, 1.0)
+        assert not res.passed
+        assert res.worst_ratio == pytest.approx(1.0 / scale, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    mean_regularized=st.booleans(),
+    learned=st.booleans(),
+    mode=st.sampled_from(["global", "per_task"]),
+    # A subnormal gamma makes build_relationship return kappa = 0, which the
+    # certificate refuses as malformed.
+    gamma=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_sigma_prime_passes_kappa_and_is_tight_at_its_ratio(
+        m, mean_regularized, learned, mode, gamma, seed):
+    rng = np.random.default_rng(seed)
+    model = MeanRegularized(1.5, 0.8) if mean_regularized else ProbabilisticPrior(lam=0.7)
+    omega = initial_omega(model, m)
+    if learned:
+        omega = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((3, m)),
+                             np.eye(m) / m)
+    rel = build_relationship(model, omega, gamma, mode)
+    res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
+    assert res.passed
+    r = res.worst_ratio
+    assert r <= 1.0 + 1e-9
+    assert verify_sigma_prime_inequality(rel.mbar, r * (1.0 + 1e-9) * rel.kappa, gamma).passed
+    assert not verify_sigma_prime_inequality(rel.mbar, r * (1.0 - 1e-6) * rel.kappa,
+                                             gamma).passed
+
+
+@pytest.mark.parametrize("kappa", [
+    [1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
+    [1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
+], ids=["short", "2d", "zero", "negative", "nan", "inf"])
+def test_verify_sigma_prime_rejects_a_malformed_kappa(kappa):
+    mbar = np.eye(3) / 3
+    with pytest.raises(ValueError, match="kappa"):
+        verify_sigma_prime_inequality(mbar, kappa, 1.0)
 
 
 def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
