@@ -11,8 +11,8 @@ Every ``.json`` and ``.jsonl`` output is strict JSON: a value that is not
 finite is written as null.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
-missing, unparsable or out-of-range setting exits 1 before anything is
-written; malformed dataset files exit 2.
+missing, unparsable, non-finite or out-of-range setting exits 1 before
+anything is written; malformed dataset files exit 2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -97,16 +98,22 @@ def _settings(section: str):
         raise ConfigError(f"{section}: {exc}") from None
 
 
+def _cast(name: str, raw: str, cast):
+    """``cast(raw)``; no float setting may be NaN or infinite."""
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: cannot parse {raw!r}") from None
+    _require(cast is not float or math.isfinite(value), name, "must be finite", value)
+    return value
+
+
 def _get(cfg, section, key, cast, default=None, required=False):
     if not cfg.has_option(section, key):
         if required:
             raise ConfigError(f"{section}.{key}: required setting missing")
         return default
-    raw = cfg.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from None
+    return _cast(f"{section}.{key}", cfg.get(section, key), cast)
 
 
 def _get_int(cfg, s, k, default=None, required=False):
@@ -136,10 +143,7 @@ def _get_list(cfg, s, k, cast, default=None):
     raw = _get_str(cfg, s, k)
     if raw is None:
         return default
-    try:
-        return [cast(part.strip()) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{s}.{k}: cannot parse list {raw!r}") from None
+    return [_cast(f"{s}.{k}", part.strip(), cast) for part in raw.split(",") if part.strip()]
 
 
 def parse_loss(name: str) -> LossKind:
@@ -566,7 +570,8 @@ def cmd_fault(args) -> int:
     _require(0 <= permanent < ds.m, "fault.permanent_node",
              f"must be in [0, {ds.m})", permanent)
     het = HeterogeneityPolicy("none", min(ds.task_sizes()))
-    config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=gap_tol)
+    with _settings("fault"):
+        config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, gap_tol=gap_tol)
     preset = build_preset(cfg)
     runs = [(f"p{p:g}", build_profiles(cfg, ds.m, [p] * ds.m)) for p in probabilities]
     _distinct("fault.probabilities", [tag for tag, _ in runs])

@@ -75,18 +75,23 @@ def initial_omega(model: OmegaModel, m: int) -> np.ndarray:
     return np.eye(m) / m
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a gamma outside [tiny, 1], tiny the smallest normal double: a
+    subnormal gamma underflows every kappa_t to 0, and the run never moves."""
+    if not np.finfo(float).tiny <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1] and a normal float, got {gamma!r}")
+
+
 def sigma_prime(mbar: np.ndarray, gamma: float = 1.0) -> float:
     """Safe subproblem coefficient: gamma * max_t sum_t' |Mbar_tt'| / Mbar_tt."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
+    check_gamma(gamma)
     diag = np.diag(mbar)
     return float(gamma * np.max(np.abs(mbar).sum(axis=1) / diag))
 
 
 def sigma_prime_per_task(mbar: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """Per-task variant; looser tasks get a smaller coefficient. Max equals sigma_prime."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must be in (0, 1]")
+    check_gamma(gamma)
     diag = np.diag(mbar)
     return gamma * np.abs(mbar).sum(axis=1) / diag
 
@@ -168,9 +173,9 @@ def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
                        sigma_prime_mode: str = "global") -> RelationshipState:
     """The state for this Omega: the precision Q of the model's penalty,
     Mbar = Q^{-1} and kappa_t = sigma' * Mbar_tt, with task t's own sigma'_t
-    under ``per_task``.  An unknown mode or a non-finite Omega raises
-    ValueError; a ridged Omega or a Q that is not positive definite raises
-    LinAlgError."""
+    under ``per_task``.  An unknown mode, a non-finite Omega or a kappa_t
+    that is not finite and > 0 raises ValueError; a ridged Omega or a Q that
+    is not positive definite raises LinAlgError."""
     if sigma_prime_mode not in ("global", "per_task"):
         raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
     if not np.all(np.isfinite(omega)):
@@ -190,12 +195,16 @@ def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
     mbar = 0.5 * (mbar + mbar.T)
     sp = sigma_prime(mbar, gamma)
     task_sp = sp if sigma_prime_mode == "global" else sigma_prime_per_task(mbar, gamma)
+    kappa = task_sp * np.diag(mbar)
+    if not np.all((kappa > 0.0) & (kappa < np.inf)):
+        raise ValueError(f"gamma = {gamma!r} gives a kappa_t that is not finite and > 0 "
+                         f"(kappa in [{kappa.min():.3g}, {kappa.max():.3g}])")
     return RelationshipState(
         omega=omega,
         precision=precision,
         mbar=mbar,
         sigma_prime=sp,
-        kappa=task_sp * np.diag(mbar),
+        kappa=kappa,
         gamma=gamma,
     )
 

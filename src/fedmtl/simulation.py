@@ -1,13 +1,15 @@
-"""Simulated-time accounting for federated runs: FLOP counting, network cost
-presets, per-round work budgets, and dropout injection.
+"""Simulated-time accounting for federated runs: network cost presets,
+per-round work budgets, and dropout injection.
 
-Per-round cost for node t follows compute-plus-communication:
+``attach_times`` gives each synchronous round of a trace a length from its
+update counts and drops alone.  Node t, with ``count`` updates, takes
 
-    time(t) = flops(t) / clock_rate(t) + 2 * (latency + message_bytes / bandwidth)
+    ms(t) = count * C_UPDATE * d / clock_rate(t) + comm,
+    comm  = 2 * (latency + MESSAGE_BYTES_PER_FEATURE * d / bandwidth),
 
-with one dense d-vector shipped each way (8 bytes per entry).  A synchronous
-round lasts as long as the slowest responding node; dropped nodes never extend
-the deadline, which is set by the coordinator's clock cycle.
+one dense d-vector shipped each way.  A round lasts the largest ms(t) over
+the nodes that responded, or comm alone when every node drops, and never less
+than MIN_ROUND_MS; elapsed time is the running sum in round order.
 
 Node t's budget and drop in round h come from its own streams,
 ``stream(seed, BUDGET_STREAM, t, h)`` and ``stream(seed, DROP_STREAM, t, h)``,
@@ -114,32 +116,6 @@ class HeterogeneityPolicy:
         return self.k, self.k
 
 
-def estimate_flops(update_count: int, d: int) -> float:
-    if update_count < 0:
-        raise ValueError("update_count must be >= 0")
-    return float(update_count) * C_UPDATE * d
-
-
-def round_time(per_node_flops, profiles, preset: NetworkPreset,
-               message_bytes: float, dropped=()) -> float:
-    """Synchronous round duration: max compute+comm over responding nodes.
-    Dropped nodes only wait out the deadline set by the others."""
-    if len(per_node_flops) != len(profiles):
-        raise ValueError("per_node_flops and profiles must have equal length")
-    dropped = set(dropped)
-    comm = preset.comm_ms(message_bytes)
-    deadline = 0.0
-    any_active = False
-    for t, flops in enumerate(per_node_flops):
-        if t in dropped:
-            continue
-        any_active = True
-        deadline = max(deadline, flops / profiles[t].clock_rate + comm)
-    if not any_active:
-        deadline = comm
-    return max(deadline, MIN_ROUND_MS)
-
-
 class SystemsPolicy:
     """Budget/drop provider for solver runs: each call gives a whole round's
     values for nodes 0 .. m - 1, node t's from its own stream (see the
@@ -170,14 +146,24 @@ class SystemsPolicy:
 
 def attach_times(trace: list[RoundStats], d: int, profiles,
                  preset: NetworkPreset) -> list[RoundStats]:
-    """Fill elapsed_ms_estimated on each round record (cumulative) from the
-    recorded per-node update counts; returns the trace for chaining."""
-    message_bytes = MESSAGE_BYTES_PER_FEATURE * d
-    elapsed = 0.0
-    for stats in trace:
-        flops = [estimate_flops(c, d) for c in stats.update_counts]
-        elapsed += round_time(flops, profiles, preset, message_bytes,
-                              dropped=stats.dropped)
+    """Fill elapsed_ms_estimated on each round record, by the formula in the
+    module docstring, every round at once; returns the trace for chaining."""
+    m = len(profiles)
+    if any(len(stats.update_counts) != m for stats in trace):
+        raise ValueError(f"need {m} update counts per round, one per profile")
+    if any(not 0 <= t < m for stats in trace for t in stats.dropped):
+        raise ValueError(f"every dropped node must be in [0, {m})")
+    counts = np.array([stats.update_counts for stats in trace], dtype=float)
+    counts = counts.reshape(len(trace), m)
+    if (counts < 0).any():
+        raise ValueError("update counts must be >= 0")
+    responded = np.ones(counts.shape, dtype=bool)
+    responded.flat[[h * m + t for h, stats in enumerate(trace) for t in stats.dropped]] = False
+    comm = preset.comm_ms(MESSAGE_BYTES_PER_FEATURE * d)
+    node_ms = counts * C_UPDATE * d / [profile.clock_rate for profile in profiles] + comm
+    # A responder takes at least comm, so comm can floor every round.
+    round_ms = np.where(responded, node_ms, 0.0).max(axis=1, initial=max(comm, MIN_ROUND_MS))
+    for stats, elapsed in zip(trace, np.cumsum(round_ms).tolist()):
         stats.elapsed_ms_estimated = elapsed
     return trace
 

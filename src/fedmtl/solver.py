@@ -78,6 +78,7 @@ from .regularizers import (
     OmegaModel,
     RelationshipState,
     build_relationship,
+    check_gamma,
     initial_omega,
     primal_from_dual,
     regularizer_conjugate,
@@ -142,8 +143,9 @@ class SolverConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
+        check_gamma(self.gamma)
+        if self.gap_tol is not None and not 0.0 <= self.gap_tol < np.inf:
+            raise ValueError(f"gap_tol must be None or finite and >= 0, got {self.gap_tol!r}")
         if self.sigma_prime_mode not in ("global", "per_task"):
             raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
         if self.seed < 0:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from fedmtl import baselines, solver
+from fedmtl import baselines, cli, solver
 from fedmtl.cli import main
 from fedmtl.data import (
     FederatedDataset,
@@ -574,6 +574,12 @@ dir = {out}
     ("compare", "[compare]\nlambda_grid = -1, 0.5"),
     ("compare", "[model]\nkind = bogus"),
     ("bench", "[bench]\ntarget_suboptimality = -1"),
+    # A subnormal gamma would underflow every kappa_t to 0 and stall the run.
+    ("theory", "[solver]\ngamma = 5e-324"),
+    # A negative gap target never stops a run.
+    ("train", "[solver]\ngap_tol = -1"),
+    ("fault", "[fault]\ngap_tol = -1"),
+    ("compare", "[compare]\nmtl_gap_tol = -1"),
 ])
 def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings):
     parser = configparser.ConfigParser()
@@ -584,6 +590,142 @@ def test_out_of_range_setting_exits_1_before_writing(tmp_path, command, settings
     out = tmp_path / "out"
     assert main([command, "--config", str(tmp_path / "bad.ini"), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_a_subnormal_gamma_exits_1_before_writing(tmp_path, capsys):
+    # At gamma = 5e-324 a squared-loss MOCHA run used to exit 0 at gap P(0).
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "gamma.ini", BASE_SYNTH.replace("d = 5", "d = 4") + f"""
+[method]
+name = mocha
+loss = squared
+
+[solver]
+gamma = 5e-324
+inner_rounds = 30
+
+[output]
+dir = {out}
+""")
+    assert main(["train", "--config", cfg]) == 1
+    assert "solver: gamma must be in (0, 1] and a normal float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The float settings each command reads under SWEEP_BASE.
+_SYNTH = ["synthetic.deviation", "synthetic.noise"]
+_COUPLING = ["model.lambda1", "model.lambda2", "solver.gamma", "solver.gap_tol"]
+_SYSTEMS = ["network.latency_ms", "network.bandwidth", "systems.clock_rate"]
+_METHOD = ["systems.drop_probability", "method.theta", "method.beta", "method.step"]
+FLOAT_SETTINGS = {
+    "generate": _SYNTH,
+    "train": _SYNTH + _COUPLING + _SYSTEMS + _METHOD,
+    "compare": _SYNTH + _COUPLING + ["compare.lambda_grid", "compare.train_fraction",
+                                     "compare.mtl_gap_tol"],
+    "bench": _SYNTH + _COUPLING + _SYSTEMS + _METHOD + ["bench.target_suboptimality"],
+    "fault": _SYNTH + _COUPLING + _SYSTEMS + ["fault.probabilities", "fault.gap_tol"],
+    "theory": _SYNTH + _COUPLING + ["theory.eps", "theory.p_max", "theory.theta_max",
+                                    "theory.initial_gap_bound"],
+}
+# Float settings read only under an overlay that selects another branch.
+FLOAT_BRANCHES = [
+    ("train", "[method]\nname = local", ["method.lambda"]),
+    ("train", "[model]\nkind = probabilistic",
+     ["model.lam", "model.sigma2_prior", "model.ridge_eps"]),
+]
+# A list setting gets the bad value as a later entry, which min() would skip.
+FLOAT_LISTS = {"compare.lambda_grid", "fault.probabilities"}
+
+SWEEP_BASE = BASE_SYNTH + """
+[method]
+name = mocha
+loss = squared
+lambda = 0.1
+
+[solver]
+inner_rounds = 3
+
+[systems]
+drop_probability = 0.1
+
+[network]
+preset = custom
+latency_ms = 5
+bandwidth = 1e4
+
+[compare]
+methods = local, mtl
+lambda_grid = 0.1, 1
+shuffles = 1
+k_folds = 2
+mtl_inner_rounds = 3
+mtl_outer_rounds = 1
+
+[bench]
+methods = mocha, cocoa
+presets = custom
+heterogeneity = none
+rounds = 3
+
+[fault]
+probabilities = 0.1, 0.5
+rounds = 3
+"""
+
+
+def _sweep_config(path, overlay="", setting=None, value=None):
+    parser = configparser.ConfigParser()
+    parser.read_string(SWEEP_BASE)
+    parser.read_string(overlay)
+    if setting is not None:
+        section, key = setting.split(".")
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, f"0.1, {value}" if setting in FLOAT_LISTS else value)
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, overlay, setting", [
+    (command, "", setting) for command, settings in FLOAT_SETTINGS.items()
+    for setting in settings
+] + [(command, overlay, setting) for command, overlay, settings in FLOAT_BRANCHES
+     for setting in settings])
+def test_every_float_setting_refuses_a_non_finite_value(tmp_path, capsys, command, overlay,
+                                                         setting, value):
+    cfg = _sweep_config(tmp_path / "bad.ini", overlay, setting, value)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and setting.split(".")[0] in err, err
+    assert not out.exists()
+
+
+def test_the_float_setting_table_is_complete(tmp_path, monkeypatch):
+    # A float setting that a command reads but the table above leaves out
+    # would go unswept.
+    reads = set()
+
+    def recording(get):
+        def wrapped(cfg, section, key, cast, *args, **kwargs):
+            if cast is float:
+                reads.add(f"{section}.{key}")
+            return get(cfg, section, key, cast, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_get", recording(cli._get))
+    monkeypatch.setattr(cli, "_get_list", recording(cli._get_list))
+    runs = [(command, "", settings) for command, settings in FLOAT_SETTINGS.items()]
+    for i, (command, overlay, settings) in enumerate(runs + FLOAT_BRANCHES):
+        reads.clear()
+        cfg = _sweep_config(tmp_path / f"run{i}.ini", overlay)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 0
+        if overlay:
+            assert set(settings) <= reads <= set(settings) | set(FLOAT_SETTINGS[command])
+        else:
+            assert reads == set(settings), command
 
 
 @pytest.mark.parametrize("model, expected", [

@@ -102,6 +102,21 @@ def test_sigma_prime():
         sigma_prime(MBAR_2, gamma=0.0)
 
 
+def test_a_gamma_that_underflows_kappa_is_refused():
+    # At gamma = 5e-324, kappa was [0, 0, 0] and a run never moved.
+    tiny = np.finfo(float).tiny
+    for coefficient in (sigma_prime, sigma_prime_per_task):
+        with pytest.raises(ValueError, match="normal float"):
+            coefficient(MBAR_2, gamma=5e-324)
+        assert np.all(coefficient(MBAR_2, gamma=tiny) > 0)
+    with pytest.raises(ValueError, match="normal float"):
+        build_relationship(MeanRegularized(10, 10), np.eye(3) / 3, 5e-324)
+    assert np.all(build_relationship(MeanRegularized(10, 10), np.eye(3) / 3, tiny).kappa > 0)
+    # A normal gamma can underflow kappa too.
+    with pytest.raises(ValueError, match="gamma = 1e-30 gives a kappa_t"):
+        build_relationship(MeanRegularized(0.0, 1e300), np.zeros((1, 1)), 1e-30)
+
+
 def test_sigma_prime_per_task():
     per = sigma_prime_per_task(MBAR_2)
     assert np.allclose(per, [4.0 / 3.0, 4.0 / 3.0])

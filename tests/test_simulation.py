@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedmtl.data import SyntheticSpec, generate_synthetic
 from fedmtl.losses import LossKind
 from fedmtl.regularizers import MeanRegularized
 from fedmtl.simulation import (
+    C_UPDATE,
+    MESSAGE_BYTES_PER_FEATURE,
+    MIN_ROUND_MS,
     PRESETS,
     HeterogeneityPolicy,
     NetworkPreset,
     NodeProfile,
     SystemsPolicy,
     attach_times,
-    estimate_flops,
-    round_time,
     simulate_run,
 )
-from fedmtl.solver import BUDGET_STREAM, DROP_STREAM, SolverConfig, stream
+from fedmtl.solver import BUDGET_STREAM, DROP_STREAM, RoundStats, SolverConfig, stream
 
 HINGE = LossKind.HINGE
 
@@ -72,33 +74,100 @@ def test_sample_drop_probabilities():
     assert abs(freq - 0.3) <= 0.01
 
 
+def _trace(counts, dropped=None):
+    """A hand-built trace: round h has ``counts[h]`` and drops ``dropped[h]``."""
+    dropped = dropped or [[] for _ in counts]
+    return [RoundStats(h, None, None, None, list(drops), list(round_counts))
+            for h, (round_counts, drops) in enumerate(zip(counts, dropped))]
+
+
+def _round_ms(counts, d, clocks, preset, dropped=()):
+    """One round's simulated length, through ``attach_times``."""
+    trace = _trace([counts], [dropped])
+    attach_times(trace, d, [NodeProfile(clock_rate=c) for c in clocks], preset)
+    return trace[0].elapsed_ms_estimated
+
+
 def test_estimate_flops():
-    assert estimate_flops(0, 100) == 0
-    assert estimate_flops(1, 100) == 400
-    assert estimate_flops(7, 200) == 2 * estimate_flops(7, 100)
-    with pytest.raises(ValueError):
-        estimate_flops(-1, 10)
+    # On a unit clock, with a message that costs 1.6e-297 ms, a round's
+    # length is its C_UPDATE * count * d FLOPs.
+    free = NetworkPreset("free", 0.0, 1e300)
+    assert _round_ms([0], 100, [1.0], free) == MIN_ROUND_MS
+    assert _round_ms([1], 100, [1.0], free) == 400
+    assert _round_ms([7], 200, [1.0], free) == 2 * _round_ms([7], 100, [1.0], free)
+    with pytest.raises(ValueError, match=">= 0"):
+        _round_ms([-1], 10, [1.0], free)
 
 
 def test_round_time_examples():
     fast = NetworkPreset("zero", 0.0, 1e18)
-    assert round_time([1e6], [NodeProfile(clock_rate=1e6)], fast, 0.0) == pytest.approx(1.0)
-    profiles = [NodeProfile(clock_rate=1e6)] * 2
-    assert round_time([1e6, 5e6], profiles, fast, 0.0) == pytest.approx(5.0)
+    # 1e6 and 5e6 FLOPs at d = 1 on a 1e6 FLOP/ms clock
+    assert _round_ms([250_000], 1, [1e6], fast) == pytest.approx(1.0)
+    assert _round_ms([250_000, 1_250_000], 1, [1e6] * 2, fast) == pytest.approx(5.0)
     slow = NetworkPreset("slow", 10.0, 100.0)
     # d=100 doubles of 8 bytes -> 800 bytes; 2 * (10 + 8) = 36
     assert slow.comm_ms(800.0) == pytest.approx(36.0)
+    for counts in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="2 update counts per round"):
+            _round_ms(counts, 1, [1e6] * 2, fast)
 
 
 def test_round_time_dropped_nodes_never_extend():
-    profiles = [NodeProfile(clock_rate=1.0), NodeProfile(clock_rate=1e12)]
+    clocks = [1.0, 1e12]
     preset = NetworkPreset("p", 1.0, 1e12)
-    # node 0 is astronomically slow but dropped
-    t = round_time([1e9, 10.0], profiles, preset, 8.0, dropped={0})
+    # node 0 is astronomically slow (1e9 FLOPs on a unit clock) but dropped
+    t = _round_ms([250_000_000, 2], 1, clocks, preset, dropped=[0])
     assert t == pytest.approx(2.0, rel=1e-6)
     # everyone dropped: only the broadcast cost remains
-    t_all = round_time([1e9, 10.0], profiles, preset, 8.0, dropped={0, 1})
+    t_all = _round_ms([250_000_000, 2], 1, clocks, preset, dropped=[0, 1])
     assert t_all == pytest.approx(2.0, rel=1e-6)
+    # A drop names one of the round's nodes; numpy would wrap a negative one.
+    for node in (-1, 2):
+        with pytest.raises(ValueError, match=r"dropped node must be in \[0, 2\)"):
+            _round_ms([1, 1], 1, clocks, preset, dropped=[node])
+
+
+def _per_round_loop(trace, d, profiles, preset):
+    """Round by round, node by node: the cumulative times ``attach_times``
+    must equal exactly."""
+    comm = preset.comm_ms(MESSAGE_BYTES_PER_FEATURE * d)
+    elapsed, out = 0.0, []
+    for stats in trace:
+        deadline, any_active = 0.0, False
+        for t, count in enumerate(stats.update_counts):
+            if t in stats.dropped:
+                continue
+            any_active = True
+            deadline = max(deadline, float(count) * C_UPDATE * d / profiles[t].clock_rate + comm)
+        elapsed += max(deadline if any_active else comm, MIN_ROUND_MS)
+        out.append(elapsed)
+    return out
+
+
+@st.composite
+def _timed_traces(draw):
+    m = draw(st.integers(1, 6))
+    rounds = draw(st.integers(0, 12))
+    counts = draw(st.lists(st.lists(st.integers(0, 10**6), min_size=m, max_size=m),
+                           min_size=rounds, max_size=rounds))
+    # Each round drops a random subset of nodes, every node included.
+    dropped = [sorted(draw(st.sets(st.integers(0, m - 1)))) for _ in range(rounds)]
+    clocks = draw(st.lists(st.floats(1e-3, 1e12), min_size=m, max_size=m))
+    latency = draw(st.sampled_from([0.0, 1e-12, 5.0, 75.0]))
+    bandwidth = draw(st.floats(1e-2, 1e18))
+    d = draw(st.integers(1, 10**4))
+    return _trace(counts, dropped), d, [NodeProfile(clock_rate=c) for c in clocks], \
+        NetworkPreset("drawn", latency, bandwidth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timed_traces())
+def test_attach_times_equals_the_per_round_loop(case):
+    trace, d, profiles, preset = case
+    assert attach_times(trace, d, profiles, preset) is trace
+    times = [stats.elapsed_ms_estimated for stats in trace]
+    assert times == _per_round_loop(trace, d, profiles, preset)
+    assert all(type(t) is float for t in times)
 
 
 @pytest.mark.parametrize("make", [
@@ -176,7 +245,7 @@ def test_simulate_run_time_accumulates():
     per_round = np.diff([0.0] + times)
     assert np.allclose(per_round, per_round[0])
     comm = PRESETS["lte"].comm_ms(8.0 * ds.d)
-    expected = estimate_flops(12, ds.d) / 1e6 + comm
+    expected = C_UPDATE * 12 * ds.d / 1e6 + comm
     assert per_round[0] == pytest.approx(expected)
 
 

@@ -66,6 +66,17 @@ class DropPolicy:
         return [self._budget] * m, [t in self._dropped for t in range(m)]
 
 
+def test_solver_config_refuses_a_subnormal_gamma_and_a_non_finite_gap_tol():
+    with pytest.raises(ValueError, match="normal float"):
+        SolverConfig(gamma=5e-324)
+    assert SolverConfig(gamma=np.finfo(float).tiny).gamma > 0
+    # A NaN or -inf target never stopped a run, and inf stopped it before round 0.
+    for gap_tol in (np.nan, np.inf, -np.inf, -1e-12):
+        with pytest.raises(ValueError, match="gap_tol must be None or finite and >= 0"):
+            SolverConfig(gap_tol=gap_tol)
+    assert SolverConfig(gap_tol=0.0).gap_tol == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Objectives
 

@@ -243,8 +243,7 @@ def test_verify_sigma_prime_fails_below_kappa_where_sampled_duals_pass():
     mean_regularized=st.booleans(),
     learned=st.booleans(),
     mode=st.sampled_from(["global", "per_task"]),
-    # A subnormal gamma makes build_relationship return kappa = 0, which the
-    # certificate refuses as malformed.
+    # build_relationship refuses a subnormal gamma, which underflows kappa to 0.
     gamma=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
     seed=st.integers(0, 2**32 - 1),
 )
