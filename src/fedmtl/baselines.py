@@ -44,21 +44,27 @@ from .solver import dual_objective, make_views, oracle_subproblem_opt  # noqa: F
 DEFAULT_LAMBDA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
 
-def check_method_params(method: str, params: dict) -> None:
-    """Raise ValueError when a setting that ``method`` reads from ``params``
-    is out of range; other methods and other keys are not looked at.
-    ``mb_sgd_run`` checks its own ``step``, where zero is a valid no-op run."""
-    if method == "cocoa" and not 0.0 <= params["theta"] < 1.0:
+# Settings of the compared methods, with their defaults: theta and max_passes
+# for cocoa, batch and beta for mb_sdca, batch, step and schedule for mb_sgd.
+METHOD_DEFAULTS = {"theta": 0.1, "batch": 1, "beta": 1.0, "step": 0.1,
+                   "schedule": "constant", "max_passes": 500}
+
+
+def check_method_params(params: dict) -> None:
+    """Raise ValueError when any setting of ``params``, which holds every key
+    of ``METHOD_DEFAULTS``, is out of range, whichever method will read it.
+    ``mb_sgd_run`` also takes a ``step`` of zero, a valid no-op run."""
+    if not 0.0 <= params["theta"] < 1.0:
         raise ValueError("theta must be in [0, 1)")
-    if method == "cocoa" and params["max_passes"] < 1:
+    if params["max_passes"] < 1:
         raise ValueError("max_passes must be >= 1")
-    if method in ("mb_sdca", "mb_sgd") and params["batch"] < 1:
+    if params["batch"] < 1:
         raise ValueError("batch must be >= 1")
-    if method == "mb_sdca" and not 1.0 <= params["beta"] <= params["batch"]:
+    if not 1.0 <= params["beta"] <= params["batch"]:
         raise ValueError("beta must be in [1, batch]")
-    if method == "mb_sgd" and params["schedule"] not in ("constant", "inv_sqrt"):
+    if params["schedule"] not in ("constant", "inv_sqrt"):
         raise ValueError("schedule must be 'constant' or 'inv_sqrt'")
-    if method == "mb_sgd" and "step" in params and not 0.0 < params["step"] < math.inf:
+    if not 0.0 < params["step"] < math.inf:
         raise ValueError("step must be finite and > 0")
 
 
@@ -70,7 +76,7 @@ def cocoa_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     rounds: every node grinds until its measured quality reaches the target
     (see ``FixedQualitySolver``), however long that takes.  It runs against
     the fixed coupling ``rel``."""
-    check_method_params("cocoa", {"theta": theta_target, "max_passes": max_passes})
+    check_method_params({**METHOD_DEFAULTS, "theta": theta_target, "max_passes": max_passes})
     state = init_dual_state(ds)
     trace = run_w_update(
         ds, kind, rel, state, ConstantPolicy(0),
@@ -89,7 +95,7 @@ def mb_sdca_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     snapshot and applies them scaled by beta over their count (see
     ``MiniBatchSolver``), against the fixed coupling ``rel``.  Hinge dual
     values that leave the box are reported as None."""
-    check_method_params("mb_sdca", {"batch": batch, "beta": beta})
+    check_method_params({**METHOD_DEFAULTS, "batch": batch, "beta": beta})
     state = init_dual_state(ds)
     trace = run_w_update(
         ds, kind, rel, state,
@@ -109,7 +115,7 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     of) points, without replacement, adds its column of the gradient of the
     fixed coupling ``rel``'s penalty, and the update is applied
     synchronously."""
-    check_method_params("mb_sgd", {"batch": batch, "schedule": schedule})
+    check_method_params({**METHOD_DEFAULTS, "batch": batch, "schedule": schedule})
     if not 0.0 <= step < math.inf:
         raise ValueError("step must be finite and >= 0")
     if policy is None:

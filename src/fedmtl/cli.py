@@ -51,7 +51,6 @@ from .regularizers import (
     write_matrix_csv,
 )
 from .simulation import (
-    METHOD_DEFAULTS,
     PRESETS,
     HeterogeneityPolicy,
     NetworkPreset,
@@ -258,21 +257,16 @@ def build_solver_config(cfg, seed: int) -> SolverConfig:
 
 
 def method_params(cfg) -> dict:
-    """The [method] settings of the round methods; each key, its type and its
-    default come from ``METHOD_DEFAULTS``."""
-    return {
-        key: _get(cfg, "method", key,
-                  str.strip if isinstance(default, str) else type(default), default)
-        for key, default in METHOD_DEFAULTS.items()
-    }
-
-
-def _checked_method_params(cfg, methods) -> dict:
-    """``method_params``, range-checked for every method that will run."""
-    params = method_params(cfg)
+    """The [method] settings of the compared methods, each read and
+    range-checked whichever method runs; each key, its type and its default
+    come from ``baselines.METHOD_DEFAULTS``."""
     with _settings("method"):
-        for method in methods:
-            baselines.check_method_params(method, params)
+        params = {
+            key: _get(cfg, "method", key,
+                      str.strip if isinstance(default, str) else type(default), default)
+            for key, default in baselines.METHOD_DEFAULTS.items()
+        }
+        baselines.check_method_params(params)
     return params
 
 
@@ -340,6 +334,7 @@ def cmd_train(args) -> int:
     cfg, seed, kind, ds = _load(args)
     outdir = args.out or _get_str(cfg, "output", "dir", "out")
     method = _get_str(cfg, "method", "name", required=True)
+    params = method_params(cfg)
 
     # Each branch reads all of its settings before the config is echoed.
     omega = None
@@ -360,7 +355,6 @@ def cmd_train(args) -> int:
         preset = build_preset(cfg)
         het = build_heterogeneity(cfg, min(ds.task_sizes()))
         profiles = build_profiles(cfg, ds.m)
-        params = _checked_method_params(cfg, [method])
         _echo_config(args.config, outdir)
         result = simulate_run(
             method, ds, solver_config, kind=kind, model=model, preset=preset,
@@ -398,6 +392,7 @@ def cmd_train(args) -> int:
 
 def _compare_trainers(cfg, kind: LossKind, seed: int):
     names = _get_list(cfg, "compare", "methods", str, ["global", "local", "mtl"])
+    _distinct("compare.methods", names)
     max_epochs = _get_int(cfg, "compare", "max_epochs", 20000)
     _require(max_epochs >= 1, "compare.max_epochs", "must be >= 1", max_epochs)
     trainers = {}
@@ -440,8 +435,6 @@ def cmd_compare(args) -> int:
     shuffles = _get_int(cfg, "compare", "shuffles", 10)
     k_folds = _get_int(cfg, "compare", "k_folds", 5)
     train_fraction = _get_float(cfg, "compare", "train_fraction", 0.75)
-    if not trainers:
-        raise ConfigError("compare.methods: needs at least one method")
     if not grid:
         raise ConfigError("compare.lambda_grid: needs at least one value")
     _require(min(grid) > 0.0, "compare.lambda_grid", "needs every value > 0", grid)
@@ -514,7 +507,7 @@ def cmd_bench(args) -> int:
     for method in methods:
         if method not in ROUND_METHODS:
             raise ConfigError(f"bench.methods: unknown method {method!r}")
-    params = _checked_method_params(cfg, methods)
+    params = method_params(cfg)
     hets = [build_heterogeneity(cfg, min(ds.task_sizes()), mode) for mode in het_modes]
 
     _echo_config(args.config, outdir)

@@ -83,14 +83,12 @@ def check_gamma(gamma: float) -> None:
 
 
 def sigma_prime(mbar: np.ndarray, gamma: float = 1.0) -> float:
-    """Safe subproblem coefficient: gamma * max_t sum_t' |Mbar_tt'| / Mbar_tt."""
-    check_gamma(gamma)
-    diag = np.diag(mbar)
-    return float(gamma * np.max(np.abs(mbar).sum(axis=1) / diag))
+    """Safe subproblem coefficient: the largest ``sigma_prime_per_task``."""
+    return float(sigma_prime_per_task(mbar, gamma).max())
 
 
 def sigma_prime_per_task(mbar: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """Per-task variant; looser tasks get a smaller coefficient. Max equals sigma_prime."""
+    """gamma * sum_t' |Mbar_tt'| / Mbar_tt per task t; looser tasks get less."""
     check_gamma(gamma)
     diag = np.diag(mbar)
     return gamma * np.abs(mbar).sum(axis=1) / diag

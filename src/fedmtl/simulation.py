@@ -47,11 +47,6 @@ MESSAGE_BYTES_PER_FEATURE = 8.0
 # Strictly positive floor so simulated time advances even for free rounds.
 MIN_ROUND_MS = 1e-9
 
-# Settings of the compared methods, with their defaults: theta and max_passes
-# for cocoa, batch and beta for mb_sdca, batch, step and schedule for mb_sgd.
-METHOD_DEFAULTS = {"theta": 0.1, "batch": 1, "beta": 1.0, "step": 0.1,
-                   "schedule": "constant", "max_passes": 500}
-
 
 @dataclass(frozen=True)
 class NodeProfile:
@@ -178,10 +173,10 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
     the baselines run against the initial coupling.  The mini-batch methods'
     budgets are their batch under ``none`` heterogeneity, and every method
     but CoCoA drops nodes as ``profiles`` say.  ``method_params`` overrides
-    ``METHOD_DEFAULTS``."""
+    ``baselines.METHOD_DEFAULTS``; each runner range-checks what it reads."""
     from . import baselines
 
-    params = {**METHOD_DEFAULTS, **(method_params or {})}
+    params = {**baselines.METHOD_DEFAULTS, **(method_params or {})}
     if profiles is None:
         profiles = [NodeProfile() for _ in range(ds.m)]
     if len(profiles) != ds.m:

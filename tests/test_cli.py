@@ -535,6 +535,42 @@ dir = {out}
         assert not out.exists(), method
 
 
+# One out-of-range value for each [method] setting of the compared methods.
+BAD_METHOD_SETTINGS = {"theta": "1.5", "max_passes": "0", "batch": "0", "beta": "0",
+                       "schedule": "bogus", "step": "0"}
+
+
+@pytest.mark.parametrize("key", list(baselines.METHOD_DEFAULTS))
+@pytest.mark.parametrize("command, name", [
+    ("train", name) for name in ("mocha", "cocoa", "mb_sgd", "mb_sdca", "local", "global")
+] + [("bench", "mocha")])
+def test_every_method_setting_is_checked_whichever_method_runs(tmp_path, capsys, command,
+                                                               name, key):
+    # A setting that the running method never reads would otherwise be
+    # echoed into config.ini as valid.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "method.ini", BASE_SYNTH + f"""
+[method]
+name = {name}
+loss = squared
+lambda = 0.1
+{key} = {BAD_METHOD_SETTINGS[key]}
+
+[solver]
+inner_rounds = 2
+
+[bench]
+methods = mocha
+rounds = 2
+
+[output]
+dir = {out}
+""")
+    assert main([command, "--config", cfg]) == 1
+    assert "config error: method:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_solver_settings_rejected_before_writing(tmp_path):
     for i, bad in enumerate(["inner_rounds = 0", "inner_rounds = -4", "outer_rounds = -1",
                              "sigma_prime_mode = bogus"]):
@@ -994,8 +1030,10 @@ def test_a_negative_seed_exits_1_before_writing(tmp_path, capsys, command, extra
     ("bench", "[bench]\nheterogeneity = none, high, none"),
     ("fault", "[fault]\nprobabilities ="),
     ("fault", "[fault]\nprobabilities = 0.1, 0.10, 0.5"),
+    ("compare", "[compare]\nmethods = local, local"),
 ], ids=["bench-no-methods", "bench-no-modes", "bench-methods-twice", "bench-presets-twice",
-        "bench-modes-twice", "fault-no-probabilities", "fault-probabilities-twice"])
+        "bench-modes-twice", "fault-no-probabilities", "fault-probabilities-twice",
+        "compare-methods-twice"])
 def test_bench_and_fault_refuse_empty_and_repeated_lists(tmp_path, capsys, command, setting):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "lists.ini", BASE_SYNTH + f"""
