@@ -253,6 +253,21 @@ class RoundView:
     W: np.ndarray
     kappa: np.ndarray
 
+    @functools.cached_property
+    def _kernel_arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+        """The arrays ``_run_round``'s kernel reads, converted and checked
+        once per view, and their addresses: the feature table, W's rows (row
+        t is node t's w), the labels, alpha, the squared norms, kappa and the
+        offsets.  The view keeps the converted arrays alive."""
+        ds = self.ds
+        rows = np.ascontiguousarray(self.W.T, dtype=np.float64)
+        kappa = np.ascontiguousarray(self.kappa, dtype=np.float64)
+        alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
+        if rows.shape != (ds.m, ds.d) or kappa.shape != (ds.m,) or alpha.shape != (ds.n,):
+            raise ValueError("round view arrays do not match the dataset")
+        arrays = (ds.feature_table, rows, ds.labels, alpha, ds.col_norms2, kappa, ds.offsets)
+        return arrays, tuple(a.ctypes.data for a in arrays)
+
 
 def _view_value(view: RoundView, t: int, delta_t: np.ndarray) -> float:
     """Node t's constant-free subproblem value at its block ``delta_t``;
@@ -438,7 +453,8 @@ def _run_round(view: RoundView, idx: np.ndarray, counts,
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     # Summed as Python ints, which cannot wrap around.
-    if counts.shape != (m,) or counts.min(initial=0) < 0 or sum(counts.tolist()) != idx.size:
+    listed = counts.tolist()
+    if counts.shape != (m,) or min(listed, default=0) < 0 or sum(listed) != idx.size:
         raise ValueError("counts must hold m counts >= 0 that sum to len(idx)")
     # Both are written in place, so they cannot be converted copies.
     for name, a, shape in (("delta", delta, (ds.n,)), ("U", U, (m, d))):
@@ -451,16 +467,11 @@ def _run_round(view: RoundView, idx: np.ndarray, counts,
     lib = _load_kernel()
     if lib is None:
         return _run_round_py(view, idx, counts, delta, U, beta)
-    W = np.ascontiguousarray(view.W.T, dtype=np.float64)    # row t is node t's w
-    kappa = np.ascontiguousarray(view.kappa, dtype=np.float64)
-    alpha = np.ascontiguousarray(view.alpha, dtype=np.float64)
-    if W.shape != (m, d) or kappa.shape != (m,) or alpha.shape != (ds.n,):
-        raise ValueError("round view arrays do not match the dataset")
-    # Every array stays referenced here until the call returns.
-    lib.fedmtl_run_round(view.kind is LossKind.HINGE, beta, d, m,
-                         *(a.ctypes.data for a in (ds.feature_table, W, ds.labels, alpha,
-                                                   ds.col_norms2, kappa, ds.offsets, idx,
-                                                   counts, delta, U)))
+    _, fixed = view._kernel_arrays
+    # Every array stays referenced here or by the view until the call returns.
+    lib.fedmtl_run_round(view.kind is LossKind.HINGE, beta, d, m, *fixed,
+                         idx.ctypes.data, counts.ctypes.data, delta.ctypes.data,
+                         U.ctypes.data)
 
 
 def _run_round_py(view: RoundView, idx: np.ndarray, counts,

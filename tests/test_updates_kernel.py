@@ -339,6 +339,28 @@ def test_run_round_rejects_a_bad_u(monkeypatch):
         assert good[0].any() and not good[1].any()
 
 
+@needs_cc
+def test_run_round_sets_up_each_view_once():
+    """The kernel's view arrays are converted once per ``RoundView`` and
+    reused by every call against it; a view whose arrays do not fit its
+    dataset is refused on every call."""
+    ds = generate_synthetic(SyntheticSpec(m=2, d=4, n_min=5, n_max=5, seed=1))
+    view = RoundView(ds, LossKind.SQUARED, np.zeros(ds.n), np.ones((4, 2)), np.ones(2))
+    delta, U = np.zeros(ds.n), np.zeros((2, 4))
+    _run_round(view, [0, 2], [1, 1], delta, U)
+    arrays = view._kernel_arrays
+    _run_round(view, [1, 3], [1, 1], delta, U)
+    assert view._kernel_arrays is arrays
+    ref, ref_U = np.zeros(ds.n), np.zeros((2, 4))
+    _run_round_py(view, np.array([0, 2]), [1, 1], ref, ref_U)
+    _run_round_py(view, np.array([1, 3]), [1, 1], ref, ref_U)
+    np.testing.assert_allclose(delta, ref, rtol=1e-13)
+    bad = RoundView(ds, LossKind.SQUARED, np.zeros(ds.n), np.ones((4, 2)), np.ones(3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not match"):
+            _run_round(bad, [0], [1, 0], np.zeros(ds.n), np.zeros((2, 4)))
+
+
 _INT64 = st.integers(-2**63, 2**63 - 1)
 
 
