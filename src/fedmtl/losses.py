@@ -6,16 +6,13 @@ Both losses take a real score u and a label y in {-1, +1}:
     squared: (u - y)^2 / 2            1-smooth
 
 The dual machinery always evaluates the conjugate at the negated dual
-variable, so ``conjugate_value(kind, a, y)`` returns l*(-a).  For the hinge
-loss that is +inf off the box y*a in [0, 1].  ``loss_value`` and
-``conjugate_value`` are the scalar references for ``loss_sum``,
-``conjugate_sum`` and ``conjugate_terms``.
+variable, so ``conjugate_sum(kind, alpha, y)`` sums l*(-alpha_i).  For the
+hinge loss that is +inf off the box y*a in [0, 1], and the sums raise there.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,34 +46,11 @@ def loss_constants(kind: LossKind) -> LossConstants:
     return LossConstants(lipschitz=None, smoothness=1.0)
 
 
-def _check_label(y) -> None:
-    if y not in (-1, 1, -1.0, 1.0):
-        raise ValueError(f"label must be +1 or -1, got {y!r}")
-
-
-def loss_value(kind: LossKind, u: float, y: float) -> float:
-    _check_label(y)
-    if kind is LossKind.HINGE:
-        return max(0.0, 1.0 - y * u)
-    return 0.5 * (u - y) ** 2
-
-
 def loss_sum(kind: LossKind, scores: np.ndarray, labels: np.ndarray) -> float:
     """Total loss over a vector of scores and matching labels."""
     if kind is LossKind.HINGE:
         return float(np.maximum(0.0, 1.0 - labels * scores).sum())
     return float(0.5 * np.square(scores - labels).sum())
-
-
-def conjugate_value(kind: LossKind, a: float, y: float) -> float:
-    """Evaluate l*(-a); +inf outside the hinge dual box."""
-    _check_label(y)
-    if kind is LossKind.HINGE:
-        b = a * y
-        if b < -DOMAIN_ATOL or b > 1.0 + DOMAIN_ATOL:
-            return math.inf
-        return -a * y
-    return 0.5 * a * a - a * y
 
 
 def hinge_box_violation(alpha: np.ndarray, labels: np.ndarray) -> float:

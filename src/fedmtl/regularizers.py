@@ -215,15 +215,3 @@ def write_matrix_csv(path, mat: np.ndarray) -> None:
         for row in mat:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 2 or header[0] != "m":
-            raise ValueError(f"{path}: malformed matrix header {header!r}")
-        rows = [
-            [float(x) for x in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return np.array(rows, dtype=float)

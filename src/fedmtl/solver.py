@@ -34,7 +34,7 @@ delta_v.  The primal's per-task loss sums (``_task_losses``) are the other
 native pass over the features.  Both take their dot products in the kernel's
 four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
 references and the paths without a compiler.  Every reference reads the
-kernel's ``RoundView``; ``_view_value`` and ``measure_theta`` take node t's.
+kernel's ``RoundView``.
 
 Determinism: a round is a pure function of the dual state, the coupling
 (``RelationshipState``, which holds each node's kappa) and the round's
@@ -267,16 +267,6 @@ class RoundView:
             raise ValueError("round view arrays do not match the dataset")
         arrays = (ds.feature_table, rows, ds.labels, alpha, ds.col_norms2, kappa, ds.offsets)
         return arrays, tuple(a.ctypes.data for a in arrays)
-
-
-def _view_value(view: RoundView, t: int, delta_t: np.ndarray) -> float:
-    """Node t's constant-free subproblem value at its block ``delta_t``;
-    raises DualInfeasibleError outside the hinge dual box.  The per-node
-    reference for ``_node_values``."""
-    block = slice(view.ds.offsets[t], view.ds.offsets[t + 1])
-    u = view.ds.tasks[t].features @ delta_t
-    conj = conjugate_sum(view.kind, view.alpha[block] + delta_t, view.ds.labels[block])
-    return conj + float(view.W[:, t] @ u) + 0.5 * float(view.kappa[t]) * float(u @ u)
 
 
 @dataclass
@@ -562,8 +552,7 @@ def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarra
     """Every node's constant-free subproblem value at the packed ``delta``,
     with row t of ``U`` node t's X_t delta_t, in one pass: the conjugate
     terms summed per node, plus w_t . u_t and kappa_t / 2 * ||u_t||^2.
-    Raises DualInfeasibleError outside the hinge dual box.  Its per-node
-    reference is ``_view_value(view, t, delta_t)``."""
+    Raises DualInfeasibleError outside the hinge dual box."""
     conj = conjugate_terms(view.kind, view.alpha + delta, view.ds.labels)
     return (np.add.reduceat(conj, view.ds.offsets[:-1])
             + np.einsum("dt,td->t", view.W, U) + 0.5 * view.kappa * np.einsum("td,td->t", U, U))
@@ -601,22 +590,6 @@ def oracle_subproblem_opt(view: RoundView, nodes,
             f"subproblem solve did not converge within {_ORACLE_MAX_PASSES} sweeps"
         )
     return delta, value
-
-
-def measure_theta(view: RoundView, t: int, delta_t: np.ndarray,
-                  oracle_t: np.ndarray) -> float:
-    """Relative suboptimality of node t's local solution ``delta_t`` against
-    its subproblem optimum ``oracle_t`` (see ``oracle_subproblem_opt``): 1
-    for no progress, 0 for an exact solve.  A vanishing denominator means
-    the subproblem was already solved, reported as 0.  The per-node
-    reference for the quality ``FixedQualitySolver`` reports."""
-    g_zero = _view_value(view, t, np.zeros_like(delta_t))
-    g_star = _view_value(view, t, oracle_t)
-    denom = g_zero - g_star
-    if denom <= 1e-14:
-        return 0.0
-    theta = (_view_value(view, t, delta_t) - g_star) / denom
-    return float(min(1.0, max(0.0, theta)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from fedmtl.data import FederatedDataset, TaskDataset
-from fedmtl.losses import LossKind
+from fedmtl.losses import DOMAIN_ATOL, LossKind, conjugate_sum
 from fedmtl.solver import RoundView
 
 
@@ -64,3 +66,72 @@ def sigma_prime_sides(ds, mbar, kappa, gamma, alphas):
                   for t, task in enumerate(ds.tasks)], axis=2)
     G = np.einsum("ids,idt->ist", U, U)
     return np.einsum("itt,t->i", G, kappa), gamma * np.einsum("ist,st->i", G, mbar)
+
+
+# ---------------------------------------------------------------------------
+# Scalar and per-node references the package's vector code is checked against
+
+
+def _check_label(y) -> None:
+    if y not in (-1, 1, -1.0, 1.0):
+        raise ValueError(f"label must be +1 or -1, got {y!r}")
+
+
+def loss_value(kind: LossKind, u: float, y: float) -> float:
+    """l(u, y) for one score: the reference for ``losses.loss_sum``."""
+    _check_label(y)
+    if kind is LossKind.HINGE:
+        return max(0.0, 1.0 - y * u)
+    return 0.5 * (u - y) ** 2
+
+
+def conjugate_value(kind: LossKind, a: float, y: float) -> float:
+    """l*(-a) for one dual; +inf outside the hinge dual box.  The reference
+    for ``losses.conjugate_sum`` and ``losses.conjugate_terms``."""
+    _check_label(y)
+    if kind is LossKind.HINGE:
+        b = a * y
+        if b < -DOMAIN_ATOL or b > 1.0 + DOMAIN_ATOL:
+            return math.inf
+        return -a * y
+    return 0.5 * a * a - a * y
+
+
+def _view_value(view: RoundView, t: int, delta_t: np.ndarray) -> float:
+    """Node t's constant-free subproblem value at its block ``delta_t``;
+    raises DualInfeasibleError outside the hinge dual box.  The per-node
+    reference for ``solver._node_values``."""
+    block = slice(view.ds.offsets[t], view.ds.offsets[t + 1])
+    u = view.ds.tasks[t].features @ delta_t
+    conj = conjugate_sum(view.kind, view.alpha[block] + delta_t, view.ds.labels[block])
+    return conj + float(view.W[:, t] @ u) + 0.5 * float(view.kappa[t]) * float(u @ u)
+
+
+def measure_theta(view: RoundView, t: int, delta_t: np.ndarray,
+                  oracle_t: np.ndarray) -> float:
+    """Relative suboptimality of node t's local solution ``delta_t`` against
+    its subproblem optimum ``oracle_t`` (see ``solver.oracle_subproblem_opt``):
+    1 for no progress, 0 for an exact solve.  A vanishing denominator means
+    the subproblem was already solved, reported as 0.  The per-node
+    reference for the quality ``solver.FixedQualitySolver`` reports."""
+    g_zero = _view_value(view, t, np.zeros_like(delta_t))
+    g_star = _view_value(view, t, oracle_t)
+    denom = g_zero - g_star
+    if denom <= 1e-14:
+        return 0.0
+    theta = (_view_value(view, t, delta_t) - g_star) / denom
+    return float(min(1.0, max(0.0, theta)))
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Reads back what ``regularizers.write_matrix_csv`` writes."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip().split(",")
+        if len(header) != 2 or header[0] != "m":
+            raise ValueError(f"{path}: malformed matrix header {header!r}")
+        rows = [
+            [float(x) for x in line.strip().split(",")]
+            for line in fh
+            if line.strip()
+        ]
+    return np.array(rows, dtype=float)

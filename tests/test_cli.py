@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from tests.conftest import read_matrix_csv
+
 from fedmtl import baselines, cli, solver
 from fedmtl.cli import main
 from fedmtl.data import (
@@ -17,7 +19,7 @@ from fedmtl.data import (
     train_test_split,
 )
 from fedmtl.losses import LossKind
-from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior, read_matrix_csv
+from fedmtl.regularizers import MeanRegularized, ProbabilisticPrior
 from fedmtl.solver import PrimalState
 
 

@@ -11,10 +11,6 @@ PACKAGE = ROOT / "src" / "fedmtl"
 # Names that nothing outside the tests reads, each with its reason.
 ALLOWED = {
     "__version__": "the package's version, read by its users",
-    "loss_value": "scalar reference the loss tests check the vector kernels against",
-    "conjugate_value": "scalar reference the loss tests check the vector kernels against",
-    "measure_theta": "theta reference for the solver tests (ROADMAP item 3)",
-    "read_matrix_csv": "reads back what write_matrix_csv writes, for the tests",
     "verify_lemma_decrease": "theory verifier that ROADMAP item 5's summary will run",
     "verify_sigma_prime_inequality": "sigma' certificate of ROADMAP item 4's gate",
 }

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tests.conftest import conjugate_value, loss_value
+
 from fedmtl.losses import (
     DualInfeasibleError,
     LossKind,
     conjugate_sum,
     conjugate_terms,
-    conjugate_value,
     loss_constants,
     loss_sum,
-    loss_value,
 )
 from fedmtl.solver import _step_function
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import read_matrix_csv
+
 from fedmtl.regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
@@ -9,7 +11,6 @@ from fedmtl.regularizers import (
     initial_omega,
     mean_reg_omega,
     primal_from_dual,
-    read_matrix_csv,
     regularizer_conjugate,
     regularizer_grad,
     regularizer_value,

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import block, make_dataset, random_view, recompute_v
+from tests.conftest import (
+    _view_value,
+    block,
+    make_dataset,
+    measure_theta,
+    random_view,
+    recompute_v,
+)
 
 from fedmtl import solver
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
@@ -34,7 +41,6 @@ from fedmtl.solver import (
     federated_round,
     init_dual_state,
     make_views,
-    measure_theta,
     oracle_subproblem_opt,
     primal_objective,
     run_mocha,
@@ -44,7 +50,6 @@ from fedmtl.solver import (
     write_trace_jsonl,
     _COCOA_ORACLE_TOL,
     _step_function,
-    _view_value,
 )
 from fedmtl.theory import verify_lemma_decrease
 
