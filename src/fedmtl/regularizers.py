@@ -11,10 +11,14 @@ R*(v) = v^T (Mbar kron I_d) v / 4 and the dual-to-primal map is w = Mbar v / 2
 blockwise; the 1/2 is forced by the quadratic-form convention and is pinned by
 the Fenchel-Young tests.
 
-``build_relationship`` turns a model and its Omega into a
-``RelationshipState`` that stores both Q and Mbar.  Below ``run_mocha`` the
-solver and the baselines read the coupling only through that state: the
-model is consulted again only to rebuild it after a central Omega update.
+Both models' Q has eigenvalue q(omega_i) on each eigenvector of Omega:
+q(x) = lambda1 x + lambda2 (``MeanRegularized``) or lam (1 / sigma2_prior +
+1 / (x + ridge_eps)) (``ProbabilisticPrior``).  ``build_relationship`` builds
+Q, Mbar (1/q on the same vectors), sigma' and kappa from Omega's eigenpairs
+into a ``RelationshipState``, inverting and factoring nothing.  Below
+``run_mocha`` the solver and the baselines read the coupling only through
+that state: the model is consulted again only to rebuild it after a central
+Omega update.
 
 Stacked md-vectors are represented throughout as d x m arrays whose column t
 is the block belonging to task t.
@@ -23,6 +27,7 @@ is the block belonging to task t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +49,8 @@ class ProbabilisticPrior:
     """Learned coupling: lam * (||W||^2 / sigma2_prior + tr(W Omega^{-1} W^T)),
     with Omega constrained to the trace-one PSD set and re-estimated centrally.
 
-    Omega from the trace-normalized square root can be singular, so a ridge
-    ``Omega + ridge_eps * I`` is applied before every inversion.
+    Omega from the trace-normalized square root can be singular, so the
+    penalty inverts the ridged ``Omega + ridge_eps * I``.
     """
 
     lam: float
@@ -83,12 +88,18 @@ def check_gamma(gamma: float) -> None:
 
 
 def sigma_prime(mbar: np.ndarray, gamma: float = 1.0) -> float:
-    """Safe subproblem coefficient: the largest ``sigma_prime_per_task``."""
-    return float(sigma_prime_per_task(mbar, gamma).max())
+    """Smallest safe scalar subproblem coefficient: gamma * lambda_max(D^{-1/2}
+    Mbar D^{-1/2}) with D = diag(Mbar).  With kappa_t = sigma' * Mbar_tt / 2,
+    diag(kappa) - gamma * Mbar / 2 is then positive semidefinite, the sigma'
+    condition against the Hessian Mbar / 2 of R*."""
+    check_gamma(gamma)
+    root = np.sqrt(np.diag(mbar))
+    return gamma * float(np.linalg.eigvalsh(mbar / np.outer(root, root))[-1])
 
 
 def sigma_prime_per_task(mbar: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """gamma * sum_t' |Mbar_tt'| / Mbar_tt per task t; looser tasks get less."""
+    """gamma * sum_t' |Mbar_tt'| / Mbar_tt per task t; looser tasks get less.
+    Gershgorin's row-sum bound, so its max is >= ``sigma_prime``."""
     check_gamma(gamma)
     diag = np.diag(mbar)
     return gamma * np.abs(mbar).sum(axis=1) / diag
@@ -114,34 +125,55 @@ def regularizer_grad(W: np.ndarray, precision: np.ndarray) -> np.ndarray:
     return 2.0 * (W @ precision)
 
 
-def update_omega(model: OmegaModel, W: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Central coupling update given the current weights.
+class Eigenpairs(NamedTuple):
+    """Omega = V diag(values) V^T + rest * (I - V V^T), for V = ``vectors``
+    (m x r, orthonormal columns); ``rest`` is Omega's one eigenvalue on the
+    complement of V's span, unused when r = m."""
 
-    Fixed-coupling models return omega unchanged.  The probabilistic model
-    returns the trace-normalized symmetric square root of W^T W, computed
-    from the thin SVD W = U S V^T as V S V^T, so a rank-deficient W (d < m)
-    does not turn roundoff in W^T W into square roots of order sqrt(eps); a
-    degenerate W falls back to I/m.
+    values: np.ndarray
+    vectors: np.ndarray
+    rest: float
+
+
+def initial_eigenpairs(model: OmegaModel, m: int) -> Eigenpairs:
+    """Eigenpairs of ``initial_omega``: the centering projection has
+    eigenvalue 0 on the all-ones vector and 1 on its complement, and I/m the
+    one eigenvalue 1/m."""
+    if isinstance(model, MeanRegularized):
+        return Eigenpairs(np.zeros(1), np.full((m, 1), m ** -0.5), 1.0)
+    return Eigenpairs(np.empty(0), np.empty((m, 0)), 1.0 / m)
+
+
+def update_omega(model: OmegaModel, W: np.ndarray,
+                 omega: np.ndarray) -> tuple[np.ndarray, Eigenpairs | None]:
+    """Central coupling update given the current weights: the new Omega and
+    its eigenpairs for ``build_relationship``, or omega unchanged and None
+    for a fixed coupling.  The probabilistic model's Omega is the
+    trace-normalized square root of W^T W from the thin SVD W = U S V^T, as
+    V S V^T / tr(S), so a rank-deficient W (d < m) does not turn roundoff in
+    W^T W into square roots of order sqrt(eps); W's null space is the
+    eigenvalue 0.  A degenerate W falls back to I/m.
     """
     if isinstance(model, MeanRegularized):
-        return omega
+        return omega, None
     if not np.all(np.isfinite(W)):
         raise ValueError("weights must be finite for the coupling update")
     m = W.shape[1]
     _, s, vt = np.linalg.svd(W, full_matrices=False)
-    root = (vt.T * s) @ vt
     tr = float(s.sum())
     if tr < model.ridge_eps:
-        return np.eye(m) / m
-    out = root / tr
-    return 0.5 * (out + out.T)
+        return initial_omega(model, m), initial_eigenpairs(model, m)
+    values = s / tr
+    out = (vt.T * values) @ vt
+    return 0.5 * (out + out.T), Eigenpairs(values, vt.T, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class RelationshipState:
     """Coupling snapshot the solver runs against: Omega, the precision
-    Q = Mbar^{-1} of the penalty, Mbar itself, the safe sigma', and each
-    task's local quadratic coefficient kappa_t (see ``build_relationship``).
+    Q = Mbar^{-1} of the penalty, Mbar itself, the spectral sigma' and each
+    task's local quadratic coefficient kappa_t = sigma'_t * Mbar_tt / 2 (see
+    ``build_relationship``).
 
     Immutable between central coupling updates; rebuilt (and every derived
     coefficient with it) whenever Omega changes.
@@ -155,45 +187,63 @@ class RelationshipState:
     gamma: float
 
 
-def _check_pd(mat: np.ndarray, what: str) -> None:
-    """Raise LinAlgError, naming the smallest eigenvalue, unless ``mat`` has a
-    Cholesky factor; the eigenvalues are computed only on failure."""
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        low = float(np.linalg.eigvalsh(mat)[0])
-        raise np.linalg.LinAlgError(
-            f"{what} not positive definite (min eigenvalue {low:.3e})"
-        ) from None
+def _spectral(V: np.ndarray, f_values: np.ndarray, f_rest: float) -> np.ndarray:
+    """The symmetric matrix with eigenvalue f_values[i] on column i of V
+    (orthonormal columns) and f_rest on the complement of their span."""
+    out = (V * (f_values - f_rest)) @ V.T
+    out[np.diag_indices(len(V))] += f_rest
+    return 0.5 * (out + out.T)
 
 
 def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
-                       sigma_prime_mode: str = "global") -> RelationshipState:
+                       sigma_prime_mode: str = "global",
+                       eigenpairs: Eigenpairs | None = None) -> RelationshipState:
     """The state for this Omega: the precision Q of the model's penalty,
-    Mbar = Q^{-1} and kappa_t = sigma' * Mbar_tt, with task t's own sigma'_t
-    under ``per_task``.  An unknown mode, a non-finite Omega or a kappa_t
-    that is not finite and > 0 raises ValueError; a ridged Omega or a Q that
-    is not positive definite raises LinAlgError."""
+    Mbar = Q^{-1}, the spectral ``sigma_prime`` and kappa_t = sigma' *
+    Mbar_tt / 2, with task t's own row-sum sigma'_t under ``per_task``.  The
+    1/2 is the Hessian Mbar / 2 of R*, so kappa is exact for m = 1.
+
+    Q and Mbar come from Omega's ``eigenpairs`` (as ``update_omega`` and
+    ``initial_eigenpairs`` give them), or from one ``eigh`` of Omega when
+    they are not given.  An unknown
+    mode, a non-finite Omega or a kappa_t that is not finite and > 0 raises
+    ValueError; a ridged Omega or a Q that is not positive definite raises
+    LinAlgError naming its smallest eigenvalue."""
     if sigma_prime_mode not in ("global", "per_task"):
         raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
     m = omega.shape[0]
+    if eigenpairs is None:
+        values, vectors = np.linalg.eigh(0.5 * (omega + omega.T))
+        eigenpairs = Eigenpairs(values, vectors, 0.0)
+    # Every distinct eigenvalue of Omega: the listed ones, and rest when r < m.
+    values, vectors, rest = eigenpairs
+    spectrum = np.append(values, [rest] if vectors.shape[1] < m else [])
     if isinstance(model, MeanRegularized):
-        precision = model.lambda1 * omega + model.lambda2 * np.eye(m)
+        q = model.lambda1 * spectrum + model.lambda2
     else:
         tr = float(np.trace(omega))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"probabilistic coupling needs trace(omega)=1, got {tr!r}")
-        ridged = omega + model.ridge_eps * np.eye(m)
-        _check_pd(ridged, "omega + ridge")
-        precision = model.lam * (np.eye(m) / model.sigma2_prior + np.linalg.inv(ridged))
-    _check_pd(precision, "coupling matrix")
-    mbar = np.linalg.inv(precision)
-    mbar = 0.5 * (mbar + mbar.T)
+        ridged = spectrum + model.ridge_eps
+        if ridged.min() <= 0.0:
+            raise np.linalg.LinAlgError(
+                f"omega + ridge not positive definite (min eigenvalue {ridged.min():.3e})")
+        q = model.lam * (1.0 / model.sigma2_prior + 1.0 / ridged)
+    if not (q.min() > 0.0 and q.max() < np.inf):
+        raise np.linalg.LinAlgError(f"coupling matrix not positive definite and finite "
+                                    f"(min eigenvalue {q.min():.3e}, max {q.max():.3e})")
+    r = len(values)
+    # One Newton-Schulz step toward orthonormal columns cuts the eigenvectors'
+    # own roundoff, which Q Mbar = I would otherwise carry times cond(Q).
+    vectors = vectors @ (1.5 * np.eye(r) - 0.5 * (vectors.T @ vectors))
+    # q[-1] is rest's q; when r = m, V V^T = I and any eigenvalue serves.
+    precision = _spectral(vectors, q[:r], q[-1])
+    mbar = _spectral(vectors, 1.0 / q[:r], 1.0 / q[-1])
     sp = sigma_prime(mbar, gamma)
     task_sp = sp if sigma_prime_mode == "global" else sigma_prime_per_task(mbar, gamma)
-    kappa = task_sp * np.diag(mbar)
+    kappa = 0.5 * task_sp * np.diag(mbar)
     if not np.all((kappa > 0.0) & (kappa < np.inf)):
         raise ValueError(f"gamma = {gamma!r} gives a kappa_t that is not finite and > 0 "
                          f"(kappa in [{kappa.min():.3g}, {kappa.max():.3g}])")
@@ -214,4 +264,3 @@ def write_matrix_csv(path, mat: np.ndarray) -> None:
         fh.write(f"m,{mat.shape[0]}\n")
         for row in mat:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-

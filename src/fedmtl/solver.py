@@ -79,6 +79,7 @@ from .regularizers import (
     RelationshipState,
     build_relationship,
     check_gamma,
+    initial_eigenpairs,
     initial_omega,
     primal_from_dual,
     regularizer_conjugate,
@@ -291,8 +292,8 @@ def _step_function(kind: LossKind):
     """Exact single-coordinate step ``step(alpha_i, y_i, score_i, x_norm2,
     kappa)`` for the loss: the minimizer of the local subproblem restricted
     to coordinate i.  ``score_i`` is w_t . x_i plus kappa times x_i . u, and
-    ``kappa`` > 0 the node's entry of ``RelationshipState.kappa``.  The
-    arguments are not checked."""
+    ``kappa`` > 0 the node's sigma'_t * Mbar_tt / 2, its entry of
+    ``RelationshipState.kappa``.  The arguments are not checked."""
     return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
 
@@ -768,7 +769,8 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
     """Full alternating run: federated weight updates interleaved with central
     coupling updates, warm-starting the dual across outer iterations."""
     omega = initial_omega(model, ds.m)
-    rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode)
+    rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode,
+                             initial_eigenpairs(model, ds.m))
     state = init_dual_state(ds)
     trace: list[RoundStats] = []
     h = 0
@@ -781,10 +783,11 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
         trace.extend(stats)
         h += len(stats)
         W = primal_from_dual(state.v, rel.mbar)
-        new_omega = update_omega(model, W, omega)
+        new_omega, eigenpairs = update_omega(model, W, omega)
         if new_omega is not omega:
             omega = new_omega
-            rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode)
+            rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode,
+                                     eigenpairs)
     W = primal_from_dual(state.v, rel.mbar)
     return RunResult(trace, PrimalState(W), omega)
 

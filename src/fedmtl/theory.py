@@ -120,8 +120,9 @@ class CheckResult:
 
 def verify_sigma_prime_inequality(mbar: np.ndarray, kappa: np.ndarray,
                                   gamma: float) -> CheckResult:
-    """Certificate that subproblems with per-node coefficients ``kappa``
-    (``RelationshipState.kappa``) are safe for every dual of every dataset:
+    """Certificate that subproblems with per-node coefficients ``kappa`` are
+    safe for every dual of every dataset (``RelationshipState.kappa`` against
+    ``rel.mbar / 2``, the Hessian of R*):
 
         sum_t kappa_t ||X_t alpha_t||^2 >= gamma * ||X alpha||^2_Mbar.
 

@@ -29,7 +29,11 @@ from fedmtl.solver import (
     PrimalState,
     SolverConfig,
     init_dual_state,
+    make_views,
+    oracle_subproblem_opt,
     run_w_update,
+    _COCOA_ORACLE_TOL,
+    _node_values,
 )
 
 HINGE = LossKind.HINGE
@@ -42,14 +46,29 @@ def setup(ds, lambda1=1.0, lambda2=1.0):
 
 
 def test_cocoa_near_exact_matches_oracle_round(rng):
+    # CoCoA promises theta and nothing more: every node ends within theta of
+    # its subproblem optimum, G(delta) <= G* + theta (G(0) - G*).  A round of
+    # 4,000 MOCHA steps per node ends at or above G*, so CoCoA's value is at
+    # most MOCHA's plus theta (G(0) - G*), whatever either method draws.
     ds = make_dataset(rng, m=3, d=4, n_lo=6, n_hi=8)
     rel = setup(ds)
-    run = cocoa_run(ds, HINGE, rel, 1e-6, 1, seed=2, max_passes=2000)
-    # near-exact block solves do at least as well as huge fixed budgets
-    state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(4000),
+    theta = 1e-6
+    run = cocoa_run(ds, HINGE, rel, theta, 1, seed=2, max_passes=2000)
+    trace = run_w_update(ds, HINGE, rel, init_dual_state(ds), ConstantPolicy(4000),
                          rounds=1, seed=2)
-    assert run.trace[0].gap <= trace[0].gap + 1e-6
+    # Both rounds start from alpha = 0, so W = 0; sums over the nodes.
+    view = make_views(ds, HINGE, init_dual_state(ds), np.zeros((ds.d, ds.m)), rel.kappa)
+    g_zero = _node_values(view, np.zeros(ds.n), np.zeros((ds.m, ds.d))).sum()
+    g_star = oracle_subproblem_opt(view, range(ds.m))[1]
+    # CoCoA measures theta against its own oracle, solved to _COCOA_ORACLE_TOL.
+    slack = _COCOA_ORACLE_TOL * float(np.sum(1.0 + np.abs(g_star)))
+    g_star = float(g_star.sum())
+    g_cocoa = g_zero - run.trace[0].subproblem_decrease
+    g_mocha = g_zero - trace[0].subproblem_decrease
+    assert g_star < g_zero
+    assert g_cocoa <= g_star + theta * (g_zero - g_star) + slack
+    assert g_star <= g_mocha + slack
+    assert g_cocoa <= g_mocha + theta * (g_zero - g_star) + 2.0 * slack
 
 
 def test_cocoa_straggler_signature():
@@ -108,7 +127,9 @@ def test_mb_sdca_scaling_contract(rng):
     run = mb_sdca_run(ds, HINGE, rel, batch, beta, 1, seed=13)
     # recompute the expected update by hand against the frozen snapshot
     task = ds.tasks[0]
-    kappa = rel.sigma_prime * rel.mbar[0, 0]
+    kappa = rel.kappa[0]
+    # One task: kappa is the Hessian Mbar / 2 of R* exactly.
+    assert kappa == pytest.approx(rel.mbar[0, 0] / 2, rel=1e-15)
     rng2 = np.random.default_rng([13, 11, 0, 0])
     idx = rng2.integers(0, task.n, size=batch)
     expected = np.zeros(task.n)

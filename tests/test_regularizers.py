@@ -8,6 +8,7 @@ from fedmtl.regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
     build_relationship,
+    initial_eigenpairs,
     initial_omega,
     mean_reg_omega,
     primal_from_dual,
@@ -127,7 +128,12 @@ def test_sigma_prime_per_task():
     for _ in range(10):
         a = rng.standard_normal((4, 4))
         mbar = a @ a.T + 0.5 * np.eye(4)
-        assert sigma_prime(mbar) == sigma_prime_per_task(mbar).max()
+        # The spectral sigma' is lambda_max(D^{-1/2} Mbar D^{-1/2}), which
+        # Gershgorin's row sums bound from above.
+        root = np.sqrt(np.diag(mbar))
+        spectral = np.linalg.eigvalsh(mbar / np.outer(root, root))[-1]
+        assert sigma_prime(mbar) == pytest.approx(spectral, rel=1e-14)
+        assert sigma_prime(mbar) <= sigma_prime_per_task(mbar).max() * (1.0 + 1e-14)
 
 
 def test_regularizer_conjugate():
@@ -215,7 +221,7 @@ def model_penalty(W, omega, model):
 def learned_omega(rng, m):
     """Omega from the central update of a random W with fewer rows than tasks."""
     W = rng.standard_normal((max(1, m - 1 - int(rng.integers(m))), m))
-    return update_omega(ProbabilisticPrior(lam=1.0), W, np.eye(m) / m)
+    return update_omega(ProbabilisticPrior(lam=1.0), W, np.eye(m) / m)[0]
 
 
 def test_regularizer_value_matches_model_formulas():
@@ -286,15 +292,18 @@ def test_update_omega():
     mean_model = MeanRegularized(1.0, 1.0)
     omega0 = mean_reg_omega(3)
     W = np.random.default_rng(0).standard_normal((4, 3))
-    assert update_omega(mean_model, W, omega0) is omega0
+    same, eigenpairs = update_omega(mean_model, W, omega0)
+    assert same is omega0 and eigenpairs is None
 
     # sqrt-then-normalize by hand: W^T W = diag(4, 1)
     W2 = np.array([[2.0, 0.0], [0.0, 1.0]])
-    omega = update_omega(model, W2, np.eye(2) / 2)
+    omega, eigenpairs = update_omega(model, W2, np.eye(2) / 2)
     assert np.allclose(omega, np.diag([2.0 / 3.0, 1.0 / 3.0]), atol=1e-12)
+    assert np.allclose(eigenpairs.values, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
-    omega_zero = update_omega(model, np.zeros((4, 3)), np.eye(3) / 3)
+    omega_zero, eigenpairs = update_omega(model, np.zeros((4, 3)), np.eye(3) / 3)
     assert np.allclose(omega_zero, np.eye(3) / 3)
+    assert eigenpairs.vectors.shape == (3, 0) and eigenpairs.rest == 1.0 / 3.0
 
     with pytest.raises(ValueError):
         update_omega(model, np.array([[np.nan, 0.0]]), np.eye(2) / 2)
@@ -305,10 +314,69 @@ def test_update_omega_output_properties():
     model = ProbabilisticPrior(lam=1.0)
     for _ in range(20):
         W = rng.standard_normal((5, 4))
-        omega = update_omega(model, W, np.eye(4) / 4)
+        omega = update_omega(model, W, np.eye(4) / 4)[0]
         assert np.abs(omega - omega.T).max() <= 1e-12
         assert np.linalg.eigvalsh(omega)[0] >= -1e-12
         assert abs(np.trace(omega) - 1.0) <= 1e-10
+
+
+def inverse_path(model, omega, gamma, mode):
+    """Q, Mbar and kappa by explicit inverses of the ridged Omega and of Q,
+    the way the coupling was built before its eigenpairs were used."""
+    m = len(omega)
+    if isinstance(model, MeanRegularized):
+        precision = model.lambda1 * omega + model.lambda2 * np.eye(m)
+    else:
+        ridged = np.linalg.inv(omega + model.ridge_eps * np.eye(m))
+        precision = model.lam * (np.eye(m) / model.sigma2_prior + ridged)
+    mbar = np.linalg.inv(precision)
+    mbar = 0.5 * (mbar + mbar.T)
+    root = np.sqrt(np.diag(mbar))
+    spectral = gamma * np.linalg.eigvalsh(mbar / np.outer(root, root))[-1]
+    task = spectral if mode == "global" else gamma * np.abs(mbar).sum(axis=1) / np.diag(mbar)
+    return precision, mbar, 0.5 * task * np.diag(mbar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    # Rows of W: fewer than m gives a rank-deficient W, and 0 the W = 0 fallback.
+    d=st.integers(0, 14),
+    omega_kind=st.sampled_from(["learned", "initial"]),
+    mean_regularized=st.booleans(),
+    weights=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    ridge_exp=st.floats(-8.0, -1.0),
+    gamma=st.floats(0.05, 1.0),
+    mode=st.sampled_from(["global", "per_task"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigenpair_build_matches_the_inverse_path(m, d, omega_kind, mean_regularized, weights,
+                                                  ridge_exp, gamma, mode, seed):
+    """Q Mbar = I, and Q, Mbar and kappa match the explicit inverses, within
+    a bound scaled by the problem's condition number: cond(Q), and for the
+    probabilistic model also cond(Omega + ridge_eps I), which both paths
+    invert.  The eigenpairs are the ones ``update_omega`` or
+    ``initial_eigenpairs`` hands forward, or one ``eigh`` of Omega."""
+    rng = np.random.default_rng(seed)
+    model = (MeanRegularized(*weights) if mean_regularized
+             else ProbabilisticPrior(lam=weights[0], sigma2_prior=weights[1],
+                                     ridge_eps=10.0 ** ridge_exp))
+    if omega_kind == "initial":
+        omega, handed = initial_omega(model, m), initial_eigenpairs(model, m)
+    else:
+        W = rng.standard_normal((d, m)) if d else np.zeros((1, m))
+        omega, handed = update_omega(ProbabilisticPrior(lam=1.0), W, np.eye(m) / m)
+    want_q, want_mbar, want_kappa = inverse_path(model, omega, gamma, mode)
+    for eigenpairs in (handed, None):
+        rel = build_relationship(model, omega, gamma, mode, eigenpairs)
+        cond = np.linalg.cond(rel.precision)
+        if not mean_regularized:
+            cond = max(cond, np.linalg.cond(omega + model.ridge_eps * np.eye(m)))
+        tol = 32.0 * cond * np.finfo(float).eps
+        assert np.abs(rel.precision @ rel.mbar - np.eye(m)).max() <= tol
+        for got, want in ((rel.precision, want_q), (rel.mbar, want_mbar),
+                          (rel.kappa, want_kappa)):
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_learned_omega_stable_under_ulp_perturbation():
@@ -320,18 +388,18 @@ def test_learned_omega_stable_under_ulp_perturbation():
         for _ in range(5):
             W = rng.standard_normal((d, m))
             bumped = W * (1.0 + 1e-15 * rng.standard_normal(W.shape))
-            omega = update_omega(model, W, np.eye(m) / m)
-            moved = update_omega(model, bumped, np.eye(m) / m)
+            omega = update_omega(model, W, np.eye(m) / m)[0]
+            moved = update_omega(model, bumped, np.eye(m) / m)[0]
             assert np.abs(moved - omega).max() <= 1e-12 * np.abs(omega).max()
 
 
 def test_kappa_keeps_its_formula():
-    # kappa_t = sigma' * Mbar_tt, with task t's own sigma'_t under per_task,
-    # for fixed and learned Omega under both models.
+    # kappa_t = sigma' * Mbar_tt / 2, with task t's own sigma'_t under
+    # per_task, for fixed and learned Omega under both models.
     rng = np.random.default_rng(8)
     learner = ProbabilisticPrior(lam=0.5)
     for m in (1, 2, 5):
-        learned = update_omega(learner, rng.standard_normal((3, m)), np.eye(m) / m)
+        learned = update_omega(learner, rng.standard_normal((3, m)), np.eye(m) / m)[0]
         for model in (MeanRegularized(1.0, 0.5), learner):
             for omega in (initial_omega(model, m), learned):
                 for gamma in (1.0, 0.7):
@@ -339,9 +407,9 @@ def test_kappa_keeps_its_formula():
                         rel = build_relationship(model, omega, gamma, mode)
                         diag = np.diag(rel.mbar)
                         if mode == "per_task":
-                            want = sigma_prime_per_task(rel.mbar, gamma) * diag
+                            want = 0.5 * sigma_prime_per_task(rel.mbar, gamma) * diag
                         else:
-                            want = sigma_prime(rel.mbar, gamma) * diag
+                            want = 0.5 * sigma_prime(rel.mbar, gamma) * diag
                         assert rel.kappa.shape == (m,) and (rel.kappa == want).all()
                         assert rel.sigma_prime == sigma_prime(rel.mbar, gamma)
     with pytest.raises(ValueError, match="sigma_prime_mode"):
@@ -365,9 +433,9 @@ def test_safe_sigma_prime_inequality_random():
     model = MeanRegularized(1.5, 0.8)
     rel = build_relationship(model, initial_omega(model, ds.m))
     alphas = rng.standard_normal((1000, ds.n))
-    lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.kappa, 1.0, alphas)
+    lhs, rhs = sigma_prime_sides(ds, rel.mbar / 2, rel.kappa, 1.0, alphas)
     assert np.all(lhs - rhs >= -1e-9 * np.maximum(1.0, np.maximum(lhs, rhs)))
-    ratio = verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0).worst_ratio
+    ratio = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, 1.0).worst_ratio
     assert np.all(rhs <= ratio * (1.0 + 1e-12) * lhs)
 
 

@@ -389,7 +389,7 @@ def test_round_records_its_subproblem_decrease(kind, learned, d, nodes, gamma, s
         for t, n in enumerate(sizes)))
     if learned:
         model = ProbabilisticPrior(lam=0.5)
-        omega = update_omega(model, rng.standard_normal((d, ds.m)), initial_omega(model, ds.m))
+        omega, _ = update_omega(model, rng.standard_normal((d, ds.m)), initial_omega(model, ds.m))
         rel = build_relationship(model, omega, gamma)
     else:
         rel = mean_reg_setup(ds, gamma=gamma)
@@ -571,7 +571,7 @@ def test_per_task_sigma_mode_runs_and_decreases(rng):
     # A learned coupling: its M-bar rows differ in row-sum to diagonal ratio,
     # so the two modes give different kappas (mean_reg_omega's rows do not).
     model = ProbabilisticPrior(lam=0.5)
-    omega = update_omega(model, rng.standard_normal((ds.d, ds.m)), initial_omega(model, ds.m))
+    omega, _ = update_omega(model, rng.standard_normal((ds.d, ds.m)), initial_omega(model, ds.m))
     rel = build_relationship(model, omega, 1.0, "per_task")
     assert not np.allclose(rel.kappa, build_relationship(model, omega, 1.0, "global").kappa)
     state = init_dual_state(ds)

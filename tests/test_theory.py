@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import make_dataset, sigma_prime_sides
+from tests.conftest import make_dataset, recompute_v, sigma_prime_sides
 
 from fedmtl.baselines import cocoa_run, mb_sdca_run
 from fedmtl.data import FederatedDataset, SyntheticSpec, TaskDataset, generate_synthetic
@@ -15,16 +15,21 @@ from fedmtl.regularizers import (
     ProbabilisticPrior,
     build_relationship,
     initial_omega,
+    primal_from_dual,
     sigma_prime,
     sigma_prime_per_task,
     update_omega,
 )
 from fedmtl.solver import (
     ConstantPolicy,
+    DualState,
     SolverConfig,
+    dual_objective,
     init_dual_state,
+    make_views,
     run_mocha,
     run_w_update,
+    _node_values,
 )
 from fedmtl.theory import (
     convergence_constant_s,
@@ -137,6 +142,10 @@ def test_sigma_stats_sum_structure(rng):
     assert stats.sigma_max == pytest.approx(single, rel=1e-9)
 
 
+# RelationshipState's kappa is checked against Mbar / 2, the Hessian of
+# R*(v) = v^T (Mbar kron I) v / 4, which is what the decrease lemma needs.
+
+
 def test_verify_sigma_prime_passes_for_lemma_value():
     for trial in range(5):
         local = np.random.default_rng(trial)
@@ -145,7 +154,7 @@ def test_verify_sigma_prime_passes_for_lemma_value():
         omega /= np.trace(omega)
         model = ProbabilisticPrior(lam=0.7)
         rel = build_relationship(model, omega)
-        res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0)
+        res = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, 1.0)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
 
@@ -194,7 +203,7 @@ def test_verify_sigma_prime_takes_per_task_kappa_on_a_learned_omega():
         rel = build_relationship(model, omega, gamma, "per_task")
         # The modes differ on this coupling, so the global check does not cover it.
         assert not np.allclose(rel.kappa, build_relationship(model, omega, gamma).kappa)
-        res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
+        res = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
         assert res.passed
         assert res.worst_ratio <= 1.0 + 1e-9
 
@@ -210,15 +219,16 @@ def test_verify_sigma_prime_fails_just_below_kappa_where_the_bound_is_tight(mode
     model = MeanRegularized(1.0, 0.5)
     rel = build_relationship(model, initial_omega(model, ds.m), gamma, mode)
     assert (rel.mbar > 0.0).all()
-    ok = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
+    ok = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
     assert ok.passed
     assert ok.worst_ratio == pytest.approx(1.0, abs=1e-12)
-    lhs, rhs = sigma_prime_sides(ds, rel.mbar, rel.kappa, gamma, np.tile([0.5, -1.0, 0.25], ds.m))
+    lhs, rhs = sigma_prime_sides(ds, rel.mbar / 2, rel.kappa, gamma,
+                                 np.tile([0.5, -1.0, 0.25], ds.m))
     assert rhs[0] / lhs[0] == pytest.approx(1.0, abs=1e-12)
-    bad = verify_sigma_prime_inequality(rel.mbar, 0.99 * rel.kappa, gamma)
+    bad = verify_sigma_prime_inequality(rel.mbar / 2, 0.99 * rel.kappa, gamma)
     assert not bad.passed
     with pytest.raises(ValueError, match="kappa"):
-        verify_sigma_prime_inequality(rel.mbar, rel.kappa[:-1], gamma)
+        verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa[:-1], gamma)
 
 
 def test_verify_sigma_prime_fails_below_kappa_where_sampled_duals_pass():
@@ -230,9 +240,9 @@ def test_verify_sigma_prime_fails_below_kappa_where_sampled_duals_pass():
     assert all(np.linalg.matrix_rank(t.features) == ds.d for t in ds.tasks)
     model = MeanRegularized(10.0, 10.0)
     rel = build_relationship(model, initial_omega(model, ds.m))
-    assert verify_sigma_prime_inequality(rel.mbar, rel.kappa, 1.0).passed
+    assert verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, 1.0).passed
     for scale in (0.9, 0.8):
-        res = verify_sigma_prime_inequality(rel.mbar, scale * rel.kappa, 1.0)
+        res = verify_sigma_prime_inequality(rel.mbar / 2, scale * rel.kappa, 1.0)
         assert not res.passed
         assert res.worst_ratio == pytest.approx(1.0 / scale, rel=1e-12)
 
@@ -253,15 +263,15 @@ def test_verify_sigma_prime_passes_kappa_and_is_tight_at_its_ratio(
     model = MeanRegularized(1.5, 0.8) if mean_regularized else ProbabilisticPrior(lam=0.7)
     omega = initial_omega(model, m)
     if learned:
-        omega = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((3, m)),
-                             np.eye(m) / m)
+        omega, _ = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((3, m)),
+                                np.eye(m) / m)
     rel = build_relationship(model, omega, gamma, mode)
-    res = verify_sigma_prime_inequality(rel.mbar, rel.kappa, gamma)
+    res = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
     assert res.passed
     r = res.worst_ratio
     assert r <= 1.0 + 1e-9
-    assert verify_sigma_prime_inequality(rel.mbar, r * (1.0 + 1e-9) * rel.kappa, gamma).passed
-    assert not verify_sigma_prime_inequality(rel.mbar, r * (1.0 - 1e-6) * rel.kappa,
+    assert verify_sigma_prime_inequality(rel.mbar / 2, r * (1.0 + 1e-9) * rel.kappa, gamma).passed
+    assert not verify_sigma_prime_inequality(rel.mbar / 2, r * (1.0 - 1e-6) * rel.kappa,
                                              gamma).passed
 
 
@@ -300,6 +310,59 @@ def test_verify_lemma_decrease_passes_and_detects_corruption(rng):
     trace3 = run_w_update(ds2, LossKind.HINGE, good, state3,
                           ConstantPolicy(4), rounds=3, seed=0)
     assert verify_lemma_decrease(trace3, 1.0).passed
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_verify_lemma_decrease_sees_half_the_safe_kappa(kind):
+    # With one task, kappa = Mbar / 2 is the Hessian of R* itself, so the
+    # lemma's bound is exact and half that kappa overstates every decrease.
+    ds = make_dataset(np.random.default_rng(3), m=1, d=4, n_lo=12, n_hi=12)
+    model = MeanRegularized(1.0, 1.0)
+    rel = build_relationship(model, initial_omega(model, 1))
+    for coupling, safe in ((rel, True), (dataclasses.replace(rel, kappa=0.5 * rel.kappa), False)):
+        trace = run_w_update(ds, kind, coupling, init_dual_state(ds), ConstantPolicy(12),
+                             rounds=5, seed=4)
+        assert verify_lemma_decrease(trace, 1.0).passed is safe
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    kind=st.sampled_from(list(LossKind)),
+    mean_regularized=st.booleans(),
+    learned=st.booleans(),
+    mode=st.sampled_from(["global", "per_task"]),
+    gamma=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subproblems_bound_the_true_dual_change(m, kind, mean_regularized, learned, mode,
+                                                gamma, seed):
+    """For any dual alpha and any step delta that keeps alpha + delta
+    feasible, D(alpha + gamma delta) <= D(alpha) - gamma sum_t [G_t(0) -
+    G_t(delta_t)]: the inequality the decrease lemma rests on, with
+    ``rel.kappa`` in every G_t."""
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng, m=m, d=3, n_lo=2, n_hi=6)
+    model = MeanRegularized(1.5, 0.8) if mean_regularized else ProbabilisticPrior(lam=0.7)
+    omega = initial_omega(model, m)
+    if learned:
+        omega, _ = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((2, m)), omega)
+    rel = build_relationship(model, omega, gamma, mode)
+    if kind is LossKind.HINGE:
+        alpha = ds.labels * rng.uniform(0.0, 1.0, ds.n)
+        delta = ds.labels * rng.uniform(0.0, 1.0, ds.n) - alpha
+    else:
+        alpha, delta = rng.standard_normal(ds.n), rng.standard_normal(ds.n)
+    state = DualState(alpha, np.zeros((ds.d, m)))
+    state.v = recompute_v(state, ds)
+    step = DualState(delta, np.zeros((ds.d, m)))
+    U = recompute_v(step, ds).T
+    view = make_views(ds, kind, state, primal_from_dual(state.v, rel.mbar), rel.kappa)
+    decrease = float(np.sum(_node_values(view, np.zeros(ds.n), np.zeros_like(U))
+                            - _node_values(view, delta, U)))
+    before = dual_objective(state, ds, kind, rel)
+    after = dual_objective(DualState(alpha + gamma * delta, state.v + gamma * U.T), ds, kind, rel)
+    assert after <= before - gamma * decrease + 1e-9 * max(1.0, abs(before), abs(after))
 
 
 def test_verify_lemma_decrease_holds_for_cocoa_and_mb_sdca():
