@@ -10,8 +10,10 @@ the value ``train`` runs with, and ``compare``'s mtl model runs with the
 Every ``.json`` and ``.jsonl`` output is strict JSON: a value that is not
 finite is written as null.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.  Every
-missing, unparsable, non-finite or out-of-range setting exits 1 before
+Every setting, with its cast, default and range rule, is one entry of
+``SETTINGS``.  Exit codes: 0 success, 1 configuration error, 2 runtime
+failure.  An unknown section or key, in any command's config, and every
+missing, unparsable, non-finite or out-of-range setting exit 1 before
 anything is written; malformed dataset files exit 2.
 """
 
@@ -25,7 +27,7 @@ import os
 import shutil
 import sys
 import configparser
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -67,13 +69,83 @@ class ConfigError(ValueError):
 
 
 ROUND_METHODS = ("mocha", "cocoa", "mb_sgd", "mb_sdca")
+MODELS = {"mean_regularized": MeanRegularized, "probabilistic": ProbabilisticPrior}
 
 
 # ---------------------------------------------------------------------------
 # Config plumbing
 
 
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name}: {rule}, got {value!r}")
+
+
+def _at_least(low):
+    return lambda value: value >= low, f"must be >= {low}"
+
+
+def _one_of(*choices):
+    return lambda value: value in choices, f"must be one of {', '.join(choices)}"
+
+
+_POSITIVE = (lambda value: value > 0.0, "must be > 0")
+_OPEN_UNIT = (lambda value: 0.0 < value < 1.0, "must be in (0, 1)")
+_BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
+REQUIRED = object()
+
+# Every setting: SETTINGS[section][key] = (cast, default[, (test, rule)]); a list
+# setting casts and tests each entry.  Rules that involve other values, and the
+# settings objects' own range checks, stay where the value is used.
+SETTINGS = {
+    "run": {"seed": (int, 0, _at_least(0))},
+    "output": {"dir": (str.strip, "out")},
+    "dataset": {"source": (str.strip, REQUIRED, _one_of("csv", "synthetic")),
+                "csv_dir": (str.strip, REQUIRED),
+                "standardize": (lambda raw: _BOOLEAN[raw.lower()], False)},
+    "synthetic": {"m": (int, REQUIRED), "d": (int, REQUIRED), "n_min": (int, REQUIRED),
+                  "n_max": (int, REQUIRED), "clusters": (int, 1), "deviation": (float, 0.0),
+                  "noise": (float, 0.0), "seed": (int, None)},    # None: the run's seed
+    "model": {"kind": (str.strip, "mean_regularized", _one_of(*MODELS)),
+              "lambda1": (float, 1.0), "lambda2": (float, 1.0), "lam": (float, 1.0),
+              "sigma2_prior": (float, 1.0), "ridge_eps": (float, 1e-6)},
+    "solver": {"gamma": (float, 1.0), "inner_rounds": (int, 100), "outer_rounds": (int, 1),
+               "gap_tol": (float, None)},
+    "method": {
+        "name": (str.strip, REQUIRED, _one_of("local", "global", *ROUND_METHODS)),
+        "loss": (lambda raw: LossKind(raw.strip().lower()), LossKind.HINGE),
+        "lambda": (float, REQUIRED, _POSITIVE), "max_epochs": (int, 20000, _at_least(1)),
+        **{key: (str.strip if isinstance(default, str) else type(default), default)
+           for key, default in baselines.METHOD_DEFAULTS.items()},
+    },
+    "network": {"preset": (str.lower, "wifi", _one_of("custom", *PRESETS)),
+                "latency_ms": (float, REQUIRED), "bandwidth": (float, REQUIRED)},
+    "systems": {"heterogeneity": (str.strip, "none"), "fixed_k": (int, None),
+                "clock_rate": (float, 1e6), "drop_probability": (float, 0.0)},
+    "compare": {
+        "methods": (str, ("global", "local", "mtl"), _one_of("global", "local", "mtl")),
+        "lambda_grid": (float, baselines.DEFAULT_LAMBDA_GRID, _POSITIVE),
+        "shuffles": (int, 10, _at_least(1)), "k_folds": (int, 5, _at_least(2)),
+        "train_fraction": (float, 0.75, _OPEN_UNIT), "max_epochs": (int, 20000, _at_least(1)),
+        "mtl_inner_rounds": (int, 40), "mtl_outer_rounds": (int, 3),
+        "mtl_gap_tol": (float, 1e-4), "mtl_budget_epochs": (int, 1),
+    },
+    "bench": {"methods": (str, ROUND_METHODS, _one_of(*ROUND_METHODS)),
+              "presets": (str.lower, ("wifi", "lte", "3g"), _one_of("custom", *PRESETS)),
+              "heterogeneity": (str, ("none", "low", "high")),
+              "rounds": (int, 200, _at_least(1)),
+              "target_suboptimality": (float, 1e-2, _OPEN_UNIT)},
+    "fault": {"probabilities": (float, tuple(round(0.1 * i, 1) for i in range(10))),
+              "rounds": (int, 500, _at_least(1)), "gap_tol": (float, 1e-4),
+              "permanent_node": (int, 0)},
+    "theory": {"eps": (float, 1e-3, _POSITIVE), "p_max": (float, 0.0),
+               "theta_max": (float, 0.0), "initial_gap_bound": (float, None, _POSITIVE)},
+}
+
+
 def load_config(path) -> configparser.ConfigParser:
+    """The parsed config; a section or key that SETTINGS does not list is
+    refused, whichever command would run."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -81,6 +153,12 @@ def load_config(path) -> configparser.ConfigParser:
         cfg.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    known = {cfg.default_section: {}, **SETTINGS}
+    unknown = [f"[{section}]" for section in cfg if section not in known]
+    unknown += [f"{section}.{key}" for section in cfg if section in known
+                for key in cfg[section] if key not in known[section]]
+    if unknown:
+        raise ConfigError(f"{path}: unknown setting {', '.join(unknown)}")
     return cfg
 
 
@@ -97,130 +175,84 @@ def _settings(section: str):
         raise ConfigError(f"{section}: {exc}") from None
 
 
-def _cast(name: str, raw: str, cast):
-    """``cast(raw)``; no float setting may be NaN or infinite."""
+def _cast(name: str, raw: str, cast, rules):
+    """``cast(raw)``, held to ``rules``; no float setting may be NaN or infinite."""
     try:
         value = cast(raw)
-    except (TypeError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise ConfigError(f"{name}: cannot parse {raw!r}") from None
     _require(cast is not float or math.isfinite(value), name, "must be finite", value)
+    for test, text in rules:
+        _require(test(value), name, text, value)
     return value
 
 
-def _get(cfg, section, key, cast, default=None, required=False):
+def _get(cfg, section: str, key: str):
+    """The setting ``section.key``, cast and held to its rule as SETTINGS
+    says, or its default when the config leaves it out."""
+    cast, default, *rules = SETTINGS[section][key]
     if not cfg.has_option(section, key):
-        if required:
+        if default is REQUIRED:
             raise ConfigError(f"{section}.{key}: required setting missing")
         return default
-    return _cast(f"{section}.{key}", cfg.get(section, key), cast)
+    return _cast(f"{section}.{key}", cfg.get(section, key), cast, rules)
 
 
-def _get_int(cfg, s, k, default=None, required=False):
-    return _get(cfg, s, k, int, default, required)
-
-
-def _get_float(cfg, s, k, default=None, required=False):
-    return _get(cfg, s, k, float, default, required)
-
-
-def _get_str(cfg, s, k, default=None, required=False):
-    return _get(cfg, s, k, str.strip, default, required)
-
-
-def _get_bool(cfg, s, k, default=False):
-    raw = _get_str(cfg, s, k)
-    if raw is None:
-        return default
-    if raw.lower() in ("1", "true", "yes", "on"):
-        return True
-    if raw.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{s}.{k}: expected a boolean, got {raw!r}")
-
-
-def _get_list(cfg, s, k, cast, default=None):
-    raw = _get_str(cfg, s, k)
-    if raw is None:
-        return default
-    return [_cast(f"{s}.{k}", part.strip(), cast) for part in raw.split(",") if part.strip()]
-
-
-def parse_loss(name: str) -> LossKind:
-    try:
-        return LossKind(name.lower())
-    except ValueError:
-        raise ConfigError(f"method.loss: unknown loss {name!r}") from None
+def _get_list(cfg, section: str, key: str) -> list:
+    """The comma-separated setting ``section.key``, each entry read as
+    ``_get`` reads a setting, or its default.  An empty list is refused."""
+    cast, default, *rules = SETTINGS[section][key]
+    name = f"{section}.{key}"
+    if not cfg.has_option(section, key):
+        return list(default)
+    parts = [part.strip() for part in cfg.get(section, key).split(",")]
+    values = [_cast(name, part, cast, rules) for part in parts if part]
+    _require(len(values) > 0, name, "needs at least one entry", values)
+    return values
 
 
 def _synthetic_spec(cfg, seed: int) -> SyntheticSpec:
+    spec = {key: _get(cfg, "synthetic", key) for key in SETTINGS["synthetic"]}
+    spec["cluster_count"] = spec.pop("clusters")
+    if spec["seed"] is None:
+        spec["seed"] = seed
     with _settings("synthetic"):
-        return SyntheticSpec(
-            m=_get_int(cfg, "synthetic", "m", required=True),
-            d=_get_int(cfg, "synthetic", "d", required=True),
-            n_min=_get_int(cfg, "synthetic", "n_min", required=True),
-            n_max=_get_int(cfg, "synthetic", "n_max", required=True),
-            cluster_count=_get_int(cfg, "synthetic", "clusters", 1),
-            deviation=_get_float(cfg, "synthetic", "deviation", 0.0),
-            noise=_get_float(cfg, "synthetic", "noise", 0.0),
-            seed=_get_int(cfg, "synthetic", "seed", seed),
-        )
-
-
-def _standardized(cfg) -> bool:
-    return _get_bool(cfg, "dataset", "standardize", False)
+        return SyntheticSpec(**spec)
 
 
 def build_dataset(cfg, seed: int, scale: bool = True) -> FederatedDataset:
     """The ``[dataset]``, z-scored on all of its examples under ``standardize
     = true`` unless ``scale`` is False (``compare`` scales each of its
     training splits itself)."""
-    source = _get_str(cfg, "dataset", "source", required=True)
-    if source == "csv":
-        csv_dir = _get_str(cfg, "dataset", "csv_dir", required=True)
+    if _get(cfg, "dataset", "source") == "csv":
+        csv_dir = _get(cfg, "dataset", "csv_dir")
         if not os.path.isdir(csv_dir):
             raise ConfigError(f"dataset.csv_dir: directory not found: {csv_dir}")
         ds = load_federated_csv(csv_dir)
-    elif source == "synthetic":
-        ds = generate_synthetic(_synthetic_spec(cfg, seed))
     else:
-        raise ConfigError(f"dataset.source: must be csv or synthetic, got {source!r}")
-    if scale and _standardized(cfg):
+        ds = generate_synthetic(_synthetic_spec(cfg, seed))
+    if scale and _get(cfg, "dataset", "standardize"):
         ds, _ = standardize(ds)
     return ds
 
 
 def build_model(cfg):
-    kind = _get_str(cfg, "model", "kind", "mean_regularized")
+    """The ``[model] kind`` coupling, built from the settings named after its
+    fields."""
+    model = MODELS[_get(cfg, "model", "kind")]
     with _settings("model"):
-        if kind == "mean_regularized":
-            return MeanRegularized(
-                lambda1=_get_float(cfg, "model", "lambda1", 1.0),
-                lambda2=_get_float(cfg, "model", "lambda2", 1.0),
-            )
-        if kind == "probabilistic":
-            return ProbabilisticPrior(
-                lam=_get_float(cfg, "model", "lam", 1.0),
-                sigma2_prior=_get_float(cfg, "model", "sigma2_prior", 1.0),
-                ridge_eps=_get_float(cfg, "model", "ridge_eps", 1e-6),
-            )
-    raise ConfigError(f"model.kind: unknown coupling model {kind!r}")
+        return model(**{f.name: _get(cfg, "model", f.name) for f in fields(model)})
 
 
 def build_preset(cfg, name: str | None = None) -> NetworkPreset:
     """The network preset ``name``, by default ``[network] preset``; ``custom``
     takes its latency and bandwidth from ``[network]``."""
     if name is None:
-        name = _get_str(cfg, "network", "preset", "wifi")
-    name = name.lower()
+        name = _get(cfg, "network", "preset")
     if name == "custom":
         with _settings("network"):
-            return NetworkPreset(
-                "custom",
-                _get_float(cfg, "network", "latency_ms", required=True),
-                _get_float(cfg, "network", "bandwidth", required=True),
-            )
-    if name not in PRESETS:
-        raise ConfigError(f"unknown network preset {name!r}")
+            return NetworkPreset("custom", _get(cfg, "network", "latency_ms"),
+                                 _get(cfg, "network", "bandwidth"))
     return PRESETS[name]
 
 
@@ -228,17 +260,17 @@ def build_heterogeneity(cfg, n_min: int, mode: str | None = None) -> Heterogenei
     """The budget policy ``mode``, by default ``[systems] heterogeneity``,
     with ``[systems] fixed_k``."""
     if mode is None:
-        mode = _get_str(cfg, "systems", "heterogeneity", "none")
+        mode = _get(cfg, "systems", "heterogeneity")
     with _settings("systems"):
-        return HeterogeneityPolicy(mode, n_min, _get_int(cfg, "systems", "fixed_k", None))
+        return HeterogeneityPolicy(mode, n_min, _get(cfg, "systems", "fixed_k"))
 
 
 def build_profiles(cfg, m: int, drop_probabilities=None) -> list[NodeProfile]:
     """One profile per node at ``[systems] clock_rate``; node t drops with
     ``drop_probabilities[t]``, by default ``[systems] drop_probability``."""
-    clock = _get_float(cfg, "systems", "clock_rate", 1e6)
+    clock = _get(cfg, "systems", "clock_rate")
     if drop_probabilities is None:
-        drop_probabilities = [_get_float(cfg, "systems", "drop_probability", 0.0)] * m
+        drop_probabilities = [_get(cfg, "systems", "drop_probability")] * m
     with _settings("systems"):
         return [NodeProfile(clock_rate=clock, drop_probability=p)
                 for p in drop_probabilities]
@@ -246,14 +278,8 @@ def build_profiles(cfg, m: int, drop_probabilities=None) -> list[NodeProfile]:
 
 def build_solver_config(cfg, seed: int) -> SolverConfig:
     with _settings("solver"):
-        return SolverConfig(
-            gamma=_get_float(cfg, "solver", "gamma", 1.0),
-            sigma_prime_mode=_get_str(cfg, "solver", "sigma_prime_mode", "global"),
-            inner_rounds=_get_int(cfg, "solver", "inner_rounds", 100),
-            outer_rounds=_get_int(cfg, "solver", "outer_rounds", 1),
-            gap_tol=_get_float(cfg, "solver", "gap_tol", None),
-            seed=seed,
-        )
+        return SolverConfig(**{key: _get(cfg, "solver", key) for key in SETTINGS["solver"]},
+                            seed=seed)
 
 
 def method_params(cfg) -> dict:
@@ -261,20 +287,17 @@ def method_params(cfg) -> dict:
     range-checked whichever method runs; each key, its type and its default
     come from ``baselines.METHOD_DEFAULTS``."""
     with _settings("method"):
-        params = {
-            key: _get(cfg, "method", key,
-                      str.strip if isinstance(default, str) else type(default), default)
-            for key, default in baselines.METHOD_DEFAULTS.items()
-        }
+        params = {key: _get(cfg, "method", key) for key in baselines.METHOD_DEFAULTS}
         baselines.check_method_params(params)
     return params
 
 
 def _seed(cfg, args) -> int:
-    name, seed = (("--seed", args.seed) if args.seed is not None
-                  else ("run.seed", _get_int(cfg, "run", "seed", 0)))
-    _require(seed >= 0, name, "must be >= 0", seed)
-    return seed
+    if args.seed is None:
+        return _get(cfg, "run", "seed")
+    test, text = SETTINGS["run"]["seed"][2]
+    _require(test(args.seed), "--seed", text, args.seed)
+    return args.seed
 
 
 def _load(args, scale: bool = True):
@@ -282,19 +305,12 @@ def _load(args, scale: bool = True):
     and the dataset."""
     cfg = load_config(args.config)
     seed = _seed(cfg, args)
-    kind = parse_loss(_get_str(cfg, "method", "loss", "hinge"))
-    return cfg, seed, kind, build_dataset(cfg, seed, scale)
-
-
-def _require(ok: bool, name: str, rule: str, value) -> None:
-    if not ok:
-        raise ConfigError(f"{name}: {rule}, got {value!r}")
+    return cfg, seed, _get(cfg, "method", "loss"), build_dataset(cfg, seed, scale)
 
 
 def _distinct(name: str, keys: list) -> None:
-    """Each entry of a list setting names one run or output file: refuse an
-    empty list and a repeated entry."""
-    _require(len(keys) > 0, name, "needs at least one entry", keys)
+    """Each entry of a list setting names one run or output file: refuse a
+    repeated entry."""
     repeated = sorted({key for key in keys if keys.count(key) > 1})
     _require(not repeated, name, f"repeats {', '.join(repeated)}", keys)
 
@@ -317,7 +333,10 @@ def _write_summary(outdir, summary: dict) -> None:
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(cfg, args)
-    outdir = args.out or _get_str(cfg, "output", "dir", required=True)
+    # Task files go nowhere by default.
+    if args.out is None and not cfg.has_option("output", "dir"):
+        raise ConfigError("output.dir: required setting missing")
+    outdir = args.out or _get(cfg, "output", "dir")
     ds = generate_synthetic(_synthetic_spec(cfg, seed))
     try:
         save_federated_csv(ds, outdir)
@@ -332,8 +351,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, seed, kind, ds = _load(args)
-    outdir = args.out or _get_str(cfg, "output", "dir", "out")
-    method = _get_str(cfg, "method", "name", required=True)
+    outdir = args.out or _get(cfg, "output", "dir")
+    method = _get(cfg, "method", "name")
     params = method_params(cfg)
 
     # Each branch reads all of its settings before the config is echoed.
@@ -341,15 +360,13 @@ def cmd_train(args) -> int:
     elapsed = None
     trace = []
     if method in ("local", "global"):
-        lam = _get_float(cfg, "method", "lambda", required=True)
-        max_epochs = _get_int(cfg, "method", "max_epochs", 20000)
-        _require(lam > 0.0, "method.lambda", "must be > 0", lam)
-        _require(max_epochs >= 1, "method.max_epochs", "must be >= 1", max_epochs)
+        lam = _get(cfg, "method", "lambda")
+        max_epochs = _get(cfg, "method", "max_epochs")
         trainer = baselines.train_local if method == "local" else baselines.train_global
         _echo_config(args.config, outdir)
         primal = trainer(ds, lam, kind, max_epochs=max_epochs, seed=seed)
         final_gap = final_dual = final_primal = None
-    elif method in ROUND_METHODS:
+    else:
         model = build_model(cfg)
         solver_config = build_solver_config(cfg, seed)
         preset = build_preset(cfg)
@@ -366,8 +383,6 @@ def cmd_train(args) -> int:
         final_dual = last.dual if last else None
         final_primal = last.primal if last else None
         elapsed = last.elapsed_ms_estimated if last else None
-    else:
-        raise ConfigError(f"method.name: unknown method {method!r}")
 
     write_trace_jsonl(os.path.join(outdir, "trace.jsonl"), trace)
     write_trace_csv(os.path.join(outdir, "trace.csv"), trace)
@@ -391,17 +406,16 @@ def cmd_train(args) -> int:
 
 
 def _compare_trainers(cfg, kind: LossKind, seed: int):
-    names = _get_list(cfg, "compare", "methods", str, ["global", "local", "mtl"])
+    names = _get_list(cfg, "compare", "methods")
     _distinct("compare.methods", names)
-    max_epochs = _get_int(cfg, "compare", "max_epochs", 20000)
-    _require(max_epochs >= 1, "compare.max_epochs", "must be >= 1", max_epochs)
+    max_epochs = _get(cfg, "compare", "max_epochs")
     trainers = {}
     for name in names:
         if name == "global":
             trainers[name] = baselines.global_trainer(kind, max_epochs=max_epochs)
         elif name == "local":
             trainers[name] = baselines.local_trainer(kind, max_epochs=max_epochs)
-        elif name == "mtl":
+        else:
             # The coupling train runs; each grid lambda takes the place of its weights.
             model = build_model(cfg)
             if isinstance(model, ProbabilisticPrior):
@@ -412,15 +426,13 @@ def _compare_trainers(cfg, kind: LossKind, seed: int):
             with _settings("compare"):
                 config = replace(
                     build_solver_config(cfg, seed),
-                    inner_rounds=_get_int(cfg, "compare", "mtl_inner_rounds", 40),
-                    outer_rounds=_get_int(cfg, "compare", "mtl_outer_rounds", 3),
-                    gap_tol=_get_float(cfg, "compare", "mtl_gap_tol", 1e-4),
+                    inner_rounds=_get(cfg, "compare", "mtl_inner_rounds"),
+                    outer_rounds=_get(cfg, "compare", "mtl_outer_rounds"),
+                    gap_tol=_get(cfg, "compare", "mtl_gap_tol"),
                 )
                 trainers[name] = baselines.mocha_trainer(
                     factory, config, kind=kind,
-                    budget_epochs=_get_int(cfg, "compare", "mtl_budget_epochs", 1))
-        else:
-            raise ConfigError(f"compare.methods: unknown method {name!r}")
+                    budget_epochs=_get(cfg, "compare", "mtl_budget_epochs"))
     return trainers
 
 
@@ -428,20 +440,12 @@ def cmd_compare(args) -> int:
     # Fit on each shuffle's training split, so that no test example shapes
     # the scaling.
     cfg, seed, kind, ds = _load(args, scale=False)
-    outdir = args.out or _get_str(cfg, "output", "dir", "out")
-    grid = _get_list(cfg, "compare", "lambda_grid", float,
-                     list(baselines.DEFAULT_LAMBDA_GRID))
+    outdir = args.out or _get(cfg, "output", "dir")
+    grid = _get_list(cfg, "compare", "lambda_grid")
     trainers = _compare_trainers(cfg, kind, seed)
-    shuffles = _get_int(cfg, "compare", "shuffles", 10)
-    k_folds = _get_int(cfg, "compare", "k_folds", 5)
-    train_fraction = _get_float(cfg, "compare", "train_fraction", 0.75)
-    if not grid:
-        raise ConfigError("compare.lambda_grid: needs at least one value")
-    _require(min(grid) > 0.0, "compare.lambda_grid", "needs every value > 0", grid)
-    _require(shuffles >= 1, "compare.shuffles", "must be >= 1", shuffles)
-    _require(k_folds >= 2, "compare.k_folds", "must be >= 2", k_folds)
-    _require(0.0 < train_fraction < 1.0, "compare.train_fraction",
-             "must be in (0, 1)", train_fraction)
+    shuffles = _get(cfg, "compare", "shuffles")
+    k_folds = _get(cfg, "compare", "k_folds")
+    train_fraction = _get(cfg, "compare", "train_fraction")
     # Every shuffle's training split has these sizes; model_select needs a
     # held-out example in every fold.
     largest = max(train_test_split(ds, train_fraction, seed)[0].task_sizes())
@@ -449,7 +453,7 @@ def cmd_compare(args) -> int:
              f"must be at most the largest training split, {largest} examples", k_folds)
     rows = baselines.compare_models(
         ds, trainers, grid, shuffles=shuffles, seed=seed, k_folds=k_folds,
-        train_fraction=train_fraction, scaled=_standardized(cfg),
+        train_fraction=train_fraction, scaled=_get(cfg, "dataset", "standardize"),
     )
     _echo_config(args.config, outdir)
     with open(os.path.join(outdir, "compare.csv"), "w", encoding="ascii") as fh:
@@ -484,16 +488,13 @@ def _reference_primal_floor(ds, kind, model, seed, rounds=3000) -> float:
 
 def cmd_bench(args) -> int:
     cfg, seed, kind, ds = _load(args)
-    outdir = args.out or _get_str(cfg, "output", "dir", "out")
+    outdir = args.out or _get(cfg, "output", "dir")
     model = build_model(cfg)
-    methods = _get_list(cfg, "bench", "methods", str, list(ROUND_METHODS))
-    presets = _get_list(cfg, "bench", "presets", str, ["wifi", "lte", "3g"])
-    het_modes = _get_list(cfg, "bench", "heterogeneity", str, ["none", "low", "high"])
-    rounds = _get_int(cfg, "bench", "rounds", 200)
-    _require(rounds >= 1, "bench.rounds", "must be >= 1", rounds)
-    target_rel = _get_float(cfg, "bench", "target_suboptimality", 1e-2)
-    _require(0.0 < target_rel < 1.0, "bench.target_suboptimality",
-             "must be in (0, 1)", target_rel)
+    methods = _get_list(cfg, "bench", "methods")
+    presets = _get_list(cfg, "bench", "presets")
+    het_modes = _get_list(cfg, "bench", "heterogeneity")
+    rounds = _get(cfg, "bench", "rounds")
+    target_rel = _get(cfg, "bench", "target_suboptimality")
     profiles = build_profiles(cfg, ds.m)
     # No gap target: every cell runs the full round count.  One outer
     # iteration, so MOCHA keeps the initial coupling that the floor and the
@@ -501,12 +502,9 @@ def cmd_bench(args) -> int:
     config = replace(build_solver_config(cfg, seed), inner_rounds=rounds, outer_rounds=1,
                      gap_tol=None)
     _distinct("bench.methods", methods)
-    _distinct("bench.presets", [name.lower() for name in presets])
+    _distinct("bench.presets", presets)
     _distinct("bench.heterogeneity", het_modes)
     presets = [build_preset(cfg, name) for name in presets]
-    for method in methods:
-        if method not in ROUND_METHODS:
-            raise ConfigError(f"bench.methods: unknown method {method!r}")
     params = method_params(cfg)
     hets = [build_heterogeneity(cfg, min(ds.task_sizes()), mode) for mode in het_modes]
 
@@ -550,16 +548,13 @@ def cmd_bench(args) -> int:
 
 def cmd_fault(args) -> int:
     cfg, seed, kind, ds = _load(args)
-    outdir = args.out or _get_str(cfg, "output", "dir", "out")
+    outdir = args.out or _get(cfg, "output", "dir")
     model = build_model(cfg)
-    probabilities = _get_list(
-        cfg, "fault", "probabilities", float, [round(0.1 * i, 1) for i in range(10)]
-    )
-    rounds = _get_int(cfg, "fault", "rounds", 500)
-    _require(rounds >= 1, "fault.rounds", "must be >= 1", rounds)
-    gap_tol = _get_float(cfg, "fault", "gap_tol", 1e-4)
+    probabilities = _get_list(cfg, "fault", "probabilities")
+    rounds = _get(cfg, "fault", "rounds")
+    gap_tol = _get(cfg, "fault", "gap_tol")
     # One node that never reports, everyone else reliable.
-    permanent = _get_int(cfg, "fault", "permanent_node", 0)
+    permanent = _get(cfg, "fault", "permanent_node")
     _require(0 <= permanent < ds.m, "fault.permanent_node",
              f"must be in [0, {ds.m})", permanent)
     het = HeterogeneityPolicy("none", min(ds.task_sizes()))
@@ -593,14 +588,12 @@ def cmd_theory(args) -> int:
     cfg, seed, kind, ds = _load(args)
     model = build_model(cfg)
     gamma = build_solver_config(cfg, seed).gamma
-    eps = _get_float(cfg, "theory", "eps", 1e-3)
-    _require(eps > 0.0, "theory.eps", "must be > 0", eps)
-    p_max = _get_float(cfg, "theory", "p_max", 0.0)
-    theta_max = _get_float(cfg, "theory", "theta_max", 0.0)
+    eps = _get(cfg, "theory", "eps")
+    p_max = _get(cfg, "theory", "p_max")
+    theta_max = _get(cfg, "theory", "theta_max")
     with _settings("theory"):
         tbar = theory_mod.theta_bar(p_max, theta_max)
-    gap0 = _get_float(cfg, "theory", "initial_gap_bound", None)
-    _require(gap0 is None or gap0 > 0.0, "theory.initial_gap_bound", "must be > 0", gap0)
+    gap0 = _get(cfg, "theory", "initial_gap_bound")
     rel = build_relationship(model, initial_omega(model, ds.m), gamma)
     stats = theory_mod.sigma_stats(ds, rel.mbar)
     consts = loss_constants(kind)

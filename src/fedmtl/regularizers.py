@@ -172,7 +172,7 @@ def update_omega(model: OmegaModel, W: np.ndarray,
 class RelationshipState:
     """Coupling snapshot the solver runs against: Omega, the precision
     Q = Mbar^{-1} of the penalty, Mbar itself, the spectral sigma' and each
-    task's local quadratic coefficient kappa_t = sigma'_t * Mbar_tt / 2 (see
+    task's local quadratic coefficient kappa_t = sigma' * Mbar_tt / 2 (see
     ``build_relationship``).
 
     Immutable between central coupling updates; rebuilt (and every derived
@@ -196,21 +196,17 @@ def _spectral(V: np.ndarray, f_values: np.ndarray, f_rest: float) -> np.ndarray:
 
 
 def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
-                       sigma_prime_mode: str = "global",
                        eigenpairs: Eigenpairs | None = None) -> RelationshipState:
     """The state for this Omega: the precision Q of the model's penalty,
     Mbar = Q^{-1}, the spectral ``sigma_prime`` and kappa_t = sigma' *
-    Mbar_tt / 2, with task t's own row-sum sigma'_t under ``per_task``.  The
-    1/2 is the Hessian Mbar / 2 of R*, so kappa is exact for m = 1.
+    Mbar_tt / 2.  The 1/2 is the Hessian Mbar / 2 of R*, so kappa is exact
+    for m = 1.
 
     Q and Mbar come from Omega's ``eigenpairs`` (as ``update_omega`` and
     ``initial_eigenpairs`` give them), or from one ``eigh`` of Omega when
-    they are not given.  An unknown
-    mode, a non-finite Omega or a kappa_t that is not finite and > 0 raises
-    ValueError; a ridged Omega or a Q that is not positive definite raises
+    they are not given.  A non-finite Omega or a kappa_t that is not finite
+    and > 0 raises ValueError; a ridged Omega or a Q that is not positive definite raises
     LinAlgError naming its smallest eigenvalue."""
-    if sigma_prime_mode not in ("global", "per_task"):
-        raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega must be finite")
     m = omega.shape[0]
@@ -242,8 +238,7 @@ def build_relationship(model: OmegaModel, omega: np.ndarray, gamma: float = 1.0,
     precision = _spectral(vectors, q[:r], q[-1])
     mbar = _spectral(vectors, 1.0 / q[:r], 1.0 / q[-1])
     sp = sigma_prime(mbar, gamma)
-    task_sp = sp if sigma_prime_mode == "global" else sigma_prime_per_task(mbar, gamma)
-    kappa = 0.5 * task_sp * np.diag(mbar)
+    kappa = 0.5 * sp * np.diag(mbar)
     if not np.all((kappa > 0.0) & (kappa < np.inf)):
         raise ValueError(f"gamma = {gamma!r} gives a kappa_t that is not finite and > 0 "
                          f"(kappa in [{kappa.min():.3g}, {kappa.max():.3g}])")

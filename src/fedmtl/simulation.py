@@ -168,8 +168,8 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
                  heterogeneity: HeterogeneityPolicy, profiles=None,
                  method_params: dict | None = None) -> RunResult:
     """Run a method under a systems environment and annotate its trace with
-    estimated time.  Every method takes its seed, round count, gap target,
-    gamma and sigma' mode from ``config``; MOCHA runs the whole config, while
+    estimated time.  Every method takes its seed, round count, gap target
+    and gamma from ``config``; MOCHA runs the whole config, while
     the baselines run against the initial coupling.  The mini-batch methods'
     budgets are their batch under ``none`` heterogeneity, and every method
     but CoCoA drops nodes as ``profiles`` say.  ``method_params`` overrides
@@ -188,7 +188,7 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
 
     # The fixed coupling the baselines run against.
     rel = None if method == "mocha" else build_relationship(
-        model, initial_omega(model, ds.m), config.gamma, config.sigma_prime_mode)
+        model, initial_omega(model, ds.m), config.gamma)
     if method == "mocha":
         result = run_mocha(ds, model, config, policy, kind)
     elif method == "cocoa":

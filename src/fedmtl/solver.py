@@ -134,7 +134,6 @@ def init_dual_state(ds: FederatedDataset) -> DualState:
 @dataclass
 class SolverConfig:
     gamma: float = 1.0
-    sigma_prime_mode: str = "global"     # "global" | "per_task"
     inner_rounds: int = 50               # federated rounds per outer iteration
     outer_rounds: int = 1
     gap_tol: float | None = None
@@ -147,8 +146,6 @@ class SolverConfig:
         check_gamma(self.gamma)
         if self.gap_tol is not None and not 0.0 <= self.gap_tol < np.inf:
             raise ValueError(f"gap_tol must be None or finite and >= 0, got {self.gap_tol!r}")
-        if self.sigma_prime_mode not in ("global", "per_task"):
-            raise ValueError("sigma_prime_mode must be 'global' or 'per_task'")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
@@ -292,7 +289,7 @@ def _step_function(kind: LossKind):
     """Exact single-coordinate step ``step(alpha_i, y_i, score_i, x_norm2,
     kappa)`` for the loss: the minimizer of the local subproblem restricted
     to coordinate i.  ``score_i`` is w_t . x_i plus kappa times x_i . u, and
-    ``kappa`` > 0 the node's sigma'_t * Mbar_tt / 2, its entry of
+    ``kappa`` > 0 the node's sigma' * Mbar_tt / 2, its entry of
     ``RelationshipState.kappa``.  The arguments are not checked."""
     return _hinge_delta if kind is LossKind.HINGE else _squared_delta
 
@@ -769,8 +766,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
     """Full alternating run: federated weight updates interleaved with central
     coupling updates, warm-starting the dual across outer iterations."""
     omega = initial_omega(model, ds.m)
-    rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode,
-                             initial_eigenpairs(model, ds.m))
+    rel = build_relationship(model, omega, config.gamma, initial_eigenpairs(model, ds.m))
     state = init_dual_state(ds)
     trace: list[RoundStats] = []
     h = 0
@@ -786,8 +782,7 @@ def run_mocha(ds: FederatedDataset, model: OmegaModel, config: SolverConfig,
         new_omega, eigenpairs = update_omega(model, W, omega)
         if new_omega is not omega:
             omega = new_omega
-            rel = build_relationship(model, omega, config.gamma, config.sigma_prime_mode,
-                                     eigenpairs)
+            rel = build_relationship(model, omega, config.gamma, eigenpairs)
     W = primal_from_dual(state.v, rel.mbar)
     return RunResult(trace, PrimalState(W), omega)
 

@@ -109,7 +109,8 @@ dir = {out}
     assert header == "h,elapsed_ms_estimated,dual,primal,gap,dropped,theta"
 
 
-def test_train_mocha_per_task_sigma_mode(tmp_path):
+def test_train_mocha_per_task_sigma_mode(tmp_path, capsys):
+    # The per-task sigma' mode is gone; a config that still sets it is refused.
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "train.ini", BASE_SYNTH + f"""
 [model]
@@ -127,9 +128,9 @@ outer_rounds = 2
 [output]
 dir = {out}
 """)
-    assert main(["train", "--config", cfg]) == 0
-    rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
-    assert len(rows) == 30 and rows[-1]["gap"] < rows[0]["gap"]
+    assert main(["train", "--config", cfg]) == 1
+    assert "unknown setting solver.sigma_prime_mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["cocoa", "mb_sdca"])
@@ -741,29 +742,82 @@ def test_every_float_setting_refuses_a_non_finite_value(tmp_path, capsys, comman
     assert not out.exists()
 
 
-def test_the_float_setting_table_is_complete(tmp_path, monkeypatch):
-    # A float setting that a command reads but the table above leaves out
-    # would go unswept.
+def _record_reads(monkeypatch) -> set:
+    """Every ``section.key`` that the CLI's two readers read from now on."""
     reads = set()
 
     def recording(get):
-        def wrapped(cfg, section, key, cast, *args, **kwargs):
-            if cast is float:
-                reads.add(f"{section}.{key}")
-            return get(cfg, section, key, cast, *args, **kwargs)
+        def wrapped(cfg, section, key):
+            reads.add(f"{section}.{key}")
+            return get(cfg, section, key)
         return wrapped
 
     monkeypatch.setattr(cli, "_get", recording(cli._get))
     monkeypatch.setattr(cli, "_get_list", recording(cli._get_list))
+    return reads
+
+
+def test_the_float_setting_table_is_complete(tmp_path, monkeypatch):
+    # A float setting that a command reads but the table above leaves out
+    # would go unswept.
+    all_reads = _record_reads(monkeypatch)
     runs = [(command, "", settings) for command, settings in FLOAT_SETTINGS.items()]
     for i, (command, overlay, settings) in enumerate(runs + FLOAT_BRANCHES):
-        reads.clear()
+        all_reads.clear()
         cfg = _sweep_config(tmp_path / f"run{i}.ini", overlay)
         assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 0
+        reads = {name for name in all_reads
+                 if cli.SETTINGS[name.split(".")[0]][name.split(".")[1]][0] is float}
         if overlay:
             assert set(settings) <= reads <= set(settings) | set(FLOAT_SETTINGS[command])
         else:
             assert reads == set(settings), command
+
+
+def test_every_setting_is_read_by_some_command(tmp_path, monkeypatch):
+    # A SETTINGS entry that no command reads on the sweep config or one of
+    # its overlays would be a dead key: a config could set it to no effect.
+    reads = _record_reads(monkeypatch)
+    data = tmp_path / "data"
+    runs = [(command, "", True) for command in FLOAT_SETTINGS]
+    runs += [(command, overlay, True) for command, overlay, _ in FLOAT_BRANCHES]
+    runs += [("generate", f"[output]\ndir = {data}", False),
+             ("train", f"[dataset]\nsource = csv\ncsv_dir = {data}", True)]
+    for i, (command, overlay, out) in enumerate(runs):
+        argv = [command, "--config", _sweep_config(tmp_path / f"run{i}.ini", overlay)]
+        assert main(argv + ["--out", str(tmp_path / f"out{i}")] * out) == 0, (command, overlay)
+    assert reads == {f"{section}.{key}" for section, keys in cli.SETTINGS.items()
+                     for key in keys}
+
+
+def _misspelled(name: str) -> str:
+    """``name`` with its middle character dropped; a one-letter name doubled."""
+    middle = len(name) // 2
+    return name[:middle] + name[middle + 1:] if len(name) > 1 else name * 2
+
+
+# (overlay on SWEEP_BASE, the names its error must give): each key of the
+# table and each section name misspelled, and the repro of a misspelled key
+# and section next to two keys that no command reads.
+TYPOS = [(f"[{section}]\n{_misspelled(key)} = 1", [f"{section}.{_misspelled(key)}"])
+         for section, keys in cli.SETTINGS.items() for key in keys]
+TYPOS += [(f"[{_misspelled(section)}]\n{next(iter(keys))} = 1", [f"[{_misspelled(section)}]"])
+          for section, keys in cli.SETTINGS.items()]
+TYPOS.append(("[solver]\ngama = 1e-3\nworkers = 4\nsigma_prime_mode = per_task\n"
+              "[sovler]\ngamma = 0.5",
+              ["solver.gama", "solver.workers", "solver.sigma_prime_mode", "[sovler]"]))
+
+
+@pytest.mark.parametrize("overlay, names", TYPOS,
+                         ids=[names[0] for _, names in TYPOS[:-1]] + ["repro"])
+def test_a_misspelled_section_or_key_exits_1_before_writing(tmp_path, capsys, overlay, names):
+    cfg = _sweep_config(tmp_path / "typo.ini", overlay)
+    out = tmp_path / "out"
+    for command in FLOAT_SETTINGS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("model, expected", [
@@ -801,7 +855,7 @@ def test_compare_runs_mtl_with_the_solver_settings(tmp_path, monkeypatch):
     run_mocha = solver.run_mocha
 
     def spy(ds, model, config, policy, kind):
-        calls.append((config.gamma, config.sigma_prime_mode, config.seed,
+        calls.append((config.gamma, config.seed,
                       config.inner_rounds, config.outer_rounds, config.gap_tol))
         return run_mocha(ds, model, config, policy, kind)
 
@@ -812,7 +866,6 @@ kind = probabilistic
 
 [solver]
 gamma = 0.5
-sigma_prime_mode = per_task
 inner_rounds = 7
 gap_tol = 0.5
 
@@ -830,7 +883,7 @@ dir = {tmp_path / "cmp"}
 """)
     assert main(["compare", "--config", cfg]) == 0
     # Two folds and the refit; the round counts and gap come from [compare].
-    assert len(calls) == 3 and set(calls) == {(0.5, "per_task", 5, 6, 2, 1e-3)}
+    assert len(calls) == 3 and set(calls) == {(0.5, 5, 6, 2, 1e-3)}
 
 
 def test_bench_command(tmp_path):
@@ -1043,7 +1096,7 @@ def test_bench_and_fault_refuse_empty_and_repeated_lists(tmp_path, capsys, comma
 loss = squared
 
 {setting}
-rounds = 3
+{"" if command == "compare" else "rounds = 3"}
 
 [output]
 dir = {out}

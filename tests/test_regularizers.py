@@ -320,7 +320,7 @@ def test_update_omega_output_properties():
         assert abs(np.trace(omega) - 1.0) <= 1e-10
 
 
-def inverse_path(model, omega, gamma, mode):
+def inverse_path(model, omega, gamma):
     """Q, Mbar and kappa by explicit inverses of the ridged Omega and of Q,
     the way the coupling was built before its eigenpairs were used."""
     m = len(omega)
@@ -333,8 +333,7 @@ def inverse_path(model, omega, gamma, mode):
     mbar = 0.5 * (mbar + mbar.T)
     root = np.sqrt(np.diag(mbar))
     spectral = gamma * np.linalg.eigvalsh(mbar / np.outer(root, root))[-1]
-    task = spectral if mode == "global" else gamma * np.abs(mbar).sum(axis=1) / np.diag(mbar)
-    return precision, mbar, 0.5 * task * np.diag(mbar)
+    return precision, mbar, 0.5 * spectral * np.diag(mbar)
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,11 +346,10 @@ def inverse_path(model, omega, gamma, mode):
     weights=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
     ridge_exp=st.floats(-8.0, -1.0),
     gamma=st.floats(0.05, 1.0),
-    mode=st.sampled_from(["global", "per_task"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_eigenpair_build_matches_the_inverse_path(m, d, omega_kind, mean_regularized, weights,
-                                                  ridge_exp, gamma, mode, seed):
+                                                  ridge_exp, gamma, seed):
     """Q Mbar = I, and Q, Mbar and kappa match the explicit inverses, within
     a bound scaled by the problem's condition number: cond(Q), and for the
     probabilistic model also cond(Omega + ridge_eps I), which both paths
@@ -366,9 +364,9 @@ def test_eigenpair_build_matches_the_inverse_path(m, d, omega_kind, mean_regular
     else:
         W = rng.standard_normal((d, m)) if d else np.zeros((1, m))
         omega, handed = update_omega(ProbabilisticPrior(lam=1.0), W, np.eye(m) / m)
-    want_q, want_mbar, want_kappa = inverse_path(model, omega, gamma, mode)
+    want_q, want_mbar, want_kappa = inverse_path(model, omega, gamma)
     for eigenpairs in (handed, None):
-        rel = build_relationship(model, omega, gamma, mode, eigenpairs)
+        rel = build_relationship(model, omega, gamma, eigenpairs)
         cond = np.linalg.cond(rel.precision)
         if not mean_regularized:
             cond = max(cond, np.linalg.cond(omega + model.ridge_eps * np.eye(m)))
@@ -394,8 +392,8 @@ def test_learned_omega_stable_under_ulp_perturbation():
 
 
 def test_kappa_keeps_its_formula():
-    # kappa_t = sigma' * Mbar_tt / 2, with task t's own sigma'_t under
-    # per_task, for fixed and learned Omega under both models.
+    # kappa_t = sigma' * Mbar_tt / 2 for fixed and learned Omega under both
+    # models.
     rng = np.random.default_rng(8)
     learner = ProbabilisticPrior(lam=0.5)
     for m in (1, 2, 5):
@@ -403,17 +401,10 @@ def test_kappa_keeps_its_formula():
         for model in (MeanRegularized(1.0, 0.5), learner):
             for omega in (initial_omega(model, m), learned):
                 for gamma in (1.0, 0.7):
-                    for mode in ("global", "per_task"):
-                        rel = build_relationship(model, omega, gamma, mode)
-                        diag = np.diag(rel.mbar)
-                        if mode == "per_task":
-                            want = 0.5 * sigma_prime_per_task(rel.mbar, gamma) * diag
-                        else:
-                            want = 0.5 * sigma_prime(rel.mbar, gamma) * diag
-                        assert rel.kappa.shape == (m,) and (rel.kappa == want).all()
-                        assert rel.sigma_prime == sigma_prime(rel.mbar, gamma)
-    with pytest.raises(ValueError, match="sigma_prime_mode"):
-        build_relationship(learner, np.eye(2) / 2, 1.0, "bogus")
+                    rel = build_relationship(model, omega, gamma)
+                    want = 0.5 * sigma_prime(rel.mbar, gamma) * np.diag(rel.mbar)
+                    assert rel.kappa.shape == (m,) and (rel.kappa == want).all()
+                    assert rel.sigma_prime == sigma_prime(rel.mbar, gamma)
 
 
 def test_build_relationship_checks_trace():

@@ -57,9 +57,9 @@ HINGE = LossKind.HINGE
 SQUARED = LossKind.SQUARED
 
 
-def mean_reg_setup(ds, lambda1=1.0, lambda2=1.0, gamma=1.0, mode="global"):
+def mean_reg_setup(ds, lambda1=1.0, lambda2=1.0, gamma=1.0):
     model = MeanRegularized(lambda1, lambda2)
-    return build_relationship(model, initial_omega(model, ds.m), gamma, mode)
+    return build_relationship(model, initial_omega(model, ds.m), gamma)
 
 
 class DropPolicy:
@@ -564,21 +564,6 @@ def test_run_mocha_learns_cluster_structure():
         for b in range(a + 1, 6):
             (same if a % 2 == b % 2 else cross).append(omega[a, b])
     assert np.mean(same) > np.mean(cross)
-
-
-def test_per_task_sigma_mode_runs_and_decreases(rng):
-    ds = make_dataset(rng, m=3, d=4, n_lo=8, n_hi=10)
-    # A learned coupling: its M-bar rows differ in row-sum to diagonal ratio,
-    # so the two modes give different kappas (mean_reg_omega's rows do not).
-    model = ProbabilisticPrior(lam=0.5)
-    omega, _ = update_omega(model, rng.standard_normal((ds.d, ds.m)), initial_omega(model, ds.m))
-    rel = build_relationship(model, omega, 1.0, "per_task")
-    assert not np.allclose(rel.kappa, build_relationship(model, omega, 1.0, "global").kappa)
-    state = init_dual_state(ds)
-    trace = run_w_update(ds, HINGE, rel, state, ConstantPolicy(20),
-                         rounds=20, seed=7)
-    assert trace[-1].gap < trace[0].gap
-    assert verify_lemma_decrease(trace, 1.0).passed
 
 
 # ---------------------------------------------------------------------------

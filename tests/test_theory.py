@@ -193,31 +193,15 @@ def test_verify_sigma_prime_crafted_failure():
     assert rhs[0] / lhs[0] == pytest.approx(bad.worst_ratio, rel=1e-12)
 
 
-def test_verify_sigma_prime_takes_per_task_kappa_on_a_learned_omega():
-    ds = make_dataset(np.random.default_rng(5), m=4, d=3, n_lo=5, n_hi=9)
-    model = ProbabilisticPrior(lam=0.5)
-    omega = run_mocha(ds, model, SolverConfig(inner_rounds=5, outer_rounds=2, seed=5),
-                      ConstantPolicy(5), LossKind.SQUARED).omega
-    assert not np.array_equal(omega, initial_omega(model, ds.m))
-    for gamma in (1.0, 0.6):
-        rel = build_relationship(model, omega, gamma, "per_task")
-        # The modes differ on this coupling, so the global check does not cover it.
-        assert not np.allclose(rel.kappa, build_relationship(model, omega, gamma).kappa)
-        res = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
-        assert res.passed
-        assert res.worst_ratio <= 1.0 + 1e-9
-
-
-@pytest.mark.parametrize("mode", ["global", "per_task"])
 @pytest.mark.parametrize("gamma", [1.0, 0.7])
-def test_verify_sigma_prime_fails_just_below_kappa_where_the_bound_is_tight(mode, gamma):
+def test_verify_sigma_prime_fails_just_below_kappa_where_the_bound_is_tight(gamma):
     # Every entry of a mean-regularized Mbar is positive and its rows are
     # alike, so the two sides meet when every X_t alpha_t is the same u.
     X = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
     y = np.array([1.0, -1.0, 1.0])
     ds = FederatedDataset(tuple(TaskDataset(t, X, y) for t in range(3)))
     model = MeanRegularized(1.0, 0.5)
-    rel = build_relationship(model, initial_omega(model, ds.m), gamma, mode)
+    rel = build_relationship(model, initial_omega(model, ds.m), gamma)
     assert (rel.mbar > 0.0).all()
     ok = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
     assert ok.passed
@@ -252,20 +236,19 @@ def test_verify_sigma_prime_fails_below_kappa_where_sampled_duals_pass():
     m=st.integers(1, 8),
     mean_regularized=st.booleans(),
     learned=st.booleans(),
-    mode=st.sampled_from(["global", "per_task"]),
     # build_relationship refuses a subnormal gamma, which underflows kappa to 0.
     gamma=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_verify_sigma_prime_passes_kappa_and_is_tight_at_its_ratio(
-        m, mean_regularized, learned, mode, gamma, seed):
+        m, mean_regularized, learned, gamma, seed):
     rng = np.random.default_rng(seed)
     model = MeanRegularized(1.5, 0.8) if mean_regularized else ProbabilisticPrior(lam=0.7)
     omega = initial_omega(model, m)
     if learned:
         omega, _ = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((3, m)),
                                 np.eye(m) / m)
-    rel = build_relationship(model, omega, gamma, mode)
+    rel = build_relationship(model, omega, gamma)
     res = verify_sigma_prime_inequality(rel.mbar / 2, rel.kappa, gamma)
     assert res.passed
     r = res.worst_ratio
@@ -331,12 +314,11 @@ def test_verify_lemma_decrease_sees_half_the_safe_kappa(kind):
     kind=st.sampled_from(list(LossKind)),
     mean_regularized=st.booleans(),
     learned=st.booleans(),
-    mode=st.sampled_from(["global", "per_task"]),
     gamma=st.floats(0.05, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_subproblems_bound_the_true_dual_change(m, kind, mean_regularized, learned, mode,
-                                                gamma, seed):
+def test_subproblems_bound_the_true_dual_change(m, kind, mean_regularized, learned, gamma,
+                                                seed):
     """For any dual alpha and any step delta that keeps alpha + delta
     feasible, D(alpha + gamma delta) <= D(alpha) - gamma sum_t [G_t(0) -
     G_t(delta_t)]: the inequality the decrease lemma rests on, with
@@ -347,7 +329,7 @@ def test_subproblems_bound_the_true_dual_change(m, kind, mean_regularized, learn
     omega = initial_omega(model, m)
     if learned:
         omega, _ = update_omega(ProbabilisticPrior(lam=1.0), rng.standard_normal((2, m)), omega)
-    rel = build_relationship(model, omega, gamma, mode)
+    rel = build_relationship(model, omega, gamma)
     if kind is LossKind.HINGE:
         alpha = ds.labels * rng.uniform(0.0, 1.0, ds.n)
         delta = ds.labels * rng.uniform(0.0, 1.0, ds.n) - alpha
