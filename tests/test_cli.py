@@ -743,12 +743,12 @@ def test_every_float_setting_refuses_a_non_finite_value(tmp_path, capsys, comman
 
 
 def _record_reads(monkeypatch) -> set:
-    """Every ``section.key`` that the CLI's two readers read from now on."""
+    """Every (section, key) that the CLI's two readers read from now on."""
     reads = set()
 
     def recording(get):
         def wrapped(cfg, section, key):
-            reads.add(f"{section}.{key}")
+            reads.add((section, key))
             return get(cfg, section, key)
         return wrapped
 
@@ -766,8 +766,8 @@ def test_the_float_setting_table_is_complete(tmp_path, monkeypatch):
         all_reads.clear()
         cfg = _sweep_config(tmp_path / f"run{i}.ini", overlay)
         assert main([command, "--config", cfg, "--out", str(tmp_path / f"out{i}")]) == 0
-        reads = {name for name in all_reads
-                 if cli.SETTINGS[name.split(".")[0]][name.split(".")[1]][0] is float}
+        reads = {f"{section}.{key}" for section, key in all_reads
+                 if cli.SETTINGS[section][key][0] is float}
         if overlay:
             assert set(settings) <= reads <= set(settings) | set(FLOAT_SETTINGS[command])
         else:
@@ -779,15 +779,16 @@ def test_every_setting_is_read_by_some_command(tmp_path, monkeypatch):
     # its overlays would be a dead key: a config could set it to no effect.
     reads = _record_reads(monkeypatch)
     data = tmp_path / "data"
-    runs = [(command, "", True) for command in FLOAT_SETTINGS]
-    runs += [(command, overlay, True) for command, overlay, _ in FLOAT_BRANCHES]
-    runs += [("generate", f"[output]\ndir = {data}", False),
-             ("train", f"[dataset]\nsource = csv\ncsv_dir = {data}", True)]
-    for i, (command, overlay, out) in enumerate(runs):
+    runs = [(command, "") for command in FLOAT_SETTINGS]
+    runs += [(command, overlay) for command, overlay, _ in FLOAT_BRANCHES]
+    runs += [("generate", f"[output]\ndir = {data}"),
+             ("train", f"[dataset]\nsource = csv\ncsv_dir = {data}")]
+    for i, (command, overlay) in enumerate(runs):
         argv = [command, "--config", _sweep_config(tmp_path / f"run{i}.ini", overlay)]
-        assert main(argv + ["--out", str(tmp_path / f"out{i}")] * out) == 0, (command, overlay)
-    assert reads == {f"{section}.{key}" for section, keys in cli.SETTINGS.items()
-                     for key in keys}
+        if "[output]" not in overlay:
+            argv += ["--out", str(tmp_path / f"out{i}")]
+        assert main(argv) == 0, (command, overlay)
+    assert reads == {(section, key) for section, keys in cli.SETTINGS.items() for key in keys}
 
 
 def _misspelled(name: str) -> str:
