@@ -48,6 +48,7 @@ from .regularizers import (
     MeanRegularized,
     ProbabilisticPrior,
     build_relationship,
+    initial_eigenpairs,
     initial_omega,
     sigma_prime_per_task,
     write_matrix_csv,
@@ -594,7 +595,8 @@ def cmd_theory(args) -> int:
     with _settings("theory"):
         tbar = theory_mod.theta_bar(p_max, theta_max)
     gap0 = _get(cfg, "theory", "initial_gap_bound")
-    rel = build_relationship(model, initial_omega(model, ds.m), gamma)
+    rel = build_relationship(model, initial_omega(model, ds.m), gamma,
+                             initial_eigenpairs(model, ds.m))
     stats = theory_mod.sigma_stats(ds, rel.mbar)
     consts = loss_constants(kind)
     out = {

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import FederatedDataset
 from .losses import LossKind
-from .regularizers import OmegaModel, build_relationship, initial_omega
+from .regularizers import OmegaModel, build_relationship, initial_eigenpairs, initial_omega
 from .solver import (
     BUDGET_STREAM,
     DROP_STREAM,
@@ -188,7 +188,7 @@ def simulate_run(method: str, ds: FederatedDataset, config: SolverConfig, *,
 
     # The fixed coupling the baselines run against.
     rel = None if method == "mocha" else build_relationship(
-        model, initial_omega(model, ds.m), config.gamma)
+        model, initial_omega(model, ds.m), config.gamma, initial_eigenpairs(model, ds.m))
     if method == "mocha":
         result = run_mocha(ds, model, config, policy, kind)
     elif method == "cocoa":
