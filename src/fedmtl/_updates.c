@@ -80,8 +80,17 @@ static void run_updates(int hinge, double beta, int64_t d, int64_t count,
         if (beta != 0.0)
             step *= scale;
         if (step != 0.0) {
+            int64_t j = 0;
             delta[i] += step;
-            for (int64_t j = 0; j < d; j++)
+            /* Both entries of a pair are loaded before either is stored, so
+               the pair is written in one 16-byte store, which the next
+               step's vector loads of u can forward from. */
+            for (; j + 2 <= d; j += 2) {
+                double x0 = x[j], x1 = x[j + 1], u0 = u[j], u1 = u[j + 1];
+                u[j] = u0 + step * x0;
+                u[j + 1] = u1 + step * x1;
+            }
+            if (j < d)
                 u[j] += step * x[j];
         }
     }
