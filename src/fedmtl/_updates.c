@@ -9,10 +9,10 @@
    library is built without contraction into fused multiply-adds, so each
    operation rounds as written.
 
-   fedmtl_draw_integers and fedmtl_draw_random reproduce numpy's
-   np.random.default_rng streams bit for bit; fedmtl.solver.draw_integers
-   and draw_random call them and check them against numpy when the library
-   is loaded. */
+   fedmtl_draw_integers, fedmtl_draw_permutations and fedmtl_draw_random
+   reproduce numpy's np.random.default_rng streams bit for bit;
+   fedmtl.solver.draw_integers, draw_permutations and draw_random call them
+   and check them against numpy when the library is loaded. */
 
 #include <stdint.h>
 
@@ -278,6 +278,53 @@ void fedmtl_draw_integers(uint64_t seed, uint64_t tag, uint64_t round, int64_t m
             pcg64_seed(&g, seed, tag, t, round);
         for (int64_t j = 0; j < counts[t]; j++)
             *out++ = lo[t] + (range[t] ? (int64_t)bounded32(&g, (uint32_t)range[t]) : 0);
+    }
+}
+
+/* numpy's random_interval for max < 2**32: 32-bit draws under the smallest
+   mask of all ones that covers max, until one is at most max. */
+static uint32_t interval32(pcg64 *g, uint32_t max)
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = pcg64_next32(g) & mask) > max)
+        ;
+    return value;
+}
+
+/* For node t, 0 <= t < m, counts[t] indices in [0, sizes[t]) appended to
+   out: consecutive permutations of 0 .. sizes[t] - 1, each read from its
+   last entry to its first, cut to the count, as
+   default_rng([seed, tag, t, round]).permutation(n)[::-1] draws them.
+   numpy's shuffle fixes entry i = n - 1, ..., 1 by a swap with an entry
+   drawn from [0, i], so the first k entries read cost k draws, and the last
+   permutation stops where the count does.  work holds sizes[t] entries for
+   every node that draws; every size that draws is in [1, 2**32). */
+void fedmtl_draw_permutations(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
+                              const int64_t *sizes, const int64_t *counts,
+                              int64_t *work, int64_t *out)
+{
+    for (int64_t t = 0; t < m; t++) {
+        int64_t n = sizes[t], left = counts[t];
+        pcg64 g;
+        if (left > 0 && n > 0)
+            pcg64_seed(&g, seed, tag, t, round);
+        while (left > 0 && n > 0) {
+            for (int64_t i = 0; i < n; i++)
+                work[i] = i;
+            for (int64_t i = n - 1; i >= 0 && left > 0; i--, left--) {
+                if (i > 0) {
+                    int64_t j = interval32(&g, (uint32_t)i), kept = work[j];
+                    work[j] = work[i];
+                    work[i] = kept;
+                }
+                *out++ = work[i];
+            }
+        }
     }
 }
 

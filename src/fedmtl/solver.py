@@ -41,8 +41,12 @@ Determinism: a round is a pure function of the dual state, the coupling
 draws.  A caller names a round's randomness by (seed, tag, round) alone:
 node t's stream is ``stream(seed, tag, t, round)``.  A round's budgets, its
 drops and every responding node's coordinate indices are one call each of
-``draw_integers`` or ``draw_random``, which reproduce those numpy streams bit
-for bit natively and take numpy's path node by node where that cannot run.
+``draw_integers``, ``draw_random`` or ``draw_permutations``, which reproduce
+those numpy streams bit for bit natively and take numpy's path node by node
+where that cannot run.  Coordinates are sampled without replacement: a
+node's indices in a round walk random permutations of its examples, as
+SDCA over random permutations does (Shalev-Shwartz & Zhang,
+arXiv:1209.1873), and a budget of at most n_t visits distinct examples.
 Every node's steps are then one call of the native round kernel, on the
 calling thread: the sweep is memory-bound, so threads do not pay, and a
 round's simulated length comes from its update counts, not from the host.
@@ -301,30 +305,44 @@ _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # The native draws are used only if they give numpy's draws for these
 # streams: the seed takes two 32-bit entropy words, two nodes check the node's
 # place in the key, and the odd count leaves the high half of a 64-bit output
-# for the next integer.
-_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7)
+# for the next integer.  The permutations' count crosses into a second
+# permutation of the size.
+_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7, 5)
+
+
+def _permutations_py(g: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """``count`` indices from ``g``: consecutive permutations of 0 .. size - 1,
+    each read from its end, cut to the count."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        g.permutation(size)[::-1] for _ in range(-(-count // size)))])[:count]
 
 
 def _streams_match_numpy(lib) -> bool:
     """Whether ``lib``'s draws for ``_STREAM_CHECK`` equal numpy's."""
-    seed, tag, round_idx, lo, hi, count = _STREAM_CHECK
-    lows, widths, counts = (np.full(2, v, dtype=np.int64) for v in (lo, hi - lo, count))
-    ints, doubles = np.empty(2 * count, dtype=np.int64), np.empty(2)
+    seed, tag, round_idx, lo, hi, count, size = _STREAM_CHECK
+    lows, widths, counts, sizes = (np.full(2, v, dtype=np.int64)
+                                   for v in (lo, hi - lo, count, size))
+    ints, perms = np.empty(2 * count, dtype=np.int64), np.empty(2 * count, dtype=np.int64)
+    doubles, work = np.empty(2), np.empty(size, dtype=np.int64)
     lib.fedmtl_draw_integers(seed, tag, round_idx, 2, lows.ctypes.data, widths.ctypes.data,
                              counts.ctypes.data, ints.ctypes.data)
+    lib.fedmtl_draw_permutations(seed, tag, round_idx, 2, sizes.ctypes.data, counts.ctypes.data,
+                                 work.ctypes.data, perms.ctypes.data)
     lib.fedmtl_draw_random(seed, tag, round_idx, 2, doubles.ctypes.data)
     return bool(
         np.array_equal(ints, np.concatenate([
             stream(seed, tag, t, round_idx).integers(lo, hi, size=count, endpoint=True)
             for t in range(2)]))
+        and np.array_equal(perms, np.concatenate([
+            _permutations_py(stream(seed, tag, t, round_idx), size, count) for t in range(2)]))
         and doubles.tolist() == [stream(seed, tag, t, round_idx).random() for t in range(2)])
 
 
 @functools.cache
 def _load_kernel():
     """The compiled ``_updates.c``, with ``fedmtl_run_round``,
-    ``fedmtl_task_losses``, ``fedmtl_draw_integers`` and
-    ``fedmtl_draw_random`` declared, or None when there is no C compiler
+    ``fedmtl_task_losses``, ``fedmtl_draw_integers``,
+    ``fedmtl_draw_permutations`` and ``fedmtl_draw_random`` declared, or None when there is no C compiler
     or the build fails.  ``lib.numpy_streams`` is whether the draws matched
     numpy's when loaded; numpy does not promise that its streams stay the
     same across versions.
@@ -361,9 +379,10 @@ def _load_kernel():
     lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, *[ptr] * 11]
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
     lib.fedmtl_draw_integers.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
+    lib.fedmtl_draw_permutations.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
     lib.fedmtl_draw_random.argtypes = [u64, u64, u64, i64, ptr]
-    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses,
-                  lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
+    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
+                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_random):
         entry.restype = None
     lib.numpy_streams = _streams_match_numpy(lib)
     return lib
@@ -404,6 +423,38 @@ def draw_integers(seed: int, tag: int, round_idx: int, lo, hi, counts) -> np.nda
         return out
     return np.concatenate([np.empty(0, dtype=np.int64), *(
         stream(seed, tag, t, round_idx).integers(lo[t], hi[t], size=counts[t], endpoint=True)
+        for t in np.flatnonzero(counts))])
+
+
+def draw_permutations(seed: int, tag: int, round_idx: int, sizes, counts) -> np.ndarray:
+    """For each node t < m = len(counts), ``counts[t]`` indices in
+    ``[0, sizes[t])`` from its stream, concatenated in node order:
+    consecutive permutations of 0 .. sizes[t] - 1, each read from its end,
+    cut to the count.  That is exactly ``np.concatenate([g.permutation(n)
+    [::-1] for _ in range(ceil(b / n))])[:b]`` with ``g = stream(seed, tag,
+    t, round_idx)``, n = sizes[t] and b = counts[t], so b <= n indices are
+    distinct and cost b draws.
+
+    One native call, or node by node with numpy where that cannot run (see
+    ``_draw_kernel``), or where a drawing node's size is 2**32 or more.
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    sizes = np.ascontiguousarray(np.broadcast_to(np.asarray(sizes, dtype=np.int64),
+                                                 counts.shape))
+    if counts.min(initial=0) < 0:
+        raise ValueError("counts must be >= 0")
+    drawn = sizes[counts != 0]
+    if drawn.min(initial=1) < 1:
+        raise ValueError("a node that draws needs a size >= 1")
+    lib = _draw_kernel(seed, tag, round_idx)
+    if lib is not None and drawn.max(initial=0) < 2**32:
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        work = np.empty(drawn.max(initial=0), dtype=np.int64)
+        lib.fedmtl_draw_permutations(seed, tag, round_idx, len(counts), sizes.ctypes.data,
+                                     counts.ctypes.data, work.ctypes.data, out.ctypes.data)
+        return out
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        _permutations_py(stream(seed, tag, t, round_idx), sizes[t], counts[t])
         for t in np.flatnonzero(counts))])
 
 
@@ -522,11 +573,12 @@ def _task_losses_py(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.n
 def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
                   beta: float) -> RoundResult:
     """One ``_run_round`` call in ``beta``'s mode: node t takes its budget,
-    or 0 when it drops, of indices drawn uniformly from [0, n_t), with
-    replacement, from ``stream(seed, SOLVER_STREAM, t, round_idx)``."""
+    or 0 when it drops, of indices from ``draw_permutations`` under
+    ``SOLVER_STREAM``: consecutive random permutations of 0 .. n_t - 1, so
+    a budget of at most n_t visits distinct examples."""
     ds = view.ds
     counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
-    idx = draw_integers(seed, SOLVER_STREAM, round_idx, 0, np.diff(ds.offsets) - 1, counts)
+    idx = draw_permutations(seed, SOLVER_STREAM, round_idx, np.diff(ds.offsets), counts)
     delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
     _run_round(view, idx, counts, delta, U, beta)
     return RoundResult(delta, U.T, counts)
@@ -534,9 +586,9 @@ def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
 
 def solve_local(view: RoundView, budgets, drops, seed: int, round_idx: int) -> RoundResult:
     """MOCHA's local solves for one round: each responding node runs
-    ``budgets[t]`` randomized coordinate updates (uniform with replacement,
-    drawn from ``stream(seed, SOLVER_STREAM, t, round_idx)``) against the
-    snapshot.
+    ``budgets[t]`` randomized coordinate updates against the snapshot, at
+    indices that walk random permutations of its examples, drawn from
+    ``stream(seed, SOLVER_STREAM, t, round_idx)`` (see ``_budget_round``).
 
     A dropped node, or a budget of zero, does nothing.  No node's subproblem
     value increases.  delta_v is U^T from ``_run_round``: column t is the u
@@ -600,9 +652,10 @@ class FixedQualitySolver:
     Quality is measured against the exact subproblem optimum (affordable at
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
     from method comparisons.  The passes run in lockstep, one ``_run_round``
-    call per pass over the nodes still above the target; each node draws its
-    n_t indices per pass from its own ``stream(seed, SOLVER_STREAM, t,
-    round_idx)``, so its work and result do not depend on the other nodes.
+    call per pass over the nodes still above the target.  Each pass visits
+    every example of the node once, in the order of a permutation drawn from
+    its own ``stream(seed, SOLVER_STREAM, t, round_idx)``, so its work and
+    result do not depend on the other nodes.
     """
 
     theta_target: float
@@ -624,7 +677,7 @@ class FixedQualitySolver:
             if not active.any():
                 break
             passed = np.where(active, sizes, 0)
-            idx = np.concatenate([streams[t].integers(0, sizes[t], size=sizes[t])
+            idx = np.concatenate([streams[t].permutation(sizes[t])
                                   for t in np.flatnonzero(active)])
             _run_round(view, idx, passed, delta, U)
             counts += passed
@@ -641,11 +694,13 @@ class MiniBatchSolver:
     """Mini-batch SDCA's local solver: on each responding node, ``budget``
     coordinate steps, each taken independently against the frozen snapshot,
     summed and scaled by beta / budget: one ``_run_round`` call with this
-    beta.
+    beta.  The batch is drawn as ``_budget_round`` draws it, so a budget of
+    at most n_t is a subset of distinct coordinates.
 
     With beta = 1 the scaled sum is a convex combination, so hinge
-    feasibility is preserved; beta near the budget can overshoot when sampled
-    coordinates collide.
+    feasibility is preserved.  beta near the budget can overshoot where the
+    batch's examples are correlated, and a budget above n_t repeats
+    coordinates.
     """
 
     beta: float = 1.0

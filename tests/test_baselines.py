@@ -130,8 +130,10 @@ def test_mb_sdca_scaling_contract(rng):
     kappa = rel.kappa[0]
     # One task: kappa is the Hessian Mbar / 2 of R* exactly.
     assert kappa == pytest.approx(rel.mbar[0, 0] / 2, rel=1e-15)
+    # The batch is the first `batch` entries of a permutation read from its end.
     rng2 = np.random.default_rng([13, 11, 0, 0])
-    idx = rng2.integers(0, task.n, size=batch)
+    idx = rng2.permutation(task.n)[::-1][:batch]
+    assert len(set(idx.tolist())) == batch
     expected = np.zeros(task.n)
     for i in idx:
         x = task.features[:, i]

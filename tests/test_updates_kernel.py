@@ -34,6 +34,7 @@ from fedmtl.solver import (
     _task_losses,
     _task_losses_py,
     draw_integers,
+    draw_permutations,
     draw_random,
     init_dual_state,
     run_mocha,
@@ -51,6 +52,14 @@ def _updated(run, round_view, idx, beta=0.0):
     delta, U = np.zeros(round_view.ds.n), np.zeros((1, round_view.ds.d))
     run(round_view, idx, [len(idx)], delta, U, beta)
     return delta, U[0]
+
+
+def _permuted(g, n, count):
+    """The numpy reference of ``draw_permutations`` for one node: ``count``
+    indices from ``g``, consecutive permutations of 0 .. n - 1 each read
+    from its end."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        g.permutation(n)[::-1] for _ in range(-(-count // n)))])[:count]
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,8 +150,7 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal, b
         res = solve_local(view, budgets, drops, seed, 0)
         ends = np.cumsum(res.update_counts)
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            stream(seed, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n,
-                                                       size=res.update_counts[t])
+            _permuted(stream(seed, SOLVER_STREAM, t, 0), ds.tasks[t].n, res.update_counts[t])
             for t in range(m) if res.update_counts[t]])
         delta, U = np.zeros(ds.n), np.zeros((m, d))
         _run_round(view, idx, res.update_counts, delta, U, beta)
@@ -230,8 +238,8 @@ def test_kernel_builds_without_warnings(tmp_path):
 def test_kernel_loads_where_a_compiler_exists():
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
-    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses,
-                  lib.fedmtl_draw_integers, lib.fedmtl_draw_random):
+    for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
+                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_random):
         assert entry.argtypes and entry.restype is None
     # One node's steps are a static helper of the round kernel, not an export.
     assert not hasattr(lib, "fedmtl_run_updates")
@@ -281,6 +289,9 @@ for kind in LossKind:
     assert np.isfinite(_task_losses(W, ds, kind)).all()
 assert solver.draw_integers(3, 11, 2, 0, 2**32 - 2, [0, 7, 1]).size == 8
 assert solver.draw_random(3, 11, 2, 5).shape == (5,)
+# Counts above the sizes run through the work buffer more than once.
+assert solver.draw_permutations(3, 11, 2, [1, 5, 300, 2], [4, 0, 700, 2]).size == 706
+assert solver.draw_permutations(2**63 + 5, 11, 2, [7], [7]).size == 7
 view = RoundView(ds, LossKind.HINGE, np.zeros(ds.n), np.ones((ds.d, ds.m)), np.ones(ds.m))
 for counts, idx in (([3000000, -3000000, 0, 0], []), ([3, -3, 0, 0], []),
                     ([2**62] * 4, []), ([0, 3, 0], []), ([1, 0, 0, 0], [ds.tasks[0].n]),
@@ -445,7 +456,7 @@ def _dual_baseline_runs():
 
 def test_python_fallback_matches_reference(monkeypatch):
     round_view = random_view(np.random.default_rng(1), LossKind.HINGE, d=7, n=30)
-    idx = stream(3, SOLVER_STREAM, 0, 0).integers(0, 30, size=200)
+    idx = _permuted(stream(3, SOLVER_STREAM, 0, 0), 30, 200)
     ref_delta, ref_u = _updated(_run_round_py, round_view, idx)
     native_runs = _dual_baseline_runs()
 
@@ -522,7 +533,7 @@ def _native_calls(patch, lib):
     """The names of ``lib``'s draw entry points as they are called, in
     order; the entry points still run.  ``patch`` undoes the wrapping."""
     calls = []
-    for name in ("fedmtl_draw_integers", "fedmtl_draw_random"):
+    for name in ("fedmtl_draw_integers", "fedmtl_draw_permutations", "fedmtl_draw_random"):
         def wrapped(*args, _name=name, _entry=getattr(lib, name)):
             calls.append(_name)
             return _entry(*args)
@@ -592,16 +603,22 @@ def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
     assert calls == ["fedmtl_draw_integers"]
     # A round whose seed needs numpy draws each node's indices with numpy.
     ds = generate_synthetic(SyntheticSpec(m=4, d=3, n_min=5, n_max=9, seed=3))
-    counts = [4, 0, 7, 0]
-    idx = draw_integers(2**64 + 3, SOLVER_STREAM, 0, 0, np.diff(ds.offsets) - 1, counts)
+    counts = [4, 0, 17, 0]
+    idx = draw_permutations(2**64 + 3, SOLVER_STREAM, 0, np.diff(ds.offsets), counts)
     assert np.array_equal(idx, np.concatenate([
-        stream(2**64 + 3, SOLVER_STREAM, t, 0).integers(0, ds.tasks[t].n, size=counts[t])
+        _permuted(stream(2**64 + 3, SOLVER_STREAM, t, 0), ds.tasks[t].n, counts[t])
         for t in (0, 2)]))
+    # Negative counts, and a node that draws from no examples, are refused.
+    for sizes, counts in (([3, 4], [2, -1]), ([3, 0], [2, 1])):
+        with pytest.raises(ValueError):
+            draw_permutations(5, 11, 9, sizes, counts)
     # Without the kernel every draw is numpy's.
     monkeypatch.setattr(solver, "_load_kernel", lambda: None)
     assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 3, 4]),
                           _per_node(5, 9, 0, 9, [0, 3, 4]))
     assert draw_random(5, 11, 9, 3).tolist() == [stream(5, 11, t, 9).random() for t in range(3)]
+    assert np.array_equal(draw_permutations(5, 11, 9, [4, 9], [6, 2]), np.concatenate([
+        _permuted(stream(5, 11, t, 9), n, count) for t, (n, count) in enumerate([(4, 6), (9, 2)])]))
     assert calls == ["fedmtl_draw_integers"]
 
 
@@ -661,9 +678,104 @@ def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
         assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 4]), _per_node(5, 9, 0, 9, [0, 4]))
         assert draw_random(5, 11, 9, 2).tolist() == [stream(5, 11, t, 9).random()
                                                      for t in range(2)]
+        assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [0, 8]),
+                              _permuted(stream(5, 11, 1, 9), 6, 8))
         # Numpy's draws, with the native update kernel.
         _assert_same_runs(got, _dropping_runs())
         assert calls == []
     finally:
         solver._load_kernel.cache_clear()
     assert solver._load_kernel().numpy_streams is True
+
+
+class _OtherShuffle:
+    """A numpy stream whose permutations come out in another order, and
+    whose other draws are numpy's."""
+
+    def __init__(self, g):
+        self._g = g
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+    def permutation(self, n):
+        return np.roll(self._g.permutation(n), 1)
+
+
+@needs_cc
+def test_a_different_shuffle_alone_turns_the_native_draws_off(monkeypatch):
+    got = _dropping_runs()
+    try:
+        with monkeypatch.context() as patch:
+            # As if numpy's shuffle alone had changed.
+            patch.setattr(solver, "stream", lambda *key, _s=solver.stream: _OtherShuffle(_s(*key)))
+            solver._load_kernel.cache_clear()
+            lib = solver._load_kernel()
+        assert lib is not None and lib.numpy_streams is False
+        calls = _native_calls(monkeypatch, lib)
+        assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [4, 8]), np.concatenate([
+            _permuted(stream(5, 11, t, 9), n, count) for t, (n, count) in enumerate([(3, 4), (6, 8)])]))
+        _assert_same_runs(got, _dropping_runs())
+        assert calls == []
+    finally:
+        solver._load_kernel.cache_clear()
+    assert solver._load_kernel().numpy_streams is True
+
+
+# Task sizes down to 1, counts of 0 and above the size, which cross into
+# further permutations.
+_PERMUTED_NODES = st.lists(st.tuples(st.integers(1, 300), st.integers(0, 700)), max_size=5)
+# Seeds at and above 2**63, and small ones.
+_SEEDS = st.one_of(st.just(2**63), st.integers(2**63, 2**64 - 1), st.integers(0, 2**16))
+
+
+@needs_cc
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, tag=_WORD, round_idx=_WORD, nodes=_PERMUTED_NODES)
+@example(seed=2**63, tag=11, round_idx=0, nodes=[(1, 3), (5, 0), (5, 11), (2, 2)])
+def test_native_permutations_match_numpy(seed, tag, round_idx, nodes):
+    """Every node's indices from one native call equal numpy's reference:
+    consecutive permutations of its size from its stream, each read from
+    its end, cut to its count."""
+    sizes, counts = [n for n, _ in nodes], [count for _, count in nodes]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _native_calls(patch, solver._load_kernel())
+        got = draw_permutations(seed, tag, round_idx, sizes, counts)
+    assert calls == ["fedmtl_draw_permutations"]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.concatenate([np.empty(0, dtype=np.int64), *(
+        _permuted(stream(seed, tag, t, round_idx), n, count)
+        for t, (n, count) in enumerate(nodes))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes=st.lists(st.tuples(st.integers(1, 60), st.floats(0.0, 1.0), st.booleans()),
+                      min_size=1, max_size=5),
+       seed=st.integers(0, 2**64 - 1), round_idx=st.integers(0, 1000),
+       native=st.booleans())
+def test_a_budget_within_the_task_visits_distinct_examples(nodes, seed, round_idx, native):
+    """With b_t <= n_t, node t's indices in one round are distinct, on the
+    native and the numpy path, and a round steps at exactly those indices."""
+    rng = np.random.default_rng(round_idx)
+    ds = FederatedDataset(tuple(TaskDataset(t, rng.standard_normal((2, n)),
+                                            rng.choice([-1.0, 1.0], size=n))
+                                for t, (n, _, _) in enumerate(nodes)))
+    budgets = [int(share * n) for n, share, _ in nodes]
+    drops = [dropped for *_, dropped in nodes]
+    view = RoundView(ds, LossKind.SQUARED, np.zeros(ds.n), np.zeros((2, ds.m)), np.ones(ds.m))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        if not native:
+            patch.setattr(solver, "_load_kernel", lambda: None)
+        run_round = solver._run_round
+        patch.setattr(solver, "_run_round", lambda view, idx, counts, *rest: (
+            seen.append((idx, counts)), run_round(view, idx, counts, *rest)))
+        res = solve_local(view, budgets, drops, seed, round_idx)
+        (idx, counts), = seen
+        assert np.array_equal(idx, draw_permutations(seed, SOLVER_STREAM, round_idx,
+                                                     ds.task_sizes(), counts))
+    assert list(counts) == res.update_counts == [0 if drop else b
+                                                 for b, drop in zip(budgets, drops)]
+    for t, block in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
+        assert len(set(block.tolist())) == counts[t]
+        assert block.min(initial=0) >= 0 and block.max(initial=0) < ds.tasks[t].n
