@@ -96,7 +96,7 @@ _BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
 REQUIRED = object()
 
 # Every setting: SETTINGS[section][key] = (cast, default[, (test, rule)]); a list
-# setting casts and tests each entry.  Rules that involve other values, and the
+# setting, the ones whose default is a tuple, casts and tests each entry.  Rules that involve other values, and the
 # settings objects' own range checks, stay where the value is used.
 SETTINGS = {
     "run": {"seed": (int, 0, _at_least(0))},
@@ -145,8 +145,11 @@ SETTINGS = {
 
 
 def load_config(path) -> configparser.ConfigParser:
-    """The parsed config; a section or key that SETTINGS does not list is
-    refused, whichever command would run."""
+    """The parsed config, whichever command would run: a section or key that
+    SETTINGS does not list is refused, and every setting the file holds is
+    cast and held to its rule, whether or not the command's branch reads it.
+    A ``[network]`` latency or bandwidth is held to ``NetworkPreset``'s check
+    under any preset."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -160,6 +163,13 @@ def load_config(path) -> configparser.ConfigParser:
                 for key in cfg[section] if key not in known[section]]
     if unknown:
         raise ConfigError(f"{path}: unknown setting {', '.join(unknown)}")
+    given = {(section, key): _parse(cfg, section, key)
+             for section in cfg.sections() for key in cfg[section]}
+    # The table has no rule for these two; a value the file leaves out is
+    # stood in for by one that passes.
+    with _settings("network"):
+        NetworkPreset("custom", given.get(("network", "latency_ms"), 0.0),
+                      given.get(("network", "bandwidth"), 1.0))
     return cfg
 
 
@@ -188,28 +198,38 @@ def _cast(name: str, raw: str, cast, rules):
     return value
 
 
-def _get(cfg, section: str, key: str):
-    """The setting ``section.key``, cast and held to its rule as SETTINGS
-    says, or its default when the config leaves it out."""
+def _parse(cfg, section: str, key: str):
+    """The value the config gives ``section.key``, cast and held to its rule
+    as SETTINGS says; a list setting is comma-separated, each entry cast and
+    held to the rule, and may not be empty."""
     cast, default, *rules = SETTINGS[section][key]
+    name = f"{section}.{key}"
+    raw = cfg.get(section, key)
+    if not isinstance(default, tuple):
+        return _cast(name, raw, cast, rules)
+    parts = [part.strip() for part in raw.split(",")]
+    values = [_cast(name, part, cast, rules) for part in parts if part]
+    _require(len(values) > 0, name, "needs at least one entry", values)
+    return values
+
+
+def _get(cfg, section: str, key: str):
+    """The setting ``section.key`` as ``_parse`` reads it, or its default
+    when the config leaves it out."""
+    default = SETTINGS[section][key][1]
     if not cfg.has_option(section, key):
         if default is REQUIRED:
             raise ConfigError(f"{section}.{key}: required setting missing")
         return default
-    return _cast(f"{section}.{key}", cfg.get(section, key), cast, rules)
+    return _parse(cfg, section, key)
 
 
 def _get_list(cfg, section: str, key: str) -> list:
-    """The comma-separated setting ``section.key``, each entry read as
-    ``_get`` reads a setting, or its default.  An empty list is refused."""
-    cast, default, *rules = SETTINGS[section][key]
-    name = f"{section}.{key}"
+    """The comma-separated setting ``section.key`` as ``_parse`` reads it,
+    or its default."""
     if not cfg.has_option(section, key):
-        return list(default)
-    parts = [part.strip() for part in cfg.get(section, key).split(",")]
-    values = [_cast(name, part, cast, rules) for part in parts if part]
-    _require(len(values) > 0, name, "needs at least one entry", values)
-    return values
+        return list(SETTINGS[section][key][1])
+    return _parse(cfg, section, key)
 
 
 def _synthetic_spec(cfg, seed: int) -> SyntheticSpec:
@@ -631,9 +651,13 @@ def cmd_theory(args) -> int:
         out["lipschitz_h0"] = h0
     text = json.dumps(_null_non_finite(out), indent=2, sort_keys=True, allow_nan=False)
     print(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "theory.json"), "w", encoding="ascii") as fh:
+    # Printed only, unless --out or [output] dir names a directory.
+    outdir = args.out
+    if outdir is None and cfg.has_option("output", "dir"):
+        outdir = _get(cfg, "output", "dir")
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        with open(os.path.join(outdir, "theory.json"), "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     return 0
 

@@ -821,6 +821,54 @@ def test_a_misspelled_section_or_key_exits_1_before_writing(tmp_path, capsys, ov
         assert not out.exists()
 
 
+# A bad value of a setting whose branch does not run on SWEEP_BASE (mocha,
+# mean_regularized, and a named preset where the overlay sets one), and the
+# name its error must give.
+UNREAD_BRANCHES = [
+    ("[model]\nlam = nan", "model.lam"),
+    ("[model]\nridge_eps = inf", "model.ridge_eps"),
+    ("[method]\nlambda = 0", "method.lambda"),
+    ("[method]\nmax_epochs = 0", "method.max_epochs"),
+    ("[network]\npreset = wifi\nlatency_ms = -5", "network:"),
+    ("[network]\npreset = lte\nbandwidth = 0", "network:"),
+    ("[compare]\nshuffles = 0", "compare.shuffles"),
+    ("[model]\nlam = nan\n[network]\npreset = wifi\nlatency_ms = -5", "model.lam"),
+]
+
+
+@pytest.mark.parametrize("overlay, name", UNREAD_BRANCHES,
+                         ids=[f"{i}-{name.rstrip(':')}" for i, (_, name) in
+                              enumerate(UNREAD_BRANCHES)])
+def test_a_bad_setting_of_a_branch_that_does_not_run_exits_1(tmp_path, capsys, overlay, name):
+    cfg = _sweep_config(tmp_path / "bad.ini", overlay)
+    out = tmp_path / "out"
+    for command in FLOAT_SETTINGS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert "config error:" in err and name in err, err
+        assert not out.exists()
+
+
+def test_theory_writes_under_the_output_dir_of_its_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = BASE_SYNTH + "\n[method]\nloss = squared\n"
+    plain = write_config(tmp_path / "plain.ini", text)
+    assert main(["theory", "--config", plain]) == 0
+    printed = capsys.readouterr().out
+    # With neither --out nor [output] dir, it only prints.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.ini"]
+    config_dir = tmp_path / "from_config"
+    cfg = write_config(tmp_path / "dir.ini", text + f"\n[output]\ndir = {config_dir}\n")
+    assert main(["theory", "--config", cfg]) == 0
+    assert capsys.readouterr().out == printed
+    assert (config_dir / "theory.json").read_text() == printed
+    # --out wins over the config's dir.
+    flag_dir = tmp_path / "from_flag"
+    assert main(["theory", "--config", cfg, "--out", str(flag_dir)]) == 0
+    assert (flag_dir / "theory.json").read_text() == capsys.readouterr().out == printed
+    assert [p.name for p in config_dir.iterdir()] == ["theory.json"]
+
+
 @pytest.mark.parametrize("model, expected", [
     ("", MeanRegularized(0.5, 0.5)),
     ("kind = probabilistic\nsigma2_prior = 2", ProbabilisticPrior(0.5, 2.0, 1e-6)),
