@@ -96,8 +96,9 @@ _BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
 REQUIRED = object()
 
 # Every setting: SETTINGS[section][key] = (cast, default[, (test, rule)]); a list
-# setting, the ones whose default is a tuple, casts and tests each entry.  Rules that involve other values, and the
-# settings objects' own range checks, stay where the value is used.
+# setting, one whose default is a tuple, casts and tests each entry.  Rules that
+# involve other values, and the settings objects' own range checks, stay where
+# the value is used.
 SETTINGS = {
     "run": {"seed": (int, 0, _at_least(0))},
     "output": {"dir": (str.strip, "out")},

@@ -342,10 +342,10 @@ def _streams_match_numpy(lib) -> bool:
 def _load_kernel():
     """The compiled ``_updates.c``, with ``fedmtl_run_round``,
     ``fedmtl_task_losses``, ``fedmtl_draw_integers``,
-    ``fedmtl_draw_permutations`` and ``fedmtl_draw_random`` declared, or None when there is no C compiler
-    or the build fails.  ``lib.numpy_streams`` is whether the draws matched
-    numpy's when loaded; numpy does not promise that its streams stay the
-    same across versions.
+    ``fedmtl_draw_permutations`` and ``fedmtl_draw_random`` declared, or
+    None when there is no C compiler or the build fails.
+    ``lib.numpy_streams`` is whether the draws matched numpy's when loaded;
+    numpy does not promise that its streams stay the same across versions.
 
     Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
     build writes a temporary file and renames it, so concurrent builds are

@@ -618,7 +618,8 @@ def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
                           _per_node(5, 9, 0, 9, [0, 3, 4]))
     assert draw_random(5, 11, 9, 3).tolist() == [stream(5, 11, t, 9).random() for t in range(3)]
     assert np.array_equal(draw_permutations(5, 11, 9, [4, 9], [6, 2]), np.concatenate([
-        _permuted(stream(5, 11, t, 9), n, count) for t, (n, count) in enumerate([(4, 6), (9, 2)])]))
+        _permuted(stream(5, 11, t, 9), n, count)
+        for t, (n, count) in enumerate([(4, 6), (9, 2)])]))
     assert calls == ["fedmtl_draw_integers"]
 
 
@@ -714,7 +715,8 @@ def test_a_different_shuffle_alone_turns_the_native_draws_off(monkeypatch):
         assert lib is not None and lib.numpy_streams is False
         calls = _native_calls(monkeypatch, lib)
         assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [4, 8]), np.concatenate([
-            _permuted(stream(5, 11, t, 9), n, count) for t, (n, count) in enumerate([(3, 4), (6, 8)])]))
+            _permuted(stream(5, 11, t, 9), n, count)
+            for t, (n, count) in enumerate([(3, 4), (6, 8)])]))
         _assert_same_runs(got, _dropping_runs())
         assert calls == []
     finally:
