@@ -155,7 +155,8 @@ def test_mb_sdca_beta_one_never_increases_dual(rng):
 
 
 def test_mb_sdca_full_beta_can_increase_dual():
-    # two identical examples guarantee colliding coordinates hurt at beta=b
+    # Two identical examples, and a batch of 6 that takes each of them three
+    # times: at beta = b the scaled steps add up and overshoot.
     X = np.array([[1.0, 1.0], [0.0, 0.0]])
     y = np.array([1.0, 1.0])
     ds = FederatedDataset((TaskDataset(0, X, y),))
