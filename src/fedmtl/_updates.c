@@ -9,10 +9,11 @@
    library is built without contraction into fused multiply-adds, so each
    operation rounds as written.
 
-   fedmtl_draw_integers, fedmtl_draw_permutations and fedmtl_draw_random
-   reproduce numpy's np.random.default_rng streams bit for bit;
-   fedmtl.solver.draw_integers, draw_permutations and draw_random call them
-   and check them against numpy when the library is loaded. */
+   fedmtl_draw_integers, fedmtl_draw_permutations, fedmtl_draw_choices and
+   fedmtl_draw_random reproduce numpy's np.random.default_rng streams bit
+   for bit; fedmtl.solver.draw_integers, draw_permutations, draw_choices and
+   draw_random call them and check them against numpy when the library is
+   loaded. */
 
 #include <stdint.h>
 
@@ -325,6 +326,51 @@ void fedmtl_draw_permutations(uint64_t seed, uint64_t tag, uint64_t round, int64
                 *out++ = work[i];
             }
         }
+    }
+}
+
+/* For node t, 0 <= t < m, counts[t] distinct indices in [0, sizes[t])
+   appended to out, as default_rng([seed, tag, t, round]).choice(sizes[t],
+   size=counts[t], replace=False) draws them where it takes Floyd's sample
+   (Bentley & Floyd, CACM 1987): every size is in [1, 2**32) and at most
+   10,000, or a count at most size / 50.  For j = n - b, ..., n - 1 the
+   sample takes a draw from [0, j] (j = 0 draws nothing), or j itself when
+   that draw is already taken; numpy then shuffles the sample, swapping
+   entry i = b - 1, ..., 1 with one drawn from [0, i].  Both draw by
+   Lemire's method, not by interval32's mask.  work holds mask + 1 entries,
+   a power of two above every count: an open-addressed set of the values
+   taken so far. */
+void fedmtl_draw_choices(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
+                         const int64_t *sizes, const int64_t *counts, int64_t mask,
+                         int64_t *work, int64_t *out)
+{
+    for (int64_t t = 0; t < m; t++) {
+        int64_t n = sizes[t], b = counts[t];
+        pcg64 g;
+        if (b <= 0)
+            continue;
+        pcg64_seed(&g, seed, tag, t, round);
+        for (int64_t k = 0; k <= mask; k++)
+            work[k] = -1;
+        for (int64_t j = n - b; j < n; j++) {
+            int64_t value = j ? (int64_t)bounded32(&g, (uint32_t)j) : 0, k = value & mask;
+            while (work[k] != -1 && work[k] != value)
+                k = (k + 1) & mask;
+            if (work[k] == value) {
+                /* Taken already, so j, which no earlier draw could reach, is. */
+                value = j;
+                for (k = j & mask; work[k] != -1; k = (k + 1) & mask)
+                    ;
+            }
+            work[k] = value;
+            out[j - (n - b)] = value;
+        }
+        for (int64_t i = b - 1; i > 0; i--) {
+            int64_t j = (int64_t)bounded32(&g, (uint32_t)i), kept = out[j];
+            out[j] = out[i];
+            out[i] = kept;
+        }
+        out += b;
     }
 }
 

@@ -32,11 +32,11 @@ from .solver import (
     RoundStats,
     RunResult,
     SolverConfig,
+    draw_choices,
     duality_gap,
     init_dual_state,
     primal_objective,
     run_w_update,
-    stream,
 )
 # Unused here, but perfbench's tracer patches these names in this module.
 from .solver import dual_objective, make_views, oracle_subproblem_opt  # noqa: F401
@@ -114,7 +114,12 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     subgradient of its local loss term from ``batch`` (or the policy's budget
     of) points, without replacement, adds its column of the gradient of the
     fixed coupling ``rel``'s penalty, and the update is applied
-    synchronously."""
+    synchronously.
+
+    Round h's batches are one ``draw_choices`` call under ``SGD_STREAM``:
+    node t's is ``stream(seed, SGD_STREAM, t, h).choice(n_t, size=b_t,
+    replace=False)``, with b_t its budget clipped to [1, n_t], and a dropped
+    node draws none."""
     check_method_params({**METHOD_DEFAULTS, "batch": batch, "schedule": schedule})
     if not 0.0 <= step < math.inf:
         raise ValueError("step must be finite and >= 0")
@@ -125,18 +130,18 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     for h in range(rounds):
         eta = step if schedule == "constant" else step / math.sqrt(h + 1.0)
         grad = regularizer_grad(W, rel.precision)
-        counts = []
-        dropped = []
         budgets, drops = policy.draws(ds.m, h)
+        counts = [0 if drops[t] else min(max(int(budgets[t]), 1), task.n)
+                  for t, task in enumerate(ds.tasks)]
+        dropped = [t for t in range(ds.m) if drops[t]]
+        batches = draw_choices(seed, SGD_STREAM, h, ds.sizes, counts)
+        start = 0
         for t, task in enumerate(ds.tasks):
             if drops[t]:
-                dropped.append(t)
                 grad[:, t] = 0.0
-                counts.append(0)
                 continue
-            b_t = min(max(int(budgets[t]), 1), task.n)
-            counts.append(b_t)
-            idx = stream(seed, SGD_STREAM, t, h).choice(task.n, size=b_t, replace=False)
+            b_t = counts[t]
+            idx, start = batches[start:start + b_t], start + b_t
             Xb = task.features[:, idx]
             g = subgradient(kind, W[:, t] @ Xb, task.labels[idx])
             grad[:, t] += (task.n / b_t) * (Xb @ g)

@@ -92,6 +92,7 @@ def _one_of(*choices):
 
 _POSITIVE = (lambda value: value > 0.0, "must be > 0")
 _OPEN_UNIT = (lambda value: 0.0 < value < 1.0, "must be in (0, 1)")
+_NON_EMPTY = (lambda value: value != "", "must not be empty")
 _BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
 REQUIRED = object()
 
@@ -101,7 +102,7 @@ REQUIRED = object()
 # the value is used.
 SETTINGS = {
     "run": {"seed": (int, 0, _at_least(0))},
-    "output": {"dir": (str.strip, "out")},
+    "output": {"dir": (str.strip, "out", _NON_EMPTY)},
     "dataset": {"source": (str.strip, REQUIRED, _one_of("csv", "synthetic")),
                 "csv_dir": (str.strip, REQUIRED),
                 "standardize": (lambda raw: _BOOLEAN[raw.lower()], False)},

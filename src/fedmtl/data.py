@@ -68,6 +68,7 @@ def _packed(arrays) -> np.ndarray:
 class FederatedDataset:
     tasks: tuple[TaskDataset, ...]
     offsets: np.ndarray = field(init=False, repr=False)      # m + 1 task starts
+    sizes: np.ndarray = field(init=False, repr=False)        # int64 n_t, m
     labels: np.ndarray = field(init=False, repr=False)       # packed, n
     col_norms2: np.ndarray = field(init=False, repr=False)   # packed, n
 
@@ -87,8 +88,11 @@ class FederatedDataset:
         # Finite features can still overflow the squared norms every step reads.
         if not np.isfinite(col_norms2).all():
             raise ValueError("an example's squared norm overflows")
+        sizes = np.array([t.n for t in tasks], dtype=np.int64)
+        sizes.setflags(write=False)
         object.__setattr__(self, "tasks", tasks)
-        object.__setattr__(self, "offsets", _packed([[0], np.cumsum([t.n for t in tasks])]))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "offsets", _packed([[0], np.cumsum(sizes)]))
         object.__setattr__(self, "labels", _packed([t.labels for t in tasks]))
         object.__setattr__(self, "col_norms2", col_norms2)
 
@@ -99,6 +103,14 @@ class FederatedDataset:
         table = np.array([t.features.ctypes.data for t in self.tasks], dtype=np.uintp)
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def addresses(self) -> tuple[int, int, int, int]:
+        """Addresses of the feature table, the packed labels, the packed
+        squared norms and the offsets, taken once for native code; the
+        dataset keeps the arrays alive."""
+        return tuple(a.ctypes.data for a in (self.feature_table, self.labels,
+                                             self.col_norms2, self.offsets))
 
     @property
     def m(self) -> int:
@@ -113,7 +125,7 @@ class FederatedDataset:
         return self.tasks[0].d
 
     def task_sizes(self) -> list[int]:
-        return [t.n for t in self.tasks]
+        return self.sizes.tolist()
 
 
 @dataclass(frozen=True)

@@ -29,27 +29,32 @@ Every dual method's round is ``_run_round`` calls, one implementation of the
 coordinate step: MOCHA's is one call over its budgets, mini-batch SDCA's one
 call that scores every step against the snapshot (beta > 0), and CoCoA's one
 call per sweep of its exact oracle and per randomized pass, each over the
-nodes still working.  The kernel's running u_t = X_t @ delta_t is node t's
-delta_v.  The primal's per-task loss sums (``_task_losses``) are the other
-native pass over the features.  Both take their dot products in the kernel's
-four-lane order; ``_run_round_py`` and ``_task_losses_py`` are the numpy
-references and the paths without a compiler.  Every reference reads the
-kernel's ``RoundView``.
+nodes still working; those repeated calls go through ``_sweeps``, which sets
+up their view, delta and U once per round.  The kernel's running
+u_t = X_t @ delta_t is node t's delta_v.  The primal's per-task loss sums
+(``_task_losses``) are the other native pass over the features.  Both take
+their dot products in the kernel's four-lane order; ``_run_round_py`` and
+``_task_losses_py`` are the numpy references and the paths without a
+compiler.  Every reference reads the kernel's ``RoundView``.
 
 Determinism: a round is a pure function of the dual state, the coupling
 (``RelationshipState``, which holds each node's kappa) and the round's
 draws.  A caller names a round's randomness by (seed, tag, round) alone:
 node t's stream is ``stream(seed, tag, t, round)``.  A round's budgets, its
-drops and every responding node's coordinate indices are one call each of
-``draw_integers``, ``draw_random`` or ``draw_permutations``, which reproduce
+drops, every responding node's coordinate indices, CoCoA's passes and
+mini-batch SGD's batches are one call each of ``draw_integers``,
+``draw_random``, ``draw_permutations`` or ``draw_choices``, which reproduce
 those numpy streams bit for bit natively and take numpy's path node by node
 where that cannot run.  Coordinates are sampled without replacement: a
 node's indices in a round walk random permutations of its examples, as
 SDCA over random permutations does (Shalev-Shwartz & Zhang,
 arXiv:1209.1873), and a budget of at most n_t visits distinct examples.
-Every node's steps are then one call of the native round kernel, on the
-calling thread: the sweep is memory-bound, so threads do not pay, and a
-round's simulated length comes from its update counts, not from the host.
+CoCoA's pass p of node t is the (p + 1)-th ``permutation(n_t)`` of its
+stream.  Mini-batch SGD's batch on node t is ``choice(n_t, size=b_t,
+replace=False)`` of its stream under ``SGD_STREAM``.  Every node's steps
+are then one call of the native round kernel, on the calling thread: the
+sweep is memory-bound, so threads do not pay, and a round's simulated
+length comes from its update counts, not from the host.
 """
 
 from __future__ import annotations
@@ -257,18 +262,20 @@ class RoundView:
 
     @functools.cached_property
     def _kernel_arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
-        """The arrays ``_run_round``'s kernel reads, converted and checked
-        once per view, and their addresses: the feature table, W's rows (row
-        t is node t's w), the labels, alpha, the squared norms, kappa and the
-        offsets.  The view keeps the converted arrays alive."""
+        """W's rows (row t is node t's w), alpha and kappa, converted and
+        checked once per view, and the addresses ``_run_round``'s kernel
+        reads, in its order: the feature table, the rows, the labels, alpha,
+        the squared norms, kappa and the offsets.  The dataset's four come
+        from ``ds.addresses``; the view keeps the converted arrays alive."""
         ds = self.ds
         rows = np.ascontiguousarray(self.W.T, dtype=np.float64)
         kappa = np.ascontiguousarray(self.kappa, dtype=np.float64)
         alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
         if rows.shape != (ds.m, ds.d) or kappa.shape != (ds.m,) or alpha.shape != (ds.n,):
             raise ValueError("round view arrays do not match the dataset")
-        arrays = (ds.feature_table, rows, ds.labels, alpha, ds.col_norms2, kappa, ds.offsets)
-        return arrays, tuple(a.ctypes.data for a in arrays)
+        table, labels, norms2, offsets = ds.addresses
+        return (rows, alpha, kappa), (table, rows.ctypes.data, labels, alpha.ctypes.data,
+                                      norms2, kappa.ctypes.data, offsets)
 
 
 @dataclass
@@ -306,8 +313,9 @@ _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # streams: the seed takes two 32-bit entropy words, two nodes check the node's
 # place in the key, and the odd count leaves the high half of a 64-bit output
 # for the next integer.  The permutations' count crosses into a second
-# permutation of the size.
-_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7, 5)
+# permutation of the size.  The choices take 3 of the size on node 0 and
+# all of it on node 1, whose sample starts at [0, 0] and must repeat a draw.
+_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7, 5, 3)
 
 
 def _permutations_py(g: np.random.Generator, size: int, count: int) -> np.ndarray:
@@ -319,15 +327,19 @@ def _permutations_py(g: np.random.Generator, size: int, count: int) -> np.ndarra
 
 def _streams_match_numpy(lib) -> bool:
     """Whether ``lib``'s draws for ``_STREAM_CHECK`` equal numpy's."""
-    seed, tag, round_idx, lo, hi, count, size = _STREAM_CHECK
+    seed, tag, round_idx, lo, hi, count, size, chosen = _STREAM_CHECK
     lows, widths, counts, sizes = (np.full(2, v, dtype=np.int64)
                                    for v in (lo, hi - lo, count, size))
+    takes = np.array([chosen, size], dtype=np.int64)
     ints, perms = np.empty(2 * count, dtype=np.int64), np.empty(2 * count, dtype=np.int64)
-    doubles, work = np.empty(2), np.empty(size, dtype=np.int64)
+    choices, doubles = np.empty(chosen + size, dtype=np.int64), np.empty(2)
+    work = np.empty(_choice_set_size(size), dtype=np.int64)    # also >= size
     lib.fedmtl_draw_integers(seed, tag, round_idx, 2, lows.ctypes.data, widths.ctypes.data,
                              counts.ctypes.data, ints.ctypes.data)
     lib.fedmtl_draw_permutations(seed, tag, round_idx, 2, sizes.ctypes.data, counts.ctypes.data,
                                  work.ctypes.data, perms.ctypes.data)
+    lib.fedmtl_draw_choices(seed, tag, round_idx, 2, sizes.ctypes.data, takes.ctypes.data,
+                            work.size - 1, work.ctypes.data, choices.ctypes.data)
     lib.fedmtl_draw_random(seed, tag, round_idx, 2, doubles.ctypes.data)
     return bool(
         np.array_equal(ints, np.concatenate([
@@ -335,6 +347,9 @@ def _streams_match_numpy(lib) -> bool:
             for t in range(2)]))
         and np.array_equal(perms, np.concatenate([
             _permutations_py(stream(seed, tag, t, round_idx), size, count) for t in range(2)]))
+        and np.array_equal(choices, np.concatenate([
+            stream(seed, tag, t, round_idx).choice(size, size=b, replace=False)
+            for t, b in enumerate(takes.tolist())]))
         and doubles.tolist() == [stream(seed, tag, t, round_idx).random() for t in range(2)])
 
 
@@ -342,8 +357,9 @@ def _streams_match_numpy(lib) -> bool:
 def _load_kernel():
     """The compiled ``_updates.c``, with ``fedmtl_run_round``,
     ``fedmtl_task_losses``, ``fedmtl_draw_integers``,
-    ``fedmtl_draw_permutations`` and ``fedmtl_draw_random`` declared, or
-    None when there is no C compiler or the build fails.
+    ``fedmtl_draw_permutations``, ``fedmtl_draw_choices`` and
+    ``fedmtl_draw_random`` declared, or None when there is no C compiler or
+    the build fails.
     ``lib.numpy_streams`` is whether the draws matched numpy's when loaded;
     numpy does not promise that its streams stay the same across versions.
 
@@ -380,9 +396,10 @@ def _load_kernel():
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
     lib.fedmtl_draw_integers.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
     lib.fedmtl_draw_permutations.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
+    lib.fedmtl_draw_choices.argtypes = [u64, u64, u64, i64, ptr, ptr, i64, ptr, ptr]
     lib.fedmtl_draw_random.argtypes = [u64, u64, u64, i64, ptr]
     for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
-                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_random):
+                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_choices, lib.fedmtl_draw_random):
         entry.restype = None
     lib.numpy_streams = _streams_match_numpy(lib)
     return lib
@@ -399,6 +416,15 @@ def _draw_kernel(seed: int, tag: int, round_idx: int):
     return lib
 
 
+def _per_node(values, shape: tuple[int]) -> np.ndarray:
+    """``values`` as a contiguous int64 array of ``shape``; a scalar, or any
+    shape that broadcasts to it, stands for every node."""
+    if np.ndim(values) == 0:
+        return np.full(shape, values, dtype=np.int64)
+    a = np.ascontiguousarray(values, dtype=np.int64)
+    return a if a.shape == shape else np.ascontiguousarray(np.broadcast_to(a, shape))
+
+
 def draw_integers(seed: int, tag: int, round_idx: int, lo, hi, counts) -> np.ndarray:
     """For each node t < m = len(counts), ``counts[t]`` integers in
     ``[lo[t], hi[t]]`` from its stream, concatenated in node order: exactly
@@ -410,14 +436,16 @@ def draw_integers(seed: int, tag: int, round_idx: int, lo, hi, counts) -> np.nda
     2**32 - 1 or more, or invalid.
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    lo, hi = (np.ascontiguousarray(np.broadcast_to(np.asarray(a, dtype=np.int64), counts.shape))
-              for a in (lo, hi))
+    lo, hi = _per_node(lo, counts.shape), _per_node(hi, counts.shape)
     width = hi - lo
-    drawn = width[counts != 0]
+    # The checks read Python lists, which cost less than numpy's reductions
+    # at a round's handful of nodes.
+    listed = counts.tolist()
+    drawn = [w for w, count in zip(width.tolist(), listed) if count]
     lib = _draw_kernel(seed, tag, round_idx)
-    if (lib is not None and counts.min(initial=0) >= 0
-            and drawn.min(initial=0) >= 0 and drawn.max(initial=0) < 2**32 - 1):
-        out = np.empty(int(counts.sum()), dtype=np.int64)
+    if (lib is not None and min(listed, default=0) >= 0
+            and min(drawn, default=0) >= 0 and max(drawn, default=0) < 2**32 - 1):
+        out = np.empty(sum(listed), dtype=np.int64)
         lib.fedmtl_draw_integers(seed, tag, round_idx, len(counts), lo.ctypes.data,
                                  width.ctypes.data, counts.ctypes.data, out.ctypes.data)
         return out
@@ -439,22 +467,64 @@ def draw_permutations(seed: int, tag: int, round_idx: int, sizes, counts) -> np.
     ``_draw_kernel``), or where a drawing node's size is 2**32 or more.
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)
-    sizes = np.ascontiguousarray(np.broadcast_to(np.asarray(sizes, dtype=np.int64),
-                                                 counts.shape))
-    if counts.min(initial=0) < 0:
+    sizes = _per_node(sizes, counts.shape)
+    listed = counts.tolist()
+    drawn = [n for n, count in zip(sizes.tolist(), listed) if count]
+    if min(listed, default=0) < 0:
         raise ValueError("counts must be >= 0")
-    drawn = sizes[counts != 0]
-    if drawn.min(initial=1) < 1:
+    if min(drawn, default=1) < 1:
         raise ValueError("a node that draws needs a size >= 1")
     lib = _draw_kernel(seed, tag, round_idx)
-    if lib is not None and drawn.max(initial=0) < 2**32:
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        work = np.empty(drawn.max(initial=0), dtype=np.int64)
+    if lib is not None and max(drawn, default=0) < 2**32:
+        out = np.empty(sum(listed), dtype=np.int64)
+        work = np.empty(max(drawn, default=0), dtype=np.int64)
         lib.fedmtl_draw_permutations(seed, tag, round_idx, len(counts), sizes.ctypes.data,
                                      counts.ctypes.data, work.ctypes.data, out.ctypes.data)
         return out
     return np.concatenate([np.empty(0, dtype=np.int64), *(
         _permutations_py(stream(seed, tag, t, round_idx), sizes[t], counts[t])
+        for t in np.flatnonzero(counts))])
+
+
+# numpy's choice without replacement takes Floyd's sample of b from n where
+# n <= 10,000 or b <= n // 50, and otherwise shuffles the tail of all n.
+_FLOYD_MAX_SIZE = 10000
+
+
+def _choice_set_size(count: int) -> int:
+    """The power of two above twice ``count``: the entries of the set that
+    ``fedmtl_draw_choices`` keeps of the values a node has taken."""
+    return 1 << (2 * count).bit_length()
+
+
+def draw_choices(seed: int, tag: int, round_idx: int, sizes, counts) -> np.ndarray:
+    """For each node t < m = len(counts), ``counts[t]`` distinct indices in
+    ``[0, sizes[t])`` from its stream, concatenated in node order: exactly
+    ``stream(seed, tag, t, round_idx).choice(sizes[t], size=counts[t],
+    replace=False)``.  ``sizes`` may be a scalar.
+
+    One native call, or node by node with numpy where that cannot run (see
+    ``_draw_kernel``), or where a drawing node's size is 2**32 or more, or
+    above 10,000 with a count above size // 50, where numpy shuffles the
+    tail of all its indices instead of taking Floyd's sample.
+    """
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    sizes = _per_node(sizes, counts.shape)
+    listed = counts.tolist()
+    drawing = [(n, b) for n, b in zip(sizes.tolist(), listed) if b]
+    if min(listed, default=0) < 0 or any(b > n for n, b in drawing):
+        raise ValueError("counts must be in [0, size] of their node")
+    lib = _draw_kernel(seed, tag, round_idx)
+    if lib is not None and all(n < 2**32 and (n <= _FLOYD_MAX_SIZE or b <= n // 50)
+                               for n, b in drawing):
+        out = np.empty(sum(listed), dtype=np.int64)
+        work = np.empty(_choice_set_size(max(listed, default=0)), dtype=np.int64)
+        lib.fedmtl_draw_choices(seed, tag, round_idx, len(counts), sizes.ctypes.data,
+                                counts.ctypes.data, work.size - 1, work.ctypes.data,
+                                out.ctypes.data)
+        return out
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        stream(seed, tag, t, round_idx).choice(sizes[t], size=counts[t], replace=False)
         for t in np.flatnonzero(counts))])
 
 
@@ -486,31 +556,60 @@ def _run_round(view: RoundView, idx: np.ndarray, counts,
     products sum in four lanes (lane k the terms with j = k mod 4, combined
     as (l0 + l1) + (l2 + l3)), not in numpy's order, so results can differ
     from ``_run_round_py``, the path without a compiler, in the last digits.
+
+    The counts, delta, U and every index's range are checked before any
+    step; ``_sweeps`` serves callers that repeat calls with indices they
+    made in range.
     """
-    ds = view.ds
-    m, d = ds.m, ds.d
     idx = np.ascontiguousarray(idx, dtype=np.int64)
+    counts = _checked_counts(counts, idx.size, view.ds.m)
+    run = _sweeps(view, delta, U, beta)
+    if idx.size and not (0 <= idx.min() and (idx < np.repeat(view.ds.sizes, counts)).all()):
+        raise IndexError("coordinate index out of range of its node")
+    run(idx, counts)
+
+
+def _checked_counts(counts, size: int, m: int) -> np.ndarray:
+    """``counts`` as an int64 array, if it holds m counts >= 0 that sum to
+    ``size``, the length of the round's indices; else ValueError."""
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     # Summed as Python ints, which cannot wrap around.
     listed = counts.tolist()
-    if counts.shape != (m,) or min(listed, default=0) < 0 or sum(listed) != idx.size:
+    if counts.shape != (m,) or min(listed, default=0) < 0 or sum(listed) != size:
         raise ValueError("counts must hold m counts >= 0 that sum to len(idx)")
+    return counts
+
+
+def _sweeps(view: RoundView, delta: np.ndarray, U: np.ndarray, beta: float = 0.0):
+    """``run(idx, counts)``, which takes the steps of ``_run_round(view,
+    idx, counts, delta, U, beta)``, for callers that make many calls against
+    one view into one delta and U: those two are checked, and every address
+    but the indices' and counts' taken, once.  Each call still checks its
+    counts, which keeps the kernel's walk over idx in bounds; the indices
+    must be in range of their nodes, as the oracle's sweeps and CoCoA's
+    passes make them."""
+    ds = view.ds
     # Both are written in place, so they cannot be converted copies.
-    for name, a, shape in (("delta", delta, (ds.n,)), ("U", U, (m, d))):
+    for name, a, shape in (("delta", delta, (ds.n,)), ("U", U, (ds.m, ds.d))):
         if not (a.dtype == np.float64 and a.flags.carray and a.shape == shape):
             raise ValueError(f"{name} must be a writable C-contiguous float64 "
                              f"array of shape {shape}")
-    if idx.size and not (0 <= idx.min()
-                         and (idx < np.repeat(np.diff(ds.offsets), counts)).all()):
-        raise IndexError("coordinate index out of range of its node")
     lib = _load_kernel()
-    if lib is None:
-        return _run_round_py(view, idx, counts, delta, U, beta)
-    _, fixed = view._kernel_arrays
-    # Every array stays referenced here or by the view until the call returns.
-    lib.fedmtl_run_round(view.kind is LossKind.HINGE, beta, d, m, *fixed,
-                         idx.ctypes.data, counts.ctypes.data, delta.ctypes.data,
-                         U.ctypes.data)
+    if lib is not None:
+        entry = lib.fedmtl_run_round
+        head = (view.kind is LossKind.HINGE, beta, ds.d, ds.m, *view._kernel_arrays[1])
+        tail = (delta.ctypes.data, U.ctypes.data)
+
+    def run(idx, counts) -> None:
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        counts = _checked_counts(counts, idx.size, ds.m)
+        if lib is None:
+            _run_round_py(view, idx, counts, delta, U, beta)
+        else:
+            # Every array stays referenced here, by the view or by the
+            # caller until the call returns.
+            entry(*head, idx.ctypes.data, counts.ctypes.data, *tail)
+    return run
 
 
 def _run_round_py(view: RoundView, idx: np.ndarray, counts,
@@ -557,9 +656,9 @@ def _task_losses(W: np.ndarray, ds: FederatedDataset, kind: LossKind) -> np.ndar
         return _task_losses_py(W, ds, kind)
     rows = np.ascontiguousarray(W.T, dtype=np.float64)     # row t is task t's w
     out = np.empty(ds.m)
-    lib.fedmtl_task_losses(kind is LossKind.HINGE, ds.d, ds.m,
-                           *(a.ctypes.data for a in (ds.feature_table, rows, ds.labels,
-                                                     ds.offsets, out)))
+    table, labels, _, offsets = ds.addresses
+    lib.fedmtl_task_losses(kind is LossKind.HINGE, ds.d, ds.m, table, rows.ctypes.data,
+                           labels, offsets, out.ctypes.data)
     return out
 
 
@@ -578,7 +677,7 @@ def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
     a budget of at most n_t visits distinct examples."""
     ds = view.ds
     counts = [0 if drops[t] else max(int(budgets[t]), 0) for t in range(ds.m)]
-    idx = draw_permutations(seed, SOLVER_STREAM, round_idx, np.diff(ds.offsets), counts)
+    idx = draw_permutations(seed, SOLVER_STREAM, round_idx, ds.sizes, counts)
     delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
     _run_round(view, idx, counts, delta, U, beta)
     return RoundResult(delta, U.T, counts)
@@ -608,6 +707,12 @@ def _node_values(view: RoundView, delta: np.ndarray, U: np.ndarray) -> np.ndarra
             + np.einsum("dt,td->t", view.W, U) + 0.5 * view.kappa * np.einsum("td,td->t", U, U))
 
 
+def _local_indices(ds: FederatedDataset) -> np.ndarray:
+    """0 .. n_t - 1 for each task t, packed: entry k is example k's index
+    within its task."""
+    return np.arange(ds.n) - np.repeat(ds.offsets[:-1], ds.sizes)
+
+
 def oracle_subproblem_opt(view: RoundView, nodes,
                           tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
     """Near-exact subproblem minimizers of the listed nodes by cyclic
@@ -622,16 +727,16 @@ def oracle_subproblem_opt(view: RoundView, nodes,
     desk-scale tasks (n_t up to ~1e4).
     """
     ds = view.ds
-    sizes = np.diff(ds.offsets)
-    local = np.arange(ds.n) - np.repeat(ds.offsets[:-1], sizes)   # 0 .. n_t - 1 per block
+    sizes, local = ds.sizes, _local_indices(ds)
     delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
+    run = _sweeps(view, delta, U)
     live = np.zeros(ds.m, dtype=bool)
     live[list(nodes)] = True
     value = _node_values(view, delta, U)
     for _ in range(_ORACLE_MAX_PASSES):
         if not live.any():
             break
-        _run_round(view, local[np.repeat(live, sizes)], np.where(live, sizes, 0), delta, U)
+        run(local[np.repeat(live, sizes)], np.where(live, sizes, 0))
         new_value = _node_values(view, delta, U)
         live &= ~(value - new_value <= tol * (1.0 + np.abs(new_value)))
         value = new_value
@@ -653,9 +758,12 @@ class FixedQualitySolver:
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
     from method comparisons.  The passes run in lockstep, one ``_run_round``
     call per pass over the nodes still above the target.  Each pass visits
-    every example of the node once, in the order of a permutation drawn from
-    its own ``stream(seed, SOLVER_STREAM, t, round_idx)``, so its work and
-    result do not depend on the other nodes.
+    every example of the node once: pass p in the order of the (p + 1)-th
+    ``permutation(n_t)`` of its own ``stream(seed, SOLVER_STREAM, t,
+    round_idx)``, so its work and result do not depend on the other nodes.
+    The passes come from ``draw_permutations``, which reads each
+    permutation from its end; a node's draw is taken again, twice as long,
+    when its passes run out.
     """
 
     theta_target: float
@@ -670,16 +778,24 @@ class FixedQualitySolver:
         denom = _node_values(view, delta, U) - g_star
         theta = np.where(denom > 1e-14, 1.0, 0.0)
         active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
-        streams = {t: stream(seed, SOLVER_STREAM, t, round_idx) for t in np.flatnonzero(active)}
-        sizes = np.diff(ds.offsets)
+        sizes, local = ds.sizes, _local_indices(ds)
+        run = _sweeps(view, delta, U)
         counts = np.zeros(ds.m, dtype=np.int64)
-        for _ in range(self.max_passes):
+        drawn = 0
+        for p in range(self.max_passes):
             if not active.any():
                 break
+            if p == drawn:
+                # Twice the passes drawn so far, drawn again from the start
+                # of each active node's stream.
+                drawn = min(2 * drawn or 2, self.max_passes)
+                blocks = np.where(active, drawn * sizes, 0)
+                perms = draw_permutations(seed, SOLVER_STREAM, round_idx, sizes, blocks)
+                starts = np.cumsum(blocks) - blocks
             passed = np.where(active, sizes, 0)
-            idx = np.concatenate([streams[t].permutation(sizes[t])
-                                  for t in np.flatnonzero(active)])
-            _run_round(view, idx, passed, delta, U)
+            # Pass p of node t is block p of its draw, read from its end.
+            last = starts + (p + 1) * sizes - 1
+            run(perms[np.repeat(last, passed) - local[np.repeat(active, sizes)]], passed)
             counts += passed
             values = _node_values(view, delta, U)
             theta[active] = (values[active] - g_star[active]) / denom[active]

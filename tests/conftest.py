@@ -1,11 +1,26 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from fedmtl import solver
 from fedmtl.data import FederatedDataset, TaskDataset
-from fedmtl.losses import DOMAIN_ATOL, LossKind, conjugate_sum
-from fedmtl.solver import RoundView
+from fedmtl.losses import DOMAIN_ATOL, LossKind, conjugate_sum, subgradient
+from fedmtl.regularizers import regularizer_grad
+from fedmtl.solver import (
+    SGD_STREAM,
+    SOLVER_STREAM,
+    ConstantPolicy,
+    FixedQualitySolver,
+    PrimalState,
+    RoundResult,
+    RoundStats,
+    RoundView,
+    RunResult,
+    primal_objective,
+    stream,
+)
 
 
 def make_task(rng, d=6, n=12, task_id=0):
@@ -121,6 +136,77 @@ def measure_theta(view: RoundView, t: int, delta_t: np.ndarray,
         return 0.0
     theta = (_view_value(view, t, delta_t) - g_star) / denom
     return float(min(1.0, max(0.0, theta)))
+
+
+def mb_sgd_reference(ds, kind, rel, batch, step, rounds, *, seed=0, schedule="constant",
+                     policy=None) -> RunResult:
+    """``baselines.mb_sgd_run`` with each node's batch drawn from its own
+    numpy stream, ``stream(seed, SGD_STREAM, t, h).choice(n_t, size=b_t,
+    replace=False)``: the reference for its one ``draw_choices`` call per
+    round."""
+    if policy is None:
+        policy = ConstantPolicy(batch)
+    W = np.zeros((ds.d, ds.m))
+    trace = []
+    for h in range(rounds):
+        eta = step if schedule == "constant" else step / math.sqrt(h + 1.0)
+        grad = regularizer_grad(W, rel.precision)
+        counts = []
+        dropped = []
+        budgets, drops = policy.draws(ds.m, h)
+        for t, task in enumerate(ds.tasks):
+            if drops[t]:
+                dropped.append(t)
+                grad[:, t] = 0.0
+                counts.append(0)
+                continue
+            b_t = min(max(int(budgets[t]), 1), task.n)
+            counts.append(b_t)
+            idx = stream(seed, SGD_STREAM, t, h).choice(task.n, size=b_t, replace=False)
+            Xb = task.features[:, idx]
+            g = subgradient(kind, W[:, t] @ Xb, task.labels[idx])
+            grad[:, t] += (task.n / b_t) * (Xb @ g)
+        W -= eta * grad
+        trace.append(RoundStats(
+            h=h, dual=None, gap=None,
+            primal=primal_objective(W, ds, kind, rel),
+            dropped=dropped, update_counts=counts,
+        ))
+    return RunResult(trace, PrimalState(W), rel.omega)
+
+
+@dataclass(frozen=True)
+class CocoaReferenceSolver(FixedQualitySolver):
+    """``solver.FixedQualitySolver`` with each node's passes drawn one
+    ``permutation(n_t)`` at a time from its own numpy stream, each pass one
+    checked ``_run_round`` call: the reference for its passes from
+    ``draw_permutations`` and its ``_sweeps``."""
+
+    def __call__(self, view, budgets, drops, seed, round_idx):
+        ds = view.ds
+        live = [t for t in range(ds.m) if not drops[t]]
+        _, g_star = solver.oracle_subproblem_opt(view, live, solver._COCOA_ORACLE_TOL)
+        delta, U = np.zeros(ds.n), np.zeros((ds.m, ds.d))
+        denom = solver._node_values(view, delta, U) - g_star
+        theta = np.where(denom > 1e-14, 1.0, 0.0)
+        active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
+        streams = {t: stream(seed, SOLVER_STREAM, t, round_idx) for t in np.flatnonzero(active)}
+        sizes = np.diff(ds.offsets)
+        counts = np.zeros(ds.m, dtype=np.int64)
+        for _ in range(self.max_passes):
+            if not active.any():
+                break
+            passed = np.where(active, sizes, 0)
+            idx = np.concatenate([streams[t].permutation(sizes[t])
+                                  for t in np.flatnonzero(active)])
+            solver._run_round(view, idx, passed, delta, U)
+            counts += passed
+            values = solver._node_values(view, delta, U)
+            theta[active] = (values[active] - g_star[active]) / denom[active]
+            active &= theta > self.theta_target
+        thetas = [1.0 if drops[t] else float(min(1.0, max(0.0, theta[t])))
+                  for t in range(ds.m)]
+        return RoundResult(delta, U.T, counts.tolist(), thetas if live else None)
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -325,3 +325,81 @@ def test_compare_models_runs(rng):
         assert 0.0 <= row.mean_error <= 1.0
         assert row.std_error >= 0.0
         assert len(row.errors) == 2
+
+
+def _runner_case(seed):
+    """Tasks of 3 to 30 examples and a policy that drops nodes with
+    probability 0.3 under high budget heterogeneity."""
+    from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
+
+    ds = generate_synthetic(SyntheticSpec(m=6, d=4, n_min=3, n_max=30, cluster_count=2,
+                                          deviation=0.3, noise=0.05, seed=seed))
+    policy = SystemsPolicy(seed, [NodeProfile(drop_probability=0.3)] * ds.m,
+                           HeterogeneityPolicy("high", min(ds.task_sizes())))
+    return ds, setup(ds), policy
+
+
+def _assert_same_run(got, ref):
+    assert got.trace == ref.trace
+    assert np.array_equal(got.primal.W, ref.primal.W)
+    assert np.array_equal(got.omega, ref.omega)
+
+
+def _without_native_draws(monkeypatch, native):
+    from fedmtl import solver
+
+    if not native:
+        monkeypatch.setattr(solver, "_draw_kernel", lambda *key: None)
+
+
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("seed", [4, 2**63 + 9])
+def test_mb_sgd_run_equals_its_per_node_reference(monkeypatch, native, kind, seed):
+    from tests.conftest import mb_sgd_reference
+
+    _without_native_draws(monkeypatch, native)
+    ds, rel, policy = _runner_case(seed % 1000)
+    runs = [(dict(batch=5, step=0.01, rounds=8, seed=seed, policy=policy), True),
+            # A batch above some tasks' sizes, clipped to them.
+            (dict(batch=12, step=0.02, rounds=6, seed=seed, schedule="inv_sqrt"), False)]
+    for settings, drops in runs:
+        got = mb_sgd_run(ds, kind, rel, **settings)
+        _assert_same_run(got, mb_sgd_reference(ds, kind, rel, **settings))
+        assert any(stats.dropped for stats in got.trace) == drops
+        assert any(0 < count < n for stats in got.trace
+                   for count, n in zip(stats.update_counts, ds.task_sizes()))
+
+
+@pytest.mark.parametrize("native", [True, False])
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("seed", [4, 2**63 + 9])
+def test_cocoa_runs_equal_their_per_node_reference(monkeypatch, native, kind, seed):
+    """cocoa_run, and CoCoA's solver under drops, take every pass the
+    per-node permutations take, across the redraws of its passes (2, 4, 8
+    passes) and the cap on them."""
+    from fedmtl import baselines
+    from fedmtl.solver import FixedQualitySolver, init_dual_state, primal_from_dual
+    from tests.conftest import CocoaReferenceSolver
+
+    _without_native_draws(monkeypatch, native)
+    ds, rel, policy = _runner_case(seed % 1000)
+    sizes = np.array(ds.task_sizes())
+    most = 0
+    for theta, max_passes in ((0.001, 500), (0.0, 7), (0.1, 3)):
+        got = cocoa_run(ds, kind, rel, theta, 4, seed=seed, max_passes=max_passes)
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "FixedQualitySolver", CocoaReferenceSolver)
+            _assert_same_run(got, cocoa_run(ds, kind, rel, theta, 4, seed=seed,
+                                            max_passes=max_passes))
+        most = max(most, *(max(np.array(s.update_counts) // sizes) for s in got.trace))
+        runs = []
+        for solver_type in (FixedQualitySolver, CocoaReferenceSolver):
+            state = init_dual_state(ds)
+            trace = run_w_update(ds, kind, rel, state, policy, rounds=4, seed=seed,
+                                 local_solver=solver_type(theta, max_passes))
+            runs.append((trace, state.packed, primal_from_dual(state.v, rel.mbar)))
+        (trace, packed, W), (ref_trace, ref_packed, ref_W) = runs
+        assert trace == ref_trace and any(stats.dropped for stats in trace)
+        assert np.array_equal(packed, ref_packed) and np.array_equal(W, ref_W)
+    assert most >= 7

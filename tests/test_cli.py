@@ -869,6 +869,25 @@ def test_theory_writes_under_the_output_dir_of_its_config(tmp_path, capsys, monk
     assert [p.name for p in config_dir.iterdir()] == ["theory.json"]
 
 
+@pytest.mark.parametrize("command", ["train", "theory"])
+def test_an_empty_output_dir_exits_1_before_writing(tmp_path, capsys, monkeypatch, command):
+    # An empty dir would otherwise reach the writes (train) or be read as
+    # "print only" (theory).
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "empty.ini", BASE_SYNTH + """
+[method]
+name = mocha
+loss = squared
+
+[output]
+dir =
+""")
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "output.dir: must not be empty" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.ini"]
+
+
 @pytest.mark.parametrize("model, expected", [
     ("", MeanRegularized(0.5, 0.5)),
     ("kind = probabilistic\nsigma2_prior = 2", ProbabilisticPrior(0.5, 2.0, 1e-6)),
@@ -963,6 +982,42 @@ dir = {out}
     assert body[0] == "elapsed_ms,primal_suboptimality"
     last = body[-1].split(",")
     assert float(last[0]) > 0.0
+
+
+def test_bench_writes_the_same_bytes_without_native_draws(tmp_path, monkeypatch):
+    # Every method, drops and budget heterogeneity, tasks of unequal sizes:
+    # the native draws' output must equal numpy's streams' exactly.
+    cfg = write_config(tmp_path / "bench.ini", BASE_SYNTH.replace("n_min = 12", "n_min = 6") + """
+[model]
+kind = mean_regularized
+
+[method]
+loss = squared
+theta = 0.05
+batch = 4
+step = 0.01
+
+[systems]
+drop_probability = 0.2
+
+[bench]
+presets = wifi
+heterogeneity = none,high
+rounds = 8
+""")
+    draw_kernel = solver._draw_kernel
+    kernels = []
+    monkeypatch.setattr(solver, "_draw_kernel",
+                        lambda *key: kernels.append(draw_kernel(*key)) or kernels[-1])
+    outputs = []
+    for out in (tmp_path / "native", tmp_path / "numpy"):
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        monkeypatch.setattr(solver, "_draw_kernel", lambda *key: None)
+    native, numpy_only = outputs
+    assert len(native) == 10 and native == numpy_only
+    # The first run drew natively where a compiler exists.
+    assert kernels and all(k is not None for k in kernels) == (solver._load_kernel() is not None)
 
 
 def test_bench_runs_mocha_against_the_coupling_of_its_floor(tmp_path):

@@ -29,6 +29,18 @@ def test_load_basic(tmp_path):
     assert ds.task_sizes() == [3, 5]
 
 
+def test_packed_sizes_and_addresses_are_fixed_once():
+    ds = generate_synthetic(SyntheticSpec(m=3, d=2, n_min=1, n_max=9, seed=4))
+    assert ds.sizes.dtype == np.int64 and not ds.sizes.flags.writeable
+    assert ds.sizes.tolist() == [t.n for t in ds.tasks] == ds.task_sizes()
+    assert np.array_equal(np.diff(ds.offsets), ds.sizes)
+    # Taken once, from the arrays the dataset keeps.
+    assert ds.addresses is ds.addresses
+    assert ds.addresses == tuple(a.ctypes.data for a in (ds.feature_table, ds.labels,
+                                                         ds.col_norms2, ds.offsets))
+    assert ds.feature_table.tolist() == [t.features.ctypes.data for t in ds.tasks]
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(DataFormatError):
         load_federated_csv(tmp_path / "missing")

@@ -33,6 +33,7 @@ from fedmtl.solver import (
     _run_round_py,
     _task_losses,
     _task_losses_py,
+    draw_choices,
     draw_integers,
     draw_permutations,
     draw_random,
@@ -239,7 +240,7 @@ def test_kernel_loads_where_a_compiler_exists():
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
     for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
-                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_random):
+                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_choices, lib.fedmtl_draw_random):
         assert entry.argtypes and entry.restype is None
     # One node's steps are a static helper of the round kernel, not an export.
     assert not hasattr(lib, "fedmtl_run_updates")
@@ -292,6 +293,9 @@ assert solver.draw_random(3, 11, 2, 5).shape == (5,)
 # Counts above the sizes run through the work buffer more than once.
 assert solver.draw_permutations(3, 11, 2, [1, 5, 300, 2], [4, 0, 700, 2]).size == 706
 assert solver.draw_permutations(2**63 + 5, 11, 2, [7], [7]).size == 7
+# Floyd's sample at its largest size, and next to a node that draws nothing.
+assert solver.draw_choices(3, 12, 2, [1, 5, 10000, 2], [1, 0, 10000, 2]).size == 10003
+assert solver.draw_choices(2**63 + 5, 12, 2, [300, 7], [299, 7]).size == 306
 view = RoundView(ds, LossKind.HINGE, np.zeros(ds.n), np.ones((ds.d, ds.m)), np.ones(ds.m))
 for counts, idx in (([3000000, -3000000, 0, 0], []), ([3, -3, 0, 0], []),
                     ([2**62] * 4, []), ([0, 3, 0], []), ([1, 0, 0, 0], [ds.tasks[0].n]),
@@ -533,7 +537,8 @@ def _native_calls(patch, lib):
     """The names of ``lib``'s draw entry points as they are called, in
     order; the entry points still run.  ``patch`` undoes the wrapping."""
     calls = []
-    for name in ("fedmtl_draw_integers", "fedmtl_draw_permutations", "fedmtl_draw_random"):
+    for name in ("fedmtl_draw_integers", "fedmtl_draw_permutations", "fedmtl_draw_choices",
+                 "fedmtl_draw_random"):
         def wrapped(*args, _name=name, _entry=getattr(lib, name)):
             calls.append(_name)
             return _entry(*args)
@@ -681,6 +686,8 @@ def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
                                                      for t in range(2)]
         assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [0, 8]),
                               _permuted(stream(5, 11, 1, 9), 6, 8))
+        assert np.array_equal(draw_choices(5, 12, 9, [3, 6], [0, 4]),
+                              stream(5, 12, 1, 9).choice(6, size=4, replace=False))
         # Numpy's draws, with the native update kernel.
         _assert_same_runs(got, _dropping_runs())
         assert calls == []
@@ -701,6 +708,17 @@ class _OtherShuffle:
 
     def permutation(self, n):
         return np.roll(self._g.permutation(n), 1)
+
+
+class _OtherChoice(_OtherShuffle):
+    """A numpy stream whose choices come out in another order, and whose
+    other draws are numpy's."""
+
+    def permutation(self, n):
+        return self._g.permutation(n)
+
+    def choice(self, *args, **kwargs):
+        return np.roll(self._g.choice(*args, **kwargs), 1)
 
 
 @needs_cc
@@ -781,3 +799,95 @@ def test_a_budget_within_the_task_visits_distinct_examples(nodes, seed, round_id
     for t, block in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
         assert len(set(block.tolist())) == counts[t]
         assert block.min(initial=0) >= 0 and block.max(initial=0) < ds.tasks[t].n
+
+
+@needs_cc
+def test_a_different_choice_alone_turns_the_native_draws_off(monkeypatch):
+    got = _dropping_runs()
+    try:
+        with monkeypatch.context() as patch:
+            # As if numpy's choice alone had changed.
+            patch.setattr(solver, "stream", lambda *key, _s=solver.stream: _OtherChoice(_s(*key)))
+            solver._load_kernel.cache_clear()
+            lib = solver._load_kernel()
+        assert lib is not None and lib.numpy_streams is False
+        calls = _native_calls(monkeypatch, lib)
+        assert np.array_equal(draw_choices(5, 12, 9, [3, 6], [2, 6]), np.concatenate([
+            stream(5, 12, t, 9).choice(n, size=b, replace=False)
+            for t, (n, b) in enumerate([(3, 2), (6, 6)])]))
+        _assert_same_runs(got, _dropping_runs())
+        assert calls == []
+    finally:
+        solver._load_kernel.cache_clear()
+    assert solver._load_kernel().numpy_streams is True
+
+
+def _choices_py(seed, tag, round_idx, nodes):
+    """``draw_choices``' numpy reference: each node's ``choice`` from its
+    stream, concatenated in node order."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *(
+        stream(seed, tag, t, round_idx).choice(n, size=b, replace=False)
+        for t, (n, b) in enumerate(nodes))])
+
+
+def _sized(sizes):
+    """A task size from ``sizes`` and a count in [0, size]."""
+    return sizes.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+# Sizes down to 1 with counts of 0 up to the size, and the sizes on either
+# side of numpy's switch from Floyd's sample to a tail shuffle.
+_CHOSEN_NODES = st.lists(_sized(st.integers(1, 60)) | _sized(st.sampled_from([10000, 10001])),
+                         max_size=4)
+
+
+@needs_cc
+@settings(max_examples=150, deadline=None)
+@given(seed=_SEEDS, tag=_WORD, round_idx=_WORD, nodes=_CHOSEN_NODES)
+@example(seed=2**63, tag=12, round_idx=0, nodes=[(1, 1), (5, 0), (5, 5), (1, 0)])
+@example(seed=7, tag=12, round_idx=3, nodes=[(10000, 10000), (10000, 201), (3, 2)])
+@example(seed=7, tag=12, round_idx=3, nodes=[(10001, 201), (4, 4)])
+@example(seed=7, tag=12, round_idx=3, nodes=[(10001, 200), (10001, 0), (4, 4)])
+@example(seed=2**64 - 1, tag=12, round_idx=2**64 - 1, nodes=[(10001, 10001)])
+def test_native_choices_match_numpy(seed, tag, round_idx, nodes):
+    """Every node's batch from ``draw_choices`` equals numpy's ``choice``
+    without replacement from its stream.  One native call draws them all
+    unless a drawing node has more than 10,000 examples and a count above
+    a 50th of them, where numpy shuffles the tail of every index and the
+    call takes numpy's path."""
+    sizes, counts = [n for n, _ in nodes], [b for _, b in nodes]
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _native_calls(patch, solver._load_kernel())
+        got = draw_choices(seed, tag, round_idx, sizes, counts)
+    floyd = all(n <= 10000 or b <= n // 50 for n, b in nodes if b)
+    assert calls == (["fedmtl_draw_choices"] if floyd else [])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _choices_py(seed, tag, round_idx, nodes))
+
+
+@needs_cc
+def test_native_choices_defer_to_numpy_where_they_cannot_run(monkeypatch):
+    calls = _native_calls(monkeypatch, solver._load_kernel())
+    nodes = [(4, 3), (9, 0), (30, 30)]
+    sizes, counts = [n for n, _ in nodes], [b for _, b in nodes]
+    # A seed or round of 2**64 or more, and a size of 2**32 or more.
+    for seed, round_idx in ((2**64, 9), (5, 2**64 + 1)):
+        assert np.array_equal(draw_choices(seed, 12, round_idx, sizes, counts),
+                              _choices_py(seed, 12, round_idx, nodes))
+    big = [(2**32, 3), (4, 4)]
+    assert np.array_equal(draw_choices(5, 12, 9, [n for n, _ in big], [b for _, b in big]),
+                          _choices_py(5, 12, 9, big))
+    assert calls == []
+    # Negative counts, and counts above their size, are refused.
+    for bad_sizes, bad_counts in (([3, 4], [2, -1]), ([3, 4], [4, 1]), ([0], [1])):
+        with pytest.raises(ValueError):
+            draw_choices(5, 12, 9, bad_sizes, bad_counts)
+    # A scalar size stands for every node.
+    assert np.array_equal(draw_choices(5, 12, 9, 6, [2, 0, 6]),
+                          _choices_py(5, 12, 9, [(6, 2), (6, 0), (6, 6)]))
+    assert calls == ["fedmtl_draw_choices"]
+    # Without the kernel every draw is numpy's.
+    monkeypatch.setattr(solver, "_load_kernel", lambda: None)
+    assert np.array_equal(draw_choices(5, 12, 9, sizes, counts),
+                          _choices_py(5, 12, 9, nodes))
+    assert calls == ["fedmtl_draw_choices"]
