@@ -9,11 +9,9 @@
    library is built without contraction into fused multiply-adds, so each
    operation rounds as written.
 
-   fedmtl_draw_integers, fedmtl_draw_permutations, fedmtl_draw_choices and
-   fedmtl_draw_random reproduce numpy's np.random.default_rng streams bit
-   for bit; fedmtl.solver.draw_integers, draw_permutations, draw_choices and
-   draw_random call them and check them against numpy when the library is
-   loaded. */
+   fedmtl_draw_integers, fedmtl_draw_random and fedmtl_draw_permutations
+   are the native bodies of the round's draws in fedmtl.solver, with numpy
+   references (_draw_integers_py and so on) that they equal exactly. */
 
 #include <stdint.h>
 
@@ -145,241 +143,74 @@ void fedmtl_task_losses(int hinge, int64_t d, int64_t m, const double *const *X,
 }
 
 
-/* numpy's SeedSequence (pool of four 32-bit words) and PCG64 (128-bit LCG
-   with XSL-RR output, O'Neill 2014), as np.random.default_rng(key) builds
-   them for a key of four integers below 2**64.  Node t's stream for a round
-   is keyed [seed, tag, t, round], as fedmtl.solver.stream keys it. */
+/* The round's draws, counter-based (Salmon et al., SC 2011): under a round's
+   key k (fedmtl.solver._round_key), node t's j-th draw is u(k_t, j), the
+   j-th output of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with
+   k_t = splitmix(k ^ splitmix(t)).  No draw depends on another. */
 
-#define INIT_A 0x43b0d7e5u
-#define MULT_A 0x931e8875u
-#define INIT_B 0x8b51f9ddu
-#define MULT_B 0x58f38dedu
-#define MIX_MULT_L 0xca01f9ddu
-#define MIX_MULT_R 0x4973f715u
+#define GOLDEN 0x9e3779b97f4a7c15ull
 
-typedef unsigned __int128 u128;
-
-typedef struct {
-    u128 state, inc;
-    int has32;          /* the high half of the last 64-bit output is unused */
-    uint32_t high32;
-} pcg64;
-
-static uint32_t hashmix(uint32_t value, uint32_t *hash)
+static uint64_t splitmix(uint64_t z)
 {
-    value ^= *hash;
-    *hash *= MULT_A;
-    value *= *hash;
-    return value ^ (value >> 16);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
 }
 
-static uint32_t mix(uint32_t x, uint32_t y)
+static uint64_t node_key(uint64_t key, int64_t t)
 {
-    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
-    return r ^ (r >> 16);
+    return splitmix(key ^ splitmix((uint64_t)t));
 }
 
-static void pcg64_step(pcg64 *g)
+static uint64_t draw(uint64_t node, uint64_t j)
 {
-    static const u128 mult = ((u128)0x2360ed051fc65da4ull << 64) | 0x4385df649fccf645ull;
-    g->state = g->state * mult + g->inc;
+    return splitmix(node + (j + 1) * GOLDEN);
 }
 
-static void pcg64_seed(pcg64 *g, uint64_t seed, uint64_t tag, uint64_t t, uint64_t round)
+/* The high 64 bits of u * (range + 1), in [0, range] for range < 2**32 - 1:
+   Lemire's method (arXiv:1805.10941) without its rejection step, so each
+   value's probability is within 2**-64 of 1 / (range + 1). */
+static uint64_t bounded(uint64_t u, uint64_t range)
 {
-    /* Each key integer gives its 32-bit words, low first; zero gives one. */
-    const uint64_t key[4] = {seed, tag, t, round};
-    uint32_t entropy[8], pool[4], hash = INIT_A, words[8];
-    int n = 0;
-    for (int k = 0; k < 4; k++) {
-        entropy[n++] = (uint32_t)key[k];
-        if (key[k] >> 32)
-            entropy[n++] = (uint32_t)(key[k] >> 32);
-    }
-    for (int i = 0; i < 4; i++)
-        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash);
-    for (int src = 0; src < 4; src++)
-        for (int dst = 0; dst < 4; dst++)
-            if (src != dst)
-                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
-    for (int src = 4; src < n; src++)
-        for (int dst = 0; dst < 4; dst++)
-            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
-    /* generate_state(4, uint64): eight words, paired little-endian. */
-    hash = INIT_B;
-    for (int i = 0; i < 8; i++) {
-        uint32_t v = pool[i % 4] ^ hash;
-        hash *= MULT_B;
-        v *= hash;
-        words[i] = v ^ (v >> 16);
-    }
-    uint64_t s[4];
-    for (int i = 0; i < 4; i++)
-        s[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
-    /* pcg64_set_seed: s[0], s[1] are the state's high and low halves, s[2],
-       s[3] those of the sequence. */
-    g->inc = ((((u128)s[2] << 64) | s[3]) << 1) | 1u;
-    g->state = 0;
-    pcg64_step(g);
-    g->state += ((u128)s[0] << 64) | s[1];
-    pcg64_step(g);
-    g->has32 = 0;
-    g->high32 = 0;
+    return (uint64_t)(((unsigned __int128)u * (range + 1)) >> 64);
 }
 
-static uint64_t pcg64_next64(pcg64 *g)
+/* out[t] = lo + bounded(u(k_t, 0), range) for each node t, 0 <= t < m. */
+void fedmtl_draw_integers(uint64_t key, int64_t lo, int64_t range, int64_t m, int64_t *out)
 {
-    pcg64_step(g);
-    uint64_t hi = (uint64_t)(g->state >> 64), x = hi ^ (uint64_t)g->state;
-    unsigned r = (unsigned)(hi >> 58);
-    return (x >> r) | (x << ((64u - r) & 63u));
+    for (int64_t t = 0; t < m; t++)
+        out[t] = lo + (int64_t)bounded(draw(node_key(key, t), 0), (uint64_t)range);
 }
 
-static uint32_t pcg64_next32(pcg64 *g)
+/* out[t] = the top 53 bits of u(k_t, 0), over 2**53, for each node t < m. */
+void fedmtl_draw_random(uint64_t key, int64_t m, double *out)
 {
-    if (g->has32) {
-        g->has32 = 0;
-        return g->high32;
-    }
-    uint64_t next = pcg64_next64(g);
-    g->has32 = 1;
-    g->high32 = (uint32_t)(next >> 32);
-    return (uint32_t)next;
+    for (int64_t t = 0; t < m; t++)
+        out[t] = (double)(draw(node_key(key, t), 0) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* Lemire's multiply-and-reject (arXiv:1805.10941) on 32-bit draws, as
-   numpy's buffered_bounded_lemire_uint32: uniform on [0, range], for
-   range < 2**32 - 1. */
-static uint32_t bounded32(pcg64 *g, uint32_t range)
-{
-    uint32_t excl = range + 1u;
-    uint64_t m = (uint64_t)pcg64_next32(g) * excl;
-    uint32_t leftover = (uint32_t)m;
-    if (leftover < excl) {
-        uint32_t threshold = (UINT32_MAX - range) % excl;
-        while (leftover < threshold) {
-            m = (uint64_t)pcg64_next32(g) * excl;
-            leftover = (uint32_t)m;
-        }
-    }
-    return (uint32_t)(m >> 32);
-}
-
-/* For node t, 0 <= t < m, counts[t] integers in [lo[t], lo[t] + range[t]]
-   appended to out, as default_rng([seed, tag, t, round]).integers(lo,
-   lo + range, size=count, endpoint=True) draws them; every range must be
-   below 2**32 - 1. */
-void fedmtl_draw_integers(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
-                          const int64_t *lo, const int64_t *range, const int64_t *counts,
-                          int64_t *out)
+/* For node t < m, counts[t] entries of a forward Fisher-Yates shuffle
+   (Durstenfeld, CACM 1964) of 0 .. n - 1, n = sizes[t], appended to out:
+   entry k swaps position i = k mod n with i + bounded(u(k_t, k), n - 1 - i)
+   and reads position i.  work holds n entries; n is in [1, 2**32). */
+void fedmtl_draw_permutations(uint64_t key, int64_t m, const int64_t *sizes,
+                              const int64_t *counts, int64_t *work, int64_t *out)
 {
     for (int64_t t = 0; t < m; t++) {
-        pcg64 g;
-        if (range[t] && counts[t])
-            pcg64_seed(&g, seed, tag, t, round);
-        for (int64_t j = 0; j < counts[t]; j++)
-            *out++ = lo[t] + (range[t] ? (int64_t)bounded32(&g, (uint32_t)range[t]) : 0);
-    }
-}
-
-/* numpy's random_interval for max < 2**32: 32-bit draws under the smallest
-   mask of all ones that covers max, until one is at most max. */
-static uint32_t interval32(pcg64 *g, uint32_t max)
-{
-    uint32_t mask = max, value;
-    mask |= mask >> 1;
-    mask |= mask >> 2;
-    mask |= mask >> 4;
-    mask |= mask >> 8;
-    mask |= mask >> 16;
-    while ((value = pcg64_next32(g) & mask) > max)
-        ;
-    return value;
-}
-
-/* For node t, 0 <= t < m, counts[t] indices in [0, sizes[t]) appended to
-   out: consecutive permutations of 0 .. sizes[t] - 1, each read from its
-   last entry to its first, cut to the count, as
-   default_rng([seed, tag, t, round]).permutation(n)[::-1] draws them.
-   numpy's shuffle fixes entry i = n - 1, ..., 1 by a swap with an entry
-   drawn from [0, i], so the first k entries read cost k draws, and the last
-   permutation stops where the count does.  work holds sizes[t] entries for
-   every node that draws; every size that draws is in [1, 2**32). */
-void fedmtl_draw_permutations(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
-                              const int64_t *sizes, const int64_t *counts,
-                              int64_t *work, int64_t *out)
-{
-    for (int64_t t = 0; t < m; t++) {
-        int64_t n = sizes[t], left = counts[t];
-        pcg64 g;
-        if (left > 0 && n > 0)
-            pcg64_seed(&g, seed, tag, t, round);
-        while (left > 0 && n > 0) {
-            for (int64_t i = 0; i < n; i++)
-                work[i] = i;
-            for (int64_t i = n - 1; i >= 0 && left > 0; i--, left--) {
-                if (i > 0) {
-                    int64_t j = interval32(&g, (uint32_t)i), kept = work[j];
-                    work[j] = work[i];
-                    work[i] = kept;
-                }
-                *out++ = work[i];
-            }
+        int64_t n = sizes[t], i = 0;     /* i = k mod n */
+        uint64_t node = node_key(key, t);
+        for (int64_t k = 0; k < counts[t]; k++) {
+            int64_t j, kept;
+            if (i == 0)
+                for (int64_t e = 0; e < n; e++)
+                    work[e] = e;
+            j = i + (int64_t)bounded(draw(node, (uint64_t)k), (uint64_t)(n - 1 - i));
+            kept = work[j];
+            work[j] = work[i];
+            work[i] = kept;
+            *out++ = kept;
+            if (++i == n)
+                i = 0;
         }
-    }
-}
-
-/* For node t, 0 <= t < m, counts[t] distinct indices in [0, sizes[t])
-   appended to out, as default_rng([seed, tag, t, round]).choice(sizes[t],
-   size=counts[t], replace=False) draws them where it takes Floyd's sample
-   (Bentley & Floyd, CACM 1987): every size is in [1, 2**32) and at most
-   10,000, or a count at most size / 50.  For j = n - b, ..., n - 1 the
-   sample takes a draw from [0, j] (j = 0 draws nothing), or j itself when
-   that draw is already taken; numpy then shuffles the sample, swapping
-   entry i = b - 1, ..., 1 with one drawn from [0, i].  Both draw by
-   Lemire's method, not by interval32's mask.  work holds mask + 1 entries,
-   a power of two above every count: an open-addressed set of the values
-   taken so far. */
-void fedmtl_draw_choices(uint64_t seed, uint64_t tag, uint64_t round, int64_t m,
-                         const int64_t *sizes, const int64_t *counts, int64_t mask,
-                         int64_t *work, int64_t *out)
-{
-    for (int64_t t = 0; t < m; t++) {
-        int64_t n = sizes[t], b = counts[t];
-        pcg64 g;
-        if (b <= 0)
-            continue;
-        pcg64_seed(&g, seed, tag, t, round);
-        for (int64_t k = 0; k <= mask; k++)
-            work[k] = -1;
-        for (int64_t j = n - b; j < n; j++) {
-            int64_t value = j ? (int64_t)bounded32(&g, (uint32_t)j) : 0, k = value & mask;
-            while (work[k] != -1 && work[k] != value)
-                k = (k + 1) & mask;
-            if (work[k] == value) {
-                /* Taken already, so j, which no earlier draw could reach, is. */
-                value = j;
-                for (k = j & mask; work[k] != -1; k = (k + 1) & mask)
-                    ;
-            }
-            work[k] = value;
-            out[j - (n - b)] = value;
-        }
-        for (int64_t i = b - 1; i > 0; i--) {
-            int64_t j = (int64_t)bounded32(&g, (uint32_t)i), kept = out[j];
-            out[j] = out[i];
-            out[i] = kept;
-        }
-        out += b;
-    }
-}
-
-/* For node t, 0 <= t < m, out[t] = default_rng([seed, tag, t, round]).random(). */
-void fedmtl_draw_random(uint64_t seed, uint64_t tag, uint64_t round, int64_t m, double *out)
-{
-    for (int64_t t = 0; t < m; t++) {
-        pcg64 g;
-        pcg64_seed(&g, seed, tag, t, round);
-        out[t] = (double)(pcg64_next64(&g) >> 11) * (1.0 / 9007199254740992.0);
     }
 }

@@ -32,7 +32,7 @@ from .solver import (
     RoundStats,
     RunResult,
     SolverConfig,
-    draw_choices,
+    draw_permutations,
     duality_gap,
     init_dual_state,
     primal_objective,
@@ -116,10 +116,10 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
     fixed coupling ``rel``'s penalty, and the update is applied
     synchronously.
 
-    Round h's batches are one ``draw_choices`` call under ``SGD_STREAM``:
-    node t's is ``stream(seed, SGD_STREAM, t, h).choice(n_t, size=b_t,
-    replace=False)``, with b_t its budget clipped to [1, n_t], and a dropped
-    node draws none."""
+    Round h's batches are one ``draw_permutations`` call under
+    ``SGD_STREAM``: node t's is the first b_t entries of its permutation,
+    with b_t its budget clipped to [1, n_t], a uniform subset of b_t
+    distinct examples, and a dropped node draws none."""
     check_method_params({**METHOD_DEFAULTS, "batch": batch, "schedule": schedule})
     if not 0.0 <= step < math.inf:
         raise ValueError("step must be finite and >= 0")
@@ -134,17 +134,14 @@ def mb_sgd_run(ds: FederatedDataset, kind: LossKind, rel: RelationshipState,
         counts = [0 if drops[t] else min(max(int(budgets[t]), 1), task.n)
                   for t, task in enumerate(ds.tasks)]
         dropped = [t for t in range(ds.m) if drops[t]]
-        batches = draw_choices(seed, SGD_STREAM, h, ds.sizes, counts)
-        start = 0
-        for t, task in enumerate(ds.tasks):
+        batches = draw_permutations(seed, SGD_STREAM, h, ds.sizes, counts)
+        for t, (task, idx) in enumerate(zip(ds.tasks, np.split(batches, np.cumsum(counts)))):
             if drops[t]:
                 grad[:, t] = 0.0
                 continue
-            b_t = counts[t]
-            idx, start = batches[start:start + b_t], start + b_t
             Xb = task.features[:, idx]
             g = subgradient(kind, W[:, t] @ Xb, task.labels[idx])
-            grad[:, t] += (task.n / b_t) * (Xb @ g)
+            grad[:, t] += (task.n / counts[t]) * (Xb @ g)
         W -= eta * grad
         trace.append(RoundStats(
             h=h, dual=None, gap=None,

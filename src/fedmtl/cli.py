@@ -50,7 +50,6 @@ from .regularizers import (
     build_relationship,
     initial_eigenpairs,
     initial_omega,
-    sigma_prime_per_task,
     write_matrix_csv,
 )
 from .simulation import (
@@ -628,7 +627,8 @@ def cmd_theory(args) -> int:
         "loss": kind.value,
         "gamma": gamma,
         "sigma_prime": rel.sigma_prime,
-        "sigma_prime_per_task": list(sigma_prime_per_task(rel.mbar, gamma)),
+        "coupling": ("initial: sigma_prime, s and the round bounds describe the coupling "
+                     "a run starts from, not one that it learns"),
         "sigma_per_task": list(stats.per_task),
         "sigma_max": stats.sigma_max,
         "sigma_total": stats.sigma_total,

@@ -97,14 +97,6 @@ def sigma_prime(mbar: np.ndarray, gamma: float = 1.0) -> float:
     return gamma * float(np.linalg.eigvalsh(mbar / np.outer(root, root))[-1])
 
 
-def sigma_prime_per_task(mbar: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """gamma * sum_t' |Mbar_tt'| / Mbar_tt per task t; looser tasks get less.
-    Gershgorin's row-sum bound, so its max is >= ``sigma_prime``."""
-    check_gamma(gamma)
-    diag = np.diag(mbar)
-    return gamma * np.abs(mbar).sum(axis=1) / diag
-
-
 def regularizer_conjugate(v: np.ndarray, mbar: np.ndarray) -> float:
     """R*(v) = sum_{t,t'} Mbar_tt' <v_t, v_t'> / 4 for blocks v_t = v[:, t]."""
     return float(0.25 * np.sum(mbar * (v.T @ v)))

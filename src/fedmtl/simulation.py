@@ -11,10 +11,10 @@ one dense d-vector shipped each way.  A round lasts the largest ms(t) over
 the nodes that responded, or comm alone when every node drops, and never less
 than MIN_ROUND_MS; elapsed time is the running sum in round order.
 
-Node t's budget and drop in round h come from its own streams,
-``stream(seed, BUDGET_STREAM, t, h)`` and ``stream(seed, DROP_STREAM, t, h)``,
-so any wrapped run is reproducible from its seed alone.  A round's budgets
-are one ``draw_integers`` call and its drops one ``draw_random`` call.
+Node t's budget and drop in round h are its draws under (seed,
+BUDGET_STREAM, h) and (seed, DROP_STREAM, h), so any wrapped run is
+reproducible from its seed alone.  A round's budgets are one
+``draw_integers`` call and its drops one ``draw_random`` call.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class HeterogeneityPolicy:
 
 class SystemsPolicy:
     """Budget/drop provider for solver runs: each call gives a whole round's
-    values for nodes 0 .. m - 1, node t's from its own stream (see the
+    values for nodes 0 .. m - 1, node t's from its own draws (see the
     module docstring)."""
 
     def __init__(self, seed: int, profiles, heterogeneity: HeterogeneityPolicy):
@@ -126,7 +126,7 @@ class SystemsPolicy:
     def budget(self, m: int, round_idx: int) -> list[int]:
         """Each node's budget, uniform on the heterogeneity policy's bounds."""
         lo, hi = self.heterogeneity.bounds()
-        return draw_integers(self.seed, BUDGET_STREAM, round_idx, lo, hi, [1] * m).tolist()
+        return draw_integers(self.seed, BUDGET_STREAM, round_idx, lo, hi, m).tolist()
 
     def dropped(self, m: int, round_idx: int) -> list[bool]:
         """Whether each node drops: a uniform below its drop probability."""

@@ -39,22 +39,16 @@ compiler.  Every reference reads the kernel's ``RoundView``.
 
 Determinism: a round is a pure function of the dual state, the coupling
 (``RelationshipState``, which holds each node's kappa) and the round's
-draws.  A caller names a round's randomness by (seed, tag, round) alone:
-node t's stream is ``stream(seed, tag, t, round)``.  A round's budgets, its
-drops, every responding node's coordinate indices, CoCoA's passes and
-mini-batch SGD's batches are one call each of ``draw_integers``,
-``draw_random``, ``draw_permutations`` or ``draw_choices``, which reproduce
-those numpy streams bit for bit natively and take numpy's path node by node
-where that cannot run.  Coordinates are sampled without replacement: a
-node's indices in a round walk random permutations of its examples, as
-SDCA over random permutations does (Shalev-Shwartz & Zhang,
-arXiv:1209.1873), and a budget of at most n_t visits distinct examples.
-CoCoA's pass p of node t is the (p + 1)-th ``permutation(n_t)`` of its
-stream.  Mini-batch SGD's batch on node t is ``choice(n_t, size=b_t,
-replace=False)`` of its stream under ``SGD_STREAM``.  Every node's steps
-are then one call of the native round kernel, on the calling thread: the
-sweep is memory-bound, so threads do not pay, and a round's simulated
-length comes from its update counts, not from the host.
+draws, which a caller names by (seed, tag, round) alone.  A round's budgets,
+drops, coordinate indices, CoCoA passes and mini-batch SGD batches are one
+native call each of ``draw_integers``, ``draw_random`` or
+``draw_permutations``, counter-based draws this package defines (Salmon et
+al., SC 2011) with exact numpy references.  A node's indices walk random
+permutations of its examples, as SDCA over random permutations does
+(Shalev-Shwartz & Zhang, arXiv:1209.1873).  Every node's steps are then one
+call of the native round kernel, on the calling thread: the sweep is
+memory-bound, so threads do not pay, and a round's simulated length comes
+from its update counts, not from the host.
 """
 
 from __future__ import annotations
@@ -65,6 +59,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import tempfile
@@ -108,11 +103,6 @@ _ORACLE_MAX_PASSES = 20000
 
 # Tolerance of the exact solve that CoCoA's theta is measured against.
 _COCOA_ORACLE_TOL = 1e-9
-
-
-def stream(seed: int, tag: int, t: int, round_idx: int) -> np.random.Generator:
-    """Node t's random stream under ``tag`` in round ``round_idx``."""
-    return np.random.default_rng([seed, tag, t, round_idx])
 
 
 class ConvergenceError(RuntimeError):
@@ -309,59 +299,12 @@ _KERNEL_SOURCE = Path(__file__).with_name("_updates.c")
 _KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
-# The native draws are used only if they give numpy's draws for these
-# streams: the seed takes two 32-bit entropy words, two nodes check the node's
-# place in the key, and the odd count leaves the high half of a 64-bit output
-# for the next integer.  The permutations' count crosses into a second
-# permutation of the size.  The choices take 3 of the size on node 0 and
-# all of it on node 1, whose sample starts at [0, 0] and must repeat a draw.
-_STREAM_CHECK = (2**63 + 12345, SOLVER_STREAM, 7, -5, 2**31, 7, 5, 3)
-
-
-def _permutations_py(g: np.random.Generator, size: int, count: int) -> np.ndarray:
-    """``count`` indices from ``g``: consecutive permutations of 0 .. size - 1,
-    each read from its end, cut to the count."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        g.permutation(size)[::-1] for _ in range(-(-count // size)))])[:count]
-
-
-def _streams_match_numpy(lib) -> bool:
-    """Whether ``lib``'s draws for ``_STREAM_CHECK`` equal numpy's."""
-    seed, tag, round_idx, lo, hi, count, size, chosen = _STREAM_CHECK
-    lows, widths, counts, sizes = (np.full(2, v, dtype=np.int64)
-                                   for v in (lo, hi - lo, count, size))
-    takes = np.array([chosen, size], dtype=np.int64)
-    ints, perms = np.empty(2 * count, dtype=np.int64), np.empty(2 * count, dtype=np.int64)
-    choices, doubles = np.empty(chosen + size, dtype=np.int64), np.empty(2)
-    work = np.empty(_choice_set_size(size), dtype=np.int64)    # also >= size
-    lib.fedmtl_draw_integers(seed, tag, round_idx, 2, lows.ctypes.data, widths.ctypes.data,
-                             counts.ctypes.data, ints.ctypes.data)
-    lib.fedmtl_draw_permutations(seed, tag, round_idx, 2, sizes.ctypes.data, counts.ctypes.data,
-                                 work.ctypes.data, perms.ctypes.data)
-    lib.fedmtl_draw_choices(seed, tag, round_idx, 2, sizes.ctypes.data, takes.ctypes.data,
-                            work.size - 1, work.ctypes.data, choices.ctypes.data)
-    lib.fedmtl_draw_random(seed, tag, round_idx, 2, doubles.ctypes.data)
-    return bool(
-        np.array_equal(ints, np.concatenate([
-            stream(seed, tag, t, round_idx).integers(lo, hi, size=count, endpoint=True)
-            for t in range(2)]))
-        and np.array_equal(perms, np.concatenate([
-            _permutations_py(stream(seed, tag, t, round_idx), size, count) for t in range(2)]))
-        and np.array_equal(choices, np.concatenate([
-            stream(seed, tag, t, round_idx).choice(size, size=b, replace=False)
-            for t, b in enumerate(takes.tolist())]))
-        and doubles.tolist() == [stream(seed, tag, t, round_idx).random() for t in range(2)])
-
-
 @functools.cache
 def _load_kernel():
     """The compiled ``_updates.c``, with ``fedmtl_run_round``,
-    ``fedmtl_task_losses``, ``fedmtl_draw_integers``,
-    ``fedmtl_draw_permutations``, ``fedmtl_draw_choices`` and
-    ``fedmtl_draw_random`` declared, or None when there is no C compiler or
-    the build fails.
-    ``lib.numpy_streams`` is whether the draws matched numpy's when loaded;
-    numpy does not promise that its streams stay the same across versions.
+    ``fedmtl_task_losses``, ``fedmtl_draw_integers``, ``fedmtl_draw_random``
+    and ``fedmtl_draw_permutations`` declared, or None when there is no C
+    compiler or the build fails.
 
     Built once per source and flags into ``$XDG_CACHE_HOME/fedmtl``; the
     build writes a temporary file and renames it, so concurrent builds are
@@ -394,149 +337,137 @@ def _load_kernel():
     ptr, i64, u64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
     lib.fedmtl_run_round.argtypes = [ctypes.c_int, ctypes.c_double, i64, i64, *[ptr] * 11]
     lib.fedmtl_task_losses.argtypes = [ctypes.c_int, i64, i64, *[ptr] * 5]
-    lib.fedmtl_draw_integers.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
-    lib.fedmtl_draw_permutations.argtypes = [u64, u64, u64, i64, *[ptr] * 4]
-    lib.fedmtl_draw_choices.argtypes = [u64, u64, u64, i64, ptr, ptr, i64, ptr, ptr]
-    lib.fedmtl_draw_random.argtypes = [u64, u64, u64, i64, ptr]
+    lib.fedmtl_draw_integers.argtypes = [u64, i64, i64, i64, ptr]
+    lib.fedmtl_draw_random.argtypes = [u64, i64, ptr]
+    lib.fedmtl_draw_permutations.argtypes = [u64, i64, *[ptr] * 4]
     for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
-                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_choices, lib.fedmtl_draw_random):
+                  lib.fedmtl_draw_random, lib.fedmtl_draw_permutations):
         entry.restype = None
-    lib.numpy_streams = _streams_match_numpy(lib)
     return lib
 
 
-def _draw_kernel(seed: int, tag: int, round_idx: int):
-    """The kernel when its draws give these streams, else None: there is
-    none, its draws did not match numpy's when it was loaded, or seed, tag
-    or round is not in [0, 2**64)."""
-    lib = _load_kernel()
-    if lib is None or not lib.numpy_streams or not all(
-            0 <= k < 2**64 for k in (seed, tag, round_idx)):
-        return None
-    return lib
+# The round's draws, as _updates.c defines them (``_round_key``, ``_draws``).
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = 2**64 - 1
 
 
-def _per_node(values, shape: tuple[int]) -> np.ndarray:
-    """``values`` as a contiguous int64 array of ``shape``; a scalar, or any
-    shape that broadcasts to it, stands for every node."""
-    if np.ndim(values) == 0:
-        return np.full(shape, values, dtype=np.int64)
-    a = np.ascontiguousarray(values, dtype=np.int64)
-    return a if a.shape == shape else np.ascontiguousarray(np.broadcast_to(a, shape))
+def _draw_kernel():
+    """The kernel the draws call; None here sends the draws alone to their references."""
+    return _load_kernel()
 
 
-def draw_integers(seed: int, tag: int, round_idx: int, lo, hi, counts) -> np.ndarray:
-    """For each node t < m = len(counts), ``counts[t]`` integers in
-    ``[lo[t], hi[t]]`` from its stream, concatenated in node order: exactly
-    ``stream(seed, tag, t, round_idx).integers(lo[t], hi[t],
-    size=counts[t], endpoint=True)``.  ``lo`` and ``hi`` may be scalars.
+def _splitmix(z):
+    """SplitMix64's finalizer of an int in [0, 2**64), or of a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
-    One native call, or node by node with numpy where that cannot run (see
-    ``_draw_kernel``), or where a drawing node's width ``hi - lo`` is
-    2**32 - 1 or more, or invalid.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    lo, hi = _per_node(lo, counts.shape), _per_node(hi, counts.shape)
-    width = hi - lo
-    # The checks read Python lists, which cost less than numpy's reductions
-    # at a round's handful of nodes.
-    listed = counts.tolist()
-    drawn = [w for w, count in zip(width.tolist(), listed) if count]
-    lib = _draw_kernel(seed, tag, round_idx)
-    if (lib is not None and min(listed, default=0) >= 0
-            and min(drawn, default=0) >= 0 and max(drawn, default=0) < 2**32 - 1):
-        out = np.empty(sum(listed), dtype=np.int64)
-        lib.fedmtl_draw_integers(seed, tag, round_idx, len(counts), lo.ctypes.data,
-                                 width.ctypes.data, counts.ctypes.data, out.ctypes.data)
-        return out
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        stream(seed, tag, t, round_idx).integers(lo[t], hi[t], size=counts[t], endpoint=True)
-        for t in np.flatnonzero(counts))])
+
+def _round_key(seed: int, tag: int, round_idx: int) -> int:
+    """The key of a round's draws: each 64-bit word w of seed, tag and round,
+    ints >= 0 of any size, low first, is absorbed as k = _splitmix(((k + c)
+    mod 2**64) ^ w), c = _GOLDEN for a value's last word, else 2 * _GOLDEN."""
+    key = 0
+    for value in map(operator.index, (seed, tag, round_idx)):
+        if value < 0:
+            raise ValueError(f"seed, tag and round must be >= 0, got {value!r}")
+        while value > _MASK:
+            key, value = _splitmix(((key + 2 * _GOLDEN) & _MASK) ^ (value & _MASK)), value >> 64
+        key = _splitmix(((key + _GOLDEN) & _MASK) ^ value)
+    return key
+
+
+def _draws(key: int, nodes: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """u(k_t, j) = _splitmix(k_t + (j + 1) * _GOLDEN) with k_t = _splitmix(key ^
+    _splitmix(t)), as uint64, for node t = ``nodes[e]`` and j = ``j[e]``."""
+    node = _splitmix(np.uint64(key) ^ _splitmix(nodes.astype(np.uint64)))
+    return _splitmix(node + (j.astype(np.uint64) + 1) * _GOLDEN)
+
+
+def _bounded(u: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """``bounded`` of _updates.c elementwise, as int64, for ranges below
+    2**32 - 1: u * (range + 1) >> 64 from u's 32-bit halves, exactly."""
+    w = ranges.astype(np.uint64) + 1
+    return (((u >> 32) * w + (((u & 0xFFFFFFFF) * w) >> 32)) >> 32).astype(np.int64)
+
+
+def _draw_integers_py(key: int, lo: int, hi: int, m: int) -> np.ndarray:
+    """Reference for ``fedmtl_draw_integers``, and the path without a compiler."""
+    return lo + _bounded(_draws(key, np.arange(m), np.zeros(m)), np.full(m, hi - lo))
+
+
+def _draw_random_py(key: int, m: int) -> np.ndarray:
+    """Reference for ``fedmtl_draw_random``, and the path without a compiler."""
+    return (_draws(key, np.arange(m), np.zeros(m)) >> 11).astype(np.float64) * 2.0**-53
+
+
+def _draw_permutations_py(key: int, sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Reference for ``fedmtl_draw_permutations``, and the path without a
+    compiler: every entry's draw at once, then the swaps in a loop."""
+    n = np.repeat(sizes, counts)
+    k = np.arange(n.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    i = k % n
+    out, u = [], _draws(key, np.repeat(np.arange(counts.size), counts), k)
+    for i, j, n in zip(i.tolist(), (i + _bounded(u, n - 1 - i)).tolist(), n.tolist()):
+        if i == 0:
+            work = list(range(n))
+        work[i], work[j] = work[j], work[i]
+        out.append(work[i])
+    return np.array(out, dtype=np.int64)
+
+
+def draw_integers(seed: int, tag: int, round_idx: int, lo: int, hi: int, m: int) -> np.ndarray:
+    """One integer in [lo, hi] for each node t < m: lo + the high 64 bits of
+    u * (hi - lo + 1), u its first draw of the round.  Without a rejection
+    step each value's probability is within 2**-64 of 1 / (hi - lo + 1), so
+    the draw is within 2**-33 of uniform in total variation.  ValueError
+    unless lo and hi are int64 and hi - lo + 1 is in [1, 2**32)."""
+    if not (-2**63 <= lo and hi < 2**63 and 1 <= hi - lo + 1 < 2**32):
+        raise ValueError(f"need int64 bounds with hi - lo + 1 in [1, 2**32), got [{lo}, {hi}]")
+    key, lib = _round_key(seed, tag, round_idx), _draw_kernel()
+    if lib is None:
+        return _draw_integers_py(key, lo, hi, m)
+    out = np.empty(m, dtype=np.int64)
+    lib.fedmtl_draw_integers(key, lo, hi - lo, m, out.ctypes.data)
+    return out
+
+
+def draw_random(seed: int, tag: int, round_idx: int, m: int) -> np.ndarray:
+    """One double in [0, 1) for each node t < m: the top 53 bits of its
+    first draw of the round, over 2**53."""
+    key, lib = _round_key(seed, tag, round_idx), _draw_kernel()
+    if lib is None:
+        return _draw_random_py(key, m)
+    out = np.empty(m)
+    lib.fedmtl_draw_random(key, m, out.ctypes.data)
+    return out
 
 
 def draw_permutations(seed: int, tag: int, round_idx: int, sizes, counts) -> np.ndarray:
     """For each node t < m = len(counts), ``counts[t]`` indices in
-    ``[0, sizes[t])`` from its stream, concatenated in node order:
-    consecutive permutations of 0 .. sizes[t] - 1, each read from its end,
-    cut to the count.  That is exactly ``np.concatenate([g.permutation(n)
-    [::-1] for _ in range(ceil(b / n))])[:b]`` with ``g = stream(seed, tag,
-    t, round_idx)``, n = sizes[t] and b = counts[t], so b <= n indices are
-    distinct and cost b draws.
-
-    One native call, or node by node with numpy where that cannot run (see
-    ``_draw_kernel``), or where a drawing node's size is 2**32 or more.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    sizes = _per_node(sizes, counts.shape)
+    ``[0, sizes[t])``, in node order: a forward Fisher-Yates shuffle of
+    0 .. n - 1, n = sizes[t], whose entry k swaps position i = k mod n with
+    i + (a draw from u(k_t, k) in [0, n - 1 - i], biased as in
+    ``draw_integers``) and reads position i.  Entry k reads draw k alone, so
+    a count's indices start any larger count's: b <= n of them are a uniform
+    subset, and block p of n is the node's (p + 1)-th permutation.
+    ValueError unless every node that draws has a size in [1, 2**32)."""
+    sizes, counts = (np.ascontiguousarray(a, dtype=np.int64) for a in (sizes, counts))
+    if counts.ndim != 1 or sizes.shape != counts.shape:
+        raise ValueError("sizes and counts must be vectors of one length")
+    # The checks read Python lists, which cost less than numpy's reductions
+    # at a round's handful of nodes.  The sizes that draw, or [1] for none.
     listed = counts.tolist()
-    drawn = [n for n, count in zip(sizes.tolist(), listed) if count]
-    if min(listed, default=0) < 0:
-        raise ValueError("counts must be >= 0")
-    if min(drawn, default=1) < 1:
-        raise ValueError("a node that draws needs a size >= 1")
-    lib = _draw_kernel(seed, tag, round_idx)
-    if lib is not None and max(drawn, default=0) < 2**32:
-        out = np.empty(sum(listed), dtype=np.int64)
-        work = np.empty(max(drawn, default=0), dtype=np.int64)
-        lib.fedmtl_draw_permutations(seed, tag, round_idx, len(counts), sizes.ctypes.data,
-                                     counts.ctypes.data, work.ctypes.data, out.ctypes.data)
-        return out
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        _permutations_py(stream(seed, tag, t, round_idx), sizes[t], counts[t])
-        for t in np.flatnonzero(counts))])
-
-
-# numpy's choice without replacement takes Floyd's sample of b from n where
-# n <= 10,000 or b <= n // 50, and otherwise shuffles the tail of all n.
-_FLOYD_MAX_SIZE = 10000
-
-
-def _choice_set_size(count: int) -> int:
-    """The power of two above twice ``count``: the entries of the set that
-    ``fedmtl_draw_choices`` keeps of the values a node has taken."""
-    return 1 << (2 * count).bit_length()
-
-
-def draw_choices(seed: int, tag: int, round_idx: int, sizes, counts) -> np.ndarray:
-    """For each node t < m = len(counts), ``counts[t]`` distinct indices in
-    ``[0, sizes[t])`` from its stream, concatenated in node order: exactly
-    ``stream(seed, tag, t, round_idx).choice(sizes[t], size=counts[t],
-    replace=False)``.  ``sizes`` may be a scalar.
-
-    One native call, or node by node with numpy where that cannot run (see
-    ``_draw_kernel``), or where a drawing node's size is 2**32 or more, or
-    above 10,000 with a count above size // 50, where numpy shuffles the
-    tail of all its indices instead of taking Floyd's sample.
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.int64)
-    sizes = _per_node(sizes, counts.shape)
-    listed = counts.tolist()
-    drawing = [(n, b) for n, b in zip(sizes.tolist(), listed) if b]
-    if min(listed, default=0) < 0 or any(b > n for n, b in drawing):
-        raise ValueError("counts must be in [0, size] of their node")
-    lib = _draw_kernel(seed, tag, round_idx)
-    if lib is not None and all(n < 2**32 and (n <= _FLOYD_MAX_SIZE or b <= n // 50)
-                               for n, b in drawing):
-        out = np.empty(sum(listed), dtype=np.int64)
-        work = np.empty(_choice_set_size(max(listed, default=0)), dtype=np.int64)
-        lib.fedmtl_draw_choices(seed, tag, round_idx, len(counts), sizes.ctypes.data,
-                                counts.ctypes.data, work.size - 1, work.ctypes.data,
-                                out.ctypes.data)
-        return out
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        stream(seed, tag, t, round_idx).choice(sizes[t], size=counts[t], replace=False)
-        for t in np.flatnonzero(counts))])
-
-
-def draw_random(seed: int, tag: int, round_idx: int, m: int) -> np.ndarray:
-    """``stream(seed, tag, t, round_idx).random()`` for each node t < m, in
-    one native call, or node by node with numpy where that cannot run (see
-    ``_draw_kernel``)."""
-    lib = _draw_kernel(seed, tag, round_idx)
+    drawn = [n for n, count in zip(sizes.tolist(), listed) if count] or [1]
+    if min(listed, default=0) < 0 or not 1 <= min(drawn) <= max(drawn) < 2**32:
+        raise ValueError("counts must be >= 0, and a node that draws needs a size in [1, 2**32)")
+    key, lib = _round_key(seed, tag, round_idx), _draw_kernel()
     if lib is None:
-        return np.array([stream(seed, tag, t, round_idx).random() for t in range(m)])
-    out = np.empty(m)
-    lib.fedmtl_draw_random(seed, tag, round_idx, m, out.ctypes.data)
+        return _draw_permutations_py(key, sizes, counts)
+    out = np.empty(sum(listed), dtype=np.int64)
+    work = np.empty(max(drawn), dtype=np.int64)
+    lib.fedmtl_draw_permutations(key, len(listed), sizes.ctypes.data, counts.ctypes.data,
+                                 work.ctypes.data, out.ctypes.data)
     return out
 
 
@@ -686,8 +617,8 @@ def _budget_round(view: RoundView, budgets, drops, seed: int, round_idx: int,
 def solve_local(view: RoundView, budgets, drops, seed: int, round_idx: int) -> RoundResult:
     """MOCHA's local solves for one round: each responding node runs
     ``budgets[t]`` randomized coordinate updates against the snapshot, at
-    indices that walk random permutations of its examples, drawn from
-    ``stream(seed, SOLVER_STREAM, t, round_idx)`` (see ``_budget_round``).
+    indices that walk random permutations of its examples, drawn under
+    ``SOLVER_STREAM`` (see ``_budget_round``).
 
     A dropped node, or a budget of zero, does nothing.  No node's subproblem
     value increases.  delta_v is U^T from ``_run_round``: column t is the u
@@ -758,12 +689,11 @@ class FixedQualitySolver:
     desk scale, solved to ``_COCOA_ORACLE_TOL``), removing estimator noise
     from method comparisons.  The passes run in lockstep, one ``_run_round``
     call per pass over the nodes still above the target.  Each pass visits
-    every example of the node once: pass p in the order of the (p + 1)-th
-    ``permutation(n_t)`` of its own ``stream(seed, SOLVER_STREAM, t,
-    round_idx)``, so its work and result do not depend on the other nodes.
-    The passes come from ``draw_permutations``, which reads each
-    permutation from its end; a node's draw is taken again, twice as long,
-    when its passes run out.
+    every example of the node once: pass p is block p of the node's
+    ``draw_permutations`` under ``SOLVER_STREAM``, its (p + 1)-th
+    permutation, so its work and result do not depend on the other nodes.
+    The passes are drawn again, twice as many, when they run out; a longer
+    draw starts with the shorter one.
     """
 
     theta_target: float
@@ -786,16 +716,15 @@ class FixedQualitySolver:
             if not active.any():
                 break
             if p == drawn:
-                # Twice the passes drawn so far, drawn again from the start
-                # of each active node's stream.
+                # Twice the passes drawn so far, of each active node.
                 drawn = min(2 * drawn or 2, self.max_passes)
                 blocks = np.where(active, drawn * sizes, 0)
                 perms = draw_permutations(seed, SOLVER_STREAM, round_idx, sizes, blocks)
                 starts = np.cumsum(blocks) - blocks
             passed = np.where(active, sizes, 0)
-            # Pass p of node t is block p of its draw, read from its end.
-            last = starts + (p + 1) * sizes - 1
-            run(perms[np.repeat(last, passed) - local[np.repeat(active, sizes)]], passed)
+            # Pass p of node t is block p of its draw.
+            run(perms[np.repeat(starts + p * sizes, passed) + local[np.repeat(active, sizes)]],
+                passed)
             counts += passed
             values = _node_values(view, delta, U)
             theta[active] = (values[active] - g_star[active]) / denom[active]
@@ -858,8 +787,8 @@ def federated_round(ds: FederatedDataset, kind: LossKind, rel: RelationshipState
 
     ``local_solver(view, budgets, drops, seed, round_idx) -> RoundResult``
     solves every node's subproblem for the round against the ``RoundView``
-    ``view``, node t drawing from ``stream(seed, SOLVER_STREAM, t,
-    round_idx)``.  It defaults to ``solve_local`` (MOCHA);
+    ``view``, drawing its coordinates under (seed, ``SOLVER_STREAM``,
+    round_idx).  It defaults to ``solve_local`` (MOCHA);
     ``FixedQualitySolver`` gives CoCoA and ``MiniBatchSolver`` mini-batch
     SDCA.  A solver with a true
     ``may_leave_box`` attribute gets None for every value that needs a

@@ -19,7 +19,6 @@ from fedmtl.solver import (
     RoundView,
     RunResult,
     primal_objective,
-    stream,
 )
 
 
@@ -138,11 +137,20 @@ def measure_theta(view: RoundView, t: int, delta_t: np.ndarray,
     return float(min(1.0, max(0.0, theta)))
 
 
+def node_permutation(seed, tag, round_idx, sizes, t, count) -> np.ndarray:
+    """Node t's first ``count`` entries of ``solver.draw_permutations``,
+    from its numpy reference, drawn with every other node's count 0."""
+    counts = np.zeros(len(sizes), dtype=np.int64)
+    counts[t] = count
+    return solver._draw_permutations_py(solver._round_key(seed, tag, round_idx),
+                                        np.asarray(sizes, dtype=np.int64), counts)
+
+
 def mb_sgd_reference(ds, kind, rel, batch, step, rounds, *, seed=0, schedule="constant",
                      policy=None) -> RunResult:
-    """``baselines.mb_sgd_run`` with each node's batch drawn from its own
-    numpy stream, ``stream(seed, SGD_STREAM, t, h).choice(n_t, size=b_t,
-    replace=False)``: the reference for its one ``draw_choices`` call per
+    """``baselines.mb_sgd_run`` with each node's batch drawn on its own from
+    the numpy reference, the first b_t entries of its permutation under
+    ``SGD_STREAM``: the reference for its one ``draw_permutations`` call per
     round."""
     if policy is None:
         policy = ConstantPolicy(batch)
@@ -162,7 +170,7 @@ def mb_sgd_reference(ds, kind, rel, batch, step, rounds, *, seed=0, schedule="co
                 continue
             b_t = min(max(int(budgets[t]), 1), task.n)
             counts.append(b_t)
-            idx = stream(seed, SGD_STREAM, t, h).choice(task.n, size=b_t, replace=False)
+            idx = node_permutation(seed, SGD_STREAM, h, ds.task_sizes(), t, b_t)
             Xb = task.features[:, idx]
             g = subgradient(kind, W[:, t] @ Xb, task.labels[idx])
             grad[:, t] += (task.n / b_t) * (Xb @ g)
@@ -177,9 +185,10 @@ def mb_sgd_reference(ds, kind, rel, batch, step, rounds, *, seed=0, schedule="co
 
 @dataclass(frozen=True)
 class CocoaReferenceSolver(FixedQualitySolver):
-    """``solver.FixedQualitySolver`` with each node's passes drawn one
-    ``permutation(n_t)`` at a time from its own numpy stream, each pass one
-    checked ``_run_round`` call: the reference for its passes from
+    """``solver.FixedQualitySolver`` with each node's passes drawn on its
+    own from the numpy reference, all ``max_passes`` of them at once, pass p
+    the node's (p + 1)-th permutation, and each pass one checked
+    ``_run_round`` call: the reference for its redrawn passes from
     ``draw_permutations`` and its ``_sweeps``."""
 
     def __call__(self, view, budgets, drops, seed, round_idx):
@@ -190,14 +199,16 @@ class CocoaReferenceSolver(FixedQualitySolver):
         denom = solver._node_values(view, delta, U) - g_star
         theta = np.where(denom > 1e-14, 1.0, 0.0)
         active = ~np.asarray(drops, dtype=bool) & (denom > 1e-14)
-        streams = {t: stream(seed, SOLVER_STREAM, t, round_idx) for t in np.flatnonzero(active)}
         sizes = np.diff(ds.offsets)
+        perms = {t: node_permutation(seed, SOLVER_STREAM, round_idx, sizes, t,
+                                     self.max_passes * sizes[t])
+                 for t in np.flatnonzero(active)}
         counts = np.zeros(ds.m, dtype=np.int64)
-        for _ in range(self.max_passes):
+        for p in range(self.max_passes):
             if not active.any():
                 break
             passed = np.where(active, sizes, 0)
-            idx = np.concatenate([streams[t].permutation(sizes[t])
+            idx = np.concatenate([perms[t][p * sizes[t]:(p + 1) * sizes[t]]
                                   for t in np.flatnonzero(active)])
             solver._run_round(view, idx, passed, delta, U)
             counts += passed

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_dataset
+from tests.conftest import make_dataset, node_permutation
 
 from fedmtl.baselines import (
     DEFAULT_LAMBDA_GRID,
@@ -25,6 +25,7 @@ from fedmtl.regularizers import (
     initial_omega,
 )
 from fedmtl.solver import (
+    SOLVER_STREAM,
     ConstantPolicy,
     PrimalState,
     SolverConfig,
@@ -130,9 +131,8 @@ def test_mb_sdca_scaling_contract(rng):
     kappa = rel.kappa[0]
     # One task: kappa is the Hessian Mbar / 2 of R* exactly.
     assert kappa == pytest.approx(rel.mbar[0, 0] / 2, rel=1e-15)
-    # The batch is the first `batch` entries of a permutation read from its end.
-    rng2 = np.random.default_rng([13, 11, 0, 0])
-    idx = rng2.permutation(task.n)[::-1][:batch]
+    # The batch is the first `batch` entries of the node's permutation.
+    idx = node_permutation(13, SOLVER_STREAM, 0, [task.n], 0, batch)
     assert len(set(idx.tolist())) == batch
     expected = np.zeros(task.n)
     for i in idx:
@@ -349,7 +349,7 @@ def _without_native_draws(monkeypatch, native):
     from fedmtl import solver
 
     if not native:
-        monkeypatch.setattr(solver, "_draw_kernel", lambda *key: None)
+        monkeypatch.setattr(solver, "_draw_kernel", lambda: None)
 
 
 @pytest.mark.parametrize("native", [True, False])

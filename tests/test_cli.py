@@ -984,10 +984,13 @@ dir = {out}
     assert float(last[0]) > 0.0
 
 
-def test_bench_writes_the_same_bytes_without_native_draws(tmp_path, monkeypatch):
+@pytest.mark.parametrize("seed", [7, 11])
+def test_bench_writes_the_same_bytes_without_native_draws(tmp_path, monkeypatch, seed):
     # Every method, drops and budget heterogeneity, tasks of unequal sizes:
-    # the native draws' output must equal numpy's streams' exactly.
-    cfg = write_config(tmp_path / "bench.ini", BASE_SYNTH.replace("n_min = 12", "n_min = 6") + """
+    # the output with the native draws must equal that with their numpy
+    # references exactly.
+    synth = BASE_SYNTH.replace("n_min = 12", "n_min = 6").replace("seed = 5", f"seed = {seed}")
+    cfg = write_config(tmp_path / "bench.ini", synth + """
 [model]
 kind = mean_regularized
 
@@ -1008,12 +1011,12 @@ rounds = 8
     draw_kernel = solver._draw_kernel
     kernels = []
     monkeypatch.setattr(solver, "_draw_kernel",
-                        lambda *key: kernels.append(draw_kernel(*key)) or kernels[-1])
+                        lambda: kernels.append(draw_kernel()) or kernels[-1])
     outputs = []
     for out in (tmp_path / "native", tmp_path / "numpy"):
         assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        monkeypatch.setattr(solver, "_draw_kernel", lambda *key: None)
+        monkeypatch.setattr(solver, "_draw_kernel", lambda: None)
     native, numpy_only = outputs
     assert len(native) == 10 and native == numpy_only
     # The first run drew natively where a compiler exists.

@@ -12,7 +12,7 @@ PACKAGE = ROOT / "src" / "fedmtl"
 ALLOWED = {
     "__version__": "the package's version, read by its users",
     "verify_lemma_decrease": "theory verifier that ROADMAP item 5's summary will run",
-    "verify_sigma_prime_inequality": "sigma' certificate of ROADMAP item 4's gate",
+    "verify_sigma_prime_inequality": "sigma' certificate that ROADMAP item 5's summary will run",
 }
 
 

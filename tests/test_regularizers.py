@@ -16,7 +16,6 @@ from fedmtl.regularizers import (
     regularizer_grad,
     regularizer_value,
     sigma_prime,
-    sigma_prime_per_task,
     update_omega,
     write_matrix_csv,
 )
@@ -107,33 +106,15 @@ def test_sigma_prime():
 def test_a_gamma_that_underflows_kappa_is_refused():
     # At gamma = 5e-324, kappa was [0, 0, 0] and a run never moved.
     tiny = np.finfo(float).tiny
-    for coefficient in (sigma_prime, sigma_prime_per_task):
-        with pytest.raises(ValueError, match="normal float"):
-            coefficient(MBAR_2, gamma=5e-324)
-        assert np.all(coefficient(MBAR_2, gamma=tiny) > 0)
+    with pytest.raises(ValueError, match="normal float"):
+        sigma_prime(MBAR_2, gamma=5e-324)
+    assert sigma_prime(MBAR_2, gamma=tiny) > 0
     with pytest.raises(ValueError, match="normal float"):
         build_relationship(MeanRegularized(10, 10), np.eye(3) / 3, 5e-324)
     assert np.all(build_relationship(MeanRegularized(10, 10), np.eye(3) / 3, tiny).kappa > 0)
     # A normal gamma can underflow kappa too.
     with pytest.raises(ValueError, match="gamma = 1e-30 gives a kappa_t"):
         build_relationship(MeanRegularized(0.0, 1e300), np.zeros((1, 1)), 1e-30)
-
-
-def test_sigma_prime_per_task():
-    per = sigma_prime_per_task(MBAR_2)
-    assert np.allclose(per, [4.0 / 3.0, 4.0 / 3.0])
-    per_diag = sigma_prime_per_task(np.diag([1.0, 2.0]), gamma=0.7)
-    assert np.allclose(per_diag, [0.7, 0.7])
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal((4, 4))
-        mbar = a @ a.T + 0.5 * np.eye(4)
-        # The spectral sigma' is lambda_max(D^{-1/2} Mbar D^{-1/2}), which
-        # Gershgorin's row sums bound from above.
-        root = np.sqrt(np.diag(mbar))
-        spectral = np.linalg.eigvalsh(mbar / np.outer(root, root))[-1]
-        assert sigma_prime(mbar) == pytest.approx(spectral, rel=1e-14)
-        assert sigma_prime(mbar) <= sigma_prime_per_task(mbar).max() * (1.0 + 1e-14)
 
 
 def test_regularizer_conjugate():

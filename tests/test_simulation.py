@@ -17,7 +17,15 @@ from fedmtl.simulation import (
     attach_times,
     simulate_run,
 )
-from fedmtl.solver import BUDGET_STREAM, DROP_STREAM, RoundStats, SolverConfig, stream
+from fedmtl.solver import (
+    BUDGET_STREAM,
+    DROP_STREAM,
+    RoundStats,
+    SolverConfig,
+    _draw_integers_py,
+    _draw_random_py,
+    _round_key,
+)
 
 HINGE = LossKind.HINGE
 
@@ -211,8 +219,9 @@ def test_systems_policy_reproducible_streams():
                                            HeterogeneityPolicy("high", n_min=50),
                                            HeterogeneityPolicy("fixed", n_min=1, k=0)])
 def test_systems_policy_round_draws_match_per_node_draws(seed, heterogeneity):
-    # A round's values are node t's draws from its own streams.  A seed of
-    # 2**64 or more takes numpy's path; drop probabilities 0 and 1 pin the
+    # A round's values are node t's draws alone: the first t + 1 nodes' draws
+    # hold node t's, and they equal the numpy references'.  A seed of 2**64
+    # or more draws natively too; drop probabilities 0 and 1 pin the
     # comparison's ends.
     probabilities = (0.0, 0.3, 0.5, 1.0, 0.7)
     policy = SystemsPolicy(seed, [NodeProfile(drop_probability=p) for p in probabilities],
@@ -221,10 +230,11 @@ def test_systems_policy_round_draws_match_per_node_draws(seed, heterogeneity):
     for h in range(8):
         budgets, drops = policy.draws(5, h)
         assert (budgets, drops) == (policy.budget(5, h), policy.dropped(5, h))
-        assert budgets == [int(stream(seed, BUDGET_STREAM, t, h).integers(lo, hi, endpoint=True))
-                           for t in range(5)]
-        assert drops == [bool(stream(seed, DROP_STREAM, t, h).random() < p)
-                         for t, p in enumerate(probabilities)]
+        assert budgets == [policy.budget(t + 1, h)[t] for t in range(5)]
+        assert budgets == _draw_integers_py(_round_key(seed, BUDGET_STREAM, h), lo, hi,
+                                            5).tolist()
+        assert drops == [bool(u < p) for u, p in zip(
+            _draw_random_py(_round_key(seed, DROP_STREAM, h), 5).tolist(), probabilities)]
         assert all(type(b) is int for b in budgets) and all(type(d) is bool for d in drops)
 
 

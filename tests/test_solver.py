@@ -211,16 +211,14 @@ def test_solve_local_deterministic(rng):
     assert np.array_equal(a.delta_v, b.delta_v)
 
 
-def test_rng_stream_prefix_property():
-    # budget draws must be prefix-consistent so larger budgets extend smaller
-    # ones; the monotone quality guarantees rely on it
-    r1 = solver.stream(3, solver.SOLVER_STREAM, 0, 0)
-    full = r1.integers(0, 10, size=50)
-    r2 = solver.stream(3, solver.SOLVER_STREAM, 0, 0)
-    head = r2.integers(0, 10, size=20)
-    tail = r2.integers(0, 10, size=30)
-    assert np.array_equal(full[:20], head)
-    assert np.array_equal(full[20:], tail)
+def test_draws_are_prefix_consistent():
+    # A larger budget extends a smaller one, node by node, so CoCoA's longer
+    # redraw starts with its shorter one; the monotone quality guarantees
+    # rely on it.
+    sizes = [10, 3, 7]
+    full = solver.draw_permutations(3, solver.SOLVER_STREAM, 0, sizes, [50, 9, 0])
+    head = solver.draw_permutations(3, solver.SOLVER_STREAM, 0, sizes, [20, 4, 0])
+    assert np.array_equal(head, np.concatenate([full[:20], full[50:54]]))
 
 
 def test_solve_local_reaches_oracle_value(rng):

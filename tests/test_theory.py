@@ -17,7 +17,6 @@ from fedmtl.regularizers import (
     initial_omega,
     primal_from_dual,
     sigma_prime,
-    sigma_prime_per_task,
     update_omega,
 )
 from fedmtl.solver import (

@@ -1,5 +1,5 @@
 """The native coordinate-update kernel against its Python reference, and the
-native random draws against numpy's."""
+native random draws against their numpy references."""
 
 import ctypes
 import os
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tests.conftest import random_view, recompute_v
+from tests.conftest import node_permutation, random_view, recompute_v
 
 from fedmtl import solver
 from fedmtl.baselines import cocoa_run, mb_sdca_run, mb_sgd_run
@@ -29,11 +29,14 @@ from fedmtl.solver import (
     SOLVER_STREAM,
     RoundView,
     SolverConfig,
+    _draw_integers_py,
+    _draw_permutations_py,
+    _draw_random_py,
+    _round_key,
     _run_round,
     _run_round_py,
     _task_losses,
     _task_losses_py,
-    draw_choices,
     draw_integers,
     draw_permutations,
     draw_random,
@@ -41,7 +44,6 @@ from fedmtl.solver import (
     run_mocha,
     run_w_update,
     solve_local,
-    stream,
 )
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -53,14 +55,6 @@ def _updated(run, round_view, idx, beta=0.0):
     delta, U = np.zeros(round_view.ds.n), np.zeros((1, round_view.ds.d))
     run(round_view, idx, [len(idx)], delta, U, beta)
     return delta, U[0]
-
-
-def _permuted(g, n, count):
-    """The numpy reference of ``draw_permutations`` for one node: ``count``
-    indices from ``g``, consecutive permutations of 0 .. n - 1 each read
-    from its end."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        g.permutation(n)[::-1] for _ in range(-(-count // n)))])[:count]
 
 
 @settings(max_examples=80, deadline=None)
@@ -151,8 +145,8 @@ def test_round_kernel_matches_per_node_loops(kind, m, d, zero_cols, subnormal, b
         res = solve_local(view, budgets, drops, seed, 0)
         ends = np.cumsum(res.update_counts)
         idx = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            _permuted(stream(seed, SOLVER_STREAM, t, 0), ds.tasks[t].n, res.update_counts[t])
-            for t in range(m) if res.update_counts[t]])
+            node_permutation(seed, SOLVER_STREAM, 0, ds.task_sizes(), t, res.update_counts[t])
+            for t in range(m)])
         delta, U = np.zeros(ds.n), np.zeros((m, d))
         _run_round(view, idx, res.update_counts, delta, U, beta)
         if beta == 0.0:
@@ -240,7 +234,7 @@ def test_kernel_loads_where_a_compiler_exists():
     lib = solver._load_kernel()
     assert lib is not None and solver._load_kernel() is lib
     for entry in (lib.fedmtl_run_round, lib.fedmtl_task_losses, lib.fedmtl_draw_integers,
-                  lib.fedmtl_draw_permutations, lib.fedmtl_draw_choices, lib.fedmtl_draw_random):
+                  lib.fedmtl_draw_random, lib.fedmtl_draw_permutations):
         assert entry.argtypes and entry.restype is None
     # One node's steps are a static helper of the round kernel, not an export.
     assert not hasattr(lib, "fedmtl_run_updates")
@@ -256,7 +250,16 @@ def test_kernel_loads_where_a_compiler_exists():
     # hinge, d, m, then the feature table, W, labels, offsets and the output.
     assert lib.fedmtl_task_losses.argtypes == [ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
                                                *[ctypes.c_void_p] * 5]
-    assert lib.numpy_streams is True
+    # The round's key, then lo, hi - lo and m, and the output.
+    assert lib.fedmtl_draw_integers.argtypes == [ctypes.c_uint64, *[ctypes.c_int64] * 3,
+                                                 ctypes.c_void_p]
+    # The round's key, m and the output.
+    assert lib.fedmtl_draw_random.argtypes == [ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p]
+    # The round's key, m, then the sizes, counts, work buffer and output.
+    assert lib.fedmtl_draw_permutations.argtypes == [ctypes.c_uint64, ctypes.c_int64,
+                                                     *[ctypes.c_void_p] * 4]
+    # The draws that reproduced numpy's choice and its check are gone.
+    assert not hasattr(lib, "fedmtl_draw_choices") and not hasattr(lib, "numpy_streams")
 
 
 # Run in a fresh interpreter with the sanitizer runtime preloaded: a kernel
@@ -275,7 +278,7 @@ from fedmtl.simulation import HeterogeneityPolicy, NodeProfile, SystemsPolicy
 from fedmtl.solver import RoundView, SolverConfig, _run_round, _task_losses, run_mocha
 
 lib = solver._load_kernel()
-assert lib is not None and lib.numpy_streams, "the sanitized kernel did not load"
+assert lib is not None, "the sanitized kernel did not load"
 ds = generate_synthetic(SyntheticSpec(m=4, d=5, n_min=6, n_max=15, cluster_count=2,
                                       deviation=0.3, noise=0.05, seed=3))
 policy = SystemsPolicy(3, [NodeProfile(drop_probability=0.3)] * ds.m,
@@ -288,14 +291,15 @@ for kind in LossKind:
     cocoa_run(ds, kind, rel, 0.1, 3, seed=3)
     mb_sdca_run(ds, kind, rel, 5, 2.0, 3, seed=3, policy=policy)
     assert np.isfinite(_task_losses(W, ds, kind)).all()
-assert solver.draw_integers(3, 11, 2, 0, 2**32 - 2, [0, 7, 1]).size == 8
-assert solver.draw_random(3, 11, 2, 5).shape == (5,)
-# Counts above the sizes run through the work buffer more than once.
-assert solver.draw_permutations(3, 11, 2, [1, 5, 300, 2], [4, 0, 700, 2]).size == 706
-assert solver.draw_permutations(2**63 + 5, 11, 2, [7], [7]).size == 7
-# Floyd's sample at its largest size, and next to a node that draws nothing.
-assert solver.draw_choices(3, 12, 2, [1, 5, 10000, 2], [1, 0, 10000, 2]).size == 10003
-assert solver.draw_choices(2**63 + 5, 12, 2, [300, 7], [299, 7]).size == 306
+# Keys at the ends of one 64-bit word and beyond it, the widest range, sizes
+# of 1, zero counts, and counts above the sizes, which run through the work
+# buffer more than once.
+for seed in (0, 2**64 - 1, 2**64 + 5):
+    assert solver.draw_integers(seed, 21, 2**64 - 1, -2**63, -2**63 + 2**32 - 2, 7).size == 7
+    assert solver.draw_integers(seed, 21, 2, 2**63 - 2**32 + 1, 2**63 - 1, 1).size == 1
+    assert solver.draw_random(seed, 22, 2, 5).shape == (5,)
+    assert solver.draw_permutations(seed, 11, 2, [1, 5, 300, 2], [4, 0, 700, 2]).size == 706
+    assert solver.draw_permutations(seed, 12, 2, [7, 1], [7, 0]).size == 7
 view = RoundView(ds, LossKind.HINGE, np.zeros(ds.n), np.ones((ds.d, ds.m)), np.ones(ds.m))
 for counts, idx in (([3000000, -3000000, 0, 0], []), ([3, -3, 0, 0], []),
                     ([2**62] * 4, []), ([0, 3, 0], []), ([1, 0, 0, 0], [ds.tasks[0].n]),
@@ -460,7 +464,7 @@ def _dual_baseline_runs():
 
 def test_python_fallback_matches_reference(monkeypatch):
     round_view = random_view(np.random.default_rng(1), LossKind.HINGE, d=7, n=30)
-    idx = _permuted(stream(3, SOLVER_STREAM, 0, 0), 30, 200)
+    idx = node_permutation(3, SOLVER_STREAM, 0, [30], 0, 200)
     ref_delta, ref_u = _updated(_run_round_py, round_view, idx)
     native_runs = _dual_baseline_runs()
 
@@ -527,18 +531,11 @@ def test_run_mocha_bit_identical_across_workers():
         assert np.array_equal(run.omega, ref.omega)
 
 
-_WORD = st.integers(0, 2**64 - 1)
-# Ranges of width 0 (lo == hi), of the smallest sizes, and up to 2**32 - 2,
-# the widest the native draws take.
-_WIDTH = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 2))
-
-
 def _native_calls(patch, lib):
     """The names of ``lib``'s draw entry points as they are called, in
     order; the entry points still run.  ``patch`` undoes the wrapping."""
     calls = []
-    for name in ("fedmtl_draw_integers", "fedmtl_draw_permutations", "fedmtl_draw_choices",
-                 "fedmtl_draw_random"):
+    for name in ("fedmtl_draw_integers", "fedmtl_draw_random", "fedmtl_draw_permutations"):
         def wrapped(*args, _name=name, _entry=getattr(lib, name)):
             calls.append(_name)
             return _entry(*args)
@@ -546,86 +543,107 @@ def _native_calls(patch, lib):
     return calls
 
 
-def _per_node(seed, round_idx, lo, hi, counts):
-    """``draw_integers`` under tag 11, node by node from numpy's streams."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        stream(seed, 11, t, round_idx).integers(lo, hi, size=count, endpoint=True)
-        for t, count in enumerate(counts))])
+# Seeds, tags and rounds of one 64-bit word, at its ends, and of two.
+_KEYS = st.one_of(st.sampled_from([0, 2**64 - 1, 2**64 + 5]), st.integers(0, 2**64 - 1),
+                  st.integers(2**64, 2**130))
+# Task sizes down to 1, and counts of 0 and above the size, which cross into
+# further permutations.
+_PERMUTED_NODES = st.lists(st.tuples(st.integers(1, 300), st.integers(0, 700)), max_size=5)
 
 
 @needs_cc
 @settings(max_examples=150, deadline=None)
-@given(seed=_WORD, tag=_WORD, round_idx=_WORD,
-       nodes=st.lists(st.tuples(st.integers(-2**31, 2**31), _WIDTH,
-                                st.integers(0, 40), st.integers(0, 40)),
-                      max_size=6))
-def test_native_draws_match_numpy(seed, tag, round_idx, nodes):
-    """Every node's integers from one native call equal numpy's from its
-    stream, taken as two consecutive draws, so the unused half of a 64-bit
-    output carries over; every node's double equals numpy's first
-    ``random()``."""
+@given(seed=_KEYS, tag=_KEYS, round_idx=_KEYS, nodes=_PERMUTED_NODES,
+       lo=st.integers(-2**62, 2**62), width=st.one_of(st.integers(1, 4),
+                                                       st.integers(1, 2**32 - 1)))
+@example(seed=0, tag=11, round_idx=0, nodes=[(1, 3), (5, 0), (5, 11), (2, 2)], lo=0, width=1)
+@example(seed=2**64 - 1, tag=2**64 - 1, round_idx=2**64 - 1, nodes=[(1, 0), (7, 7)],
+         lo=-2**62, width=2**32 - 1)
+@example(seed=2**64 + 5, tag=12, round_idx=3, nodes=[(300, 700), (1, 1)], lo=5, width=3)
+def test_native_draws_equal_their_references(seed, tag, round_idx, nodes, lo, width):
+    """Each draw is one native call whose output equals its numpy
+    reference's exactly, for any key and layout."""
+    sizes, counts = [n for n, _ in nodes], [count for _, count in nodes]
     with pytest.MonkeyPatch.context() as patch:
         calls = _native_calls(patch, solver._load_kernel())
-        got = draw_integers(seed, tag, round_idx, [lo for lo, *_ in nodes],
-                            [lo + width for lo, width, *_ in nodes],
-                            [a + b for *_, a, b in nodes])
+        ints = draw_integers(seed, tag, round_idx, lo, lo + width - 1, len(nodes))
         doubles = draw_random(seed, tag, round_idx, len(nodes))
-    assert calls == ["fedmtl_draw_integers", "fedmtl_draw_random"]
-    expected = []
-    for t, (lo, width, a, b) in enumerate(nodes):
-        rng = stream(seed, tag, t, round_idx)
-        expected += [rng.integers(lo, lo + width, size=size, endpoint=True) for size in (a, b)]
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.concatenate([np.empty(0, dtype=np.int64), *expected]))
-    assert doubles.tolist() == [stream(seed, tag, t, round_idx).random()
-                                for t in range(len(nodes))]
+        perms = draw_permutations(seed, tag, round_idx, sizes, counts)
+    assert calls == ["fedmtl_draw_integers", "fedmtl_draw_random", "fedmtl_draw_permutations"]
+    key = _round_key(seed, tag, round_idx)
+    assert ints.dtype == perms.dtype == np.int64
+    assert np.array_equal(ints, _draw_integers_py(key, lo, lo + width - 1, len(nodes)))
+    assert doubles.tolist() == _draw_random_py(key, len(nodes)).tolist()
+    assert np.array_equal(perms, _draw_permutations_py(
+        key, np.array(sizes, dtype=np.int64), np.array(counts, dtype=np.int64)))
+    assert ((lo <= ints) & (ints < lo + width)).all() and ((0 <= doubles) & (doubles < 1)).all()
+    # Each node's indices are consecutive permutations of its size.
+    for block, (n, count) in zip(np.split(perms, np.cumsum(counts)[:-1]), nodes):
+        for start in range(0, count, n):
+            part = block[start:start + n]
+            assert len(set(part.tolist())) == part.size and part.max(initial=0) < n
 
 
-@needs_cc
-def test_native_draws_defer_to_numpy_where_they_cannot_run(monkeypatch):
-    calls = _native_calls(monkeypatch, solver._load_kernel())
-    # A seed or round of 2**64 or more takes numpy's path node by node.
-    for seed, round_idx in ((2**64, 9), (5, 2**64 + 1)):
-        assert np.array_equal(draw_integers(seed, 11, round_idx, 0, 9, [0, 3, 4]),
-                              _per_node(seed, round_idx, 0, 9, [0, 3, 4]))
-        assert draw_random(seed, 11, round_idx, 3).tolist() == [
-            stream(seed, 11, t, round_idx).random() for t in range(3)]
-    # So does a width of 2**32 - 1 or more.
-    for lo, hi in ((0, 2**32 - 1), (-2**31, 2**31)):
-        assert np.array_equal(draw_integers(5, 11, 9, lo, hi, [0, 3, 4]),
-                              _per_node(5, 9, lo, hi, [0, 3, 4]))
-    assert calls == []
-    # numpy rejects a negative seed, an empty range and a negative count.
-    for args in ((-1, 11, 9, 0, 9, [4]), (5, 11, 9, 3, 2, [4]), (5, 11, 9, 0, 9, [-1])):
+def test_draws_refuse_what_they_cannot_draw():
+    # A width or a size of 2**32, and the widest and largest they take.
+    with pytest.raises(ValueError):
+        draw_integers(5, 11, 9, 0, 2**32 - 1, 3)
+    with pytest.raises(ValueError):
+        draw_integers(5, 11, 9, -2**31, 2**31, 3)
+    assert draw_integers(5, 11, 9, 0, 2**32 - 2, 3).max() <= 2**32 - 2
+    with pytest.raises(ValueError):
+        draw_permutations(5, 11, 9, [3, 2**32], [2, 1])
+    # Bounds outside int64, an empty range, a negative key, negative counts,
+    # a node that draws from no examples, and sizes that do not match.
+    for args in ((5, 11, 9, -2**63 - 1, -2**63 + 3, 2), (5, 11, 9, 2**63 - 2, 2**63, 2),
+                 (5, 11, 9, 3, 2, 4), (-1, 11, 9, 0, 9, 4)):
         with pytest.raises(ValueError):
             draw_integers(*args)
     with pytest.raises(ValueError):
-        draw_random(-1, 11, 9, 2)
-    # The widest range the native draws take, next to a node that draws
-    # nothing from a range they cannot take.
-    assert np.array_equal(draw_integers(5, 11, 9, 0, [2**32 - 2, 2**33], [5, 0]),
-                          _per_node(5, 9, 0, 2**32 - 2, [5]))
-    assert calls == ["fedmtl_draw_integers"]
-    # A round whose seed needs numpy draws each node's indices with numpy.
-    ds = generate_synthetic(SyntheticSpec(m=4, d=3, n_min=5, n_max=9, seed=3))
-    counts = [4, 0, 17, 0]
-    idx = draw_permutations(2**64 + 3, SOLVER_STREAM, 0, np.diff(ds.offsets), counts)
-    assert np.array_equal(idx, np.concatenate([
-        _permuted(stream(2**64 + 3, SOLVER_STREAM, t, 0), ds.tasks[t].n, counts[t])
-        for t in (0, 2)]))
-    # Negative counts, and a node that draws from no examples, are refused.
-    for sizes, counts in (([3, 4], [2, -1]), ([3, 0], [2, 1])):
+        draw_random(5, -1, 9, 2)
+    for sizes, counts in (([3, 4], [2, -1]), ([3, 0], [2, 1]), ([3], [2, 1])):
         with pytest.raises(ValueError):
             draw_permutations(5, 11, 9, sizes, counts)
-    # Without the kernel every draw is numpy's.
-    monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 3, 4]),
-                          _per_node(5, 9, 0, 9, [0, 3, 4]))
-    assert draw_random(5, 11, 9, 3).tolist() == [stream(5, 11, t, 9).random() for t in range(3)]
-    assert np.array_equal(draw_permutations(5, 11, 9, [4, 9], [6, 2]), np.concatenate([
-        _permuted(stream(5, 11, t, 9), n, count)
-        for t, (n, count) in enumerate([(4, 6), (9, 2)])]))
-    assert calls == ["fedmtl_draw_integers"]
+    # A node without examples that draws nothing, and one without nodes.
+    assert draw_permutations(5, 11, 9, [3, 0], [2, 0]).size == 2
+    assert draw_permutations(5, 11, 9, [], []).size == 0
+
+
+# The 1e-6 upper tail of chi-squared with k degrees of freedom, for the k of
+# the checks below, fixed before their draws were first run.
+_CHI2_TAIL = {1: 23.93, 2: 27.63, 5: 35.89, 6: 38.26, 7: 40.52, 11: 48.87, 19: 63.68,
+              29: 80.44, 41: 99.17, 55: 119.9}
+
+
+def _chi2(observed) -> float:
+    """Pearson's statistic of ``observed`` counts against equal expected ones."""
+    observed = np.asarray(observed, dtype=float)
+    expected = observed.sum() / observed.size
+    return float(((observed - expected) ** 2).sum() / expected)
+
+
+def test_bounded_integers_are_uniform():
+    # 8 rounds of 20,000 nodes each, on widths of 3 and 7, which are not
+    # powers of two, and 8.
+    for width in (3, 7, 8):
+        values = np.concatenate([draw_integers(2024, 21, h, 10, 10 + width - 1, 20000)
+                                 for h in range(8)])
+        assert _chi2(np.bincount(values - 10, minlength=width)) < _CHI2_TAIL[width - 1]
+
+
+def test_first_positions_of_permutations_are_uniform():
+    # 40,000 nodes draw two permutations each of every size n <= 8: the
+    # first two entries of each, and of each node's second, are each of the
+    # n (n - 1) ordered pairs alike.  Swapping with any position instead of
+    # a later one fails this at n = 3.
+    m = 40000
+    for n in range(2, 9):
+        perms = draw_permutations(2024, 11, n, [n] * m, [2 * n] * m).reshape(m, 2, n)
+        for p in range(2):
+            first, second = perms[:, p, 0], perms[:, p, 1]
+            assert (first != second).all()
+            pairs = np.bincount(first * n + second, minlength=n * n)[~np.eye(n, dtype=bool).ravel()]
+            assert _chi2(pairs) < _CHI2_TAIL[n * (n - 1) - 1]
 
 
 def _dropping_runs(workers=1):
@@ -669,105 +687,6 @@ def test_runs_bit_identical_without_native_draws(monkeypatch, workers):
     _assert_same_runs(got, _dropping_runs())
 
 
-@needs_cc
-def test_draws_fall_back_when_numpy_streams_differ(monkeypatch):
-    got = _dropping_runs()
-    default_rng = np.random.default_rng
-    try:
-        with monkeypatch.context() as patch:
-            # As if numpy's streams had changed since the native draws were written.
-            patch.setattr(np.random, "default_rng", lambda key: default_rng([*key, 1]))
-            solver._load_kernel.cache_clear()
-            lib = solver._load_kernel()
-        assert lib is not None and lib.numpy_streams is False
-        calls = _native_calls(monkeypatch, lib)
-        assert np.array_equal(draw_integers(5, 11, 9, 0, 9, [0, 4]), _per_node(5, 9, 0, 9, [0, 4]))
-        assert draw_random(5, 11, 9, 2).tolist() == [stream(5, 11, t, 9).random()
-                                                     for t in range(2)]
-        assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [0, 8]),
-                              _permuted(stream(5, 11, 1, 9), 6, 8))
-        assert np.array_equal(draw_choices(5, 12, 9, [3, 6], [0, 4]),
-                              stream(5, 12, 1, 9).choice(6, size=4, replace=False))
-        # Numpy's draws, with the native update kernel.
-        _assert_same_runs(got, _dropping_runs())
-        assert calls == []
-    finally:
-        solver._load_kernel.cache_clear()
-    assert solver._load_kernel().numpy_streams is True
-
-
-class _OtherShuffle:
-    """A numpy stream whose permutations come out in another order, and
-    whose other draws are numpy's."""
-
-    def __init__(self, g):
-        self._g = g
-
-    def __getattr__(self, name):
-        return getattr(self._g, name)
-
-    def permutation(self, n):
-        return np.roll(self._g.permutation(n), 1)
-
-
-class _OtherChoice(_OtherShuffle):
-    """A numpy stream whose choices come out in another order, and whose
-    other draws are numpy's."""
-
-    def permutation(self, n):
-        return self._g.permutation(n)
-
-    def choice(self, *args, **kwargs):
-        return np.roll(self._g.choice(*args, **kwargs), 1)
-
-
-@needs_cc
-def test_a_different_shuffle_alone_turns_the_native_draws_off(monkeypatch):
-    got = _dropping_runs()
-    try:
-        with monkeypatch.context() as patch:
-            # As if numpy's shuffle alone had changed.
-            patch.setattr(solver, "stream", lambda *key, _s=solver.stream: _OtherShuffle(_s(*key)))
-            solver._load_kernel.cache_clear()
-            lib = solver._load_kernel()
-        assert lib is not None and lib.numpy_streams is False
-        calls = _native_calls(monkeypatch, lib)
-        assert np.array_equal(draw_permutations(5, 11, 9, [3, 6], [4, 8]), np.concatenate([
-            _permuted(stream(5, 11, t, 9), n, count)
-            for t, (n, count) in enumerate([(3, 4), (6, 8)])]))
-        _assert_same_runs(got, _dropping_runs())
-        assert calls == []
-    finally:
-        solver._load_kernel.cache_clear()
-    assert solver._load_kernel().numpy_streams is True
-
-
-# Task sizes down to 1, counts of 0 and above the size, which cross into
-# further permutations.
-_PERMUTED_NODES = st.lists(st.tuples(st.integers(1, 300), st.integers(0, 700)), max_size=5)
-# Seeds at and above 2**63, and small ones.
-_SEEDS = st.one_of(st.just(2**63), st.integers(2**63, 2**64 - 1), st.integers(0, 2**16))
-
-
-@needs_cc
-@settings(max_examples=150, deadline=None)
-@given(seed=_SEEDS, tag=_WORD, round_idx=_WORD, nodes=_PERMUTED_NODES)
-@example(seed=2**63, tag=11, round_idx=0, nodes=[(1, 3), (5, 0), (5, 11), (2, 2)])
-def test_native_permutations_match_numpy(seed, tag, round_idx, nodes):
-    """Every node's indices from one native call equal numpy's reference:
-    consecutive permutations of its size from its stream, each read from
-    its end, cut to its count."""
-    sizes, counts = [n for n, _ in nodes], [count for _, count in nodes]
-    with pytest.MonkeyPatch.context() as patch:
-        calls = _native_calls(patch, solver._load_kernel())
-        got = draw_permutations(seed, tag, round_idx, sizes, counts)
-    assert calls == ["fedmtl_draw_permutations"]
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.concatenate([np.empty(0, dtype=np.int64), *(
-        _permuted(stream(seed, tag, t, round_idx), n, count)
-        for t, (n, count) in enumerate(nodes))]))
-
-
 @settings(max_examples=60, deadline=None)
 @given(nodes=st.lists(st.tuples(st.integers(1, 60), st.floats(0.0, 1.0), st.booleans()),
                       min_size=1, max_size=5),
@@ -775,7 +694,8 @@ def test_native_permutations_match_numpy(seed, tag, round_idx, nodes):
        native=st.booleans())
 def test_a_budget_within_the_task_visits_distinct_examples(nodes, seed, round_idx, native):
     """With b_t <= n_t, node t's indices in one round are distinct, on the
-    native and the numpy path, and a round steps at exactly those indices."""
+    native and the reference path, and a round steps at exactly those
+    indices."""
     rng = np.random.default_rng(round_idx)
     ds = FederatedDataset(tuple(TaskDataset(t, rng.standard_normal((2, n)),
                                             rng.choice([-1.0, 1.0], size=n))
@@ -799,95 +719,3 @@ def test_a_budget_within_the_task_visits_distinct_examples(nodes, seed, round_id
     for t, block in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
         assert len(set(block.tolist())) == counts[t]
         assert block.min(initial=0) >= 0 and block.max(initial=0) < ds.tasks[t].n
-
-
-@needs_cc
-def test_a_different_choice_alone_turns_the_native_draws_off(monkeypatch):
-    got = _dropping_runs()
-    try:
-        with monkeypatch.context() as patch:
-            # As if numpy's choice alone had changed.
-            patch.setattr(solver, "stream", lambda *key, _s=solver.stream: _OtherChoice(_s(*key)))
-            solver._load_kernel.cache_clear()
-            lib = solver._load_kernel()
-        assert lib is not None and lib.numpy_streams is False
-        calls = _native_calls(monkeypatch, lib)
-        assert np.array_equal(draw_choices(5, 12, 9, [3, 6], [2, 6]), np.concatenate([
-            stream(5, 12, t, 9).choice(n, size=b, replace=False)
-            for t, (n, b) in enumerate([(3, 2), (6, 6)])]))
-        _assert_same_runs(got, _dropping_runs())
-        assert calls == []
-    finally:
-        solver._load_kernel.cache_clear()
-    assert solver._load_kernel().numpy_streams is True
-
-
-def _choices_py(seed, tag, round_idx, nodes):
-    """``draw_choices``' numpy reference: each node's ``choice`` from its
-    stream, concatenated in node order."""
-    return np.concatenate([np.empty(0, dtype=np.int64), *(
-        stream(seed, tag, t, round_idx).choice(n, size=b, replace=False)
-        for t, (n, b) in enumerate(nodes))])
-
-
-def _sized(sizes):
-    """A task size from ``sizes`` and a count in [0, size]."""
-    return sizes.flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
-
-
-# Sizes down to 1 with counts of 0 up to the size, and the sizes on either
-# side of numpy's switch from Floyd's sample to a tail shuffle.
-_CHOSEN_NODES = st.lists(_sized(st.integers(1, 60)) | _sized(st.sampled_from([10000, 10001])),
-                         max_size=4)
-
-
-@needs_cc
-@settings(max_examples=150, deadline=None)
-@given(seed=_SEEDS, tag=_WORD, round_idx=_WORD, nodes=_CHOSEN_NODES)
-@example(seed=2**63, tag=12, round_idx=0, nodes=[(1, 1), (5, 0), (5, 5), (1, 0)])
-@example(seed=7, tag=12, round_idx=3, nodes=[(10000, 10000), (10000, 201), (3, 2)])
-@example(seed=7, tag=12, round_idx=3, nodes=[(10001, 201), (4, 4)])
-@example(seed=7, tag=12, round_idx=3, nodes=[(10001, 200), (10001, 0), (4, 4)])
-@example(seed=2**64 - 1, tag=12, round_idx=2**64 - 1, nodes=[(10001, 10001)])
-def test_native_choices_match_numpy(seed, tag, round_idx, nodes):
-    """Every node's batch from ``draw_choices`` equals numpy's ``choice``
-    without replacement from its stream.  One native call draws them all
-    unless a drawing node has more than 10,000 examples and a count above
-    a 50th of them, where numpy shuffles the tail of every index and the
-    call takes numpy's path."""
-    sizes, counts = [n for n, _ in nodes], [b for _, b in nodes]
-    with pytest.MonkeyPatch.context() as patch:
-        calls = _native_calls(patch, solver._load_kernel())
-        got = draw_choices(seed, tag, round_idx, sizes, counts)
-    floyd = all(n <= 10000 or b <= n // 50 for n, b in nodes if b)
-    assert calls == (["fedmtl_draw_choices"] if floyd else [])
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _choices_py(seed, tag, round_idx, nodes))
-
-
-@needs_cc
-def test_native_choices_defer_to_numpy_where_they_cannot_run(monkeypatch):
-    calls = _native_calls(monkeypatch, solver._load_kernel())
-    nodes = [(4, 3), (9, 0), (30, 30)]
-    sizes, counts = [n for n, _ in nodes], [b for _, b in nodes]
-    # A seed or round of 2**64 or more, and a size of 2**32 or more.
-    for seed, round_idx in ((2**64, 9), (5, 2**64 + 1)):
-        assert np.array_equal(draw_choices(seed, 12, round_idx, sizes, counts),
-                              _choices_py(seed, 12, round_idx, nodes))
-    big = [(2**32, 3), (4, 4)]
-    assert np.array_equal(draw_choices(5, 12, 9, [n for n, _ in big], [b for _, b in big]),
-                          _choices_py(5, 12, 9, big))
-    assert calls == []
-    # Negative counts, and counts above their size, are refused.
-    for bad_sizes, bad_counts in (([3, 4], [2, -1]), ([3, 4], [4, 1]), ([0], [1])):
-        with pytest.raises(ValueError):
-            draw_choices(5, 12, 9, bad_sizes, bad_counts)
-    # A scalar size stands for every node.
-    assert np.array_equal(draw_choices(5, 12, 9, 6, [2, 0, 6]),
-                          _choices_py(5, 12, 9, [(6, 2), (6, 0), (6, 6)]))
-    assert calls == ["fedmtl_draw_choices"]
-    # Without the kernel every draw is numpy's.
-    monkeypatch.setattr(solver, "_load_kernel", lambda: None)
-    assert np.array_equal(draw_choices(5, 12, 9, sizes, counts),
-                          _choices_py(5, 12, 9, nodes))
-    assert calls == ["fedmtl_draw_choices"]
