@@ -611,8 +611,8 @@ def test_draws_refuse_what_they_cannot_draw():
 
 # The 1e-6 upper tail of chi-squared with k degrees of freedom, for the k of
 # the checks below, fixed before their draws were first run.
-_CHI2_TAIL = {1: 23.93, 2: 27.63, 5: 35.89, 6: 38.26, 7: 40.52, 11: 48.87, 19: 63.68,
-              29: 80.44, 41: 99.17, 55: 119.9}
+_CHI2_TAIL = {1: 23.93, 2: 27.63, 5: 35.89, 6: 38.26, 7: 40.52, 11: 48.87, 15: 56.49,
+              19: 63.68, 29: 80.44, 41: 99.17, 55: 119.9}
 
 
 def _chi2(observed) -> float:
@@ -644,6 +644,40 @@ def test_first_positions_of_permutations_are_uniform():
             assert (first != second).all()
             pairs = np.bincount(first * n + second, minlength=n * n)[~np.eye(n, dtype=bool).ravel()]
             assert _chi2(pairs) < _CHI2_TAIL[n * (n - 1) - 1]
+
+
+def test_random_doubles_are_uniform():
+    # 8 rounds of 20,000 nodes each fall alike into 16 equal bins of [0, 1),
+    # and each double is a whole number of 2**-53.
+    doubles = np.concatenate([draw_random(2024, 13, h, 20000) for h in range(8)])
+    assert np.array_equal(doubles * 2.0**53, np.floor(doubles * 2.0**53))
+    assert _chi2(np.bincount((doubles * 16).astype(np.int64), minlength=16)) < _CHI2_TAIL[15]
+
+
+def test_neighbouring_draws_are_independent():
+    # Integers in [0, 3] of 40,000 nodes: a node's draw in one round against
+    # the next round's, under one tag against another, and against the next
+    # node's.  Each of the 16 pairs comes alike.
+    m = 40000
+    draw = draw_integers(2024, 21, 0, 0, 3, m + 1)
+    for other in (draw_integers(2024, 21, 1, 0, 3, m + 1), draw_integers(2024, 22, 0, 0, 3, m + 1),
+                  np.roll(draw, -1)):
+        pairs = np.bincount(draw[:m] * 4 + other[:m], minlength=16)
+        assert _chi2(pairs) < _CHI2_TAIL[15]
+
+
+def test_round_keys_mark_where_each_value_ends():
+    # 2**64 + 5, 7, 3 and 5, 7 * 2**64 + 1, 3 are the same 64-bit words,
+    # 5, 1, 7, 3, split differently between seed, tag and round; their keys
+    # and draws differ.
+    split_late, split_early = (2**64 + 5, 7, 3), (5, 7 * 2**64 + 1, 3)
+    assert _round_key(*split_late) != _round_key(*split_early)
+    assert not np.array_equal(draw_integers(*split_late, 0, 2**31, 8),
+                              draw_integers(*split_early, 0, 2**31, 8))
+    # Small keys, and the same keys one word longer, are all distinct.
+    keys = {_round_key(seed + high, tag, round_idx) for seed in range(16) for tag in range(16)
+            for round_idx in range(16) for high in (0, 2**64)}
+    assert len(keys) == 2 * 16**3
 
 
 def _dropping_runs(workers=1):
